@@ -23,7 +23,6 @@ from .core import (
 )
 from .spaces import (
     BoundaryMassWarning,
-    NormSpec,
     TimeWeightedTrace,
     f_lambda,
     g_s_eta,
@@ -41,18 +40,13 @@ from .solver import (
     SolverConfig,
     Trajectory,
     contraction_time,
-    continue_globally,
     duhamel_integral,
-    load_snapshot,
-    save_snapshot,
-    solve,
     solve_picard,
     solve_stepper,
 )
 from .flowderiv import (
     IllposedData,
     PicardTerm,
-    ResonanceKernel,
     build_illposed_datum,
     first_term,
     illposed_growth_c2_nd,

@@ -10,10 +10,13 @@ C_CONTRACTION: the bilinear Duhamel estimate constant at s=0, eta=1.
     plus Gaussian probes on Grid(8 pi, 256), T in {0.25, 0.5, 1}.
     Measured max ratio 0.196 (median 0.040); frozen with a 2x safety factor.
 
-C_KATO_S2: the commutator-form constant at s=2 feeding the a-priori
-    envelope rho(t); output of `calibrated_cs(Grid(8 pi, 256), s=2)`
-    (max of the normalized trilinear ratio over 50 seeded smooth random
-    fields, 2x safety already applied).
+C_KATO_S2: the commutator-form constant at s=2 of the a-priori envelope
+    rho(t); output of `calibrated_cs(Grid(8 pi, 256), s=2)` (max of the
+    normalized trilinear ratio over 50 seeded smooth random fields, 2x
+    safety already applied).  The library never reads it: eta-limit
+    recalibrates C_s on its own grid.  It is the reference that
+    `scripts/calibrate.py` and the `picard` workload of `perfbench/`
+    compare `calibrated_cs` against.
 """
 
 C_CONTRACTION = 0.4

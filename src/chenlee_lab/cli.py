@@ -29,7 +29,7 @@ from .config import (
     parse_config,
 )
 from .core import EquationParams, semigroup_apply
-from .decay import decay_report, weighted_energy_rate
+from .decay import decay_report, mass_drift, weighted_energy_rate
 from .flowderiv import illposed_growth_c2_nd, illposed_growth_c3
 from .limits import LimitSweepConfig, beta_limit_sweep, eta_limit_sweep
 from .report import ExperimentReport, fit_loglog
@@ -63,7 +63,7 @@ def _apply_quick(cfg: RunConfig) -> RunConfig:
 # experiments (each returns a list of ExperimentReport)
 # ---------------------------------------------------------------------------
 
-def _run_solve(cfg: RunConfig, jobs: int):
+def _run_solve(cfg: RunConfig):
     phi = build_initial_data(cfg)
     traj = solve_stepper(phi, cfg.equation_params(), cfg.solver_config())
     rep = ExperimentReport("trajectory",
@@ -71,8 +71,7 @@ def _run_solve(cfg: RunConfig, jobs: int):
     for t, u in zip(traj.times, traj.states):
         rep.add_row(t, l2_norm(u), sobolev_norm(u, cfg.sweep_s),
                     float(u.coeffs[0].real), float(u.coeffs[0].imag))
-    mass = np.array([u.coeffs[0] for u in traj.states])
-    drift = float(np.abs(mass - mass[0]).max())
+    drift = mass_drift([u.coeffs[0] for u in traj.states])
     rep.summary.update({
         "mass_drift": drift,
         "mass_tolerance": cfg.mass_tolerance,
@@ -81,7 +80,7 @@ def _run_solve(cfg: RunConfig, jobs: int):
     return [rep]
 
 
-def _run_smoothing(cfg: RunConfig, jobs: int):
+def _run_smoothing(cfg: RunConfig):
     """Gain of lambda derivatives of the semigroup from band-limited rough
     data: ||S(t)phi||_{H^lambda} ~ t^{-lambda/2} as t -> 0+."""
     # the experiment defines its own datum: band-limited with |phi_hat|
@@ -104,7 +103,7 @@ def _run_smoothing(cfg: RunConfig, jobs: int):
     return [rep]
 
 
-def _run_contraction(cfg: RunConfig, jobs: int):
+def _run_contraction(cfg: RunConfig):
     phi = build_initial_data(cfg)
     params = cfg.equation_params()
     T = min(contraction_time(l2_norm(phi), 0.0, cfg.eta, C_CONTRACTION), cfg.T)
@@ -126,14 +125,14 @@ def _run_contraction(cfg: RunConfig, jobs: int):
     return [rep]
 
 
-def _run_illposed_c3(cfg: RunConfig, jobs: int):
+def _run_illposed_c3(cfg: RunConfig):
     rep = illposed_growth_c3(cfg.illposed_s, cfg.illposed_epsilon,
                              cfg.illposed_N, cfg.equation_params(),
                              tol=cfg.illposed_tolerance)
     return [rep]
 
 
-def _run_illposed_c2nd(cfg: RunConfig, jobs: int):
+def _run_illposed_c2nd(cfg: RunConfig):
     rep = illposed_growth_c2_nd(cfg.illposed_s, cfg.illposed_epsilon,
                                 cfg.illposed_N, cfg.eta,
                                 tol=cfg.illposed_tolerance)
@@ -147,17 +146,17 @@ def _limit_cfg(cfg: RunConfig, defaults):
                             T=cfg.T, solver=cfg.solver_config())
 
 
-def _run_beta_limit(cfg: RunConfig, jobs: int):
+def _run_beta_limit(cfg: RunConfig):
     return [beta_limit_sweep(_limit_cfg(cfg, (0.4, 0.2, 0.1, 0.05)),
                              tol=cfg.sweep_tolerance)]
 
 
-def _run_eta_limit(cfg: RunConfig, jobs: int):
+def _run_eta_limit(cfg: RunConfig):
     return [eta_limit_sweep(_limit_cfg(cfg, (0.2, 0.1, 0.05, 0.025)),
                             tol=cfg.sweep_tolerance)]
 
 
-def _run_decay(cfg: RunConfig, jobs: int):
+def _run_decay(cfg: RunConfig):
     phi = build_initial_data(cfg)
     traj = solve_stepper(phi, cfg.equation_params(), cfg.solver_config())
     rep = decay_report(traj)
@@ -182,15 +181,14 @@ _RUNNERS = {
 }
 
 
-def run_experiment(cfg: RunConfig, out_dir: str, quick: bool = False,
-                   jobs: int = 1) -> int:
+def run_experiment(cfg: RunConfig, out_dir: str, quick: bool = False) -> int:
     """Execute one experiment; write CSVs + manifest; return the exit code."""
     if quick:
         cfg = _apply_quick(cfg)
     os.makedirs(out_dir, exist_ok=True)
     start = time.time()
     try:
-        reports = _RUNNERS[cfg.experiment](cfg, jobs)
+        reports = _RUNNERS[cfg.experiment](cfg)
     except CflError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -243,7 +241,8 @@ def build_parser():
     parser.add_argument("--quick", action="store_true",
                         help="scale the experiment down ~4x for CI")
     parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="worker pool size for sweep members")
+                        help="accepted and checked (N >= 1) but has no effect "
+                             "yet: every run is serial")
     parser.add_argument("--out", default="out", metavar="DIR",
                         help="output directory (CHENLEE_LAB_OUT overrides)")
     return parser
@@ -278,7 +277,7 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out_dir = os.environ.get("CHENLEE_LAB_OUT") or args.out
-    return run_experiment(cfg, out_dir, quick=args.quick, jobs=args.jobs)
+    return run_experiment(cfg, out_dir, quick=args.quick)
 
 
 if __name__ == "__main__":

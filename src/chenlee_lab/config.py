@@ -186,6 +186,16 @@ def validate(cfg: RunConfig):
         raise ConfigError(f"illposed.epsilon must be in (0,1), got {cfg.illposed_epsilon}")
     if cfg.illposed_s >= 0:
         raise ConfigError(f"illposed.s must be negative, got {cfg.illposed_s}")
+    N = cfg.illposed_N
+    if len(N) < 4 or min(N) < 32 or any(b <= a for a, b in zip(N, N[1:])):
+        raise ConfigError(
+            f"illposed.N must be >= 4 strictly increasing values, each >= 32; got {N}"
+        )
+    v = cfg.sweep_values
+    if v and (len(v) < 4 or min(v) <= 0 or any(b >= a for a, b in zip(v, v[1:]))):
+        raise ConfigError(
+            f"sweep.values must be >= 4 positive strictly decreasing values; got {v}"
+        )
     if cfg.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
 

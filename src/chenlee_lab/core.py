@@ -141,9 +141,6 @@ class SpectralField:
         u = self.grid.M * (self.grid.dxi / TWO_PI_SQRT) * np.fft.ifft(self.coeffs * self.grid._phase)
         return u.real
 
-    def values_complex(self) -> np.ndarray:
-        return self.grid.M * (self.grid.dxi / TWO_PI_SQRT) * np.fft.ifft(self.coeffs * self.grid._phase)
-
     def copy(self) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs.copy(), check=False)
 

@@ -48,8 +48,14 @@ class MomentTrace:
 
     @property
     def mass_drift(self) -> float:
-        """max_t |u_hat(t,0) - u_hat(0,0)|: zero in exact arithmetic."""
-        return float(np.abs(self.mass - self.mass[0]).max())
+        return mass_drift(self.mass)
+
+
+def mass_drift(mass) -> float:
+    """max_t |u_hat(t,0) - u_hat(0,0)| over a sequence of zero modes: zero
+    in exact arithmetic."""
+    mass = np.asarray(mass)
+    return float(np.abs(mass - mass[0]).max())
 
 
 def _first_moment(u: SpectralField) -> complex:

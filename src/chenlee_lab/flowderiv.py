@@ -30,6 +30,7 @@ from .core import (
     symbol_q,
 )
 from .report import ExperimentReport, fit_loglog
+from .spaces import sobolev_norm
 
 _SERIES_EPS = 1e-8
 
@@ -52,39 +53,11 @@ def make_sigma(params: EquationParams):
     return sigma
 
 
-def make_psi(params: EquationParams):
-    """psi(xi, xi1, xi2) = sigma(xi, xi2) + sigma(xi2, xi1)."""
-    sigma = make_sigma(params)
-
-    def psi(xi, xi1, xi2):
-        return sigma(xi, xi2) + sigma(xi2, xi1)
-
-    return psi
-
-
 def lambda_nd(xi, xi1, eta: float):
     """Non-dispersive (beta=0) resonance: real, -(p(xi1)+p(xi-xi1)-p(xi))."""
     p = EquationParams(beta=0.0, eta=eta)
     sig = make_sigma(p)(xi, xi1)
     return np.real(sig)
-
-
-@dataclass(frozen=True)
-class ResonanceKernel:
-    """The three resonance functions of one parameter set."""
-
-    params: EquationParams
-
-    @property
-    def sigma(self):
-        return make_sigma(self.params)
-
-    @property
-    def psi(self):
-        return make_psi(self.params)
-
-    def lambda_nd(self, xi, xi1):
-        return lambda_nd(xi, xi1, self.params.eta)
 
 
 def kern(z, t: float):
@@ -212,9 +185,7 @@ class PicardTerm:
         return SpectralField(self.grid, self.coeffs, check=False)
 
     def hs_norm(self, s: float) -> float:
-        g = self.grid
-        w = (1.0 + g.xi ** 2) ** s
-        return float(np.sqrt(np.sum(w * np.abs(self.coeffs) ** 2) * g.dxi))
+        return sobolev_norm(self.field(), s)
 
 
 def _window_indices(grid: Grid, window):

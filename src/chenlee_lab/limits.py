@@ -165,10 +165,3 @@ def calibrated_cs(grid, s: float = 2.0, n_samples: int = 50, seed: int = 7,
         u = random_real_field(grid, rng, spectral_decay=s + 1.5)
         best = max(best, kato_quadratic_form(u, s))
     return safety * best
-
-
-def sweep_time_horizon(phi: SpectralField, s: float = 2.0, C_s: float = None) -> float:
-    """min(1, 0.5 T'_s): keeps the rho envelope finite over the run."""
-    if C_s is None:
-        C_s = calibrated_cs(phi.grid, s=s)
-    return min(1.0, 0.5 * existence_time_limit(sobolev_norm(phi, s), C_s))

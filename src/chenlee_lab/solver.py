@@ -12,8 +12,7 @@ check used throughout the experiment suite.
 """
 from __future__ import annotations
 
-import struct
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.interpolate import BarycentricInterpolator, CubicSpline
@@ -27,7 +26,7 @@ from .core import (
     linear_symbol,
     symbol_q,
 )
-from .spaces import TimeWeightedTrace, l2_norm, sobolev_norm
+from .spaces import sobolev_norm
 
 
 class CflError(ValueError):
@@ -58,7 +57,6 @@ class SolverConfig:
     T: float = 1.0
     picard_max_iters: int = 40
     picard_tol: float = 1e-12
-    method: str = "if_rk4"  # or "picard"
     n_time_nodes: int = 16  # Chebyshev panels for the Picard route
     quad_nodes: int = 10  # Gauss-Legendre nodes per quadrature panel
     panel_length: float = 0.25
@@ -73,8 +71,6 @@ class SolverConfig:
             raise ValueError(f"dt={self.dt} exceeds T={self.T}")
         if self.picard_tol <= 0:
             raise ValueError("picard_tol must be positive")
-        if self.method not in ("picard", "if_rk4"):
-            raise ValueError(f"unknown method {self.method!r}")
 
 
 @dataclass
@@ -88,7 +84,7 @@ class Trajectory:
         self.times = np.asarray(self.times, dtype=float)
         if self.times.size != len(self.states):
             raise ValueError("times/states length mismatch")
-        if self.times.size and (self.times[0] != 0.0 and "t_offset" not in self.info):
+        if self.times.size and self.times[0] != 0.0:
             raise ValueError("trajectory must start at t=0")
         if self.times.size > 1 and np.any(np.diff(self.times) <= 0):
             raise ValueError("trajectory times must be strictly increasing")
@@ -99,21 +95,6 @@ class Trajectory:
 
     def final_state(self) -> SpectralField:
         return self.states[-1]
-
-    def state_at(self, t: float, atol: float = 1e-12) -> SpectralField:
-        i = int(np.argmin(np.abs(self.times - t)))
-        if abs(self.times[i] - t) > atol:
-            raise KeyError(f"no stored state at t={t}")
-        return self.states[i]
-
-    def norm_trace(self, s: float) -> TimeWeightedTrace:
-        hs = np.array([sobolev_norm(u, s) for u in self.states])
-        l2 = np.array([l2_norm(u) for u in self.states])
-        mask = self.times > 0
-        return TimeWeightedTrace(self.times[mask], hs[mask], l2[mask], s)
-
-    def coeff_matrix(self) -> np.ndarray:
-        return np.array([u.coeffs for u in self.states])
 
 
 # ---------------------------------------------------------------------------
@@ -155,9 +136,11 @@ def chebyshev_nodes(T: float, n: int) -> np.ndarray:
 
 def _interpolator(times: np.ndarray, values: np.ndarray):
     """Polynomial interpolation for few nodes (Chebyshev-spaced Picard
-    grids), cubic spline otherwise."""
+    grids), cubic spline otherwise.  The barycentric weights are computed
+    on a node order shuffled by a seeded generator, so equal inputs give
+    bitwise-equal interpolants."""
     if times.size <= 40:
-        return BarycentricInterpolator(times, values, axis=0)
+        return BarycentricInterpolator(times, values, axis=0, rng=0)
     return CubicSpline(times, values, axis=0)
 
 def _gl_quadrature(sym: np.ndarray, interp, t: float, n_nodes: int, panel_length: float):
@@ -252,8 +235,8 @@ def solve_picard(phi: SpectralField, params: EquationParams, config: SolverConfi
         return out
 
     def sup_hs(mat: np.ndarray) -> float:
-        w = (1.0 + grid.xi ** 2) ** s
-        return float(np.sqrt((w * np.abs(mat) ** 2).sum(axis=1).max() * grid.dxi))
+        return max(sobolev_norm(SpectralField(grid, row, check=False), s)
+                   for row in mat)
 
     u = lin.copy()
     diffs, ratios = [], []
@@ -331,7 +314,6 @@ def solve_stepper(phi: SpectralField, params: EquationParams,
     c[grid.M // 2] = 0.0
     times = [0.0]
     states = [SpectralField(grid, c.copy())]
-    amp_scale = grid.L * np.sqrt(2.0 / np.pi)
 
     for n in range(1, n_steps + 1):
         k1 = dt * rhs(c)
@@ -350,95 +332,3 @@ def solve_stepper(phi: SpectralField, params: EquationParams,
 
     return Trajectory(np.array(times), states, params,
                       info={"method": "if_rk4", "dt": dt, "n_steps": n_steps})
-
-
-def continue_globally(traj: Trajectory, params: EquationParams,
-                      config: SolverConfig, T_total: float,
-                      overlap_tol: float = 1e-8) -> Trajectory:
-    """Restart the stepper from the final state until T_total.
-
-    At each restart the previous segment is re-integrated across a short
-    overlap with halved dt; disagreement above `overlap_tol` in L^2 means
-    the glued solution is not self-consistent.
-    """
-    times = list(traj.times)
-    states = list(traj.states)
-    residuals = []
-    t0 = times[-1]
-    while t0 < T_total - 1e-12:
-        T_seg = min(config.T, T_total - t0)
-        seg_cfg = replace(config, T=T_seg)
-        seg = solve_stepper(states[-1], params, seg_cfg)
-        # overlap oracle: the first steps past the restart recomputed with
-        # halved dt; disagreement measures gluing self-consistency
-        dt_seg = seg.info["dt"]
-        n_over = min(2, seg.info["n_steps"])
-        coarse = solve_stepper(states[-1], params,
-                               replace(config, T=n_over * dt_seg, dt=dt_seg,
-                                       keep_every=n_over))
-        fine = solve_stepper(states[-1], params,
-                             replace(config, T=n_over * dt_seg, dt=dt_seg / 2.0,
-                                     keep_every=2 * n_over))
-        res = l2_norm(coarse.final_state() - fine.final_state())
-        residuals.append(res)
-        if res > overlap_tol:
-            raise SolverBlowupError(t0, f"restart overlap residual {res:.3e} > {overlap_tol:.1e}")
-        times.extend(t0 + seg.times[1:])
-        states.extend(seg.states[1:])
-        t0 = times[-1]
-    info = dict(traj.info)
-    info["restart_overlap_residuals"] = residuals
-    return Trajectory(np.array(times), states, params, info=info)
-
-
-def solve(phi: SpectralField, params: EquationParams, config: SolverConfig,
-          s: float = 0.0) -> Trajectory:
-    if config.method == "picard":
-        return solve_picard(phi, params, config, s=s)
-    return solve_stepper(phi, params, config)
-
-
-# ---------------------------------------------------------------------------
-# trajectory export
-# ---------------------------------------------------------------------------
-
-SNAPSHOT_MAGIC = b"CLSNAP1\x00"
-
-
-def save_snapshot(path, field_: SpectralField, t: float):
-    """32-byte header (magic, M, L, t) + flat little-endian complex64."""
-    g = field_.grid
-    header = SNAPSHOT_MAGIC + struct.pack("<Qdd", g.M, g.L, t)
-    assert len(header) == 32
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(field_.coeffs.astype("<c8").tobytes())
-
-
-def load_snapshot(path):
-    with open(path, "rb") as fh:
-        header = fh.read(32)
-        if header[:8] != SNAPSHOT_MAGIC:
-            raise ValueError("not a state snapshot file")
-        M, L, t = struct.unpack("<Qdd", header[8:])
-        coeffs = np.frombuffer(fh.read(), dtype="<c8").astype(np.complex128)
-    if coeffs.size != M:
-        raise ValueError("truncated snapshot")
-    return SpectralField(Grid(L, int(M)), coeffs), t
-
-
-def export_trajectory_csv(traj: Trajectory, path, s: float = 0.0, modes=(1, 2, 4)):
-    """CSV columns: t, L2 norm, H^s norm, Re u_hat(0), |u_hat| at selected
-    integer mode numbers."""
-    import csv
-
-    from .report import format_value
-
-    with open(path, "w", newline="") as fh:
-        w = csv.writer(fh, lineterminator="\r\n")
-        w.writerow(["t", "l2", f"hs_{s:g}", "re_uhat0"] + [f"abs_mode_{m}" for m in modes])
-        for t, u in zip(traj.times, traj.states):
-            idx = [u.grid.mode_index(m) for m in modes]
-            w.writerow([format_value(v) for v in
-                        [t, l2_norm(u), sobolev_norm(u, s), float(u.coeffs[0].real)]
-                        + [float(np.abs(u.coeffs[i])) for i in idx]])

@@ -20,18 +20,6 @@ class BoundaryMassWarning(UserWarning):
     periodic boundary."""
 
 
-@dataclass(frozen=True)
-class NormSpec:
-    """Sobolev index s and spatial weight order r for H^s \\cap L^2_r."""
-
-    s: float
-    r: int = 0
-
-    def __post_init__(self):
-        if self.r not in (0, 1, 2, 3):
-            raise ValueError(f"weight order r must be in {{0,1,2,3}}, got {self.r}")
-
-
 @dataclass
 class TimeWeightedTrace:
     """Samples of ||u(t)||_{H^s} and ||u(t)||_{L^2} on (0, T], for the
@@ -99,15 +87,6 @@ def xts_norm(trace: TimeWeightedTrace) -> float:
         raise ValueError(f"time-weighted norm requires s < 0, got s={trace.s}")
     w = trace.times ** (abs(trace.s) / 2.0)
     return float(np.max(trace.hs_values + w * trace.l2_values))
-
-
-def xts_norm_tilde(trace: TimeWeightedTrace, smoothed_l2_values) -> float:
-    """Variant with an extra t^{|s|/2} ||(1 - d^2/dx^2)^{(s'-s)/2} u||_{L^2}
-    term; exposed for completeness, no experiment consumes it."""
-    base = xts_norm(trace)
-    extra = np.asarray(smoothed_l2_values, dtype=float)
-    w = trace.times ** (abs(trace.s) / 2.0)
-    return float(base + np.max(w * extra))
 
 
 def f_lambda(t: float, lam: float, eta: float) -> float:

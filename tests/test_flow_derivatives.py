@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from chenlee_lab.core import EquationParams, SpectralField, symbol_p, symbol_q
 from chenlee_lab.flowderiv import (
     IllposedData,
-    ResonanceKernel,
     build_illposed_datum,
     first_term,
     illposed_grid,
@@ -16,7 +15,6 @@ from chenlee_lab.flowderiv import (
     kern,
     kern_diff,
     lambda_nd,
-    make_psi,
     make_sigma,
     second_term,
     third_term,
@@ -58,16 +56,6 @@ def test_sigma_vanishes_on_trivial_pair():
         assert complex(sigma(xi, xi)) == 0.0
 
 
-@settings(max_examples=50, deadline=None)
-@given(finite_xi, finite_xi, finite_xi)
-def test_psi_is_sigma_sum(xi, xi1, xi2):
-    sigma = make_sigma(PARAMS)
-    psi = make_psi(PARAMS)
-    lhs = complex(psi(xi, xi1, xi2))
-    rhs = complex(sigma(xi, xi2)) + complex(sigma(xi2, xi1))
-    assert lhs == pytest.approx(rhs, rel=1e-12, abs=1e-9)
-
-
 def test_lambda_nd_real_and_closed_form():
     # lambda(2 xi1, xi1) = p(2 xi1) - 2 p(xi1) = 2 eta xi1^2 for xi1 >= 1
     eta = 0.7
@@ -75,13 +63,6 @@ def test_lambda_nd_real_and_closed_form():
         lam = lambda_nd(2.0 * xi1, xi1, eta)
         assert np.imag(lam) == 0.0
         assert float(np.real(lam)) == pytest.approx(2.0 * eta * xi1 * xi1)
-
-
-def test_resonance_kernel_bundle():
-    k = ResonanceKernel(PARAMS)
-    assert complex(k.sigma(2.0, 1.0)) == complex(make_sigma(PARAMS)(2.0, 1.0))
-    assert complex(k.psi(2.0, 0.5, 1.0)) == complex(make_psi(PARAMS)(2.0, 0.5, 1.0))
-    assert float(np.real(k.lambda_nd(2.0, 1.0))) == pytest.approx(2.0 * PARAMS.eta)
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,6 @@ from scipy.integrate import quad
 from chenlee_lab.core import Grid, SpectralField, random_real_field, semigroup_multiplier, EquationParams
 from chenlee_lab.spaces import (
     BoundaryMassWarning,
-    NormSpec,
     TimeWeightedTrace,
     f_lambda,
     f_lambda_argmax,
@@ -18,7 +17,6 @@ from chenlee_lab.spaces import (
     sobolev_norm,
     weighted_l2_norm,
     xts_norm,
-    xts_norm_tilde,
 )
 
 GRID = Grid(16.0 * np.pi, 1024)
@@ -97,12 +95,6 @@ def test_weighted_norm_rejects_negative_order():
         weighted_l2_norm(_rand_field(0), -1)
 
 
-def test_norm_spec_validation():
-    NormSpec(0.5, 3)
-    with pytest.raises(ValueError):
-        NormSpec(0.5, 4)
-
-
 # ---------------------------------------------------------------------------
 # time-weighted trace norms
 # ---------------------------------------------------------------------------
@@ -117,11 +109,6 @@ def test_xts_norm_requires_negative_s():
     tr = TimeWeightedTrace(np.array([0.5]), np.array([1.0]), np.array([1.0]), s=0.5)
     with pytest.raises(ValueError):
         xts_norm(tr)
-
-
-def test_xts_norm_tilde_adds_term():
-    tr = TimeWeightedTrace(np.array([1.0]), np.array([1.0]), np.array([1.0]), s=-1.0)
-    assert xts_norm_tilde(tr, [0.5]) == pytest.approx(xts_norm(tr) + 0.5)
 
 
 def test_trace_validation():

@@ -11,7 +11,6 @@ from chenlee_lab.limits import (
     existence_time_limit,
     kato_quadratic_form,
     rho_bound,
-    sweep_time_horizon,
 )
 from chenlee_lab.solver import SolverConfig
 from chenlee_lab.spaces import sobolev_norm
@@ -122,10 +121,3 @@ def test_calibrated_cs_deterministic_and_dominates_samples():
     for _ in range(20):
         u = random_real_field(GRID, rng, spectral_decay=3.5)
         assert kato_quadratic_form(u, 2.0) <= c1
-
-
-def test_sweep_time_horizon_capped():
-    phi = _single_mode(0.01)
-    assert 0.0 < sweep_time_horizon(phi, C_s=1.0) <= 1.0
-    big = _single_mode(100.0)
-    assert sweep_time_horizon(big, C_s=1.0) < sweep_time_horizon(phi, C_s=1.0)

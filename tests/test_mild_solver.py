@@ -1,5 +1,5 @@
 """Mild-solution solvers: contraction construction, Duhamel quadrature,
-Picard iteration, the integrating-factor stepper, continuation, snapshots."""
+Picard iteration and the integrating-factor stepper."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,14 +19,9 @@ from chenlee_lab.solver import (
     SolverConfig,
     Trajectory,
     chebyshev_nodes,
-    continue_globally,
     contraction_time,
     duhamel_integral,
-    export_trajectory_csv,
     g_exponent,
-    load_snapshot,
-    save_snapshot,
-    solve,
     solve_picard,
     solve_stepper,
 )
@@ -49,8 +44,6 @@ def test_solver_config_validation():
         SolverConfig(dt=0.0)
     with pytest.raises(ValueError):
         SolverConfig(dt=2.0, T=1.0)
-    with pytest.raises(ValueError):
-        SolverConfig(method="euler")
 
 
 def test_trajectory_validation():
@@ -61,13 +54,6 @@ def test_trajectory_validation():
         Trajectory(np.array([0.0, 0.5, 0.25]), [u, u, u], PARAMS)
     with pytest.raises(ValueError):
         Trajectory(np.array([0.5]), [u], PARAMS)  # must start at 0
-
-
-def test_trajectory_state_lookup():
-    traj = solve_stepper(_gaussian(0.1), PARAMS, SolverConfig(dt=2e-3, T=0.1))
-    assert l2_norm(traj.state_at(0.01) - traj.states[5]) == 0.0
-    with pytest.raises(KeyError):
-        traj.state_at(0.033)
 
 
 def test_chebyshev_nodes():
@@ -217,70 +203,13 @@ def test_picard_diverges_for_large_data():
         solve_picard(phi, PARAMS, SolverConfig(dt=1e-3, T=1.0))
 
 
-def test_solve_dispatch():
+def test_picard_is_deterministic():
+    # equal inputs give bitwise-equal iterates: the interpolator's node
+    # shuffle is seeded
     phi = _gaussian(0.05)
-    cfg_p = SolverConfig(dt=1e-3, T=0.2, method="picard")
-    cfg_s = SolverConfig(dt=1e-3, T=0.2, method="if_rk4")
-    a = solve(phi, PARAMS, cfg_p)
-    b = solve(phi, PARAMS, cfg_s)
-    assert a.info["method"] == "picard"
-    assert b.info["method"] == "if_rk4"
-    assert l2_norm(a.final_state() - b.final_state()) <= 1e-6
-
-
-# ---------------------------------------------------------------------------
-# continuation
-# ---------------------------------------------------------------------------
-
-def test_continuation_matches_single_run():
-    phi = _gaussian(0.3)
-    cfg = SolverConfig(dt=1e-3, T=0.2, keep_every=50)
-    seg = solve_stepper(phi, PARAMS, cfg)
-    glued = continue_globally(seg, PARAMS, cfg, T_total=0.6)
-    whole = solve_stepper(phi, PARAMS, SolverConfig(dt=1e-3, T=0.6, keep_every=50))
-    assert glued.times[-1] == pytest.approx(0.6)
-    assert l2_norm(glued.final_state() - whole.final_state()) <= 1e-10
-    assert all(r <= 1e-8 for r in glued.info["restart_overlap_residuals"])
-
-
-# ---------------------------------------------------------------------------
-# snapshots and CSV export
-# ---------------------------------------------------------------------------
-
-def test_snapshot_roundtrip(tmp_path):
-    u = _gaussian(0.7)
-    path = tmp_path / "state.snap"
-    save_snapshot(path, u, 0.375)
-    v, t = load_snapshot(path)
-    assert t == 0.375
-    assert v.grid.M == GRID.M and v.grid.L == pytest.approx(GRID.L)
-    scale = np.abs(u.coeffs).max()
-    assert np.abs(v.coeffs - u.coeffs).max() <= 1e-6 * scale  # complex64 payload
-
-
-def test_snapshot_rejects_garbage(tmp_path):
-    path = tmp_path / "bad.snap"
-    path.write_bytes(b"not a snapshot at all, sorry......")
-    with pytest.raises(ValueError):
-        load_snapshot(path)
-
-
-def test_snapshot_rejects_truncation(tmp_path):
-    u = _gaussian(0.7)
-    path = tmp_path / "state.snap"
-    save_snapshot(path, u, 0.0)
-    data = path.read_bytes()
-    path.write_bytes(data[:-16])
-    with pytest.raises(ValueError):
-        load_snapshot(path)
-
-
-def test_trajectory_csv_deterministic(tmp_path):
-    traj = solve_stepper(_gaussian(0.2), PARAMS, SolverConfig(dt=2e-3, T=0.1, keep_every=10))
-    p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    export_trajectory_csv(traj, p1)
-    export_trajectory_csv(traj, p2)
-    text = p1.read_bytes()
-    assert text == p2.read_bytes()
-    assert text.splitlines()[0].startswith(b"t,l2,hs_0,re_uhat0")
-    assert len(text.splitlines()) == traj.times.size + 1
+    cfg = SolverConfig(dt=1e-3, T=0.25)
+    a = solve_picard(phi, PARAMS, cfg)
+    b = solve_picard(phi, PARAMS, cfg)
+    assert a.info["residual"] == b.info["residual"]
+    for u, v in zip(a.states, b.states):
+        assert np.array_equal(u.coeffs, v.coeffs)

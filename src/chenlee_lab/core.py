@@ -53,6 +53,8 @@ class Grid:
         object.__setattr__(self, "xi", (np.pi / self.L) * k)
         # alternating sign (-1)^k absorbs the x-origin phase of the FFT
         object.__setattr__(self, "_phase", np.where(k.astype(int) % 2 == 0, 1.0, -1.0))
+        # the same sign on nonlinear_term's 3/2-padded grid, where slot and mode parity agree
+        object.__setattr__(self, "_phase_pad", np.resize([1.0, -1.0], 3 * self.M // 2))
         object.__setattr__(self, "_nyquist", self.M // 2)
 
     @property
@@ -251,11 +253,9 @@ def nonlinear_term(u: SpectralField, dealias_budget: float = 1e-6) -> SpectralFi
     cp[Mp - half:] = u.coeffs[half:]
     # physical samples on the fine grid; transform pair normalized as in
     # SpectralField but with Mp points on the same [-L, L)
-    kp = np.fft.fftfreq(Mp, d=1.0 / Mp)
-    phase_p = np.where(kp.astype(int) % 2 == 0, 1.0, -1.0)
-    up = Mp * (g.dxi / TWO_PI_SQRT) * np.fft.ifft(cp * phase_p)
+    up = Mp * (g.dxi / TWO_PI_SQRT) * np.fft.ifft(cp * g._phase_pad)
     vp = up * up
-    wp = ((2.0 * g.L / Mp) / TWO_PI_SQRT) * phase_p * np.fft.fft(vp)
+    wp = ((2.0 * g.L / Mp) / TWO_PI_SQRT) * g._phase_pad * np.fft.fft(vp)
 
     total = np.sum(np.abs(wp) ** 2)
     if total > 0:

@@ -3,7 +3,8 @@
 Two independent routes to u(t) = S(t) phi - int_0^t S(t-t') [u u_x](t') dt':
 
 * `solve_picard` iterates the Duhamel map on Chebyshev-spaced time nodes
-  (the contraction-mapping construction, valid for small data / short T);
+  (the contraction-mapping construction, valid for small data / short T)
+  with the map a fixed Duhamel operator on the nonlinearity at the nodes;
 * `solve_stepper` is an integrating-factor RK4 production stepper (exact
   linear multiplier, classical RK4 on the transformed nonlinearity).
 
@@ -12,10 +13,10 @@ check used throughout the experiment suite.
 """
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import BarycentricInterpolator, CubicSpline
 
 from .core import (
     EquationParams,
@@ -76,12 +77,13 @@ class SolverConfig:
 @dataclass
 class Trajectory:
     times: np.ndarray
-    states: list  # of SpectralField
+    states: tuple  # of SpectralField; a tuple, so nonlinear_samples stays valid
     params: EquationParams
     info: dict = field(default_factory=dict)
 
     def __post_init__(self):
         self.times = np.asarray(self.times, dtype=float)
+        self.states = tuple(self.states)
         if self.times.size != len(self.states):
             raise ValueError("times/states length mismatch")
         if self.times.size and self.times[0] != 0.0:
@@ -95,6 +97,11 @@ class Trajectory:
 
     def final_state(self) -> SpectralField:
         return self.states[-1]
+
+    @functools.cached_property
+    def nonlinear_samples(self) -> np.ndarray:
+        """(nodes, M) spectra of u u_x at the stored states, computed once."""
+        return np.array([nonlinear_term(u).coeffs for u in self.states])
 
 
 # ---------------------------------------------------------------------------
@@ -134,31 +141,38 @@ def chebyshev_nodes(T: float, n: int) -> np.ndarray:
     return 0.5 * T * (1.0 - np.cos(np.pi * i / n))
 
 
-def _interpolator(times: np.ndarray, values: np.ndarray):
-    """Polynomial interpolation for few nodes (Chebyshev-spaced Picard
-    grids), cubic spline otherwise.  The barycentric weights are computed
-    on a node order shuffled by a seeded generator, so equal inputs give
-    bitwise-equal interpolants."""
-    if times.size <= 40:
-        return BarycentricInterpolator(times, values, axis=0, rng=0)
-    return CubicSpline(times, values, axis=0)
+MAX_INTERP_NODES = 40  # polynomial interpolation on more equispaced nodes is unstable
+_gauss_legendre = functools.cache(np.polynomial.legendre.leggauss)
 
-def _gl_quadrature(sym: np.ndarray, interp, t: float, n_nodes: int, panel_length: float):
-    """Composite Gauss-Legendre quadrature of int_0^t e^{sym (t-tau)} G(tau) dtau
-    where G(tau) is the interpolated nonlinearity spectrum."""
-    out = np.zeros(sym.shape, dtype=np.complex128)
-    if t == 0.0:
-        return out
+
+def _lagrange_matrix(nodes: np.ndarray, tau: np.ndarray) -> np.ndarray:
+    """L[q, j] = l_j(tau_q), the barycentric Lagrange basis of `nodes` at `tau`.
+    Node weights are products over nodes scaled by 4 / (their span), so they
+    neither overflow nor underflow; a tau on a node gets a unit row."""
+    d = (nodes[:, None] - nodes[None, :]) * (4.0 / (nodes[-1] - nodes[0]))
+    np.fill_diagonal(d, 1.0)
+    weights = 1.0 / d.prod(axis=1)
+    diff = tau[:, None] - nodes[None, :]
+    on_node = diff == 0.0
+    diff[on_node] = 1.0
+    L = weights / diff
+    L /= L.sum(axis=1, keepdims=True)
+    return np.where(on_node.any(axis=1, keepdims=True), on_node, L)
+
+
+def _duhamel_weights(nodes: np.ndarray, sym: np.ndarray, t: float,
+                     n_nodes: int, panel_length: float) -> np.ndarray:
+    """W[j, k] = sum_q w_q l_j(tau_q) e^{sym_k (t - tau_q)}: sum_j W[j] G_j is
+    int_0^t e^{sym (t-tau)} G(tau) dtau for G interpolating samples G_j at the
+    `nodes`, by composite Gauss-Legendre (`n_nodes` per panel)."""
     n_panels = max(1, int(np.ceil(t / panel_length)))
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    x, w = _gauss_legendre(n_nodes)
     edges = np.linspace(0.0, t, n_panels + 1)
-    for a, b in zip(edges[:-1], edges[1:]):
-        tau = 0.5 * (b - a) * nodes + 0.5 * (a + b)
-        w = 0.5 * (b - a) * weights
-        G = interp(tau)  # (n_nodes, M)
-        E = np.exp(np.multiply.outer(t - tau, sym))
-        out += (w[:, None] * E * G).sum(axis=0)
-    return out
+    half = 0.5 * np.diff(edges)[:, None]
+    tau = (half * x + 0.5 * (edges[:-1] + edges[1:])[:, None]).ravel()
+    wq = (half * w).ravel()
+    E = np.exp(np.multiply.outer(t - tau, sym))
+    return (wq[:, None] * _lagrange_matrix(nodes, tau)).T @ E
 
 
 def duhamel_integral(traj_segment: Trajectory, t: float,
@@ -166,26 +180,32 @@ def duhamel_integral(traj_segment: Trajectory, t: float,
                      tol: float = 1e-8, check: bool = True) -> SpectralField:
     """int_0^t S(t - t') [u u_x](t') dt' evaluated from a stored trajectory.
 
-    The nonlinearity is sampled at the trajectory nodes, interpolated in
-    time, and integrated by composite Gauss-Legendre with the exact
-    semigroup multiplier at each quadrature node.  With `check`, the node
-    count is doubled and a relative change above `tol` raises
-    QuadratureConvergenceError.
+    The nonlinearity, sampled once per trajectory at its (at most
+    MAX_INTERP_NODES) nodes, is interpolated in time and integrated by
+    composite Gauss-Legendre with the exact semigroup multiplier, as one
+    weight operator.  With `check`, the node count is doubled and a
+    relative change above `tol` raises QuadratureConvergenceError.
     """
     times = traj_segment.times
+    if times.size > MAX_INTERP_NODES:
+        raise ValueError(f"trajectory has {times.size} nodes; Duhamel interpolation "
+                         f"in time takes at most {MAX_INTERP_NODES}")
     if not (times[0] <= t <= times[-1] + 1e-12):
         raise ValueError(f"t={t} outside trajectory range")
     grid = traj_segment.grid
     params = traj_segment.params
-    if not params.nonlinear:
-        return SpectralField.zero(grid)  # linear flow: integrand vanishes
-    G = np.array([nonlinear_term(u).coeffs for u in traj_segment.states])
-    interp = _interpolator(times, G)
+    if not params.nonlinear or t == 0.0:
+        return SpectralField.zero(grid)  # linear flow or empty interval
+    G = traj_segment.nonlinear_samples
     sym = linear_symbol(grid.xi, params)
     sym[grid.M // 2] = 0.0
-    val = _gl_quadrature(sym, interp, t, quad_nodes, panel_length)
+
+    def integral(n_nodes):
+        return np.einsum("jk,jk->k", _duhamel_weights(times, sym, t, n_nodes, panel_length), G)
+
+    val = integral(quad_nodes)
     if check:
-        val2 = _gl_quadrature(sym, interp, t, 2 * quad_nodes, panel_length)
+        val2 = integral(2 * quad_nodes)
         scale = max(np.linalg.norm(val2), 1e-300)
         err = np.linalg.norm(val2 - val) / scale
         if err > tol:
@@ -218,6 +238,8 @@ def solve_picard(phi: SpectralField, params: EquationParams, config: SolverConfi
     E_nodes = np.exp(np.multiply.outer(times, sym))
     E_nodes[:, grid.M // 2] = 0.0
     lin = E_nodes * phi.coeffs[None, :]
+    W = np.array([_duhamel_weights(times, sym, t, config.quad_nodes, config.panel_length)
+                  for t in times[1:]])
 
     def apply_map(u_mat: np.ndarray) -> np.ndarray:
         if not params.nonlinear:
@@ -227,11 +249,8 @@ def solve_picard(phi: SpectralField, params: EquationParams, config: SolverConfi
                            dealias_budget=config.dealias_budget).coeffs
             for row in u_mat
         ])
-        interp = _interpolator(times, G)
         out = lin.copy()
-        for i in range(1, times.size):
-            out[i] -= _gl_quadrature(sym, interp, times[i], config.quad_nodes,
-                                     config.panel_length)
+        out[1:] -= np.einsum("ijk,jk->ik", W, G)
         return out
 
     def sup_hs(mat: np.ndarray) -> float:

@@ -10,6 +10,7 @@ from chenlee_lab.core import (
     SpectralField,
     semigroup_apply,
 )
+from chenlee_lab import solver
 from chenlee_lab.solver import (
     CflError,
     NonContractionError,
@@ -18,6 +19,7 @@ from chenlee_lab.solver import (
     SolverBlowupError,
     SolverConfig,
     Trajectory,
+    _lagrange_matrix,
     chebyshev_nodes,
     contraction_time,
     duhamel_integral,
@@ -177,6 +179,58 @@ def test_duhamel_range_check():
         duhamel_integral(traj, 0.5)
 
 
+def test_duhamel_rejects_too_many_nodes():
+    # polynomial interpolation through 41 equispaced nodes is not trusted
+    traj = solve_stepper(_gaussian(0.1), PARAMS, SolverConfig(dt=1e-3, T=0.04))
+    assert traj.times.size == 41
+    with pytest.raises(ValueError, match="at most 40"):
+        duhamel_integral(traj, 0.04)
+
+
+@pytest.mark.parametrize("nodes", [chebyshev_nodes(1.0, 16), 0.01 * np.arange(26)],
+                         ids=["chebyshev17", "equispaced26"])
+def test_lagrange_matrix_reproduces_monomials(nodes):
+    # interpolation through n+1 nodes is exact on degree <= n.  Rounding is
+    # about eps times the Lebesgue function lam(tau) = sum_j |l_j(tau)|, which
+    # stays below 3 on Chebyshev nodes but reaches 2.6e5 near the ends of 26
+    # equispaced ones (Runge), whatever the formula for the weights.
+    tau = np.linspace(0.0, nodes[-1], 401)
+    L = _lagrange_matrix(nodes, tau)
+    tol = np.maximum(1e-12, 16 * np.finfo(float).eps * np.abs(L).sum(axis=1))
+    for d in range(nodes.size):
+        err = np.abs(L @ nodes ** d - tau ** d) / nodes[-1] ** d
+        assert np.all(err <= tol), d
+
+
+def test_lagrange_matrix_unit_row_on_node():
+    nodes = chebyshev_nodes(0.5, 16)
+    rows = [0, 7, 16]
+    assert np.array_equal(_lagrange_matrix(nodes, nodes[rows]), np.eye(17)[rows])
+
+
+def test_duhamel_samples_nonlinearity_once(monkeypatch):
+    # C_CONTRACTION's probe (scripts/calibrate.py) for the unit Gaussian at
+    # T=1, the largest of its ratios: 16 Duhamel integrals over one 17-node
+    # linear trajectory need the 17 nonlinearity samples once each
+    calls = []
+    original = solver.nonlinear_term
+
+    def counting(u, *args, **kwargs):
+        calls.append(u)
+        return original(u, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "nonlinear_term", counting)
+    T = 1.0
+    times = chebyshev_nodes(T, 16)
+    phi = SpectralField.from_function(GRID, lambda x: np.exp(-x * x))
+    states = [semigroup_apply(phi, t, PARAMS) for t in times]
+    traj = Trajectory(times, states, PARAMS)
+    sup_duh = max(l2_norm(duhamel_integral(traj, t, check=False)) for t in times[1:])
+    assert len(calls) == 17
+    ratio = sup_duh / (T ** 0.25 * max(l2_norm(u) for u in states) ** 2)
+    assert ratio == pytest.approx(0.19605275283210102, rel=1e-9)
+
+
 # ---------------------------------------------------------------------------
 # Picard route
 # ---------------------------------------------------------------------------
@@ -204,8 +258,8 @@ def test_picard_diverges_for_large_data():
 
 
 def test_picard_is_deterministic():
-    # equal inputs give bitwise-equal iterates: the interpolator's node
-    # shuffle is seeded
+    # equal inputs give bitwise-equal iterates: the Duhamel operator is a
+    # fixed function of the nodes, with nothing random in its construction
     phi = _gaussian(0.05)
     cfg = SolverConfig(dt=1e-3, T=0.25)
     a = solve_picard(phi, PARAMS, cfg)

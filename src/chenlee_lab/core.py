@@ -53,7 +53,7 @@ class Grid:
         object.__setattr__(self, "xi", (np.pi / self.L) * k)
         # alternating sign (-1)^k absorbs the x-origin phase of the FFT
         object.__setattr__(self, "_phase", np.where(k.astype(int) % 2 == 0, 1.0, -1.0))
-        # the same sign on nonlinear_term's 3/2-padded grid, where slot and mode parity agree
+        # the same sign on nonlinear_stack's 3/2-padded grid, where slot and mode parity agree
         object.__setattr__(self, "_phase_pad", np.resize([1.0, -1.0], 3 * self.M // 2))
         object.__setattr__(self, "_nyquist", self.M // 2)
 
@@ -235,45 +235,54 @@ def semigroup_apply(f: SpectralField, t: float, params: EquationParams) -> Spect
     return SpectralField(f.grid, f.coeffs * semigroup_multiplier(f.grid, t, params))
 
 
-def nonlinear_term(u: SpectralField, dealias_budget: float = 1e-6) -> SpectralField:
-    """Spectral representation of u*u_x = (1/2) d/dx (u^2).
+def nonlinear_stack(grid: Grid, coeffs: np.ndarray,
+                    dealias_budget: float = 1e-6) -> np.ndarray:
+    """Spectra of u*u_x = (1/2) d/dx (u^2) for a (..., M) stack of spectra u,
+    row by row.
 
     The square is formed on a 3/2 zero-padded grid, so the retained modes
-    are alias-free (2/3 rule).  The energy fraction of u^2 living in the
-    truncated upper third of the padded spectrum is compared against
-    `dealias_budget`; exceeding it signals an under-resolved product.
+    are alias-free (2/3 rule).  The energy fraction of each row's u^2 living
+    in the truncated upper third of the padded spectrum is compared against
+    `dealias_budget`; one warning names the worst row's fraction, since
+    exceeding it signals an under-resolved product.
     """
-    g = u.grid
-    M = g.M
+    M = grid.M
     Mp = 3 * M // 2
-    # zero-pad the spectrum (fft order: positive modes first, then negative)
-    cp = np.zeros(Mp, dtype=np.complex128)
     half = M // 2
-    cp[:half] = u.coeffs[:half]
-    cp[Mp - half:] = u.coeffs[half:]
+    # zero-pad the spectrum (fft order: positive modes first, then negative)
+    cp = np.zeros(coeffs.shape[:-1] + (Mp,), dtype=np.complex128)
+    cp[..., :half] = coeffs[..., :half]
+    cp[..., Mp - half:] = coeffs[..., half:]
     # physical samples on the fine grid; transform pair normalized as in
     # SpectralField but with Mp points on the same [-L, L)
-    up = Mp * (g.dxi / TWO_PI_SQRT) * np.fft.ifft(cp * g._phase_pad)
+    up = Mp * (grid.dxi / TWO_PI_SQRT) * np.fft.ifft(cp * grid._phase_pad)
     vp = up * up
-    wp = ((2.0 * g.L / Mp) / TWO_PI_SQRT) * g._phase_pad * np.fft.fft(vp)
+    wp = ((2.0 * grid.L / Mp) / TWO_PI_SQRT) * grid._phase_pad * np.fft.fft(vp)
 
-    total = np.sum(np.abs(wp) ** 2)
-    if total > 0:
-        tail = np.sum(np.abs(wp[half:Mp - half]) ** 2)
-        if tail / total > dealias_budget:
-            warnings.warn(
-                f"quadratic product carries {tail / total:.3e} of its energy in "
-                f"truncated modes (budget {dealias_budget:.1e})",
-                AliasingBudgetWarning,
-                stacklevel=2,
-            )
+    power = np.abs(wp) ** 2
+    total = np.sum(power, axis=-1)
+    tail = np.sum(power[..., half:Mp - half], axis=-1)
+    over = tail > dealias_budget * total
+    if over.any():
+        worst = np.max(tail[over] / total[over])
+        warnings.warn(
+            f"quadratic product carries {worst:.3e} of its energy in "
+            f"truncated modes (budget {dealias_budget:.1e})",
+            AliasingBudgetWarning,
+            stacklevel=2,
+        )
 
-    c = np.zeros(M, dtype=np.complex128)
-    c[:half] = wp[:half]
-    c[half:] = wp[Mp - half:]
-    c *= 0.5j * g.xi  # (1/2) d/dx; annihilates the mean exactly
-    c[g._nyquist] = 0.0
-    return SpectralField(g, c, check=False)
+    c = np.concatenate((wp[..., :half], wp[..., Mp - half:]), axis=-1)
+    c *= 0.5j * grid.xi  # (1/2) d/dx; annihilates the mean exactly
+    c[..., grid._nyquist] = 0.0
+    return c
+
+
+def nonlinear_term(u: SpectralField, dealias_budget: float = 1e-6) -> SpectralField:
+    """Spectral representation of u*u_x, dealiased and checked against
+    `dealias_budget` as in `nonlinear_stack`."""
+    return SpectralField(u.grid, nonlinear_stack(u.grid, u.coeffs, dealias_budget),
+                         check=False)
 
 
 def random_real_field(grid: Grid, rng: np.random.Generator, band=None,

@@ -14,7 +14,7 @@ import numpy as np
 
 from .core import EquationParams, SpectralField, nonlinear_term, x_derivative
 from .report import ExperimentReport, fit_loglog
-from .solver import SolverConfig, solve_stepper
+from .solver import SolverConfig, solve_stepper_stack
 from .spaces import hs_inner, l2_norm, sobolev_norm
 
 
@@ -47,13 +47,10 @@ def beta_limit_sweep(cfg: LimitSweepConfig, tol: float = 0.15) -> ExperimentRepo
     mean-value bound; the beta=0 reference is the non-dispersive equation."""
     report = ExperimentReport("beta_limit", ["value", "sup_error", "fitted_slope",
                                             "target_slope", "pass"])
-    p0 = replace(cfg.base_params, beta=0.0)
-    ref = solve_stepper(cfg.phi, p0, cfg.solver)
-    errors = []
-    for beta in cfg.sweep_values:
-        traj = solve_stepper(cfg.phi, replace(cfg.base_params, beta=float(beta)),
-                             cfg.solver)
-        errors.append(_sup_diff(traj, ref, cfg.s))
+    betas = [0.0] + [float(beta) for beta in cfg.sweep_values]
+    ref, *trajs = solve_stepper_stack(
+        cfg.phi, [replace(cfg.base_params, beta=beta) for beta in betas], cfg.solver)
+    errors = [_sup_diff(traj, ref, cfg.s) for traj in trajs]
     slope, _ = fit_loglog(np.asarray(cfg.sweep_values), np.asarray(errors))
     passed = abs(slope - 1.0) <= tol
     # monotone in beta with 5% solver-noise slack
@@ -72,21 +69,13 @@ def eta_limit_sweep(cfg: LimitSweepConfig, tol: float = 0.1) -> ExperimentReport
     s=2."""
     report = ExperimentReport("eta_limit", ["value", "sup_error", "cauchy_diff",
                                            "fitted_slope", "target_slope", "pass"])
-    p0 = replace(cfg.base_params, eta=0.0)
-    ref = solve_stepper(cfg.phi, p0, cfg.solver)
-
-    trajs = {}
-    for eta in list(cfg.sweep_values) + [cfg.sweep_values[-1] / 2.0]:
-        trajs[eta] = solve_stepper(cfg.phi, replace(cfg.base_params, eta=float(eta)),
-                                   cfg.solver)
+    # the eta = 0 reference plus every distinct eta of values and values/2
+    etas = list(dict.fromkeys(float(eta) for v in cfg.sweep_values for eta in (v, v / 2.0)))
+    ref, *runs = solve_stepper_stack(
+        cfg.phi, [replace(cfg.base_params, eta=eta) for eta in [0.0] + etas], cfg.solver)
+    trajs = dict(zip(etas, runs))
     sup_errors = [_sup_diff(trajs[eta], ref, 0.0) for eta in cfg.sweep_values]
-    cauchy = []
-    for eta in cfg.sweep_values:
-        half = eta / 2.0
-        if half not in trajs:
-            trajs[half] = solve_stepper(cfg.phi, replace(cfg.base_params, eta=half),
-                                        cfg.solver)
-        cauchy.append(_sup_diff(trajs[eta], trajs[half], 0.0))
+    cauchy = [_sup_diff(trajs[eta], trajs[eta / 2.0], 0.0) for eta in cfg.sweep_values]
 
     vals = np.asarray(cfg.sweep_values, dtype=float)
     slope, _ = fit_loglog(vals, np.asarray(cauchy))

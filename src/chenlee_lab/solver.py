@@ -6,7 +6,9 @@ Two independent routes to u(t) = S(t) phi - int_0^t S(t-t') [u u_x](t') dt':
   (the contraction-mapping construction, valid for small data / short T)
   with the map a fixed Duhamel operator on the nonlinearity at the nodes;
 * `solve_stepper` is an integrating-factor RK4 production stepper (exact
-  linear multiplier, classical RK4 on the transformed nonlinearity).
+  linear multiplier, classical RK4 on the transformed nonlinearity);
+  `solve_stepper_stack` steps several parameter sets from one datum as
+  one stack, which is how the singular-limit sweeps run.
 
 They agree within combined tolerance, which is the discrete uniqueness
 check used throughout the experiment suite.
@@ -22,6 +24,7 @@ from .core import (
     EquationParams,
     Grid,
     SpectralField,
+    nonlinear_stack,
     nonlinear_term,
     semigroup_multiplier,
     linear_symbol,
@@ -244,11 +247,7 @@ def solve_picard(phi: SpectralField, params: EquationParams, config: SolverConfi
     def apply_map(u_mat: np.ndarray) -> np.ndarray:
         if not params.nonlinear:
             return lin.copy()
-        G = np.array([
-            nonlinear_term(SpectralField(grid, row, check=False),
-                           dealias_budget=config.dealias_budget).coeffs
-            for row in u_mat
-        ])
+        G = nonlinear_stack(grid, u_mat, config.dealias_budget)
         out = lin.copy()
         out[1:] -= np.einsum("ijk,jk->ik", W, G)
         return out
@@ -308,31 +307,38 @@ def solve_stepper(phi: SpectralField, params: EquationParams,
     """Integrating-factor RK4: exact multiplier on the linear symbol, RK4
     on the transformed nonlinearity.  Exact for linear runs; 4th order in
     dt otherwise."""
+    return solve_stepper_stack(phi, [params], config)[0]
+
+
+def solve_stepper_stack(phi: SpectralField, params_list, config: SolverConfig) -> list:
+    """`solve_stepper` for each parameter set of `params_list` from the same
+    datum, stepped together as one (B, M) stack of spectra; row b is
+    bitwise the run with params_list[b] alone.  Returns one Trajectory per
+    member, in order."""
     grid = phi.grid
-    _check_cfl(grid, config.dt, params)
+    B = len(params_list)
+    for params in params_list:
+        _check_cfl(grid, config.dt, params)
     n_steps = max(1, int(round(config.T / config.dt)))
     dt = config.T / n_steps
 
-    E1 = semigroup_multiplier(grid, dt, params)
-    E2 = semigroup_multiplier(grid, 0.5 * dt, params)
-    half_xi = 0.5j * grid.xi
+    E1 = np.array([semigroup_multiplier(grid, dt, p) for p in params_list])
+    E2 = np.array([semigroup_multiplier(grid, 0.5 * dt, p) for p in params_list])
+    rows = np.flatnonzero([p.nonlinear for p in params_list])
+    budget = config.dealias_budget
 
-    if params.nonlinear:
-        budget = config.dealias_budget
+    def rhs(c):
+        if rows.size == B:
+            return -nonlinear_stack(grid, c, budget)
+        out = np.zeros_like(c)  # linear members have no nonlinearity
+        if rows.size:
+            out[rows] = -nonlinear_stack(grid, c[rows], budget)
+        return out
 
-        def rhs(c):
-            return -nonlinear_term(SpectralField(grid, c, check=False),
-                                   dealias_budget=budget).coeffs
-    else:
-        zero = np.zeros(grid.M, dtype=np.complex128)
-
-        def rhs(c):
-            return zero
-
-    c = phi.coeffs.copy()
-    c[grid.M // 2] = 0.0
+    c = np.repeat(phi.coeffs[None, :], B, axis=0)
+    c[:, grid.M // 2] = 0.0
     times = [0.0]
-    states = [SpectralField(grid, c.copy())]
+    states = [[SpectralField(grid, row.copy())] for row in c]
 
     for n in range(1, n_steps + 1):
         k1 = dt * rhs(c)
@@ -343,11 +349,14 @@ def solve_stepper(phi: SpectralField, params: EquationParams,
         if not np.all(np.isfinite(c.view(np.float64))):
             raise SolverBlowupError(n * dt)
         if n % config.keep_every == 0 or n == n_steps:
-            u = SpectralField(grid, c.copy(), check=False)
-            if np.abs(u.values()).max() > config.amplitude_cap:
+            kept = [SpectralField(grid, row, check=False) for row in c.copy()]
+            if max(np.abs(u.values()).max() for u in kept) > config.amplitude_cap:
                 raise SolverBlowupError(n * dt, "amplitude cap exceeded")
             times.append(n * dt)
-            states.append(u)
+            for member, u in zip(states, kept):
+                member.append(u)
 
-    return Trajectory(np.array(times), states, params,
-                      info={"method": "if_rk4", "dt": dt, "n_steps": n_steps})
+    return [Trajectory(times, member, params,
+                       info={"method": "if_rk4", "dt": dt, "n_steps": n_steps,
+                             "sweep_size": B, "rhs_evals": 4 * n_steps})
+            for member, params in zip(states, params_list)]

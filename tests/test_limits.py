@@ -12,7 +12,7 @@ from chenlee_lab.limits import (
     kato_quadratic_form,
     rho_bound,
 )
-from chenlee_lab.solver import SolverConfig
+from chenlee_lab.solver import SolverConfig, solve_stepper
 from chenlee_lab.spaces import sobolev_norm
 
 GRID = Grid(4.0 * np.pi, 64)
@@ -70,6 +70,32 @@ def test_eta_sweep_summary_structure():
     cauchy = [row[2] for row in rep.rows]
     assert all(c > 0 for c in cauchy)
     assert cauchy[-1] < cauchy[0]
+
+
+def test_eta_sweep_rows_equal_serial_runs():
+    # values that are not successive halves: 0.15 is no sweep value, while
+    # 0.1 and 0.05 are both sweep values and halves
+    rng = np.random.default_rng(4)
+    phi = random_real_field(GRID, rng, spectral_decay=3.0) * 0.2
+    base = EquationParams(beta=1.0, eta=1.0)
+    solver = SolverConfig(dt=2e-3, T=0.25, keep_every=25)
+    values = (0.3, 0.2, 0.1, 0.05)
+    cfg = LimitSweepConfig(phi=phi, sweep_values=values, base_params=base,
+                           s=0.0, T=0.25, solver=solver)
+    rep = eta_limit_sweep(cfg)
+
+    def run(eta):
+        return solve_stepper(phi, EquationParams(beta=1.0, eta=eta), solver)
+
+    def sup_diff(a, b):
+        return max(sobolev_norm(u - v, 0.0) for u, v in zip(a.states, b.states))
+
+    ref = run(0.0)
+    for row, eta in zip(rep.rows, values):
+        traj = run(eta)
+        assert row[0] == eta
+        assert row[1] == sup_diff(traj, ref)
+        assert row[2] == sup_diff(traj, run(eta / 2.0))
 
 
 # ---------------------------------------------------------------------------

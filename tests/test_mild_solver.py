@@ -1,10 +1,13 @@
 """Mild-solution solvers: contraction construction, Duhamel quadrature,
 Picard iteration and the integrating-factor stepper."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from chenlee_lab.core import (
+    AliasingBudgetWarning,
     EquationParams,
     Grid,
     SpectralField,
@@ -26,6 +29,7 @@ from chenlee_lab.solver import (
     g_exponent,
     solve_picard,
     solve_stepper,
+    solve_stepper_stack,
 )
 from chenlee_lab.spaces import l2_norm, sobolev_norm
 
@@ -138,6 +142,68 @@ def test_blowup_detection():
     with pytest.raises(SolverBlowupError) as exc:
         solve_stepper(_gaussian(0.9), PARAMS, cfg)  # already past the tiny cap
     assert 0.0 < exc.value.t_blowup <= 1.0
+
+
+# members of one stack: dispersion and dissipation varied, one linear member
+STACK = [PARAMS, EquationParams(beta=0.25, eta=1.0), EquationParams(beta=1.0, eta=0.1),
+         EquationParams(beta=0.0, eta=0.0), EquationParams(beta=1.0, eta=1.0, nonlinear=False)]
+
+
+def test_stack_members_equal_separate_runs():
+    phi = _gaussian(0.5)
+    cfg = SolverConfig(dt=1e-3, T=0.2, keep_every=25)
+    stacked = solve_stepper_stack(phi, STACK, cfg)
+    assert len(stacked) == len(STACK)
+    for params, traj in zip(STACK, stacked):
+        alone = solve_stepper(phi, params, cfg)
+        assert traj.params == params
+        assert np.array_equal(traj.times, alone.times)
+        assert all(np.array_equal(u.coeffs, v.coeffs)
+                   for u, v in zip(traj.states, alone.states, strict=True))
+        assert alone.info == {"method": "if_rk4", "dt": 1e-3, "n_steps": 200,
+                              "sweep_size": 1, "rhs_evals": 800}
+        assert traj.info == dict(alone.info, sweep_size=len(STACK))
+
+
+def test_stack_cfl_checks_every_member_before_stepping(monkeypatch):
+    calls = []
+    monkeypatch.setattr(solver, "nonlinear_stack", lambda *a, **k: calls.append(a))
+    # dt * max|q| = 0.01 * 0.1 * 16^2 = 0.256 for the first, 2.56 for the last
+    members = [EquationParams(beta=0.1, eta=1.0), PARAMS]
+    with pytest.raises(CflError):
+        solve_stepper_stack(_gaussian(0.1), members, SolverConfig(dt=1e-2, T=1.0))
+    assert calls == []
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to inf
+@pytest.mark.parametrize("keep_every, message", [(10, "amplitude cap"), (10 ** 6, "blew up")],
+                         ids=["amplitude_cap", "non_finite"])
+def test_stack_member_blowup_raises(keep_every, message):
+    # the linear member grows like e^{eta t / 4} on the band |xi| < 1:
+    # past the amplitude cap at a kept step, or to inf within T otherwise
+    cfg = SolverConfig(dt=1e-3, T=1.0, keep_every=keep_every)
+    runaway = EquationParams(beta=1.0, eta=4000.0, nonlinear=False)
+    solve_stepper(_gaussian(0.5), PARAMS, cfg)  # the first member alone is fine
+    with pytest.raises(SolverBlowupError, match=message) as exc:
+        solve_stepper_stack(_gaussian(0.5), [PARAMS, runaway], cfg)
+    assert 0.0 < exc.value.t_blowup < 1.0
+
+
+def test_stack_warns_when_one_member_exceeds_aliasing_budget():
+    # inviscid Burgers steepens the unit Gaussian past the budget, while the
+    # dissipative member stays resolved; the stack's warnings are the
+    # Burgers member's, each naming the worst row's tail fraction
+    phi = _gaussian(1.0)
+    cfg = SolverConfig(dt=1e-3, T=1.0, keep_every=1000)
+    burgers = EquationParams(beta=0.0, eta=0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", AliasingBudgetWarning)
+        solve_stepper(phi, PARAMS, cfg)
+    with pytest.warns(AliasingBudgetWarning) as alone:
+        solve_stepper(phi, burgers, cfg)
+    with pytest.warns(AliasingBudgetWarning) as stacked:
+        solve_stepper_stack(phi, [PARAMS, burgers], cfg)
+    assert [str(w.message) for w in stacked] == [str(w.message) for w in alone]
 
 
 def test_mass_conserved_exactly():

@@ -11,6 +11,7 @@ from chenlee_lab.core import (
     SpectralField,
     hilbert_transform,
     linear_symbol,
+    nonlinear_stack,
     nonlinear_term,
     random_real_field,
     semigroup_apply,
@@ -238,6 +239,26 @@ def test_nonlinear_term_mean_exactly_zero():
 @pytest.mark.filterwarnings("ignore::chenlee_lab.core.AliasingBudgetWarning")
 def test_nonlinear_term_hermitian():
     assert nonlinear_term(_rand_field(5)).is_hermitian()
+
+
+@pytest.mark.filterwarnings("ignore::chenlee_lab.core.AliasingBudgetWarning")
+def test_nonlinear_stack_rows_equal_nonlinear_term():
+    rng = np.random.default_rng(3)
+    stack = np.array([random_real_field(GRID, rng, spectral_decay=d).coeffs
+                      for d in (0.0, 1.0, 2.0, 3.0, 4.0, 5.0)])
+    rows = np.array([nonlinear_term(SpectralField(GRID, c)).coeffs for c in stack])
+    assert np.array_equal(nonlinear_stack(GRID, stack), rows)
+    assert np.array_equal(nonlinear_stack(GRID, stack.reshape(2, 3, -1)), rows.reshape(2, 3, -1))
+
+
+def test_nonlinear_stack_warns_with_worst_row():
+    smooth = SpectralField.from_function(GRID, lambda x: np.exp(-x * x))
+    rough = random_real_field(GRID, np.random.default_rng(6))
+    with pytest.warns(AliasingBudgetWarning) as alone:
+        nonlinear_term(rough)
+    with pytest.warns(AliasingBudgetWarning) as stacked:
+        nonlinear_stack(GRID, np.array([smooth.coeffs, rough.coeffs, smooth.coeffs]))
+    assert [str(w.message) for w in stacked] == [str(w.message) for w in alone]
 
 
 def test_aliasing_warning_on_rough_data():

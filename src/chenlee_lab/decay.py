@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import simpson
 
 from .core import (
     SpectralField,
@@ -100,6 +99,34 @@ def yacasi_identity_residual(traj: Trajectory) -> float:
     return float(worst)
 
 
+def _simpson(y: np.ndarray, x: np.ndarray) -> float:
+    """Composite Simpson's rule for samples y at N >= 3 increasing points x,
+    operation for operation as scipy.integrate.simpson (1.17) on 1-D data:
+    the irregular-spacing rule on pairs of intervals, and for even N
+    Cartwright's correction for the last interval.  That correction is
+    formed on 1-element slices of the spacings, which take numpy's array
+    power loop as scipy's 0-d arrays do; numpy scalars take another
+    (C pow) and can differ in the last bit."""
+    y = np.asarray(y, dtype=float)
+    h = np.diff(np.asarray(x, dtype=float))
+    stop = y.size - 2 if y.size % 2 else y.size - 3
+    h0, h1 = h[0:stop:2], h[1:stop + 1:2]
+    hsum = h0 + h1
+    hprod = h0 * h1
+    h0divh1 = h0 / h1
+    tmp = hsum / 6.0 * (y[0:stop:2] * (2.0 - 1.0 / h0divh1)
+                        + y[1:stop + 1:2] * (hsum * (hsum / hprod))
+                        + y[2:stop + 2:2] * (2.0 - h0divh1))
+    result = np.sum(tmp)
+    if y.size % 2:
+        return float(result)
+    hm2, hm1 = h[-2:-1], h[-1:]
+    alpha = (2 * hm1 ** 2 + 3 * hm2 * hm1) / (6 * (hm1 + hm2))
+    beta = (hm1 ** 2 + 3.0 * hm2 * hm1) / (6 * hm2)
+    eta = hm1 ** 3 / (6 * hm2 * (hm2 + hm1))
+    return float((result + (alpha * y[-1] + beta * y[-2] - eta * y[-3]))[0])
+
+
 def listo_functional(traj: Trajectory, t: float) -> float:
     """int_0^t (t - tau) ||u(tau)||_{L^2}^2 dtau (Simpson on the stored
     samples); strictly positive for any nonzero trajectory, which is the
@@ -109,7 +136,7 @@ def listo_functional(traj: Trajectory, t: float) -> float:
     if times.size < 3:
         raise ValueError("need at least 3 stored states up to t")
     vals = np.array([l2_norm(u) ** 2 for u, keep in zip(traj.states, mask) if keep])
-    return float(simpson((t - times) * vals, x=times))
+    return _simpson((t - times) * vals, times)
 
 
 def weighted_energy_rate(traj: Trajectory) -> ExperimentReport:

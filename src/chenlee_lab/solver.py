@@ -25,7 +25,6 @@ from .core import (
     Grid,
     SpectralField,
     nonlinear_stack,
-    nonlinear_term,
     semigroup_multiplier,
     linear_symbol,
     symbol_q,
@@ -103,8 +102,9 @@ class Trajectory:
 
     @functools.cached_property
     def nonlinear_samples(self) -> np.ndarray:
-        """(nodes, M) spectra of u u_x at the stored states, computed once."""
-        return np.array([nonlinear_term(u).coeffs for u in self.states])
+        """(nodes, M) spectra of u u_x at the stored states, computed once
+        as one stack."""
+        return nonlinear_stack(self.grid, np.array([u.coeffs for u in self.states]))
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +144,6 @@ def chebyshev_nodes(T: float, n: int) -> np.ndarray:
     return 0.5 * T * (1.0 - np.cos(np.pi * i / n))
 
 
-MAX_INTERP_NODES = 40  # polynomial interpolation on more equispaced nodes is unstable
 _gauss_legendre = functools.cache(np.polynomial.legendre.leggauss)
 
 
@@ -164,18 +163,36 @@ def _lagrange_matrix(nodes: np.ndarray, tau: np.ndarray) -> np.ndarray:
 
 
 def _duhamel_weights(nodes: np.ndarray, sym: np.ndarray, t: float,
-                     n_nodes: int, panel_length: float) -> np.ndarray:
-    """W[j, k] = sum_q w_q l_j(tau_q) e^{sym_k (t - tau_q)}: sum_j W[j] G_j is
-    int_0^t e^{sym (t-tau)} G(tau) dtau for G interpolating samples G_j at the
-    `nodes`, by composite Gauss-Legendre (`n_nodes` per panel)."""
+                     n_nodes: int, panel_length: float):
+    """(W, Lebesgue constant).  W[j, k] = sum_q w_q l_j(tau_q) e^{sym_k (t - tau_q)}:
+    sum_j W[j] G_j is int_0^t e^{sym (t-tau)} G(tau) dtau for G interpolating
+    samples G_j at the `nodes`, by composite Gauss-Legendre (`n_nodes` per
+    panel).  The Lebesgue constant max_q sum_j |l_j(tau_q)| over the rule's
+    points bounds how much interpolation amplifies rounding in the G_j."""
     n_panels = max(1, int(np.ceil(t / panel_length)))
     x, w = _gauss_legendre(n_nodes)
     edges = np.linspace(0.0, t, n_panels + 1)
     half = 0.5 * np.diff(edges)[:, None]
     tau = (half * x + 0.5 * (edges[:-1] + edges[1:])[:, None]).ravel()
     wq = (half * w).ravel()
+    L = _lagrange_matrix(nodes, tau)
     E = np.exp(np.multiply.outer(t - tau, sym))
-    return (wq[:, None] * _lagrange_matrix(nodes, tau)).T @ E
+    return (wq[:, None] * L).T @ E, float(np.abs(L).sum(axis=1).max())
+
+
+@functools.lru_cache(maxsize=64)
+def _duhamel_operator(grid: Grid, params: EquationParams, nodes: tuple, t: float,
+                      n_nodes: int, panel_length: float):
+    """`_duhamel_weights` for the linear symbol of (grid, params) at the node
+    times `nodes`, built once per key; W is read-only, as every hit shares it.
+    64 entries hold the 48 operators of the C_CONTRACTION probe sweep (3
+    horizons x 16 nodes, visited cyclically, where a smaller LRU would miss
+    on every call) plus the 16 of one Picard solve."""
+    sym = linear_symbol(grid.xi, params)
+    sym[grid.M // 2] = 0.0
+    W, lebesgue = _duhamel_weights(np.array(nodes), sym, t, n_nodes, panel_length)
+    W.flags.writeable = False
+    return W, lebesgue
 
 
 def duhamel_integral(traj_segment: Trajectory, t: float,
@@ -183,28 +200,30 @@ def duhamel_integral(traj_segment: Trajectory, t: float,
                      tol: float = 1e-8, check: bool = True) -> SpectralField:
     """int_0^t S(t - t') [u u_x](t') dt' evaluated from a stored trajectory.
 
-    The nonlinearity, sampled once per trajectory at its (at most
-    MAX_INTERP_NODES) nodes, is interpolated in time and integrated by
-    composite Gauss-Legendre with the exact semigroup multiplier, as one
-    weight operator.  With `check`, the node count is doubled and a
+    The nonlinearity, sampled once per trajectory at its nodes, is
+    interpolated in time and integrated by composite Gauss-Legendre with the
+    exact semigroup multiplier, as one weight operator.  Nodes whose
+    Lebesgue constant times machine epsilon exceeds `tol` (many equispaced
+    nodes) raise ValueError.  With `check`, the node count is doubled and a
     relative change above `tol` raises QuadratureConvergenceError.
     """
     times = traj_segment.times
-    if times.size > MAX_INTERP_NODES:
-        raise ValueError(f"trajectory has {times.size} nodes; Duhamel interpolation "
-                         f"in time takes at most {MAX_INTERP_NODES}")
     if not (times[0] <= t <= times[-1] + 1e-12):
         raise ValueError(f"t={t} outside trajectory range")
     grid = traj_segment.grid
     params = traj_segment.params
     if not params.nonlinear or t == 0.0:
         return SpectralField.zero(grid)  # linear flow or empty interval
-    G = traj_segment.nonlinear_samples
-    sym = linear_symbol(grid.xi, params)
-    sym[grid.M // 2] = 0.0
+    key = (grid, params, tuple(times.tolist()), float(t))
 
     def integral(n_nodes):
-        return np.einsum("jk,jk->k", _duhamel_weights(times, sym, t, n_nodes, panel_length), G)
+        W, lebesgue = _duhamel_operator(*key, n_nodes, panel_length)
+        if np.finfo(float).eps * lebesgue > tol:
+            raise ValueError(
+                f"interpolation in time through {times.size} nodes has Lebesgue "
+                f"constant {lebesgue:.2e}; rounding in the samples would exceed "
+                f"tol {tol:.1e} (use fewer or Chebyshev-spaced nodes)")
+        return np.einsum("jk,jk->k", W, traj_segment.nonlinear_samples)
 
     val = integral(quad_nodes)
     if check:
@@ -241,8 +260,10 @@ def solve_picard(phi: SpectralField, params: EquationParams, config: SolverConfi
     E_nodes = np.exp(np.multiply.outer(times, sym))
     E_nodes[:, grid.M // 2] = 0.0
     lin = E_nodes * phi.coeffs[None, :]
-    W = np.array([_duhamel_weights(times, sym, t, config.quad_nodes, config.panel_length)
-                  for t in times[1:]])
+    nodes = tuple(times.tolist())
+    W = np.array([_duhamel_operator(grid, params, nodes, t, config.quad_nodes,
+                                    config.panel_length)[0]
+                  for t in nodes[1:]])
 
     def apply_map(u_mat: np.ndarray) -> np.ndarray:
         if not params.nonlinear:

@@ -1,12 +1,18 @@
 """Moment traces, the first-moment identity, the time-smoothed L^2
 functional, and the weighted-energy balance."""
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import quad, simpson
 
 from chenlee_lab.core import EquationParams, Grid, SpectralField
 from chenlee_lab.decay import (
     MomentTrace,
+    _simpson,
     decay_report,
     listo_functional,
     moment_trace,
@@ -103,6 +109,29 @@ def test_listo_positive_and_needs_samples():
     assert listo_functional(traj, 0.1) > 0.0
     with pytest.raises(ValueError):
         listo_functional(traj, 0.02)  # fewer than 3 stored states
+
+
+def test_simpson_is_scipy_bitwise():
+    # uniform grids as the stepper keeps them, (n * keep_every) * dt, and
+    # random irregular ones; both parities of N, so the even-N correction of
+    # the last interval is covered
+    rng = np.random.default_rng(7)
+    for N in range(3, 61):
+        grids = [np.arange(N) * k * dt for k in (1, 10, 25) for dt in (1e-3, 0.1 / 3)]
+        grids += [np.concatenate(([0.0], np.cumsum(rng.uniform(1e-3, 1.0, N - 1))))
+                  for _ in range(20)]
+        for x in grids:
+            y = rng.standard_normal(N)
+            assert _simpson(y, x) == simpson(y, x=x), (N, x)
+
+
+def test_import_leaves_scipy_out():
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    code = "import sys, chenlee_lab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,8 @@ from chenlee_lab.core import (
     EquationParams,
     Grid,
     SpectralField,
+    linear_symbol,
+    nonlinear_term,
     semigroup_apply,
 )
 from chenlee_lab import solver
@@ -249,8 +251,18 @@ def test_duhamel_rejects_too_many_nodes():
     # polynomial interpolation through 41 equispaced nodes is not trusted
     traj = solve_stepper(_gaussian(0.1), PARAMS, SolverConfig(dt=1e-3, T=0.04))
     assert traj.times.size == 41
-    with pytest.raises(ValueError, match="at most 40"):
+    with pytest.raises(ValueError, match="Lebesgue constant"):
         duhamel_integral(traj, 0.04)
+
+
+def test_duhamel_rejects_40_equispaced_nodes():
+    # 40 equispaced nodes: Lebesgue constant about 1.3e9 on the Gauss points,
+    # so rounding in the samples is amplified past the 1e-8 tolerance
+    times = 1e-3 * np.arange(40)
+    phi = _gaussian(0.1)
+    traj = Trajectory(times, [semigroup_apply(phi, t, PARAMS) for t in times], PARAMS)
+    with pytest.raises(ValueError, match=r"40 nodes has Lebesgue constant 1\.\d+e\+09"):
+        duhamel_integral(traj, times[-1], check=False)
 
 
 @pytest.mark.parametrize("nodes", [chebyshev_nodes(1.0, 16), 0.01 * np.arange(26)],
@@ -274,27 +286,64 @@ def test_lagrange_matrix_unit_row_on_node():
     assert np.array_equal(_lagrange_matrix(nodes, nodes[rows]), np.eye(17)[rows])
 
 
-def test_duhamel_samples_nonlinearity_once(monkeypatch):
-    # C_CONTRACTION's probe (scripts/calibrate.py) for the unit Gaussian at
-    # T=1, the largest of its ratios: 16 Duhamel integrals over one 17-node
-    # linear trajectory need the 17 nonlinearity samples once each
-    calls = []
-    original = solver.nonlinear_term
-
-    def counting(u, *args, **kwargs):
-        calls.append(u)
-        return original(u, *args, **kwargs)
-
-    monkeypatch.setattr(solver, "nonlinear_term", counting)
-    T = 1.0
+def _probe_trajectory(phi, T):
+    # C_CONTRACTION's probe (scripts/calibrate.py): the linear flow at 17
+    # Chebyshev nodes on [0, T]
     times = chebyshev_nodes(T, 16)
-    phi = SpectralField.from_function(GRID, lambda x: np.exp(-x * x))
-    states = [semigroup_apply(phi, t, PARAMS) for t in times]
-    traj = Trajectory(times, states, PARAMS)
-    sup_duh = max(l2_norm(duhamel_integral(traj, t, check=False)) for t in times[1:])
-    assert len(calls) == 17
-    ratio = sup_duh / (T ** 0.25 * max(l2_norm(u) for u in states) ** 2)
+    return Trajectory(times, [semigroup_apply(phi, t, PARAMS) for t in times], PARAMS)
+
+
+def test_duhamel_samples_nonlinearity_once(monkeypatch):
+    # the probe for the unit Gaussian at T=1, the largest of its ratios: 16
+    # Duhamel integrals over one 17-node trajectory take the nonlinearity
+    # from one stacked call on its 17 states
+    calls = []
+    original = solver.nonlinear_stack
+
+    def counting(grid, coeffs, *args, **kwargs):
+        calls.append(coeffs.shape)
+        return original(grid, coeffs, *args, **kwargs)
+
+    monkeypatch.setattr(solver, "nonlinear_stack", counting)
+    T = 1.0
+    traj = _probe_trajectory(SpectralField.from_function(GRID, lambda x: np.exp(-x * x)), T)
+    sup_duh = max(l2_norm(duhamel_integral(traj, t, check=False)) for t in traj.times[1:])
+    assert calls == [(17, GRID.M)]
+    ratio = sup_duh / (T ** 0.25 * max(l2_norm(u) for u in traj.states) ** 2)
     assert ratio == pytest.approx(0.19605275283210102, rel=1e-9)
+
+
+def test_nonlinear_samples_match_per_state_term():
+    traj = _probe_trajectory(_gaussian(0.5), 0.5)
+    G = traj.nonlinear_samples
+    for row, u in zip(G, traj.states):
+        assert np.array_equal(row, nonlinear_term(u).coeffs)
+
+
+def test_duhamel_memo_hit_is_a_fresh_build_and_read_only():
+    nodes = tuple(chebyshev_nodes(0.5, 16).tolist())
+    key = (GRID, PARAMS, nodes, nodes[5], 10, 0.25)
+    W, lebesgue = solver._duhamel_operator(*key)
+    assert solver._duhamel_operator(*key)[0] is W  # a hit shares the array
+    sym = linear_symbol(GRID.xi, PARAMS)
+    sym[GRID.M // 2] = 0.0
+    W_fresh, lebesgue_fresh = solver._duhamel_weights(np.array(nodes), sym, nodes[5], 10, 0.25)
+    assert np.array_equal(W, W_fresh) and lebesgue == lebesgue_fresh
+    assert not W.flags.writeable
+    with pytest.raises(ValueError):
+        W[0, 0] = 0.0
+
+
+def test_duhamel_second_probe_builds_no_operator():
+    # probes on the same grid, params and nodes share every weight operator
+    first = _probe_trajectory(_gaussian(0.5), 0.25)
+    second = _probe_trajectory(_gaussian(0.3), 0.25)
+    for t in first.times[1:]:
+        duhamel_integral(first, t, check=False)
+    misses = solver._duhamel_operator.cache_info().misses
+    for t in second.times[1:]:
+        duhamel_integral(second, t, check=False)
+    assert solver._duhamel_operator.cache_info().misses == misses
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,8 @@ TWO_PI_SQRT = np.sqrt(2.0 * np.pi)
 
 class AliasingBudgetWarning(UserWarning):
     """Raised when the quadratic product carries too much energy in the
-    modes that the 2/3-rule truncation discards."""
+    modes that the 2/3-rule truncation discards; `fraction` is the worst
+    row's share of that energy."""
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -55,6 +56,10 @@ class Grid:
         object.__setattr__(self, "_phase", np.where(k.astype(int) % 2 == 0, 1.0, -1.0))
         # the same sign on nonlinear_stack's 3/2-padded grid, where slot and mode parity agree
         object.__setattr__(self, "_phase_pad", np.resize([1.0, -1.0], 3 * self.M // 2))
+        # nonlinear_stack's forward scale times that sign, and its (1/2) d/dx
+        s2 = (2.0 * self.L / (3 * self.M // 2)) / TWO_PI_SQRT
+        object.__setattr__(self, "_phase_pad_fwd", s2 * self._phase_pad)
+        object.__setattr__(self, "_half_ixi", 0.5j * self.xi)
         object.__setattr__(self, "_nyquist", self.M // 2)
 
     @property
@@ -140,8 +145,7 @@ class SpectralField:
     def values(self) -> np.ndarray:
         """Inverse transform to physical samples (real part; solver states
         are Hermitian-symmetric)."""
-        u = self.grid.M * (self.grid.dxi / TWO_PI_SQRT) * np.fft.ifft(self.coeffs * self.grid._phase)
-        return u.real
+        return values_stack(self.grid, self.coeffs)
 
     def copy(self) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs.copy(), check=False)
@@ -235,6 +239,13 @@ def semigroup_apply(f: SpectralField, t: float, params: EquationParams) -> Spect
     return SpectralField(f.grid, f.coeffs * semigroup_multiplier(f.grid, t, params))
 
 
+def values_stack(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """Physical samples of a (..., M) stack of spectra, row by row (real
+    part; solver states are Hermitian-symmetric)."""
+    u = grid.M * (grid.dxi / TWO_PI_SQRT) * np.fft.ifft(coeffs * grid._phase)
+    return u.real
+
+
 def nonlinear_stack(grid: Grid, coeffs: np.ndarray,
                     dealias_budget: float = 1e-6) -> np.ndarray:
     """Spectra of u*u_x = (1/2) d/dx (u^2) for a (..., M) stack of spectra u,
@@ -245,35 +256,50 @@ def nonlinear_stack(grid: Grid, coeffs: np.ndarray,
     in the truncated upper third of the padded spectrum is compared against
     `dealias_budget`; one warning names the worst row's fraction, since
     exceeding it signals an under-resolved product.
+
+    The transform runs in one padded buffer per call, in place.  Its result
+    is bitwise that of the plain form `(s2*phase * fft(v * v)) * 0.5j*xi`
+    with `v = s1 * ifft(pad(u) * phase)`: the same floating-point
+    operations in the same order, each operand on the same side.  Keep that rule when editing here or in the stepper: numpy's
+    complex multiply rounds one of its two products and fuses the other
+    into the sum (FMA), so `a * b` and `b * a` can differ in the last bit
+    (the stepper's `E1 * k1` written as `k1 * E1` moves the decay
+    experiment's CSV).
     """
     M = grid.M
     Mp = 3 * M // 2
     half = M // 2
-    # zero-pad the spectrum (fft order: positive modes first, then negative)
-    cp = np.zeros(coeffs.shape[:-1] + (Mp,), dtype=np.complex128)
-    cp[..., :half] = coeffs[..., :half]
-    cp[..., Mp - half:] = coeffs[..., half:]
+    # zero-pad the phased spectrum (fft order: positive modes first, then negative)
+    buf = np.empty(coeffs.shape[:-1] + (Mp,), dtype=np.complex128)
+    lo, hi = buf[..., :half], buf[..., Mp - half:]
+    np.multiply(coeffs[..., :half], grid._phase_pad[:half], out=lo)
+    np.multiply(coeffs[..., half:], grid._phase_pad[Mp - half:], out=hi)
+    buf[..., half:Mp - half] = 0.0
     # physical samples on the fine grid; transform pair normalized as in
     # SpectralField but with Mp points on the same [-L, L)
-    up = Mp * (grid.dxi / TWO_PI_SQRT) * np.fft.ifft(cp * grid._phase_pad)
-    vp = up * up
-    wp = ((2.0 * grid.L / Mp) / TWO_PI_SQRT) * grid._phase_pad * np.fft.fft(vp)
+    np.fft.ifft(buf, axis=-1, out=buf)
+    np.multiply(Mp * (grid.dxi / TWO_PI_SQRT), buf, out=buf)
+    np.multiply(buf, buf, out=buf)
+    np.fft.fft(buf, axis=-1, out=buf)
 
-    power = np.abs(wp) ** 2
-    total = np.sum(power, axis=-1)
-    tail = np.sum(power[..., half:Mp - half], axis=-1)
+    # energies of the unscaled spectrum; the scale cancels in their ratio
+    power = buf.view(np.float64)
+    total = np.vecdot(power, power)
+    cut = power[..., 2 * half:2 * (Mp - half)]
+    tail = np.vecdot(cut, cut)
     over = tail > dealias_budget * total
     if over.any():
         worst = np.max(tail[over] / total[over])
-        warnings.warn(
+        warning = AliasingBudgetWarning(
             f"quadratic product carries {worst:.3e} of its energy in "
-            f"truncated modes (budget {dealias_budget:.1e})",
-            AliasingBudgetWarning,
-            stacklevel=2,
-        )
+            f"truncated modes (budget {dealias_budget:.1e})")
+        warning.fraction = float(worst)
+        warnings.warn(warning, stacklevel=2)
 
-    c = np.concatenate((wp[..., :half], wp[..., Mp - half:]), axis=-1)
-    c *= 0.5j * grid.xi  # (1/2) d/dx; annihilates the mean exactly
+    c = np.empty(coeffs.shape[:-1] + (M,), dtype=np.complex128)
+    np.multiply(grid._phase_pad_fwd[:half], lo, out=c[..., :half])
+    np.multiply(grid._phase_pad_fwd[Mp - half:], hi, out=c[..., half:])
+    np.multiply(c, grid._half_ixi, out=c)  # (1/2) d/dx; annihilates the mean exactly
     c[..., grid._nyquist] = 0.0
     return c
 

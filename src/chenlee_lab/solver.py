@@ -28,6 +28,7 @@ from .core import (
     semigroup_multiplier,
     linear_symbol,
     symbol_q,
+    values_stack,
 )
 from .spaces import sobolev_norm
 
@@ -345,37 +346,63 @@ def solve_stepper_stack(phi: SpectralField, params_list, config: SolverConfig) -
 
     E1 = np.array([semigroup_multiplier(grid, dt, p) for p in params_list])
     E2 = np.array([semigroup_multiplier(grid, 0.5 * dt, p) for p in params_list])
+    E2x2 = 2.0 * E2
     rows = np.flatnonzero([p.nonlinear for p in params_list])
     budget = config.dealias_budget
 
     def rhs(c):
+        """dt times the right-hand side -u u_x, as a new array."""
         if rows.size == B:
-            return -nonlinear_stack(grid, c, budget)
-        out = np.zeros_like(c)  # linear members have no nonlinearity
+            k = nonlinear_stack(grid, c, budget)
+            k *= -dt  # bitwise dt * (-k)
+            return k
+        k = np.zeros_like(c)  # linear members have no nonlinearity
         if rows.size:
-            out[rows] = -nonlinear_stack(grid, c[rows], budget)
-        return out
+            k[rows] = nonlinear_stack(grid, c[rows], budget) * -dt
+        return k
 
     c = np.repeat(phi.coeffs[None, :], B, axis=0)
     c[:, grid.M // 2] = 0.0
     times = [0.0]
     states = [[SpectralField(grid, row.copy())] for row in c]
+    E1c, w, v = np.empty_like(c), np.empty_like(c), np.empty_like(c)
 
+    # The classical IF-RK4 step
+    #   k1 = dt*f(c), k2 = dt*f(E2*(c + 0.5*k1)), k3 = dt*f(E2*c + 0.5*k2),
+    #   k4 = dt*f(E1*c + E2*k3),
+    #   c <- E1*c + (E1*k1 + 2*E2*(k2 + k3) + k4)/6,
+    # formed in place with each complex product's operands in that order
+    # (see nonlinear_stack on why the order is part of the result).
     for n in range(1, n_steps + 1):
-        k1 = dt * rhs(c)
-        k2 = dt * rhs(E2 * (c + 0.5 * k1))
-        k3 = dt * rhs(E2 * c + 0.5 * k2)
-        k4 = dt * rhs(E1 * c + E2 * k3)
-        c = E1 * c + (E1 * k1 + 2.0 * E2 * (k2 + k3) + k4) / 6.0
+        np.multiply(E1, c, out=E1c)
+        k1 = rhs(c)
+        np.multiply(0.5, k1, out=w)
+        np.add(c, w, out=w)
+        np.multiply(E2, w, out=w)
+        k2 = rhs(w)
+        np.multiply(E2, c, out=w)
+        np.multiply(0.5, k2, out=v)
+        np.add(w, v, out=w)
+        k3 = rhs(w)
+        np.multiply(E2, k3, out=w)
+        np.add(E1c, w, out=w)
+        k4 = rhs(w)
+        np.multiply(E1, k1, out=k1)
+        np.add(k2, k3, out=k2)
+        np.multiply(E2x2, k2, out=k2)
+        np.add(k1, k2, out=k1)
+        np.add(k1, k4, out=k1)
+        np.divide(k1, 6.0, out=k1)
+        np.add(E1c, k1, out=c)
         if not np.all(np.isfinite(c.view(np.float64))):
             raise SolverBlowupError(n * dt)
         if n % config.keep_every == 0 or n == n_steps:
-            kept = [SpectralField(grid, row, check=False) for row in c.copy()]
-            if max(np.abs(u.values()).max() for u in kept) > config.amplitude_cap:
+            kept = c.copy()
+            if np.abs(values_stack(grid, kept)).max() > config.amplitude_cap:
                 raise SolverBlowupError(n * dt, "amplitude cap exceeded")
             times.append(n * dt)
-            for member, u in zip(states, kept):
-                member.append(u)
+            for member, row in zip(states, kept):
+                member.append(SpectralField(grid, row, check=False))
 
     return [Trajectory(times, member, params,
                        info={"method": "if_rk4", "dt": dt, "n_steps": n_steps,

@@ -12,8 +12,10 @@ from chenlee_lab.core import (
     Grid,
     SpectralField,
     linear_symbol,
+    nonlinear_stack,
     nonlinear_term,
     semigroup_apply,
+    semigroup_multiplier,
 )
 from chenlee_lab import solver
 from chenlee_lab.solver import (
@@ -165,6 +167,60 @@ def test_stack_members_equal_separate_runs():
         assert alone.info == {"method": "if_rk4", "dt": 1e-3, "n_steps": 200,
                               "sweep_size": 1, "rhs_evals": 800}
         assert traj.info == dict(alone.info, sweep_size=len(STACK))
+
+
+def _frozen_if_rk4(phi, params_list, config):
+    """solve_stepper_stack's loop as it read before it stepped in place, a
+    fresh array for every operation: the oracle the in-place loop must equal
+    bitwise.  Returns the kept times and (B, M) blocks."""
+    grid = phi.grid
+    B = len(params_list)
+    n_steps = max(1, int(round(config.T / config.dt)))
+    dt = config.T / n_steps
+    E1 = np.array([semigroup_multiplier(grid, dt, p) for p in params_list])
+    E2 = np.array([semigroup_multiplier(grid, 0.5 * dt, p) for p in params_list])
+    rows = np.flatnonzero([p.nonlinear for p in params_list])
+    budget = config.dealias_budget
+
+    def rhs(c):
+        if rows.size == B:
+            return -nonlinear_stack(grid, c, budget)
+        out = np.zeros_like(c)
+        if rows.size:
+            out[rows] = -nonlinear_stack(grid, c[rows], budget)
+        return out
+
+    c = np.repeat(phi.coeffs[None, :], B, axis=0)
+    c[:, grid.M // 2] = 0.0
+    times, kept = [0.0], [c.copy()]
+    for n in range(1, n_steps + 1):
+        k1 = dt * rhs(c)
+        k2 = dt * rhs(E2 * (c + 0.5 * k1))
+        k3 = dt * rhs(E2 * c + 0.5 * k2)
+        k4 = dt * rhs(E1 * c + E2 * k3)
+        c = E1 * c + (E1 * k1 + 2.0 * E2 * (k2 + k3) + k4) / 6.0
+        if n % config.keep_every == 0 or n == n_steps:
+            times.append(n * dt)
+            kept.append(c.copy())
+    return times, kept
+
+
+@pytest.mark.filterwarnings("ignore::chenlee_lab.core.AliasingBudgetWarning")
+@pytest.mark.parametrize("grid", [GRID, Grid(32.0 * np.pi, 1024)], ids=["M256", "M1024"])
+def test_stack_equals_frozen_if_rk4_bitwise(grid):
+    # The operand order of every complex product is part of the contract:
+    # numpy's complex multiply fuses one of its two products (FMA), so
+    # E1 * k1 and k1 * E1 can differ in the last bit, and over many steps
+    # that moves printed digits of the decay experiment's CSVs.
+    phi = _gaussian(0.5, grid)
+    cfg = SolverConfig(dt=1e-3, T=0.2, keep_every=20)
+    times, kept = _frozen_if_rk4(phi, STACK, cfg)
+    trajs = solve_stepper_stack(phi, STACK, cfg)
+    for b, traj in enumerate(trajs):
+        assert traj.times.tolist() == times
+        got = np.array([u.coeffs for u in traj.states])
+        ref = np.array([block[b] for block in kept])
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 def test_stack_cfl_checks_every_member_before_stepping(monkeypatch):

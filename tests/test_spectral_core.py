@@ -1,10 +1,13 @@
 """Grid/transform invariants, linear symbols, Hilbert transform, semigroup
 and the dealiased quadratic nonlinearity."""
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from chenlee_lab.core import (
+    TWO_PI_SQRT,
     AliasingBudgetWarning,
     EquationParams,
     Grid,
@@ -18,6 +21,7 @@ from chenlee_lab.core import (
     semigroup_multiplier,
     symbol_p,
     symbol_q,
+    values_stack,
     x_derivative,
 )
 
@@ -259,6 +263,68 @@ def test_nonlinear_stack_warns_with_worst_row():
     with pytest.warns(AliasingBudgetWarning) as stacked:
         nonlinear_stack(GRID, np.array([smooth.coeffs, rough.coeffs, smooth.coeffs]))
     assert [str(w.message) for w in stacked] == [str(w.message) for w in alone]
+
+
+def _frozen_nonlinear_stack(grid, coeffs, dealias_budget=1e-6):
+    """nonlinear_stack as it read before it ran in one buffer: the oracle it
+    must equal bitwise.  Returns the spectra and the worst tail fraction
+    over the budget (None when no row exceeds it)."""
+    M = grid.M
+    Mp = 3 * M // 2
+    half = M // 2
+    cp = np.zeros(coeffs.shape[:-1] + (Mp,), dtype=np.complex128)
+    cp[..., :half] = coeffs[..., :half]
+    cp[..., Mp - half:] = coeffs[..., half:]
+    up = Mp * (grid.dxi / TWO_PI_SQRT) * np.fft.ifft(cp * grid._phase_pad)
+    vp = up * up
+    wp = ((2.0 * grid.L / Mp) / TWO_PI_SQRT) * grid._phase_pad * np.fft.fft(vp)
+    power = np.abs(wp) ** 2
+    total = np.sum(power, axis=-1)
+    tail = np.sum(power[..., half:Mp - half], axis=-1)
+    over = tail > dealias_budget * total
+    worst = np.max(tail[over] / total[over]) if over.any() else None
+    c = np.concatenate((wp[..., :half], wp[..., Mp - half:]), axis=-1)
+    c *= 0.5j * grid.xi
+    c[..., grid._nyquist] = 0.0
+    return c, worst
+
+
+@pytest.mark.parametrize("shape", [(), (6,), (2, 3)], ids=["M", "6xM", "2x3xM"])
+@pytest.mark.parametrize("M", [8, 64, 512, 4096])
+def test_nonlinear_stack_equals_frozen_kernel_bitwise(M, shape):
+    grid = Grid(8.0 * np.pi, M)
+    rng = np.random.default_rng(M)
+    n = int(np.prod(shape))
+    # smooth rows and, in the stacks, a last row with a flat spectrum that
+    # trips the aliasing budget
+    decays = np.linspace(6.0, 0.0, n) if n > 1 else [6.0]
+    coeffs = np.array([random_real_field(grid, rng, spectral_decay=d).coeffs
+                       for d in decays]).reshape(shape + (M,))
+    before = coeffs.copy()
+    ref, worst = _frozen_nonlinear_stack(grid, coeffs)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", AliasingBudgetWarning)
+        got = nonlinear_stack(grid, coeffs)
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+    assert np.array_equal(coeffs.view(np.uint64), before.view(np.uint64))
+    assert not np.shares_memory(got, coeffs)
+    if n > 1:
+        assert worst is not None
+    if worst is None:
+        assert caught == []
+    else:
+        [warning] = caught
+        assert warning.message.fraction == pytest.approx(worst, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("M", [8, 256, 4096])
+def test_values_stack_rows_equal_values_bitwise(M):
+    grid = Grid(8.0 * np.pi, M)
+    rng = np.random.default_rng(M)
+    fields = [random_real_field(grid, rng, spectral_decay=d) for d in (0.0, 1.0, 2.0, 3.0)]
+    stack = values_stack(grid, np.array([u.coeffs for u in fields]))
+    assert np.array_equal(stack.view(np.uint64),
+                          np.array([u.values() for u in fields]).view(np.uint64))
 
 
 def test_aliasing_warning_on_rough_data():

@@ -1,6 +1,6 @@
 """Experiment orchestration CLI.
 
-    chenlee-lab <experiment> --config FILE [--quick] [--jobs N] [--out DIR]
+    chenlee-lab <experiment> --config FILE [--quick] [--out DIR]
 
 Writes CSV reports plus a run manifest into the output directory, prints
 one PASS/FAIL line per experiment, and exits 0 on pass, 1 on experiment
@@ -195,6 +195,8 @@ def run_experiment(cfg: RunConfig, out_dir: str, quick: bool = False) -> int:
     except NUMERICAL_ERRORS as exc:
         record = {"experiment": cfg.experiment, "error": type(exc).__name__,
                   "message": str(exc)}
+        if isinstance(exc, SolverBlowupError):
+            record["t_blowup"] = exc.t_blowup
         with open(os.path.join(out_dir, "error.json"), "w") as fh:
             json.dump(record, fh, indent=2, sort_keys=True)
         print(f"[FAIL] {cfg.experiment}: numerical failure: {exc}", file=sys.stderr)
@@ -240,9 +242,6 @@ def build_parser():
                         help="config file (defaults apply when omitted)")
     parser.add_argument("--quick", action="store_true",
                         help="scale the experiment down ~4x for CI")
-    parser.add_argument("--jobs", type=int, default=1, metavar="N",
-                        help="accepted and checked (N >= 1) but has no effect "
-                             "yet: every run is serial")
     parser.add_argument("--out", default="out", metavar="DIR",
                         help="output directory (CHENLEE_LAB_OUT overrides)")
     return parser
@@ -271,8 +270,6 @@ def main(argv=None) -> int:
             cfg.experiment = args.experiment
         else:
             cfg = RunConfig(experiment=args.experiment)
-        if args.jobs < 1:
-            raise ConfigError(f"--jobs must be >= 1, got {args.jobs}")
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -23,7 +23,7 @@ TWO_PI_SQRT = np.sqrt(2.0 * np.pi)
 class AliasingBudgetWarning(UserWarning):
     """Raised when the quadratic product carries too much energy in the
     modes that the 2/3-rule truncation discards; `fraction` is the worst
-    row's share of that energy."""
+    row's share of that energy (the text names only the budget)."""
 
 
 def _is_power_of_two(n: int) -> bool:
@@ -254,8 +254,10 @@ def nonlinear_stack(grid: Grid, coeffs: np.ndarray,
     The square is formed on a 3/2 zero-padded grid, so the retained modes
     are alias-free (2/3 rule).  The energy fraction of each row's u^2 living
     in the truncated upper third of the padded spectrum is compared against
-    `dealias_budget`; one warning names the worst row's fraction, since
-    exceeding it signals an under-resolved product.
+    `dealias_budget`; exceeding it signals an under-resolved product.  One
+    warning per call carries the worst row's fraction as `.fraction`; its
+    text names only the budget, so Python's once-per-location filter folds
+    the repeats of a run.
 
     The transform runs in one padded buffer per call, in place.  Its result
     is bitwise that of the plain form `(s2*phase * fft(v * v)) * 0.5j*xi`
@@ -291,8 +293,8 @@ def nonlinear_stack(grid: Grid, coeffs: np.ndarray,
     if over.any():
         worst = np.max(tail[over] / total[over])
         warning = AliasingBudgetWarning(
-            f"quadratic product carries {worst:.3e} of its energy in "
-            f"truncated modes (budget {dealias_budget:.1e})")
+            f"quadratic product carries more than its budget {dealias_budget:.1e} "
+            f"of its energy in truncated modes")
         warning.fraction = float(worst)
         warnings.warn(warning, stacklevel=2)
 

@@ -8,7 +8,9 @@ Two independent routes to u(t) = S(t) phi - int_0^t S(t-t') [u u_x](t') dt':
 * `solve_stepper` is an integrating-factor RK4 production stepper (exact
   linear multiplier, classical RK4 on the transformed nonlinearity);
   `solve_stepper_stack` steps several parameter sets from one datum as
-  one stack, which is how the singular-limit sweeps run.
+  stacks of spectra, one per CPU of the affinity mask in forked
+  processes, which is how the singular-limit sweeps run.  Every row is
+  bitwise its serial run, so results do not depend on the core count.
 
 They agree within combined tolerance, which is the discrete uniqueness
 check used throughout the experiment suite.
@@ -16,6 +18,10 @@ check used throughout the experiment suite.
 from __future__ import annotations
 
 import functools
+import os
+import pickle
+import threading
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,6 +47,9 @@ class SolverBlowupError(RuntimeError):
     def __init__(self, t_blowup, message=None):
         self.t_blowup = t_blowup
         super().__init__(message or f"solution blew up near t={t_blowup:.6g}")
+
+    def __reduce__(self):
+        return type(self), (self.t_blowup, str(self))
 
 
 class PicardError(RuntimeError):
@@ -334,9 +343,20 @@ def solve_stepper(phi: SpectralField, params: EquationParams,
 
 def solve_stepper_stack(phi: SpectralField, params_list, config: SolverConfig) -> list:
     """`solve_stepper` for each parameter set of `params_list` from the same
-    datum, stepped together as one (B, M) stack of spectra; row b is
-    bitwise the run with params_list[b] alone.  Returns one Trajectory per
-    member, in order."""
+    datum; returns one Trajectory per member, in order.
+
+    The members are stepped as contiguous sub-stacks of (b, M) spectra whose
+    sizes differ by at most one, one per CPU of the affinity mask, at most
+    one per member: the first here, each later one in a forked child.  Row b
+    of any stack is bitwise the run with params_list[b] alone, so the result
+    does not depend on how many processes ran; `info["processes"]` records
+    it.  A stack of one member, a one-CPU mask, a platform without
+    `os.fork` or a live second Python thread (forking a threaded process is
+    unsafe) gives one sub-stack, stepped here.  Every member's CFL check runs
+    before any stepping.  A blow-up raises the error a serial run would: the
+    earliest step, a non-finite state before the amplitude cap, the lowest
+    row.  A child's warnings are issued again here once it is done, in
+    sub-stack order."""
     grid = phi.grid
     B = len(params_list)
     for params in params_list:
@@ -346,8 +366,47 @@ def solve_stepper_stack(phi: SpectralField, params_list, config: SolverConfig) -
 
     E1 = np.array([semigroup_multiplier(grid, dt, p) for p in params_list])
     E2 = np.array([semigroup_multiplier(grid, 0.5 * dt, p) for p in params_list])
+    nonlinear = np.array([p.nonlinear for p in params_list])
+    c = np.repeat(phi.coeffs[None, :], B, axis=0)
+    c[:, grid.M // 2] = 0.0
+    SpectralField(grid, c[0])  # rejects a non-finite datum before stepping
+
+    n_proc = _process_count(B)
+    bounds = [i * B // n_proc for i in range(n_proc + 1)]
+    steps = [functools.partial(_if_rk4, grid, c[lo:hi], E1[lo:hi], E2[lo:hi],
+                               nonlinear[lo:hi], n_steps, dt, config)
+             for lo, hi in zip(bounds, bounds[1:])]
+    members = [(times, block) for times, kept in _run_split(steps) for block in kept]
+    return [Trajectory(times, [SpectralField(grid, row, check=False) for row in block],
+                       params, info={"method": "if_rk4", "dt": dt, "n_steps": n_steps,
+                                     "sweep_size": B, "processes": n_proc,
+                                     "rhs_evals": 4 * n_steps})
+            for (times, block), params in zip(members, params_list)]
+
+
+def _process_count(B: int) -> int:
+    """Sub-stacks for a B-member stack: one per CPU this process may run on,
+    at most B; one where forking is unavailable or unsafe."""
+    if (B < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
+            or threading.active_count() > 1):
+        return 1
+    return min(B, len(os.sched_getaffinity(0)))
+
+
+_CAP_MESSAGE = "amplitude cap exceeded"
+
+
+def _if_rk4(grid: Grid, c: np.ndarray, E1: np.ndarray, E2: np.ndarray,
+            nonlinear: np.ndarray, n_steps: int, dt: float, config: SolverConfig):
+    """Step the (b, M) stack `c` in place through `n_steps` IF-RK4 steps of
+    size `dt` with multipliers E1 = e^{dt L}, E2 = e^{dt L / 2} per row;
+    `nonlinear` marks the rows with the u u_x term.  Returns the kept times
+    and a (b, K, M) array of the spectra kept at them, the datum first.
+    Raises SolverBlowupError at the first non-finite state or kept state
+    over the amplitude cap."""
+    B = c.shape[0]
     E2x2 = 2.0 * E2
-    rows = np.flatnonzero([p.nonlinear for p in params_list])
+    rows = np.flatnonzero(nonlinear)
     budget = config.dealias_budget
 
     def rhs(c):
@@ -361,10 +420,11 @@ def solve_stepper_stack(phi: SpectralField, params_list, config: SolverConfig) -
             k[rows] = nonlinear_stack(grid, c[rows], budget) * -dt
         return k
 
-    c = np.repeat(phi.coeffs[None, :], B, axis=0)
-    c[:, grid.M // 2] = 0.0
+    keep = config.keep_every
+    kept = np.empty((B, 1 + n_steps // keep + (n_steps % keep != 0), grid.M),
+                    dtype=np.complex128)
+    kept[:, 0] = c
     times = [0.0]
-    states = [[SpectralField(grid, row.copy())] for row in c]
     E1c, w, v = np.empty_like(c), np.empty_like(c), np.empty_like(c)
 
     # The classical IF-RK4 step
@@ -396,15 +456,91 @@ def solve_stepper_stack(phi: SpectralField, params_list, config: SolverConfig) -
         np.add(E1c, k1, out=c)
         if not np.all(np.isfinite(c.view(np.float64))):
             raise SolverBlowupError(n * dt)
-        if n % config.keep_every == 0 or n == n_steps:
-            kept = c.copy()
-            if np.abs(values_stack(grid, kept)).max() > config.amplitude_cap:
-                raise SolverBlowupError(n * dt, "amplitude cap exceeded")
+        if n % keep == 0 or n == n_steps:
+            if np.abs(values_stack(grid, c)).max() > config.amplitude_cap:
+                raise SolverBlowupError(n * dt, _CAP_MESSAGE)
+            kept[:, len(times)] = c
             times.append(n * dt)
-            for member, row in zip(states, kept):
-                member.append(SpectralField(grid, row, check=False))
+    return times, kept
 
-    return [Trajectory(times, member, params,
-                       info={"method": "if_rk4", "dt": dt, "n_steps": n_steps,
-                             "sweep_size": B, "rhs_evals": 4 * n_steps})
-            for member, params in zip(states, params_list)]
+
+def _run_split(steps: list) -> list:
+    """Results of the calls `steps`: the first runs here, each later one in
+    a forked child that sends back its result or exception, and the warnings
+    it raised, pickled through a pipe.  The children's warnings are issued
+    again here in order.  Raises the first exception other than a blow-up,
+    else the blow-up a serial run would have raised first; a child that
+    dies without a result raises RuntimeError.  Every child is reaped."""
+    children = []  # (pid, read end of its pipe)
+    try:
+        for step in steps[1:]:
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if pid == 0:
+                os.close(r)
+                _child(step, w)
+            os.close(w)
+            children.append((pid, r))
+        try:
+            outcomes = [steps[0]()]
+        except SolverBlowupError as exc:
+            outcomes = [exc]
+        payloads = []
+        for _, r in children:
+            with open(r, "rb", closefd=False) as fh:
+                payloads.append(fh.read())
+    except BaseException:
+        import signal  # only here, to keep it off the library's import path
+
+        for pid, _ in children:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for pid, r in children:
+            os.close(r)
+            os.waitpid(pid, 0)
+
+    for (pid, _), payload in zip(children, payloads):
+        try:
+            outcome, messages = pickle.loads(payload)
+        except (EOFError, pickle.UnpicklingError):
+            raise RuntimeError(
+                f"stepping process {pid} exited without a result") from None
+        for message in messages:
+            warnings.warn(message)
+        outcomes.append(outcome)
+    failures = [x for x in outcomes if isinstance(x, BaseException)]
+    for exc in failures:
+        if not isinstance(exc, SolverBlowupError):
+            raise exc
+    if failures:  # t_blowup is the step times dt; ties keep the lowest rows
+        raise min(failures, key=lambda e: (e.t_blowup, str(e) == _CAP_MESSAGE))
+    return outcomes
+
+
+def _child(step, w: int):
+    """Run `step` in a forked child and write (its result or exception, the
+    warnings it raised) pickled to the pipe end `w`; never returns."""
+    status = 1
+    try:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                outcome = step()
+            except BaseException as exc:  # sent to the parent, which raises it
+                outcome = exc
+        try:
+            payload = pickle.dumps((outcome, [m.message for m in caught]),
+                                   protocol=pickle.HIGHEST_PROTOCOL)
+        except Exception as exc:
+            payload = pickle.dumps((RuntimeError(f"cannot send the result: {exc!r}"), []))
+        with open(w, "wb") as fh:
+            fh.write(payload)
+        status = 0
+    finally:
+        os._exit(status)

@@ -161,8 +161,10 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert "line 1" in capsys.readouterr().err
     cfg = _write(tmp_path, "experiment = decay\n", "mismatch.cfg")
     assert main(["solve", "--config", cfg]) == 2
+    capsys.readouterr()
     assert main(["smoothing", "--config", _write(tmp_path, SMOOTHING_CFG),
-                 "--jobs", "0"]) == 2
+                 "--jobs", "2"]) == 2  # removed: the process count follows the CPUs
+    assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 def test_cli_cfl_violation_is_config_error(tmp_path, capsys):
@@ -182,6 +184,7 @@ def test_cli_numerical_failure_exit_3(tmp_path, capsys):
     assert main(["solve", "--config", cfg, "--out", str(out)]) == 3
     record = json.loads((out / "error.json").read_text())
     assert record["experiment"] == "solve"
+    assert 0.0 < record["t_blowup"] <= 2e-4
     assert "FAIL" in capsys.readouterr().err
 
 

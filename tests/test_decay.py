@@ -125,13 +125,25 @@ def test_simpson_is_scipy_bitwise():
             assert _simpson(y, x) == simpson(y, x=x), (N, x)
 
 
-def test_import_leaves_scipy_out():
+def _loaded_by_cli_import(prefix):
+    """Modules under `prefix` that a fresh `import chenlee_lab.cli` loads."""
     root = pathlib.Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    code = "import sys, chenlee_lab.cli; print(sorted(m for m in sys.modules if m.startswith('scipy')))"
+    code = ("import sys, chenlee_lab.cli; "
+            f"print(sorted(m for m in sys.modules if m.startswith({prefix!r})))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
-    assert proc.stdout.strip() == "[]"
+    return proc.stdout.strip()
+
+
+def test_import_leaves_scipy_out():
+    assert _loaded_by_cli_import("scipy") == "[]"
+
+
+@pytest.mark.parametrize("prefix", ["multiprocessing", "concurrent"])
+def test_import_leaves_process_pools_out(prefix):
+    # the stepper forks with os.fork alone; pickle and threading come with numpy
+    assert _loaded_by_cli_import(prefix) == "[]"
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,8 @@
 """Mild-solution solvers: contraction construction, Duhamel quadrature,
 Picard iteration and the integrating-factor stepper."""
+import os
+import pickle
+import threading
 import warnings
 
 import numpy as np
@@ -165,8 +168,9 @@ def test_stack_members_equal_separate_runs():
         assert all(np.array_equal(u.coeffs, v.coeffs)
                    for u, v in zip(traj.states, alone.states, strict=True))
         assert alone.info == {"method": "if_rk4", "dt": 1e-3, "n_steps": 200,
-                              "sweep_size": 1, "rhs_evals": 800}
-        assert traj.info == dict(alone.info, sweep_size=len(STACK))
+                              "sweep_size": 1, "processes": 1, "rhs_evals": 800}
+        assert traj.info == dict(alone.info, sweep_size=len(STACK),
+                                 processes=solver._process_count(len(STACK)))
 
 
 def _frozen_if_rk4(phi, params_list, config):
@@ -261,7 +265,121 @@ def test_stack_warns_when_one_member_exceeds_aliasing_budget():
         solve_stepper(phi, burgers, cfg)
     with pytest.warns(AliasingBudgetWarning) as stacked:
         solve_stepper_stack(phi, [PARAMS, burgers], cfg)
-    assert [str(w.message) for w in stacked] == [str(w.message) for w in alone]
+    assert [w.message.fraction for w in stacked] == [w.message.fraction for w in alone]
+
+
+def _cpus(monkeypatch, n):
+    """Make the affinity mask report n CPUs."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+
+
+def _bits(traj):
+    return np.array([u.coeffs for u in traj.states]).view(np.uint64)
+
+
+def test_stack_split_over_processes_equals_separate_runs(monkeypatch):
+    # 5 members over 3 "CPUs": sub-stacks of 1, 2 and 2 members, the last
+    # two stepped in forked children
+    phi = _gaussian(0.5)
+    cfg = SolverConfig(dt=1e-3, T=0.2, keep_every=25)
+    alone = [solve_stepper(phi, params, cfg) for params in STACK]
+    _cpus(monkeypatch, 3)
+    split = solve_stepper_stack(phi, STACK, cfg)
+    for traj, ref in zip(split, alone, strict=True):
+        assert traj.info == dict(ref.info, sweep_size=len(STACK), processes=3)
+        assert traj.times.tolist() == ref.times.tolist()
+        assert np.array_equal(_bits(traj), _bits(ref))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to inf
+@pytest.mark.parametrize("keep_every", [10, 10 ** 6], ids=["amplitude_cap", "non_finite"])
+def test_split_stack_raises_the_serial_blowup(monkeypatch, keep_every):
+    # over 3 "CPUs" the slower runaway member steps here and the faster one
+    # in the second child; the error is the one the serial run raises first
+    cfg = SolverConfig(dt=1e-3, T=1.0, keep_every=keep_every)
+    slower = EquationParams(beta=1.0, eta=3000.0, nonlinear=False)
+    runaway = EquationParams(beta=1.0, eta=4000.0, nonlinear=False)
+    members = [slower, PARAMS, EquationParams(beta=0.25, eta=1.0), runaway, PARAMS]
+    _cpus(monkeypatch, 1)
+    with pytest.raises(SolverBlowupError) as serial:
+        solve_stepper_stack(_gaussian(0.5), members, cfg)
+    with pytest.raises(SolverBlowupError) as slower_alone:
+        solve_stepper(_gaussian(0.5), slower, cfg)
+    assert slower_alone.value.t_blowup > serial.value.t_blowup
+    _cpus(monkeypatch, 3)
+    with pytest.raises(SolverBlowupError) as split:
+        solve_stepper_stack(_gaussian(0.5), members, cfg)
+    assert type(split.value) is type(serial.value)
+    assert str(split.value) == str(serial.value)
+    assert split.value.t_blowup == serial.value.t_blowup
+
+
+def test_split_stack_forwards_child_warnings(monkeypatch):
+    # the Burgers member steps in the second of 3 sub-stacks, in a child;
+    # its warnings arrive here with the fractions of its run alone
+    phi = _gaussian(1.0)
+    cfg = SolverConfig(dt=1e-3, T=1.0, keep_every=1000)
+    burgers = EquationParams(beta=0.0, eta=0.0)
+    members = [PARAMS, EquationParams(beta=0.25, eta=1.0), burgers,
+               EquationParams(beta=1.0, eta=1.0, nonlinear=False)]
+    with pytest.warns(AliasingBudgetWarning) as alone:
+        solve_stepper(phi, burgers, cfg)
+    _cpus(monkeypatch, 3)
+    with pytest.warns(AliasingBudgetWarning) as split:
+        trajs = solve_stepper_stack(phi, members, cfg)
+    assert trajs[0].info["processes"] == 3
+    assert [w.message.fraction for w in split] == [w.message.fraction for w in alone]
+
+
+def _raises(exc):
+    def step():
+        raise exc
+    return step
+
+
+def _dies():
+    os._exit(3)
+
+
+@pytest.mark.parametrize("steps, error, match", [
+    # at one step a serial run sees the non-finite state before the cap
+    ([_raises(SolverBlowupError(0.5, "amplitude cap exceeded")),
+      _raises(SolverBlowupError(0.5))], SolverBlowupError, "blew up near t=0.5"),
+    ([lambda: ([0.0], None), _raises(ValueError("bad row")),
+      _raises(SolverBlowupError(0.25))], ValueError, "bad row"),
+    ([lambda: ([0.0], None), _dies], RuntimeError, "exited without a result"),
+], ids=["non_finite_before_cap", "other_error_first", "child_dies"])
+def test_split_raises_child_failures_here(steps, error, match):
+    with pytest.raises(error, match=match):
+        solver._run_split(steps)
+
+
+def test_stack_steps_here_with_one_cpu_or_a_live_thread(monkeypatch):
+    phi = _gaussian(0.5)
+    cfg = SolverConfig(dt=1e-3, T=0.02, keep_every=10)
+    _cpus(monkeypatch, 1)
+    assert solve_stepper_stack(phi, STACK, cfg)[0].info["processes"] == 1
+    _cpus(monkeypatch, 3)
+    assert solve_stepper_stack(phi, STACK, cfg)[0].info["processes"] == 3
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait, args=(60,))
+    thread.start()
+    try:
+        assert solve_stepper_stack(phi, STACK, cfg)[0].info["processes"] == 1
+    finally:
+        release.set()
+        thread.join(timeout=60)
+    assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("args", [(0.5, "amplitude cap exceeded"), (0.25,)],
+                         ids=["message", "default_message"])
+def test_blowup_error_pickles(args):
+    exc = SolverBlowupError(*args)
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is SolverBlowupError
+    assert back.t_blowup == exc.t_blowup
+    assert str(back) == str(exc)
 
 
 def test_mass_conserved_exactly():

@@ -6,10 +6,15 @@ The eta-limit run is expected to exit 1: its square-root Cauchy-rate
 clause is a documented expected failure for smooth data (the Gronwall
 bound is not sharp there); every other experiment is expected to pass.
 The script exits 0 when every experiment matches its expected outcome.
+Under each experiment's row of the summary, every CSV it wrote gets a
+line with the first 12 hex digits of its sha256, so two runs' outputs
+compare byte for byte by a diff of their standard output (where only the
+time column should differ).
 
 Usage: python3 scripts/run_all_experiments.py [--out DIR] [--quick]
 """
 import argparse
+import hashlib
 import pathlib
 import sys
 import time
@@ -59,6 +64,8 @@ def main(argv=None) -> int:
         if exp == "eta-limit" and ok:
             note += " (documented red: rate clause)"
         print(f"{exp:<14} {rc:>4} {expected:>8} {wall:>6.1f}s  {note}")
+        for csv in sorted((pathlib.Path(args.out) / exp).glob("*.csv")):
+            print(f"  {csv.name:<40} {hashlib.sha256(csv.read_bytes()).hexdigest()[:12]}")
     return 1 if bad else 0
 
 

@@ -12,6 +12,7 @@ modes are damped.
 """
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass, field
 
@@ -54,11 +55,16 @@ class Grid:
         object.__setattr__(self, "xi", (np.pi / self.L) * k)
         # alternating sign (-1)^k absorbs the x-origin phase of the FFT
         object.__setattr__(self, "_phase", np.where(k.astype(int) % 2 == 0, 1.0, -1.0))
-        # the same sign on nonlinear_stack's 3/2-padded grid, where slot and mode parity agree
-        object.__setattr__(self, "_phase_pad", np.resize([1.0, -1.0], 3 * self.M // 2))
-        # nonlinear_stack's forward scale times that sign, and its (1/2) d/dx
-        s2 = (2.0 * self.L / (3 * self.M // 2)) / TWO_PI_SQRT
-        object.__setattr__(self, "_phase_pad_fwd", s2 * self._phase_pad)
+        # the same sign on nonlinear_stack's 3/2-padded grid, where slot and mode
+        # parity agree, and its forward scale times that sign; stored complex, as
+        # numpy would cast them for every product with a spectrum (same bits)
+        Mp = 3 * self.M // 2
+        phase_pad = np.resize([1.0, -1.0], Mp)
+        s2 = (2.0 * self.L / Mp) / TWO_PI_SQRT
+        object.__setattr__(self, "_phase_pad", phase_pad.astype(np.complex128))
+        object.__setattr__(self, "_phase_pad_fwd", (s2 * phase_pad).astype(np.complex128))
+        # nonlinear_stack's inverse-transform scale and its (1/2) d/dx
+        object.__setattr__(self, "_pad_scale", Mp * (self.dxi / TWO_PI_SQRT))
         object.__setattr__(self, "_half_ixi", 0.5j * self.xi)
         object.__setattr__(self, "_nyquist", self.M // 2)
 
@@ -221,10 +227,18 @@ def x_derivative(f: SpectralField, order: int = 1) -> SpectralField:
     return SpectralField(g, c, check=False)
 
 
+@functools.lru_cache(maxsize=64)
 def semigroup_multiplier(grid: Grid, t: float, params: EquationParams) -> np.ndarray:
-    """E(xi, t) = exp(i q(xi) t - p(xi) t), with the Nyquist slot zeroed."""
+    """E(xi, t) = exp(i q(xi) t - p(xi) t), with the Nyquist slot zeroed.
+
+    Built once per (grid, t, params) and read-only, as every hit shares it.
+    64 entries hold the 49 multipliers of the C_CONTRACTION probe sweep (16
+    Chebyshev node times on each of 3 horizons, plus t = 0, visited
+    cyclically, where a smaller LRU would miss on every call); at M = 4096
+    a full cache holds 4 MB."""
     E = np.exp(linear_symbol(grid.xi, params) * t)
     E[grid._nyquist] = 0.0
+    E.flags.writeable = False
     return E
 
 
@@ -246,8 +260,9 @@ def values_stack(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     return u.real
 
 
-def nonlinear_stack(grid: Grid, coeffs: np.ndarray,
-                    dealias_budget: float = 1e-6) -> np.ndarray:
+def nonlinear_stack(grid: Grid, coeffs: np.ndarray, dealias_budget: float = 1e-6,
+                    *, out: np.ndarray | None = None,
+                    work: np.ndarray | None = None) -> np.ndarray:
     """Spectra of u*u_x = (1/2) d/dx (u^2) for a (..., M) stack of spectra u,
     row by row.
 
@@ -259,38 +274,49 @@ def nonlinear_stack(grid: Grid, coeffs: np.ndarray,
     text names only the budget, so Python's once-per-location filter folds
     the repeats of a run.
 
-    The transform runs in one padded buffer per call, in place.  Its result
-    is bitwise that of the plain form `(s2*phase * fft(v * v)) * 0.5j*xi`
-    with `v = s1 * ifft(pad(u) * phase)`: the same floating-point
-    operations in the same order, each operand on the same side.  Keep that rule when editing here or in the stepper: numpy's
-    complex multiply rounds one of its two products and fuses the other
-    into the sum (FMA), so `a * b` and `b * a` can differ in the last bit
-    (the stepper's `E1 * k1` written as `k1 * E1` moves the decay
+    The result goes to `out`, a complex128 array of the stack's shape
+    (new when None), which is returned.  `out` may be `coeffs` itself:
+    `coeffs` is read before `out` is written.  The transform runs in place
+    in `work`, a C-contiguous complex128 array of shape (..., 3M/2) for the
+    same leading shape (new when None); its contents on entry do not matter
+    and on return are scratch.  A caller that steps many times passes the
+    same two buffers on every call.
+
+    The result is bitwise that of the plain form
+    `(s2*phase * fft(v * v)) * 0.5j*xi` with `v = s1 * ifft(pad(u) * phase)`:
+    the same floating-point operations in the same order, each operand on
+    the same side.  Keep that rule when editing here or in the stepper:
+    numpy's complex multiply rounds one of its two products and fuses the
+    other into the sum (FMA), so `a * b` and `b * a` can differ in the last
+    bit (the stepper's `E1 * k1` written as `k1 * E1` moves the decay
     experiment's CSV).
     """
     M = grid.M
     Mp = 3 * M // 2
     half = M // 2
+    if work is None:
+        work = np.empty(coeffs.shape[:-1] + (Mp,), dtype=np.complex128)
+    if out is None:
+        out = np.empty(coeffs.shape[:-1] + (M,), dtype=np.complex128)
     # zero-pad the phased spectrum (fft order: positive modes first, then negative)
-    buf = np.empty(coeffs.shape[:-1] + (Mp,), dtype=np.complex128)
-    lo, hi = buf[..., :half], buf[..., Mp - half:]
+    lo, hi = work[..., :half], work[..., Mp - half:]
     np.multiply(coeffs[..., :half], grid._phase_pad[:half], out=lo)
     np.multiply(coeffs[..., half:], grid._phase_pad[Mp - half:], out=hi)
-    buf[..., half:Mp - half] = 0.0
+    work[..., half:Mp - half] = 0.0
     # physical samples on the fine grid; transform pair normalized as in
     # SpectralField but with Mp points on the same [-L, L)
-    np.fft.ifft(buf, axis=-1, out=buf)
-    np.multiply(Mp * (grid.dxi / TWO_PI_SQRT), buf, out=buf)
-    np.multiply(buf, buf, out=buf)
-    np.fft.fft(buf, axis=-1, out=buf)
+    np.fft.ifft(work, axis=-1, out=work)
+    np.multiply(grid._pad_scale, work, out=work)
+    np.multiply(work, work, out=work)
+    np.fft.fft(work, axis=-1, out=work)
 
     # energies of the unscaled spectrum; the scale cancels in their ratio
-    power = buf.view(np.float64)
+    power = work.view(np.float64)
     total = np.vecdot(power, power)
     cut = power[..., 2 * half:2 * (Mp - half)]
     tail = np.vecdot(cut, cut)
     over = tail > dealias_budget * total
-    if over.any():
+    if np.count_nonzero(over):
         worst = np.max(tail[over] / total[over])
         warning = AliasingBudgetWarning(
             f"quadratic product carries more than its budget {dealias_budget:.1e} "
@@ -298,12 +324,11 @@ def nonlinear_stack(grid: Grid, coeffs: np.ndarray,
         warning.fraction = float(worst)
         warnings.warn(warning, stacklevel=2)
 
-    c = np.empty(coeffs.shape[:-1] + (M,), dtype=np.complex128)
-    np.multiply(grid._phase_pad_fwd[:half], lo, out=c[..., :half])
-    np.multiply(grid._phase_pad_fwd[Mp - half:], hi, out=c[..., half:])
-    np.multiply(c, grid._half_ixi, out=c)  # (1/2) d/dx; annihilates the mean exactly
-    c[..., grid._nyquist] = 0.0
-    return c
+    np.multiply(grid._phase_pad_fwd[:half], lo, out=out[..., :half])
+    np.multiply(grid._phase_pad_fwd[Mp - half:], hi, out=out[..., half:])
+    np.multiply(out, grid._half_ixi, out=out)  # (1/2) d/dx; annihilates the mean exactly
+    out[..., grid._nyquist] = 0.0
+    return out
 
 
 def nonlinear_term(u: SpectralField, dealias_budget: float = 1e-6) -> SpectralField:

@@ -131,12 +131,15 @@ def listo_functional(traj: Trajectory, t: float) -> float:
     """int_0^t (t - tau) ||u(tau)||_{L^2}^2 dtau (Simpson on the stored
     samples); strictly positive for any nonzero trajectory, which is the
     contrapositive driving unique continuation."""
-    mask = traj.times <= t + 1e-12
-    times = traj.times[mask]
-    if times.size < 3:
+    return _listo(traj.times, np.array([l2_norm(u) ** 2 for u in traj.states]), t)
+
+
+def _listo(times: np.ndarray, l2sq: np.ndarray, t: float) -> float:
+    """`listo_functional` from the squared L^2 norms `l2sq` at `times`."""
+    mask = times <= t + 1e-12
+    if np.count_nonzero(mask) < 3:
         raise ValueError("need at least 3 stored states up to t")
-    vals = np.array([l2_norm(u) ** 2 for u, keep in zip(traj.states, mask) if keep])
-    return _simpson((t - times) * vals, times)
+    return _simpson((t - times[mask]) * l2sq[mask], times[mask])
 
 
 def weighted_energy_rate(traj: Trajectory) -> ExperimentReport:
@@ -198,7 +201,7 @@ def decay_report(traj: Trajectory) -> ExperimentReport:
         ["t", "re_mass", "im_mass", "re_dmass", "l2sq", "w1", "w2", "w3", "listo"],
     )
     for i, t in enumerate(tr.times):
-        listo = listo_functional(traj, t) if i >= 2 else 0.0
+        listo = _listo(tr.times, tr.l2sq, t) if i >= 2 else 0.0
         report.add_row(t, tr.mass[i].real, tr.mass[i].imag, tr.dmass[i].real,
                        tr.l2sq[i], tr.w1[i], tr.w2[i], tr.w3[i], listo)
     report.summary["mass_drift"] = tr.mass_drift

@@ -404,24 +404,31 @@ def _if_rk4(grid: Grid, c: np.ndarray, E1: np.ndarray, E2: np.ndarray,
     and a (b, K, M) array of the spectra kept at them, the datum first.
     Raises SolverBlowupError at the first non-finite state or kept state
     over the amplitude cap."""
-    B = c.shape[0]
+    B, M = c.shape
     E2x2 = 2.0 * E2
     rows = np.flatnonzero(nonlinear)
+    linear = np.flatnonzero(~nonlinear)
     budget = config.dealias_budget
+    # one workspace for the whole run: the kernel's padded buffer, a block
+    # for the nonlinear rows when some rows are linear, and the four stages
+    work = np.empty((rows.size, 3 * M // 2), dtype=np.complex128)
+    part = np.empty((rows.size, M), dtype=np.complex128) if linear.size else None
+    k1, k2, k3, k4 = (np.empty_like(c) for _ in range(4))
 
-    def rhs(c):
-        """dt times the right-hand side -u u_x, as a new array."""
-        if rows.size == B:
-            k = nonlinear_stack(grid, c, budget)
-            k *= -dt  # bitwise dt * (-k)
-            return k
-        k = np.zeros_like(c)  # linear members have no nonlinearity
+    def rhs(c, k):
+        """k <- dt times the right-hand side -u u_x at c."""
+        if part is None:
+            nonlinear_stack(grid, c, budget, out=k, work=work)
+            np.multiply(k, -dt, out=k)  # bitwise dt * (-k)
+            return
         if rows.size:
-            k[rows] = nonlinear_stack(grid, c[rows], budget) * -dt
-        return k
+            nonlinear_stack(grid, c[rows], budget, out=part, work=work)
+            np.multiply(part, -dt, out=part)
+            k[rows] = part
+        k[linear] = 0.0  # linear members have no nonlinearity
 
     keep = config.keep_every
-    kept = np.empty((B, 1 + n_steps // keep + (n_steps % keep != 0), grid.M),
+    kept = np.empty((B, 1 + n_steps // keep + (n_steps % keep != 0), M),
                     dtype=np.complex128)
     kept[:, 0] = c
     times = [0.0]
@@ -435,18 +442,18 @@ def _if_rk4(grid: Grid, c: np.ndarray, E1: np.ndarray, E2: np.ndarray,
     # (see nonlinear_stack on why the order is part of the result).
     for n in range(1, n_steps + 1):
         np.multiply(E1, c, out=E1c)
-        k1 = rhs(c)
+        rhs(c, k1)
         np.multiply(0.5, k1, out=w)
         np.add(c, w, out=w)
         np.multiply(E2, w, out=w)
-        k2 = rhs(w)
+        rhs(w, k2)
         np.multiply(E2, c, out=w)
         np.multiply(0.5, k2, out=v)
         np.add(w, v, out=w)
-        k3 = rhs(w)
+        rhs(w, k3)
         np.multiply(E2, k3, out=w)
         np.add(E1c, w, out=w)
-        k4 = rhs(w)
+        rhs(w, k4)
         np.multiply(E1, k1, out=k1)
         np.add(k2, k3, out=k2)
         np.multiply(E2x2, k2, out=k2)
@@ -454,7 +461,7 @@ def _if_rk4(grid: Grid, c: np.ndarray, E1: np.ndarray, E2: np.ndarray,
         np.add(k1, k4, out=k1)
         np.divide(k1, 6.0, out=k1)
         np.add(E1c, k1, out=c)
-        if not np.all(np.isfinite(c.view(np.float64))):
+        if not np.isfinite(c.view(np.float64)).all():
             raise SolverBlowupError(n * dt)
         if n % keep == 0 or n == n_steps:
             if np.abs(values_stack(grid, c)).max() > config.amplitude_cap:

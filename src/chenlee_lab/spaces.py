@@ -7,6 +7,7 @@ norms converge to their continuum values as L, M grow.
 """
 from __future__ import annotations
 
+import functools
 import warnings
 from dataclasses import dataclass
 
@@ -43,10 +44,21 @@ class TimeWeightedTrace:
                 raise ValueError("trace values must be finite and nonnegative")
 
 
+@functools.lru_cache(maxsize=8)
+def _sobolev_weight(grid: Grid, s: float) -> np.ndarray:
+    """<xi_k>^{2s} = (1 + xi_k^2)^s on the grid, built once per (grid, s)
+    and read-only, as every hit shares it.  8 entries hold the 4 keys of
+    the C_CONTRACTION probes and Picard solves, and the at most 5 of one
+    experiment (illposed's five grids); at M = 4096 they take 0.25 MB."""
+    w = (1.0 + grid.xi * grid.xi) ** s
+    w.flags.writeable = False
+    return w
+
+
 def sobolev_norm(f: SpectralField, s: float) -> float:
     """(sum_k <xi_k>^{2s} |u_hat(xi_k)|^2 dxi)^{1/2}."""
     g = f.grid
-    w = (1.0 + g.xi * g.xi) ** s
+    w = _sobolev_weight(g, s)
     return float(np.sqrt(np.sum(w * np.abs(f.coeffs) ** 2) * g.dxi))
 
 
@@ -130,5 +142,5 @@ def hs_inner(f: SpectralField, g_field: SpectralField, s: float) -> float:
     g = f.grid
     if g_field.grid != g:
         raise ValueError("grid mismatch")
-    w = (1.0 + g.xi * g.xi) ** s
+    w = _sobolev_weight(g, s)
     return float(np.real(np.sum(w * f.coeffs * np.conj(g_field.coeffs))) * g.dxi)

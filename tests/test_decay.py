@@ -196,3 +196,12 @@ def test_decay_report_structure():
     # listo column is nondecreasing once defined
     listo = [row[-1] for row in rep.rows]
     assert all(b >= a for a, b in zip(listo[2:], listo[3:]))
+
+
+def test_decay_report_listo_column_is_the_functional_bitwise():
+    # the column is built from the trace's squared norms; each entry is the
+    # functional evaluated on the trajectory afresh, to the last bit
+    traj = _decay_traj(1e-3, 40)
+    rep = decay_report(traj)
+    got = [float(v).hex() for v in rep.column("listo")[2:]]
+    assert got == [listo_functional(traj, t).hex() for t in traj.times[2:]]

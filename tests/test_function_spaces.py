@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from chenlee_lab.core import Grid, SpectralField, random_real_field, semigroup_multiplier, EquationParams
+from chenlee_lab import spaces
 from chenlee_lab.spaces import (
     BoundaryMassWarning,
     TimeWeightedTrace,
@@ -34,6 +35,32 @@ def test_l2_norm_matches_physical():
     u = _rand_field(0)
     phys = np.sqrt(np.sum(u.values() ** 2) * GRID.dx)
     assert l2_norm(u) == pytest.approx(phys, rel=1e-12)
+
+
+def test_sobolev_weight_memo_is_read_only_and_a_fresh_build():
+    u = _rand_field(2)
+    w = spaces._sobolev_weight(GRID, -0.5)
+    assert spaces._sobolev_weight(GRID, -0.5) is w  # a hit shares the array
+    assert not w.flags.writeable
+    with pytest.raises(ValueError):
+        w[0] = 0.0
+    norm = sobolev_norm(u, -0.5)
+    spaces._sobolev_weight.cache_clear()
+    fresh = spaces._sobolev_weight(GRID, -0.5)
+    assert fresh is not w
+    built = (1.0 + GRID.xi * GRID.xi) ** -0.5
+    assert np.array_equal(fresh.view(np.uint64), w.view(np.uint64))
+    assert np.array_equal(fresh.view(np.uint64), built.view(np.uint64))
+    assert sobolev_norm(u, -0.5) == norm
+
+
+def test_repeated_norm_builds_no_weight():
+    u, v = _rand_field(3), _rand_field(4)
+    sobolev_norm(u, 1.5)
+    misses = spaces._sobolev_weight.cache_info().misses
+    sobolev_norm(v, 1.5)
+    hs_inner(u, v, 1.5)
+    assert spaces._sobolev_weight.cache_info().misses == misses
 
 
 def test_sobolev_norm_gaussian_oracle():

@@ -227,6 +227,19 @@ def test_stack_equals_frozen_if_rk4_bitwise(grid):
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
+def test_stepper_runs_on_two_grids_share_no_buffer():
+    # each run allocates its own workspace: a run on another grid between
+    # two runs on the first leaves the third bitwise its frozen-oracle result
+    cfg = SolverConfig(dt=1e-3, T=0.05, keep_every=10)
+    for grid in (GRID, Grid(32.0 * np.pi, 1024), GRID):
+        phi = _gaussian(0.5, grid)
+        times, kept = _frozen_if_rk4(phi, [PARAMS], cfg)
+        traj = solve_stepper(phi, PARAMS, cfg)
+        assert traj.times.tolist() == times
+        got = np.array([u.coeffs for u in traj.states])
+        assert np.array_equal(got.view(np.uint64), np.array(kept)[:, 0].view(np.uint64))
+
+
 def test_stack_cfl_checks_every_member_before_stepping(monkeypatch):
     calls = []
     monkeypatch.setattr(solver, "nonlinear_stack", lambda *a, **k: calls.append(a))
@@ -518,6 +531,14 @@ def test_duhamel_second_probe_builds_no_operator():
     for t in second.times[1:]:
         duhamel_integral(second, t, check=False)
     assert solver._duhamel_operator.cache_info().misses == misses
+
+
+def test_second_probe_builds_no_multiplier():
+    # the probes' linear flows share the semigroup multiplier at every node
+    _probe_trajectory(_gaussian(0.5), 0.25)
+    misses = semigroup_multiplier.cache_info().misses
+    _probe_trajectory(_gaussian(0.3), 0.25)
+    assert semigroup_multiplier.cache_info().misses == misses
 
 
 # ---------------------------------------------------------------------------

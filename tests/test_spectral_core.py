@@ -214,6 +214,21 @@ def test_semigroup_law(t, s):
     assert np.abs(E_t * E_s - E_ts).max() <= 1e-12 * max(np.abs(E_ts).max(), 1.0)
 
 
+def test_semigroup_multiplier_memo_is_read_only_and_a_fresh_build():
+    E = semigroup_multiplier(GRID, 0.3, PARAMS)
+    assert semigroup_multiplier(GRID, 0.3, PARAMS) is E  # a hit shares the array
+    assert not E.flags.writeable
+    with pytest.raises(ValueError):
+        E[0] = 0.0
+    semigroup_multiplier.cache_clear()
+    fresh = semigroup_multiplier(GRID, 0.3, PARAMS)
+    assert fresh is not E
+    built = np.exp(linear_symbol(GRID.xi, PARAMS) * 0.3)
+    built[GRID.M // 2] = 0.0
+    assert np.array_equal(fresh.view(np.uint64), E.view(np.uint64))
+    assert np.array_equal(fresh.view(np.uint64), built.view(np.uint64))
+
+
 def test_semigroup_growth_cap():
     # |E(xi, t)| = e^{-p(xi) t} <= e^{eta t / 4}, max at xi = 1/2
     for t in (0.1, 0.5, 1.0):
@@ -268,16 +283,19 @@ def test_nonlinear_stack_warns_with_worst_row():
 def _frozen_nonlinear_stack(grid, coeffs, dealias_budget=1e-6):
     """nonlinear_stack as it read before it ran in one buffer: the oracle it
     must equal bitwise.  Returns the spectra and the worst tail fraction
-    over the budget (None when no row exceeds it)."""
+    over the budget (None when no row exceeds it).  It builds its own float
+    (-1)^k table, as the kernel did then, so it does not follow the grid's
+    stored tables."""
     M = grid.M
     Mp = 3 * M // 2
     half = M // 2
+    phase_pad = np.resize([1.0, -1.0], Mp)
     cp = np.zeros(coeffs.shape[:-1] + (Mp,), dtype=np.complex128)
     cp[..., :half] = coeffs[..., :half]
     cp[..., Mp - half:] = coeffs[..., half:]
-    up = Mp * (grid.dxi / TWO_PI_SQRT) * np.fft.ifft(cp * grid._phase_pad)
+    up = Mp * (grid.dxi / TWO_PI_SQRT) * np.fft.ifft(cp * phase_pad)
     vp = up * up
-    wp = ((2.0 * grid.L / Mp) / TWO_PI_SQRT) * grid._phase_pad * np.fft.fft(vp)
+    wp = ((2.0 * grid.L / Mp) / TWO_PI_SQRT) * phase_pad * np.fft.fft(vp)
     power = np.abs(wp) ** 2
     total = np.sum(power, axis=-1)
     tail = np.sum(power[..., half:Mp - half], axis=-1)
@@ -315,6 +333,28 @@ def test_nonlinear_stack_equals_frozen_kernel_bitwise(M, shape):
     else:
         [warning] = caught
         assert warning.message.fraction == pytest.approx(worst, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.filterwarnings("ignore::chenlee_lab.core.AliasingBudgetWarning")
+@pytest.mark.parametrize("shape", [(), (6,), (2, 3)], ids=["M", "6xM", "2x3xM"])
+@pytest.mark.parametrize("M", [8, 512, 4096])
+def test_nonlinear_stack_workspace_equals_allocating_call_bitwise(M, shape):
+    grid = Grid(8.0 * np.pi, M)
+    rng = np.random.default_rng(M + 1)
+    n = int(np.prod(shape))
+    decays = np.linspace(6.0, 0.0, n) if n > 1 else [3.0]
+    coeffs = np.array([random_real_field(grid, rng, spectral_decay=d).coeffs
+                       for d in decays]).reshape(shape + (M,))
+    ref = nonlinear_stack(grid, coeffs)
+    # a NaN left in the padded buffer's middle third would reach every mode
+    work = np.full(shape + (3 * M // 2,), np.nan, dtype=np.complex128)
+    out = np.empty_like(coeffs)
+    assert nonlinear_stack(grid, coeffs, out=out, work=work) is out
+    assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
+    # the same buffers again, and `out` aliasing `coeffs`
+    aliased = coeffs.copy()
+    assert nonlinear_stack(grid, aliased, out=aliased, work=work) is aliased
+    assert np.array_equal(aliased.view(np.uint64), ref.view(np.uint64))
 
 
 @pytest.mark.parametrize("M", [8, 256, 4096])

@@ -6,10 +6,11 @@ The eta-limit run is expected to exit 1: its square-root Cauchy-rate
 clause is a documented expected failure for smooth data (the Gronwall
 bound is not sharp there); every other experiment is expected to pass.
 The script exits 0 when every experiment matches its expected outcome.
-Under each experiment's row of the summary, every CSV it wrote gets a
-line with the first 12 hex digits of its sha256, so two runs' outputs
-compare byte for byte by a diff of their standard output (where only the
-time column should differ).
+The summary gives each experiment's wall time in milliseconds.  Under
+each experiment's row, every CSV it wrote gets a line with the first 12
+hex digits of its sha256, so two runs' outputs compare byte for byte by
+a diff of their standard output (where only the time column should
+differ).
 
 Usage: python3 scripts/run_all_experiments.py [--out DIR] [--quick]
 """
@@ -50,12 +51,12 @@ def main(argv=None) -> int:
                     "--out", str(pathlib.Path(args.out) / exp)]
         if args.quick:
             cli_args.append("--quick")
-        start = time.time()
+        start = time.perf_counter()
         rc = cli_main(cli_args)
-        results.append((exp, rc, expected, time.time() - start))
+        results.append((exp, rc, expected, time.perf_counter() - start))
 
     print()
-    print(f"{'experiment':<14} {'exit':>4} {'expected':>8} {'time':>7}  verdict")
+    print(f"{'experiment':<14} {'exit':>4} {'expected':>8} {'time':>8}  verdict")
     bad = 0
     for exp, rc, expected, wall in results:
         ok = rc == expected
@@ -63,7 +64,7 @@ def main(argv=None) -> int:
         note = "as expected" if ok else "UNEXPECTED"
         if exp == "eta-limit" and ok:
             note += " (documented red: rate clause)"
-        print(f"{exp:<14} {rc:>4} {expected:>8} {wall:>6.1f}s  {note}")
+        print(f"{exp:<14} {rc:>4} {expected:>8} {1e3 * wall:>6.0f}ms  {note}")
         for csv in sorted((pathlib.Path(args.out) / exp).glob("*.csv")):
             print(f"  {csv.name:<40} {hashlib.sha256(csv.read_bytes()).hexdigest()[:12]}")
     return 1 if bad else 0

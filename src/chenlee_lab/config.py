@@ -178,6 +178,11 @@ def validate(cfg: RunConfig):
         raise ConfigError(f"need 0 < solver.dt <= solver.T, got dt={cfg.dt}, T={cfg.T}")
     if cfg.keep_every < 1:
         raise ConfigError(f"solver.keep_every must be >= 1, got {cfg.keep_every}")
+    if cfg.picard_max_iters < 1:
+        raise ConfigError(
+            f"solver.picard_max_iters must be >= 1, got {cfg.picard_max_iters}")
+    if cfg.picard_tol <= 0:
+        raise ConfigError(f"solver.picard_tol must be positive, got {cfg.picard_tol}")
     if cfg.data_kind not in ("gaussian", "single-mode", "random", "rough-band"):
         raise ConfigError(f"unknown data.kind {cfg.data_kind!r}")
     if cfg.data_width <= 0:

@@ -55,17 +55,20 @@ class Grid:
         object.__setattr__(self, "xi", (np.pi / self.L) * k)
         # alternating sign (-1)^k absorbs the x-origin phase of the FFT
         object.__setattr__(self, "_phase", np.where(k.astype(int) % 2 == 0, 1.0, -1.0))
-        # the same sign on nonlinear_stack's 3/2-padded grid, where slot and mode
-        # parity agree, and its forward scale times that sign; stored complex, as
-        # numpy would cast them for every product with a spectrum (same bits)
+        # the kernel's tables in the block layout (2, M/2) of a spectrum's
+        # halves (see nonlinear_stack), where slot and mode parity agree as M/2
+        # is even: the sign, the forward scale times it, the bare forward scale
+        # for phase-free spectra, the inverse-transform scale and (1/2) d/dx.
+        # All are complex, as numpy would cast them for every product with a
+        # spectrum (same bits); a 0-d array also skips the scalar conversion.
         Mp = 3 * self.M // 2
-        phase_pad = np.resize([1.0, -1.0], Mp)
+        sign = np.resize([1.0, -1.0], (2, self.M // 2))
         s2 = (2.0 * self.L / Mp) / TWO_PI_SQRT
-        object.__setattr__(self, "_phase_pad", phase_pad.astype(np.complex128))
-        object.__setattr__(self, "_phase_pad_fwd", (s2 * phase_pad).astype(np.complex128))
-        # nonlinear_stack's inverse-transform scale and its (1/2) d/dx
-        object.__setattr__(self, "_pad_scale", Mp * (self.dxi / TWO_PI_SQRT))
-        object.__setattr__(self, "_half_ixi", 0.5j * self.xi)
+        object.__setattr__(self, "_phase_blocks", sign.astype(np.complex128))
+        object.__setattr__(self, "_phase_blocks_fwd", (s2 * sign).astype(np.complex128))
+        object.__setattr__(self, "_fwd_scale", np.array(complex(s2)))
+        object.__setattr__(self, "_pad_scale", np.array(complex(Mp * (self.dxi / TWO_PI_SQRT))))
+        object.__setattr__(self, "_half_ixi", (0.5j * self.xi).reshape(2, -1))
         object.__setattr__(self, "_nyquist", self.M // 2)
 
     @property
@@ -260,6 +263,25 @@ def values_stack(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     return u.real
 
 
+class PaddedBuffer:
+    """The kernel's workspace: `flat`, a C-contiguous complex128 (..., 3M/2)
+    array, with its views in the block layout of `nonlinear_stack`, made
+    once: `retained`, blocks 0 and 2, and `middle`, block 1, as (..., 2,
+    M/2) and (..., M/2) arrays; `power` and `cut` are the float views of
+    the whole buffer and of the middle block, which the aliasing check sums."""
+
+    __slots__ = ("flat", "retained", "middle", "power", "cut")
+
+    def __init__(self, flat: np.ndarray):
+        n = flat.shape[-1] // 3
+        thirds = flat.reshape(flat.shape[:-1] + (3, n))
+        self.flat = flat
+        self.retained = thirds[..., ::2, :]
+        self.middle = thirds[..., 1, :]
+        self.power = flat.view(np.float64)
+        self.cut = self.power[..., 2 * n:4 * n]
+
+
 def nonlinear_stack(grid: Grid, coeffs: np.ndarray, dealias_budget: float = 1e-6,
                     *, out: np.ndarray | None = None,
                     work: np.ndarray | None = None) -> np.ndarray:
@@ -282,6 +304,15 @@ def nonlinear_stack(grid: Grid, coeffs: np.ndarray, dealias_budget: float = 1e-6
     and on return are scratch.  A caller that steps many times passes the
     same two buffers on every call.
 
+    Block layout: the padded buffer is three M/2 blocks (`PaddedBuffer`).
+    The retained modes are blocks 0 and 2, the slice [..., ::2, :] of its
+    (..., 3, M/2) view; they hold the (..., M) spectrum's two halves in fft
+    order, i.e. its reshape to (..., 2, M/2).  Block 1 is the upper third,
+    zeroed before the inverse transform and truncated after the forward one.
+    This function is `nonlinear_blocks` with the phase (-1)^k applied
+    at its two ends: one pass writes the phased spectrum into the retained
+    blocks, and the forward scale that reads them back carries the sign.
+
     The result is bitwise that of the plain form
     `(s2*phase * fft(v * v)) * 0.5j*xi` with `v = s1 * ifft(pad(u) * phase)`:
     the same floating-point operations in the same order, each operand on
@@ -291,30 +322,67 @@ def nonlinear_stack(grid: Grid, coeffs: np.ndarray, dealias_budget: float = 1e-6
     bit (the stepper's `E1 * k1` written as `k1 * E1` moves the decay
     experiment's CSV).
     """
-    M = grid.M
-    Mp = 3 * M // 2
-    half = M // 2
+    lead, half = coeffs.shape[:-1], grid.M // 2
     if work is None:
-        work = np.empty(coeffs.shape[:-1] + (Mp,), dtype=np.complex128)
+        work = np.empty(lead + (3 * half,), dtype=np.complex128)
     if out is None:
-        out = np.empty(coeffs.shape[:-1] + (M,), dtype=np.complex128)
-    # zero-pad the phased spectrum (fft order: positive modes first, then negative)
-    lo, hi = work[..., :half], work[..., Mp - half:]
-    np.multiply(coeffs[..., :half], grid._phase_pad[:half], out=lo)
-    np.multiply(coeffs[..., half:], grid._phase_pad[Mp - half:], out=hi)
-    work[..., half:Mp - half] = 0.0
+        out = np.empty(lead + (grid.M,), dtype=np.complex128)
+    pad = PaddedBuffer(work)
+    np.multiply(coeffs.reshape(lead + (2, half)), grid._phase_blocks, out=pad.retained)
+    _nonlinear_body(grid, pad, out.reshape(lead + (2, half)), dealias_budget,
+                    grid._phase_blocks_fwd)
+    return out
+
+
+def nonlinear_blocks(grid: Grid, pad: PaddedBuffer, out: np.ndarray,
+                     dealias_budget: float = 1e-6) -> np.ndarray:
+    """`nonlinear_stack` in phase-free coordinates and the block layout: the
+    spectra c~ = (-1)^k c of a stack, already written into `pad.retained`,
+    give the spectra (-1)^k (u u_x)^ in `out`, a complex128 (..., 2, M/2)
+    array for the same leading shape, which is returned.  `pad`'s contents
+    on return are scratch.
+
+    The two (-1)^k passes of `nonlinear_stack` drop out, exactly: a product
+    with the sign table only negates, and IEEE negation is exact, so the
+    retained blocks hold bitwise what `nonlinear_stack`'s input pass would
+    write for c, the transforms and the square see the same numbers, and
+    the forward scale without the sign negates the odd modes of the result.
+    So `out` is bitwise (-1)^k times `nonlinear_stack`'s result, up to the
+    sign of an exact zero, which changes no nonzero value."""
+    _nonlinear_body(grid, pad, out, dealias_budget, grid._fwd_scale)
+    return out
+
+
+def phase_flip(coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(-1)^k times a (..., M) stack of spectra, into `out` (new when None;
+    it may be `coeffs`), which is returned: the change to the phase-free
+    coordinates of `nonlinear_blocks` and back.  The odd modes are
+    negated, which is exact, signed zeros included."""
+    if out is None:
+        out = np.empty_like(coeffs)
+    if out is not coeffs:
+        out[..., ::2] = coeffs[..., ::2]
+    np.negative(coeffs[..., 1::2], out=out[..., 1::2])
+    return out
+
+
+def _nonlinear_body(grid: Grid, pad: PaddedBuffer, out: np.ndarray,
+                    dealias_budget: float, fwd) -> np.ndarray:
+    """The kernel: u u_x for the spectra in `pad.retained`, the forward
+    transform's retained blocks scaled by `fwd` (the scale, or the scale
+    times the sign), into the (..., 2, M/2) blocks `out`."""
+    work = pad.flat
+    pad.middle.fill(0.0)
     # physical samples on the fine grid; transform pair normalized as in
-    # SpectralField but with Mp points on the same [-L, L)
+    # SpectralField but with 3M/2 points on the same [-L, L)
     np.fft.ifft(work, axis=-1, out=work)
     np.multiply(grid._pad_scale, work, out=work)
     np.multiply(work, work, out=work)
     np.fft.fft(work, axis=-1, out=work)
 
     # energies of the unscaled spectrum; the scale cancels in their ratio
-    power = work.view(np.float64)
-    total = np.vecdot(power, power)
-    cut = power[..., 2 * half:2 * (Mp - half)]
-    tail = np.vecdot(cut, cut)
+    total = np.vecdot(pad.power, pad.power)
+    tail = np.vecdot(pad.cut, pad.cut)
     over = tail > dealias_budget * total
     if np.count_nonzero(over):
         worst = np.max(tail[over] / total[over])
@@ -322,12 +390,11 @@ def nonlinear_stack(grid: Grid, coeffs: np.ndarray, dealias_budget: float = 1e-6
             f"quadratic product carries more than its budget {dealias_budget:.1e} "
             f"of its energy in truncated modes")
         warning.fraction = float(worst)
-        warnings.warn(warning, stacklevel=2)
+        warnings.warn(warning, stacklevel=3)  # the public function's caller
 
-    np.multiply(grid._phase_pad_fwd[:half], lo, out=out[..., :half])
-    np.multiply(grid._phase_pad_fwd[Mp - half:], hi, out=out[..., half:])
+    np.multiply(fwd, pad.retained, out=out)
     np.multiply(out, grid._half_ixi, out=out)  # (1/2) d/dx; annihilates the mean exactly
-    out[..., grid._nyquist] = 0.0
+    out[..., 1, 0] = 0.0  # Nyquist
     return out
 
 

@@ -29,10 +29,13 @@ import numpy as np
 from .core import (
     EquationParams,
     Grid,
+    PaddedBuffer,
     SpectralField,
-    nonlinear_stack,
-    semigroup_multiplier,
     linear_symbol,
+    nonlinear_blocks,
+    nonlinear_stack,
+    phase_flip,
+    semigroup_multiplier,
     symbol_q,
     values_stack,
 )
@@ -84,6 +87,14 @@ class SolverConfig:
             raise ValueError(f"dt={self.dt} exceeds T={self.T}")
         if self.picard_tol <= 0:
             raise ValueError("picard_tol must be positive")
+        for name in ("picard_max_iters", "n_time_nodes", "quad_nodes", "keep_every"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("panel_length", "amplitude_cap"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.dealias_budget < 0:
+            raise ValueError(f"dealias_budget must be >= 0, got {self.dealias_budget}")
 
 
 @dataclass
@@ -154,7 +165,11 @@ def chebyshev_nodes(T: float, n: int) -> np.ndarray:
     return 0.5 * T * (1.0 - np.cos(np.pi * i / n))
 
 
-_gauss_legendre = functools.cache(np.polynomial.legendre.leggauss)
+@functools.cache
+def _gauss_legendre(n: int):
+    """Gauss-Legendre nodes and weights on [-1, 1]; numpy.polynomial is
+    loaded by the first call, not at import (stepper-only runs never need it)."""
+    return np.polynomial.legendre.leggauss(n)
 
 
 def _lagrange_matrix(nodes: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -398,41 +413,68 @@ _CAP_MESSAGE = "amplitude cap exceeded"
 
 def _if_rk4(grid: Grid, c: np.ndarray, E1: np.ndarray, E2: np.ndarray,
             nonlinear: np.ndarray, n_steps: int, dt: float, config: SolverConfig):
-    """Step the (b, M) stack `c` in place through `n_steps` IF-RK4 steps of
-    size `dt` with multipliers E1 = e^{dt L}, E2 = e^{dt L / 2} per row;
-    `nonlinear` marks the rows with the u u_x term.  Returns the kept times
-    and a (b, K, M) array of the spectra kept at them, the datum first.
-    Raises SolverBlowupError at the first non-finite state or kept state
-    over the amplitude cap."""
+    """Step the (b, M) stack `c` through `n_steps` IF-RK4 steps of size `dt`
+    with multipliers E1 = e^{dt L}, E2 = e^{dt L / 2} per row; `nonlinear`
+    marks the rows with the u u_x term.  `c` holds the state and is
+    overwritten.  Returns the kept times and a (b, K, M) array of the
+    spectra kept at them, the datum first.  Raises SolverBlowupError at the
+    first non-finite state or kept state over the amplitude cap.
+
+    The steps run in the phase-free coordinates c~ = (-1)^k c and the block
+    layout of `nonlinear_blocks`: the last operation of each stage after
+    the first writes the kernel's input where the kernel reads it (the
+    first stage, the state, is copied there), and nothing is phased.  This
+    is exact: IEEE negation is exact, and each operation of a step (the
+    diagonal products with E1 and E2, the sums, the products with scalars,
+    the division by 6) commutes with negating a mode, as does the kernel.
+    So the state is bitwise (-1)^k times the state stepped in the usual
+    coordinates, up to the sign of an exact zero, which changes no nonzero
+    value.  The datum is flipped once; each kept state is flipped back as
+    it is stored, and the amplitude cap is checked on that row.  Linear
+    rows never meet the kernel and are not flipped, so their exact zeros
+    (a band-limited datum's empty modes stay empty) keep their signs too;
+    each stage's nonlinear rows are gathered into the buffer."""
     B, M = c.shape
-    E2x2 = 2.0 * E2
-    rows = np.flatnonzero(nonlinear)
-    linear = np.flatnonzero(~nonlinear)
-    budget = config.dealias_budget
-    # one workspace for the whole run: the kernel's padded buffer, a block
-    # for the nonlinear rows when some rows are linear, and the four stages
-    work = np.empty((rows.size, 3 * M // 2), dtype=np.complex128)
-    part = np.empty((rows.size, M), dtype=np.complex128) if linear.size else None
-    k1, k2, k3, k4 = (np.empty_like(c) for _ in range(4))
-
-    def rhs(c, k):
-        """k <- dt times the right-hand side -u u_x at c."""
-        if part is None:
-            nonlinear_stack(grid, c, budget, out=k, work=work)
-            np.multiply(k, -dt, out=k)  # bitwise dt * (-k)
-            return
-        if rows.size:
-            nonlinear_stack(grid, c[rows], budget, out=part, work=work)
-            np.multiply(part, -dt, out=part)
-            k[rows] = part
-        k[linear] = 0.0  # linear members have no nonlinearity
-
     keep = config.keep_every
     kept = np.empty((B, 1 + n_steps // keep + (n_steps % keep != 0), M),
                     dtype=np.complex128)
     kept[:, 0] = c
     times = [0.0]
-    E1c, w, v = np.empty_like(c), np.empty_like(c), np.empty_like(c)
+    rows = np.flatnonzero(nonlinear)
+    linear = np.flatnonzero(~nonlinear)
+    state = phase_flip(c, out=c)  # the (b, M) view kept states are read from
+    state[linear] = kept[linear, 0]  # rows without the kernel are not flipped
+    blocks = (B, 2, M // 2)
+    c, E1, E2 = (a.reshape(blocks) for a in (c, E1, E2))
+    E2x2 = 2.0 * E2
+    budget = config.dealias_budget
+    # one workspace for the whole run: the kernel's padded buffer, a block
+    # for the nonlinear rows when some rows are linear, the four stages and
+    # three temporaries
+    pad = PaddedBuffer(np.empty((rows.size, 3 * M // 2), dtype=np.complex128))
+    buf = pad.retained
+    part = np.empty((rows.size,) + blocks[1:], dtype=np.complex128) if linear.size else None
+    k1, k2, k3, k4, E1c, w, v = (np.empty(blocks, dtype=np.complex128) for _ in range(7))
+    stage = buf if part is None else w  # where each stage's last operation writes
+    # the step's scalars as 0-d complex arrays: numpy casts a float to the
+    # same complex value for every product with a spectrum (same bits), and
+    # an array skips that conversion
+    neg_dt, half, six = (np.array(complex(x)) for x in (-dt, 0.5, 6.0))
+
+    def rhs(src, k):
+        """k <- dt times the right-hand side -u u_x at the stage `src`."""
+        if part is None:
+            if src is not buf:
+                np.copyto(buf, src)
+            nonlinear_blocks(grid, pad, k, budget)
+            np.multiply(k, neg_dt, out=k)  # bitwise dt * (-k)
+            return
+        if rows.size:
+            buf[...] = src[rows]
+            nonlinear_blocks(grid, pad, part, budget)
+            np.multiply(part, neg_dt, out=part)
+            k[rows] = part
+        k[linear] = 0.0  # linear members have no nonlinearity
 
     # The classical IF-RK4 step
     #   k1 = dt*f(c), k2 = dt*f(E2*(c + 0.5*k1)), k3 = dt*f(E2*c + 0.5*k2),
@@ -443,30 +485,31 @@ def _if_rk4(grid: Grid, c: np.ndarray, E1: np.ndarray, E2: np.ndarray,
     for n in range(1, n_steps + 1):
         np.multiply(E1, c, out=E1c)
         rhs(c, k1)
-        np.multiply(0.5, k1, out=w)
+        np.multiply(half, k1, out=w)
         np.add(c, w, out=w)
-        np.multiply(E2, w, out=w)
-        rhs(w, k2)
+        np.multiply(E2, w, out=stage)
+        rhs(stage, k2)
         np.multiply(E2, c, out=w)
-        np.multiply(0.5, k2, out=v)
-        np.add(w, v, out=w)
-        rhs(w, k3)
+        np.multiply(half, k2, out=v)
+        np.add(w, v, out=stage)
+        rhs(stage, k3)
         np.multiply(E2, k3, out=w)
-        np.add(E1c, w, out=w)
-        rhs(w, k4)
+        np.add(E1c, w, out=stage)
+        rhs(stage, k4)
         np.multiply(E1, k1, out=k1)
         np.add(k2, k3, out=k2)
         np.multiply(E2x2, k2, out=k2)
         np.add(k1, k2, out=k1)
         np.add(k1, k4, out=k1)
-        np.divide(k1, 6.0, out=k1)
+        np.divide(k1, six, out=k1)
         np.add(E1c, k1, out=c)
         if not np.isfinite(c.view(np.float64)).all():
             raise SolverBlowupError(n * dt)
         if n % keep == 0 or n == n_steps:
-            if np.abs(values_stack(grid, c)).max() > config.amplitude_cap:
+            row = phase_flip(state, out=kept[:, len(times)])
+            row[linear] = state[linear]
+            if np.abs(values_stack(grid, row)).max() > config.amplitude_cap:
                 raise SolverBlowupError(n * dt, _CAP_MESSAGE)
-            kept[:, len(times)] = c
             times.append(n * dt)
     return times, kept
 

@@ -1,5 +1,5 @@
-"""Out-of-range sweep inputs are config errors: the CLI exits 2 with a
-message naming the key, before any experiment runs."""
+"""Out-of-range sweep and solver inputs are config errors: the CLI exits 2
+with a message naming the key, before any experiment runs."""
 import pytest
 
 from chenlee_lab.cli import main
@@ -12,6 +12,9 @@ BAD_CONFIGS = {
                             "illposed.N = 16, 32, 64, 128"),
     "illposed-N-too-few": ("illposed-c3", "illposed.N",
                            "illposed.N = 64, 128, 256"),
+    "picard-max-iters-zero": ("contraction", "solver.picard_max_iters",
+                              "solver.picard_max_iters = 0"),
+    "picard-tol-zero": ("contraction", "solver.picard_tol", "solver.picard_tol = 0"),
 }
 
 

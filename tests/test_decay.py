@@ -146,6 +146,12 @@ def test_import_leaves_process_pools_out(prefix):
     assert _loaded_by_cli_import(prefix) == "[]"
 
 
+def test_import_leaves_numpy_polynomial_out():
+    # the Gauss-Legendre rule loads it when the first Duhamel operator is
+    # built; a stepper-only run never does
+    assert _loaded_by_cli_import("numpy.polynomial") == "[]"
+
+
 # ---------------------------------------------------------------------------
 # weighted energy balance
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import warnings
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from chenlee_lab.core import (
     AliasingBudgetWarning,
@@ -17,6 +18,7 @@ from chenlee_lab.core import (
     linear_symbol,
     nonlinear_stack,
     nonlinear_term,
+    random_real_field,
     semigroup_apply,
     semigroup_multiplier,
 )
@@ -57,6 +59,16 @@ def test_solver_config_validation():
         SolverConfig(dt=0.0)
     with pytest.raises(ValueError):
         SolverConfig(dt=2.0, T=1.0)
+    # rejected at construction, before a solver divides by it (keep_every),
+    # reports a spurious blow-up (amplitude_cap) or warns on every product
+    # (dealias_budget); the smallest accepted value passes
+    for name, bad, smallest in [("keep_every", 0, 1), ("n_time_nodes", 0, 1),
+                                ("quad_nodes", 0, 1), ("picard_max_iters", 0, 1),
+                                ("panel_length", 0.0, 1e-3), ("amplitude_cap", 0.0, 1e-3),
+                                ("amplitude_cap", -1.0, 1e-3), ("dealias_budget", -1e-9, 0.0)]:
+        with pytest.raises(ValueError, match=name):
+            SolverConfig(**{name: bad})
+        SolverConfig(**{name: smallest})
 
 
 def test_trajectory_validation():
@@ -227,6 +239,104 @@ def test_stack_equals_frozen_if_rk4_bitwise(grid):
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
+@pytest.mark.filterwarnings("ignore::chenlee_lab.core.AliasingBudgetWarning")
+@pytest.mark.parametrize("grid, members, dt, T", [
+    (GRID, STACK[:4], 1e-3, 0.2),
+    (Grid(32.0 * np.pi, 4096), [PARAMS], 2e-4, 0.02),
+], ids=["all_nonlinear_B4_M256", "B1_M4096"])
+def test_direct_write_path_equals_frozen_if_rk4_bitwise(grid, members, dt, T):
+    # the path every experiment takes: no linear member, so each RK4 stage
+    # writes straight into the kernel's padded buffer (a sweep's stack, and
+    # one run on solve-m4096's grid and step); signed zeros count
+    phi = _gaussian(0.5, grid)
+    cfg = SolverConfig(dt=dt, T=T, keep_every=20)
+    times, kept = _frozen_if_rk4(phi, members, cfg)
+    trajs = solve_stepper_stack(phi, members, cfg)
+    assert len(trajs) == len(members) and trajs[0].info["sweep_size"] == len(members)
+    for b, traj in enumerate(trajs):
+        assert traj.times.tolist() == times
+        got = np.array([u.coeffs for u in traj.states])
+        ref = np.array([block[b] for block in kept])
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.filterwarnings("ignore::chenlee_lab.core.AliasingBudgetWarning")
+@pytest.mark.parametrize("datum", ["single_mode", "band"])
+def test_band_limited_datum_keeps_zero_signs_bitwise(datum):
+    # a linear member keeps a band-limited datum's empty modes exactly zero
+    # for the whole run; they keep their signs, as do the nonlinear rows'
+    grid = Grid(4.0 * np.pi, 64)
+    phi = (SpectralField.single_mode(grid, 2, 0.1) if datum == "single_mode" else
+           random_real_field(grid, np.random.default_rng(1), band=(1.0, 3.0)))
+    members = [EquationParams(nonlinear=False), PARAMS, EquationParams(beta=0.0, eta=1.0)]
+    cfg = SolverConfig(dt=1e-2, T=0.2, keep_every=5)
+    times, kept = _frozen_if_rk4(phi, members, cfg)
+    trajs = solve_stepper_stack(phi, members, cfg)
+    assert np.count_nonzero(trajs[0].final_state().coeffs == 0.0) > grid.M // 2
+    for b, traj in enumerate(trajs):
+        assert traj.times.tolist() == times
+        got = np.array([u.coeffs for u in traj.states])
+        ref = np.array([block[b] for block in kept])
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+# operand entries of one step: products of two stay finite; exact zeros
+# and subnormals included
+_ENTRIES = st.complex_numbers(max_magnitude=1e150, allow_nan=False, allow_infinity=False)
+
+
+def _padded(a, strided):
+    """A copy of the (2, n) array `a`, contiguous or in the retained blocks
+    [::2, :] of a (3, n) buffer, as the stepper writes the kernel's input."""
+    if not strided:
+        return a.copy()
+    buf = np.full((3,) + a.shape[1:], np.nan, dtype=np.complex128)
+    buf[::2] = a
+    return buf[::2]
+
+
+def _same_but_zero_signs(x, y):
+    """Bitwise equal, except that an exact zero may have either sign."""
+    x, y = (np.ascontiguousarray(v).view(np.float64) for v in (x, y))
+    zero = (x == 0.0) & (y == 0.0)
+    return np.array_equal(np.where(zero, 0.0, x).view(np.uint64),
+                          np.where(zero, 0.0, y).view(np.uint64))
+
+
+@settings(max_examples=150, deadline=None)
+@given(n=st.integers(1, 70), strided=st.booleans(), data=st.data())
+def test_negation_commutes_with_the_step_arithmetic(n, strided, data):
+    # The stepper runs in phase-free coordinates (-1)^k c because negating a
+    # mode's operands negates the result of every operation of an IF-RK4
+    # step, bitwise: numpy's complex product (one product rounded, the other
+    # fused), the sum, and the products with and division by a real scalar,
+    # whether a Python float or a 0-d complex array.  Only an exact zero may
+    # change sign (x + (-x) is +0 either way), and no nonzero value depends
+    # on that sign.  Lengths 1-70 reach every SIMD remainder; the strided
+    # case reads and writes the padded buffer's retained blocks.
+    E, c, b = (data.draw(hnp.arrays(np.complex128, (2, n), elements=_ENTRIES))
+               for _ in range(3))
+    x, neg = _padded(c, strided), _padded(-c, strided)
+    y, neg_y = _padded(b, strided), _padded(-b, strided)
+
+    def both(op):
+        out, out_neg = _padded(np.zeros_like(c), strided), _padded(np.zeros_like(c), strided)
+        op(x, y, out)
+        op(neg, neg_y, out_neg)
+        return -out, out_neg
+
+    ops = [lambda u, v, out: np.multiply(E, u, out=out),
+           lambda u, v, out: np.multiply(u, E, out=out),
+           lambda u, v, out: np.add(u, v, out=out)]
+    for scalar in (0.5, -1e-3, 2.0, 6.0):
+        for s in (scalar, np.array(complex(scalar))):
+            ops += [lambda u, v, out, s=s: np.multiply(s, u, out=out),
+                    lambda u, v, out, s=s: np.multiply(u, s, out=out),
+                    lambda u, v, out, s=s: np.divide(u, s, out=out)]
+    for op in ops:
+        assert _same_but_zero_signs(*both(op))
+
+
 def test_stepper_runs_on_two_grids_share_no_buffer():
     # each run allocates its own workspace: a run on another grid between
     # two runs on the first leaves the third bitwise its frozen-oracle result
@@ -242,7 +352,8 @@ def test_stepper_runs_on_two_grids_share_no_buffer():
 
 def test_stack_cfl_checks_every_member_before_stepping(monkeypatch):
     calls = []
-    monkeypatch.setattr(solver, "nonlinear_stack", lambda *a, **k: calls.append(a))
+    for kernel in ("nonlinear_stack", "nonlinear_blocks"):
+        monkeypatch.setattr(solver, kernel, lambda *a, **k: calls.append(a))
     # dt * max|q| = 0.01 * 0.1 * 16^2 = 0.256 for the first, 2.56 for the last
     members = [EquationParams(beta=0.1, eta=1.0), PARAMS]
     with pytest.raises(CflError):

@@ -11,11 +11,14 @@ from chenlee_lab.core import (
     AliasingBudgetWarning,
     EquationParams,
     Grid,
+    PaddedBuffer,
     SpectralField,
     hilbert_transform,
     linear_symbol,
+    nonlinear_blocks,
     nonlinear_stack,
     nonlinear_term,
+    phase_flip,
     random_real_field,
     semigroup_apply,
     semigroup_multiplier,
@@ -355,6 +358,37 @@ def test_nonlinear_stack_workspace_equals_allocating_call_bitwise(M, shape):
     aliased = coeffs.copy()
     assert nonlinear_stack(grid, aliased, out=aliased, work=work) is aliased
     assert np.array_equal(aliased.view(np.uint64), ref.view(np.uint64))
+
+
+def test_phase_flip_negates_odd_modes_exactly():
+    # (-1)^k by mode number, signed zeros included; an involution, in place too
+    rng = np.random.default_rng(7)
+    c = rng.standard_normal((2, 3, 16)) + 1j * rng.standard_normal((2, 3, 16))
+    c[..., :4] = complex(0.0, -0.0)
+    odd = np.fft.fftfreq(16, d=1.0 / 16) % 2 == 1
+    ref = np.where(odd, -c, c)
+    flipped = phase_flip(c)
+    assert np.array_equal(flipped.view(np.uint64), ref.view(np.uint64))
+    assert np.array_equal(phase_flip(flipped).view(np.uint64), c.view(np.uint64))
+    assert phase_flip(flipped, out=flipped) is flipped
+    assert np.array_equal(flipped.view(np.uint64), c.view(np.uint64))
+
+
+@pytest.mark.filterwarnings("ignore::chenlee_lab.core.AliasingBudgetWarning")
+@pytest.mark.parametrize("M", [8, 512, 4096])
+def test_nonlinear_blocks_is_the_phase_free_kernel_bitwise(M):
+    # spectra flipped into the retained blocks give the flipped result of
+    # nonlinear_stack, whatever the buffer held before
+    grid = Grid(8.0 * np.pi, M)
+    rng = np.random.default_rng(M + 2)
+    coeffs = np.array([random_real_field(grid, rng, spectral_decay=d).coeffs
+                       for d in (6.0, 3.0, 0.0)])
+    pad = PaddedBuffer(np.full((3, 3 * M // 2), np.nan, dtype=np.complex128))
+    pad.retained[...] = phase_flip(coeffs).reshape(3, 2, M // 2)
+    out = np.empty((3, 2, M // 2), dtype=np.complex128)
+    assert nonlinear_blocks(grid, pad, out) is out
+    got = phase_flip(out.reshape(3, M))
+    assert np.array_equal(got.view(np.uint64), nonlinear_stack(grid, coeffs).view(np.uint64))
 
 
 @pytest.mark.parametrize("M", [8, 256, 4096])

@@ -23,14 +23,11 @@ from .core import (
 )
 from .spaces import (
     BoundaryMassWarning,
-    TimeWeightedTrace,
     f_lambda,
-    g_s_eta,
     hs_inner,
     l2_norm,
     sobolev_norm,
     weighted_l2_norm,
-    xts_norm,
 )
 from .solver import (
     NonContractionError,

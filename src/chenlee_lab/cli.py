@@ -27,6 +27,7 @@ from .config import (
     build_initial_data,
     config_echo,
     parse_config,
+    validate,
 )
 from .core import EquationParams, semigroup_apply
 from .decay import decay_report, mass_drift, weighted_energy_rate
@@ -49,13 +50,14 @@ NUMERICAL_ERRORS = (SolverBlowupError, PicardError, QuadratureConvergenceError,
 
 
 def _apply_quick(cfg: RunConfig) -> RunConfig:
-    """Scale the run down ~4x for CI.  The smoothing experiment keeps its
-    grid: the t -> 0 asymptotics need the full frequency band, and it is
-    already sub-second."""
+    """Scale the run down ~4x for CI, and validate it again on the smaller
+    grid.  The smoothing experiment keeps its grid: the t -> 0 asymptotics
+    need the full frequency band, and it is already sub-second."""
     if cfg.experiment != "smoothing":
         cfg.grid_M = max(256, cfg.grid_M // 4)
     cfg.T = max(cfg.T / 4.0, 10.0 * cfg.dt)
     cfg.illposed_N = tuple(cfg.illposed_N[:4])
+    validate(cfg)
     return cfg
 
 
@@ -184,7 +186,11 @@ _RUNNERS = {
 def run_experiment(cfg: RunConfig, out_dir: str, quick: bool = False) -> int:
     """Execute one experiment; write CSVs + manifest; return the exit code."""
     if quick:
-        cfg = _apply_quick(cfg)
+        try:
+            cfg = _apply_quick(cfg)
+        except ConfigError as exc:
+            print(f"config error: {exc}", file=sys.stderr)
+            return 2
     os.makedirs(out_dir, exist_ok=True)
     start = time.time()
     try:

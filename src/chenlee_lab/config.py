@@ -185,6 +185,10 @@ def validate(cfg: RunConfig):
         raise ConfigError(f"solver.picard_tol must be positive, got {cfg.picard_tol}")
     if cfg.data_kind not in ("gaussian", "single-mode", "random", "rough-band"):
         raise ConfigError(f"unknown data.kind {cfg.data_kind!r}")
+    if cfg.data_kind == "single-mode" and abs(cfg.data_mode) >= cfg.grid_M // 2:
+        raise ConfigError(
+            f"data.mode must lie below grid.M/2 = {cfg.grid_M // 2} in magnitude "
+            f"(the Nyquist mode and above do not fit the grid), got {cfg.data_mode}")
     if cfg.data_width <= 0:
         raise ConfigError(f"data.width must be positive, got {cfg.data_width}")
     if not (0 < cfg.illposed_epsilon < 1):
@@ -237,7 +241,7 @@ def build_initial_data(cfg: RunConfig):
         pos = (grid.xi >= 1.0) & (grid.xi <= 0.98 * grid.xi_max)
         c[pos] = np.abs(grid.xi[pos]) ** -0.5
         idx = np.flatnonzero(pos)
-        c[(-idx) % grid.M] = np.conj(c[idx])
+        c[grid.mode_index(-idx)] = np.conj(c[idx])
         phi = SpectralField(grid, c) * cfg.data_amplitude
     else:  # pragma: no cover - guarded by validate
         raise ConfigError(f"unknown data.kind {cfg.data_kind!r}")

@@ -13,6 +13,7 @@ modes are damped.
 from __future__ import annotations
 
 import functools
+import sys
 import warnings
 from dataclasses import dataclass, field
 
@@ -43,6 +44,7 @@ class Grid:
     M: int
     # derived arrays, excluded from equality/repr
     x: np.ndarray = field(init=False, repr=False, compare=False)
+    modes: np.ndarray = field(init=False, repr=False, compare=False)
     xi: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -51,25 +53,18 @@ class Grid:
         if self.M < 8 or not _is_power_of_two(self.M):
             raise ValueError(f"M must be a power of two >= 8, got {self.M}")
         object.__setattr__(self, "x", -self.L + self.dx * np.arange(self.M))
-        k = np.fft.fftfreq(self.M, d=1.0 / self.M)  # integer mode numbers
-        object.__setattr__(self, "xi", (np.pi / self.L) * k)
-        # alternating sign (-1)^k absorbs the x-origin phase of the FFT
-        object.__setattr__(self, "_phase", np.where(k.astype(int) % 2 == 0, 1.0, -1.0))
-        # the kernel's tables in the block layout (2, M/2) of a spectrum's
-        # halves (see nonlinear_stack), where slot and mode parity agree as M/2
-        # is even: the sign, the forward scale times it, the bare forward scale
-        # for phase-free spectra, the inverse-transform scale and (1/2) d/dx.
-        # All are complex, as numpy would cast them for every product with a
-        # spectrum (same bits); a 0-d array also skips the scalar conversion.
+        modes = np.fft.fftfreq(self.M, d=1.0 / self.M).astype(int)
+        object.__setattr__(self, "modes", modes)
+        object.__setattr__(self, "xi", (np.pi / self.L) * modes)
+        # the kernel's tables: the forward and inverse scales of the padded
+        # transform pair, and (1/2) d/dx in the block layout (2, M/2) of a
+        # spectrum's halves (see nonlinear_stack).  All are complex, as numpy
+        # would cast them for every product with a spectrum (same bits); a
+        # 0-d array also skips the scalar conversion.
         Mp = 3 * self.M // 2
-        sign = np.resize([1.0, -1.0], (2, self.M // 2))
-        s2 = (2.0 * self.L / Mp) / TWO_PI_SQRT
-        object.__setattr__(self, "_phase_blocks", sign.astype(np.complex128))
-        object.__setattr__(self, "_phase_blocks_fwd", (s2 * sign).astype(np.complex128))
-        object.__setattr__(self, "_fwd_scale", np.array(complex(s2)))
+        object.__setattr__(self, "_fwd_scale", np.array(complex((2.0 * self.L / Mp) / TWO_PI_SQRT)))
         object.__setattr__(self, "_pad_scale", np.array(complex(Mp * (self.dxi / TWO_PI_SQRT))))
         object.__setattr__(self, "_half_ixi", (0.5j * self.xi).reshape(2, -1))
-        object.__setattr__(self, "_nyquist", self.M // 2)
 
     @property
     def dx(self) -> float:
@@ -80,8 +75,14 @@ class Grid:
         return np.pi / self.L
 
     @property
+    def nyquist(self) -> int:
+        """Storage index of the Nyquist mode -M/2, which has no conjugate
+        partner; every spectrum keeps it zero."""
+        return self.M // 2
+
+    @property
     def xi_max(self) -> float:
-        return np.pi * (self.M // 2 - 1) / self.L
+        return np.pi * (self.nyquist - 1) / self.L
 
     def mode_index(self, n):
         """fft-order storage index of integer mode number n."""
@@ -132,9 +133,9 @@ class SpectralField:
         """Forward transform of physical samples.  The Nyquist mode is
         zeroed (it has no conjugate partner and breaks real symmetry under
         the odd multipliers)."""
-        values = np.asarray(values)
-        c = (grid.dx / TWO_PI_SQRT) * grid._phase * np.fft.fft(values)
-        c[grid._nyquist] = 0.0
+        c = (grid.dx / TWO_PI_SQRT) * np.fft.fft(np.asarray(values))
+        phase_flip(c, out=c)
+        c[grid.nyquist] = 0.0
         return cls(grid, c)
 
     @classmethod
@@ -143,7 +144,10 @@ class SpectralField:
 
     @classmethod
     def single_mode(cls, grid: Grid, n: int, amplitude: complex = 1.0) -> "SpectralField":
-        """Real field amplitude*cos(xi_n x) built directly in Fourier space."""
+        """Real field amplitude*cos(xi_n x) built directly in Fourier space;
+        |n| must be below M/2, the Nyquist mode."""
+        if abs(n) >= grid.nyquist:
+            raise ValueError(f"mode {n} is not below M/2 = {grid.nyquist}, the Nyquist mode")
         c = np.zeros(grid.M, dtype=np.complex128)
         w = grid.L * np.sqrt(2.0 / np.pi) * amplitude / 2.0
         c[grid.mode_index(n)] += w
@@ -161,7 +165,7 @@ class SpectralField:
 
     def is_hermitian(self, tol: float = 1e-10) -> bool:
         c = self.coeffs
-        mirror = np.conj(c[self.grid.mode_index(-np.arange(self.grid.M))])
+        mirror = np.conj(c[self.grid.mode_index(-self.grid.modes)])
         scale = max(np.abs(c).max(), 1e-300)
         return bool(np.abs(c - mirror).max() <= tol * scale)
 
@@ -219,14 +223,14 @@ def hilbert_transform(f: SpectralField) -> SpectralField:
     to zero and H^2 = -I on mean-zero fields."""
     g = f.grid
     c = f.coeffs * (1j * np.sign(g.xi))
-    c[g._nyquist] = 0.0
+    c[g.nyquist] = 0.0
     return SpectralField(g, c, check=False)
 
 
 def x_derivative(f: SpectralField, order: int = 1) -> SpectralField:
     g = f.grid
     c = f.coeffs * (1j * g.xi) ** order
-    c[g._nyquist] = 0.0
+    c[g.nyquist] = 0.0
     return SpectralField(g, c, check=False)
 
 
@@ -240,7 +244,7 @@ def semigroup_multiplier(grid: Grid, t: float, params: EquationParams) -> np.nda
     cyclically, where a smaller LRU would miss on every call); at M = 4096
     a full cache holds 4 MB."""
     E = np.exp(linear_symbol(grid.xi, params) * t)
-    E[grid._nyquist] = 0.0
+    E[grid.nyquist] = 0.0
     E.flags.writeable = False
     return E
 
@@ -256,10 +260,27 @@ def semigroup_apply(f: SpectralField, t: float, params: EquationParams) -> Spect
     return SpectralField(f.grid, f.coeffs * semigroup_multiplier(f.grid, t, params))
 
 
+def phase_flip(coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """(-1)^k times a stack of spectra along its last axis, into `out` (new
+    when None; it may be `coeffs`), which is returned.  This is the x-origin
+    phase of the transform, and the only code that applies it: the grid
+    starts at x_0 = -L, so a plain FFT of the samples carries e^{i xi_k L} =
+    (-1)^k on mode k.  The last axis holds fft order, or the block layout
+    (..., 2, M/2) of `nonlinear_stack`, where slot and mode parity agree as
+    M/2 is even.  The odd modes are negated, which is exact, signed zeros
+    included."""
+    if out is None:
+        out = np.empty_like(coeffs)
+    if out is not coeffs:
+        out[..., ::2] = coeffs[..., ::2]
+    np.negative(coeffs[..., 1::2], out=out[..., 1::2])
+    return out
+
+
 def values_stack(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """Physical samples of a (..., M) stack of spectra, row by row (real
     part; solver states are Hermitian-symmetric)."""
-    u = grid.M * (grid.dxi / TWO_PI_SQRT) * np.fft.ifft(coeffs * grid._phase)
+    u = grid.M * (grid.dxi / TWO_PI_SQRT) * np.fft.ifft(phase_flip(coeffs))
     return u.real
 
 
@@ -304,22 +325,18 @@ def nonlinear_stack(grid: Grid, coeffs: np.ndarray, dealias_budget: float = 1e-6
     and on return are scratch.  A caller that steps many times passes the
     same two buffers on every call.
 
-    Block layout: the padded buffer is three M/2 blocks (`PaddedBuffer`).
-    The retained modes are blocks 0 and 2, the slice [..., ::2, :] of its
-    (..., 3, M/2) view; they hold the (..., M) spectrum's two halves in fft
-    order, i.e. its reshape to (..., 2, M/2).  Block 1 is the upper third,
-    zeroed before the inverse transform and truncated after the forward one.
-    This function is `nonlinear_blocks` with the phase (-1)^k applied
-    at its two ends: one pass writes the phased spectrum into the retained
-    blocks, and the forward scale that reads them back carries the sign.
-
-    The result is bitwise that of the plain form
-    `(s2*phase * fft(v * v)) * 0.5j*xi` with `v = s1 * ifft(pad(u) * phase)`:
-    the same floating-point operations in the same order, each operand on
-    the same side.  Keep that rule when editing here or in the stepper:
-    numpy's complex multiply rounds one of its two products and fuses the
-    other into the sum (FMA), so `a * b` and `b * a` can differ in the last
-    bit (the stepper's `E1 * k1` written as `k1 * E1` moves the decay
+    Three steps: `phase_flip` writes the stack into the retained blocks of
+    `work` (see `PaddedBuffer`), the phase-free kernel `nonlinear_blocks`
+    writes the flipped product into `out`, and `phase_flip` turns `out`
+    back in place.  The result is that of the plain form
+    `(s2*phase * fft(v * v)) * 0.5j*xi` with `v = s1 * ifft(pad(u) * phase)`,
+    bitwise up to the sign of an exact zero: rounding is symmetric, so a
+    product with the sign, alone or folded into a scale, is the exact
+    negation a flip writes, and the kernel runs the plain form's other
+    operations in the same order, each operand on the same side.  Keep that rule when editing here or in the stepper: numpy's
+    complex multiply rounds one of its two products and fuses the other
+    into the sum (FMA), so `a * b` and `b * a` can differ in the last bit
+    (the stepper's `E1 * k1` written as `k1 * E1` moves the decay
     experiment's CSV).
     """
     lead, half = coeffs.shape[:-1], grid.M // 2
@@ -328,49 +345,22 @@ def nonlinear_stack(grid: Grid, coeffs: np.ndarray, dealias_budget: float = 1e-6
     if out is None:
         out = np.empty(lead + (grid.M,), dtype=np.complex128)
     pad = PaddedBuffer(work)
-    np.multiply(coeffs.reshape(lead + (2, half)), grid._phase_blocks, out=pad.retained)
-    _nonlinear_body(grid, pad, out.reshape(lead + (2, half)), dealias_budget,
-                    grid._phase_blocks_fwd)
+    blocks = out.reshape(lead + (2, half))
+    phase_flip(coeffs.reshape(lead + (2, half)), out=pad.retained)
+    nonlinear_blocks(grid, pad, blocks, dealias_budget)
+    phase_flip(blocks, out=blocks)
     return out
 
 
 def nonlinear_blocks(grid: Grid, pad: PaddedBuffer, out: np.ndarray,
                      dealias_budget: float = 1e-6) -> np.ndarray:
-    """`nonlinear_stack` in phase-free coordinates and the block layout: the
-    spectra c~ = (-1)^k c of a stack, already written into `pad.retained`,
-    give the spectra (-1)^k (u u_x)^ in `out`, a complex128 (..., 2, M/2)
-    array for the same leading shape, which is returned.  `pad`'s contents
-    on return are scratch.
-
-    The two (-1)^k passes of `nonlinear_stack` drop out, exactly: a product
-    with the sign table only negates, and IEEE negation is exact, so the
-    retained blocks hold bitwise what `nonlinear_stack`'s input pass would
-    write for c, the transforms and the square see the same numbers, and
-    the forward scale without the sign negates the odd modes of the result.
-    So `out` is bitwise (-1)^k times `nonlinear_stack`'s result, up to the
-    sign of an exact zero, which changes no nonzero value."""
-    _nonlinear_body(grid, pad, out, dealias_budget, grid._fwd_scale)
-    return out
-
-
-def phase_flip(coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """(-1)^k times a (..., M) stack of spectra, into `out` (new when None;
-    it may be `coeffs`), which is returned: the change to the phase-free
-    coordinates of `nonlinear_blocks` and back.  The odd modes are
-    negated, which is exact, signed zeros included."""
-    if out is None:
-        out = np.empty_like(coeffs)
-    if out is not coeffs:
-        out[..., ::2] = coeffs[..., ::2]
-    np.negative(coeffs[..., 1::2], out=out[..., 1::2])
-    return out
-
-
-def _nonlinear_body(grid: Grid, pad: PaddedBuffer, out: np.ndarray,
-                    dealias_budget: float, fwd) -> np.ndarray:
-    """The kernel: u u_x for the spectra in `pad.retained`, the forward
-    transform's retained blocks scaled by `fwd` (the scale, or the scale
-    times the sign), into the (..., 2, M/2) blocks `out`."""
+    """The kernel of `nonlinear_stack`, in phase-free coordinates and the
+    block layout: the spectra c~ = (-1)^k c of a stack, already written into
+    `pad.retained`, give the spectra (-1)^k (u u_x)^ in `out`, a complex128
+    (..., 2, M/2) array for the same leading shape, which is returned.
+    `pad`'s contents on return are scratch.  The aliasing check is that of
+    `nonlinear_stack`; its warning is attributed to the first caller outside
+    this module."""
     work = pad.flat
     pad.middle.fill(0.0)
     # physical samples on the fine grid; transform pair normalized as in
@@ -390,9 +380,12 @@ def _nonlinear_body(grid: Grid, pad: PaddedBuffer, out: np.ndarray,
             f"quadratic product carries more than its budget {dealias_budget:.1e} "
             f"of its energy in truncated modes")
         warning.fraction = float(worst)
-        warnings.warn(warning, stacklevel=3)  # the public function's caller
+        frame, level = sys._getframe(1), 2  # this function's caller...
+        while frame.f_globals is globals():  # ...past nonlinear_stack/_term
+            frame, level = frame.f_back, level + 1
+        warnings.warn(warning, stacklevel=level)
 
-    np.multiply(fwd, pad.retained, out=out)
+    np.multiply(grid._fwd_scale, pad.retained, out=out)
     np.multiply(out, grid._half_ixi, out=out)  # (1/2) d/dx; annihilates the mean exactly
     out[..., 1, 0] = 0.0  # Nyquist
     return out
@@ -410,9 +403,8 @@ def random_real_field(grid: Grid, rng: np.random.Generator, band=None,
     """Seeded random real field: unit-scale complex coefficients with
     Hermitian symmetry, optionally restricted to |xi| in `band` and shaped
     by |xi|^{-spectral_decay}."""
-    M = grid.M
-    c = np.zeros(M, dtype=np.complex128)
-    kpos = np.arange(1, M // 2)
+    c = np.zeros(grid.M, dtype=np.complex128)
+    kpos = np.arange(1, grid.nyquist)
     xi_pos = grid.xi[kpos]
     amp = rng.standard_normal(kpos.size) + 1j * rng.standard_normal(kpos.size)
     if spectral_decay != 0.0:

@@ -159,7 +159,7 @@ def build_illposed_datum(d: IllposedData, grid: Grid) -> SpectralField:
             f"band [N, N+2*gamma] holds only {n_inside} grid frequencies (need >= 16)"
         )
     c = np.where(in_band, d.amplitude, 0.0).astype(np.complex128)
-    c[grid.M // 2] = 0.0
+    c[grid.nyquist] = 0.0
     return SpectralField(grid, c, check=False)
 
 
@@ -198,16 +198,12 @@ def _window_indices(grid: Grid, window):
     return idx
 
 
-def _mode_numbers(grid: Grid) -> np.ndarray:
-    return np.fft.fftfreq(grid.M, d=1.0 / grid.M).astype(int)
-
-
-def _shifted_lookup(coeffs: np.ndarray, modes_out, modes_in, M: int):
+def _shifted_lookup(grid: Grid, coeffs: np.ndarray, modes_out, modes_in):
     """coeffs at mode difference (modes_out - modes_in), zero when the
     difference leaves the represented range (no FFT wraparound)."""
     diff = np.asarray(modes_out) - np.asarray(modes_in)
-    valid = np.abs(diff) <= M // 2 - 1
-    return np.where(valid, coeffs[diff % M], 0.0)
+    valid = np.abs(diff) < grid.nyquist
+    return np.where(valid, coeffs[grid.mode_index(diff)], 0.0)
 
 
 def first_term(phi: SpectralField, t: float, params: EquationParams) -> PicardTerm:
@@ -226,7 +222,7 @@ def second_term(phi: SpectralField, t: float, params: EquationParams,
         raise ValueError("t must be >= 0")
     grid = phi.grid
     sigma = make_sigma(params)
-    modes = _mode_numbers(grid)
+    modes = grid.modes
     out_idx = _window_indices(grid, window)
     supp = np.flatnonzero(np.abs(phi.coeffs) > 0)
     c = np.zeros(grid.M, dtype=np.complex128)
@@ -234,10 +230,10 @@ def second_term(phi: SpectralField, t: float, params: EquationParams,
         xi1 = grid.xi[supp]
         E = semigroup_multiplier(grid, t, params)
         for j in out_idx:
-            if j == grid.M // 2:
+            if j == grid.nyquist:
                 continue
             xi = grid.xi[j]
-            phi_shift = _shifted_lookup(phi.coeffs, modes[j], modes[supp], grid.M)
+            phi_shift = _shifted_lookup(grid, phi.coeffs, modes[j], modes[supp])
             K = kern(sigma(xi, xi1), t)
             c[j] = (1j * xi * E[j] / TWO_PI_SQRT) * grid.dxi * np.sum(
                 phi_shift * phi.coeffs[supp] * K
@@ -261,7 +257,7 @@ def third_term(phi: SpectralField, t: float, params: EquationParams,
         raise ValueError("t must be >= 0")
     grid = phi.grid
     sigma = make_sigma(params)
-    modes = _mode_numbers(grid)
+    modes = grid.modes
     out_idx = _window_indices(grid, window)
     supp = np.flatnonzero(np.abs(phi.coeffs) > 0)
     c = np.zeros(grid.M, dtype=np.complex128)
@@ -270,20 +266,18 @@ def third_term(phi: SpectralField, t: float, params: EquationParams,
         xi1 = grid.xi[supp]  # (n1,)
         phi1 = phi.coeffs[supp]
         for j in out_idx:
-            if j == grid.M // 2:
+            if j == grid.nyquist:
                 continue
             xi = grid.xi[j]
             # xi2 must satisfy phi_hat(xi - xi2) != 0: xi2 = xi - (band)
             m2 = modes[j] - modes[supp]
-            ok = np.abs(m2) <= grid.M // 2 - 1
-            m2 = m2[ok]
+            m2 = m2[np.abs(m2) < grid.nyquist]
             if m2.size == 0:
                 continue
-            k2 = m2 % grid.M
-            xi2 = grid.xi[k2]  # (n2,)
-            phi_tail = phi.coeffs[(modes[j] - m2) % grid.M]  # phi_hat(xi - xi2)
-            phi_mid = _shifted_lookup(phi.coeffs, m2[:, None], modes[supp][None, :],
-                                      grid.M)  # phi_hat(xi2 - xi1), (n2, n1)
+            xi2 = grid.xi[grid.mode_index(m2)]  # (n2,)
+            phi_tail = phi.coeffs[grid.mode_index(modes[j] - m2)]  # phi_hat(xi - xi2)
+            phi_mid = _shifted_lookup(grid, phi.coeffs, m2[:, None],
+                                      modes[supp][None, :])  # phi_hat(xi2 - xi1), (n2, n1)
             sig2 = sigma(xi, xi2)  # (n2,)
             sig21 = sigma(xi2[:, None], xi1[None, :])  # (n2, n1)
             D = kern_diff(sig2[:, None] + sig21, sig2[:, None], t)

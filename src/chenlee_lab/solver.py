@@ -214,7 +214,7 @@ def _duhamel_operator(grid: Grid, params: EquationParams, nodes: tuple, t: float
     horizons x 16 nodes, visited cyclically, where a smaller LRU would miss
     on every call) plus the 16 of one Picard solve."""
     sym = linear_symbol(grid.xi, params)
-    sym[grid.M // 2] = 0.0
+    sym[grid.nyquist] = 0.0
     W, lebesgue = _duhamel_weights(np.array(nodes), sym, t, n_nodes, panel_length)
     W.flags.writeable = False
     return W, lebesgue
@@ -260,7 +260,7 @@ def duhamel_integral(traj_segment: Trajectory, t: float,
                 f"node doubling changed the Duhamel integral by {err:.3e} (tol {tol:.1e})"
             )
         val = val2
-    val[grid.M // 2] = 0.0
+    val[grid.nyquist] = 0.0
     return SpectralField(grid, val)
 
 
@@ -281,9 +281,9 @@ def solve_picard(phi: SpectralField, params: EquationParams, config: SolverConfi
     grid = phi.grid
     times = chebyshev_nodes(config.T, config.n_time_nodes)
     sym = linear_symbol(grid.xi, params)
-    sym[grid.M // 2] = 0.0
+    sym[grid.nyquist] = 0.0
     E_nodes = np.exp(np.multiply.outer(times, sym))
-    E_nodes[:, grid.M // 2] = 0.0
+    E_nodes[:, grid.nyquist] = 0.0
     lin = E_nodes * phi.coeffs[None, :]
     nodes = tuple(times.tolist())
     W = np.array([_duhamel_operator(grid, params, nodes, t, config.quad_nodes,
@@ -383,7 +383,7 @@ def solve_stepper_stack(phi: SpectralField, params_list, config: SolverConfig) -
     E2 = np.array([semigroup_multiplier(grid, 0.5 * dt, p) for p in params_list])
     nonlinear = np.array([p.nonlinear for p in params_list])
     c = np.repeat(phi.coeffs[None, :], B, axis=0)
-    c[:, grid.M // 2] = 0.0
+    c[:, grid.nyquist] = 0.0
     SpectralField(grid, c[0])  # rejects a non-finite datum before stepping
 
     n_proc = _process_count(B)

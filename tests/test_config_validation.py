@@ -15,6 +15,14 @@ BAD_CONFIGS = {
     "picard-max-iters-zero": ("contraction", "solver.picard_max_iters",
                               "solver.picard_max_iters = 0"),
     "picard-tol-zero": ("contraction", "solver.picard_tol", "solver.picard_tol = 0"),
+    # the default grid has M = 4096: mode 2048 is the zeroed Nyquist slot, and
+    # mode 5000 would alias to mode 904
+    "data-mode-nyquist": ("solve", "data.mode",
+                          "data.kind = single-mode\ndata.mode = 2048"),
+    "data-mode-negative-nyquist": ("solve", "data.mode",
+                                   "data.kind = single-mode\ndata.mode = -2048"),
+    "data-mode-aliased": ("solve", "data.mode",
+                          "data.kind = single-mode\ndata.mode = 5000"),
 }
 
 
@@ -29,4 +37,19 @@ def test_bad_sweep_input_exits_2(case, tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and key in err
+    assert not (tmp_path / "out").exists()
+
+
+
+def test_data_mode_checked_on_the_quick_grid(tmp_path, capsys):
+    # mode 200 fits grid.M = 1024, but --quick shrinks the grid to M = 256,
+    # whose Nyquist mode is 128
+    text = "grid.M = 1024\ndata.kind = single-mode\ndata.mode = 200\n"
+    assert parse_config(text).data_mode == 200
+    path = tmp_path / "quick.cfg"
+    path.write_text(text)
+    rc = main(["solve", "--config", str(path), "--quick", "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "data.mode" in err
     assert not (tmp_path / "out").exists()

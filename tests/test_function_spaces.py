@@ -1,23 +1,20 @@
-"""Sobolev and weighted norms, time-weighted traces, and the closed-form
-dissipative envelope functions."""
+"""Sobolev and weighted norms and the closed-form dissipative envelope
+functions."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from chenlee_lab.core import Grid, SpectralField, random_real_field, semigroup_multiplier, EquationParams
+from chenlee_lab.core import Grid, SpectralField, random_real_field
 from chenlee_lab import spaces
 from chenlee_lab.spaces import (
     BoundaryMassWarning,
-    TimeWeightedTrace,
     f_lambda,
     f_lambda_argmax,
-    g_s_eta,
     hs_inner,
     l2_norm,
     sobolev_norm,
     weighted_l2_norm,
-    xts_norm,
 )
 
 GRID = Grid(16.0 * np.pi, 1024)
@@ -123,31 +120,6 @@ def test_weighted_norm_rejects_negative_order():
 
 
 # ---------------------------------------------------------------------------
-# time-weighted trace norms
-# ---------------------------------------------------------------------------
-
-def test_xts_norm_single_sample():
-    tr = TimeWeightedTrace(np.array([0.25]), np.array([2.0]), np.array([3.0]), s=-0.5)
-    # hs + t^{|s|/2} l2 = 2 + 0.25^{1/4} * 3
-    assert xts_norm(tr) == pytest.approx(2.0 + 0.25 ** 0.25 * 3.0)
-
-
-def test_xts_norm_requires_negative_s():
-    tr = TimeWeightedTrace(np.array([0.5]), np.array([1.0]), np.array([1.0]), s=0.5)
-    with pytest.raises(ValueError):
-        xts_norm(tr)
-
-
-def test_trace_validation():
-    with pytest.raises(ValueError):
-        TimeWeightedTrace(np.array([1.0, 0.5]), np.ones(2), np.ones(2), s=-1.0)
-    with pytest.raises(ValueError):
-        TimeWeightedTrace(np.array([0.5]), np.array([-1.0]), np.array([1.0]), s=-1.0)
-    with pytest.raises(ValueError):
-        TimeWeightedTrace(np.array([0.5]), np.ones(2), np.ones(1), s=-1.0)
-
-
-# ---------------------------------------------------------------------------
 # envelope functions
 # ---------------------------------------------------------------------------
 
@@ -188,25 +160,3 @@ def test_f_lambda_domain():
         f_lambda(0.0, 1.0, 1.0)
     with pytest.raises(ValueError):
         f_lambda(0.5, 1.0, 0.0)
-
-
-def test_g_s_eta_values_and_domain():
-    # t=0: e^0 + (0 + eta^{-|s|/2}) e^0 = 1 + eta^{-|s|/2}
-    assert g_s_eta(0.0, -0.5, 4.0) == pytest.approx(1.0 + 4.0 ** -0.25)
-    with pytest.raises(ValueError):
-        g_s_eta(1.5, -0.5, 1.0)
-    with pytest.raises(ValueError):
-        g_s_eta(0.5, 0.5, 1.0)
-
-
-def test_g_s_eta_dominates_semigroup_trace():
-    # t^{|s|/2} ||S(t) phi||_{L^2} <= g_{s,eta}(t) ||phi||_{H^s}
-    params = EquationParams(beta=1.0, eta=1.0)
-    s = -0.4
-    for seed in range(5):
-        phi = _rand_field(seed)
-        denom = sobolev_norm(phi, s)
-        for t in (0.01, 0.1, 0.5, 1.0):
-            E = semigroup_multiplier(GRID, t, params)
-            st_l2 = l2_norm(SpectralField(GRID, phi.coeffs * E))
-            assert t ** 0.2 * st_l2 <= g_s_eta(t, s, 1.0) * denom * (1 + 1e-12)

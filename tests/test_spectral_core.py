@@ -1,11 +1,14 @@
 """Grid/transform invariants, linear symbols, Hilbert transform, semigroup
 and the dealiased quadratic nonlinearity."""
+import ast
+import pathlib
 import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import chenlee_lab
 from chenlee_lab.core import (
     TWO_PI_SQRT,
     AliasingBudgetWarning,
@@ -92,6 +95,71 @@ def test_nyquist_zeroed():
     rng = np.random.default_rng(3)
     f = SpectralField.from_values(GRID, rng.standard_normal(GRID.M))
     assert f.coeffs[GRID.M // 2] == 0.0
+
+
+def test_grid_storage_facts():
+    g = Grid(5.0, 16)
+    assert g.nyquist == 8
+    assert g.modes.tolist() == [0, 1, 2, 3, 4, 5, 6, 7, -8, -7, -6, -5, -4, -3, -2, -1]
+    assert np.array_equal(g.mode_index(g.modes), np.arange(16))
+    assert np.array_equal(g.xi, (np.pi / g.L) * g.modes)
+
+
+def test_single_mode_rejects_nyquist_and_above():
+    # mode M/2 would land on the zeroed Nyquist slot, and mode M/2 + 1 + j
+    # would alias to a lower one
+    for n in (GRID.M // 2, -GRID.M // 2, GRID.M // 2 + 1, 5000):
+        with pytest.raises(ValueError, match="Nyquist"):
+            SpectralField.single_mode(GRID, n)
+    top = SpectralField.single_mode(GRID, -(GRID.M // 2 - 1), 0.5)
+    assert np.abs(top.values() - 0.5 * np.cos(GRID.xi_max * GRID.x)).max() <= 1e-12
+
+
+def _same_but_zero_signs(x, y):
+    """Bitwise equal, except that an exact zero may have either sign (the
+    rule of tests/test_mild_solver.py)."""
+    x, y = (np.ascontiguousarray(v).view(np.float64) for v in (x, y))
+    zero = (x == 0.0) & (y == 0.0)
+    return np.array_equal(np.where(zero, 0.0, x).view(np.uint64),
+                          np.where(zero, 0.0, y).view(np.uint64))
+
+
+def _frozen_from_values(grid, values):
+    """SpectralField.from_values as it read with a float (-1)^k table before
+    `phase_flip` applied the phase: the oracle it must equal up to the sign
+    of an exact zero."""
+    phase = np.resize([1.0, -1.0], grid.M)
+    c = (grid.dx / TWO_PI_SQRT) * phase * np.fft.fft(values)
+    c[grid.nyquist] = 0.0
+    return c
+
+
+def _frozen_values(grid, coeffs):
+    """SpectralField.values as it read with the float (-1)^k table: the
+    oracle it must equal bitwise."""
+    phase = np.resize([1.0, -1.0], grid.M)
+    return (grid.M * (grid.dxi / TWO_PI_SQRT) * np.fft.ifft(coeffs * phase)).real
+
+
+@pytest.mark.parametrize("data", ["random", "gaussian", "single-mode"])
+@pytest.mark.parametrize("M", [8, 256, 4096])
+def test_transform_pair_equals_frozen_table_form(M, data):
+    grid = Grid(8.0 * np.pi, M)
+    rng = np.random.default_rng(M)
+    n = min(5, grid.nyquist - 1)
+    if data == "random":
+        samples = rng.standard_normal(M)
+        field = random_real_field(grid, rng, spectral_decay=1.0)
+    elif data == "gaussian":
+        samples = np.exp(-grid.x ** 2)
+        field = SpectralField.from_values(grid, samples)
+    else:
+        samples = 0.7 * np.cos((n * grid.dxi) * grid.x)
+        field = SpectralField.single_mode(grid, n, 0.7)
+    assert _same_but_zero_signs(SpectralField.from_values(grid, samples).coeffs,
+                                _frozen_from_values(grid, samples))
+    assert np.array_equal(field.values().view(np.uint64),
+                          _frozen_values(grid, field.coeffs).view(np.uint64))
 
 
 def test_nonfinite_rejected():
@@ -306,7 +374,7 @@ def _frozen_nonlinear_stack(grid, coeffs, dealias_budget=1e-6):
     worst = np.max(tail[over] / total[over]) if over.any() else None
     c = np.concatenate((wp[..., :half], wp[..., Mp - half:]), axis=-1)
     c *= 0.5j * grid.xi
-    c[..., grid._nyquist] = 0.0
+    c[..., grid.nyquist] = 0.0
     return c, worst
 
 
@@ -408,6 +476,23 @@ def test_aliasing_warning_on_rough_data():
         nonlinear_term(u)
 
 
+def test_aliasing_warning_is_attributed_to_the_public_callers_line():
+    # each public entry's warning names the line that called it, however
+    # deep in core.py the kernel that raises it sits
+    rough = random_real_field(GRID, np.random.default_rng(6))
+    pad = PaddedBuffer(np.empty(3 * GRID.M // 2, dtype=np.complex128))
+    out = np.empty((2, GRID.M // 2), dtype=np.complex128)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", AliasingBudgetWarning)
+        nonlinear_term(rough)
+        nonlinear_stack(GRID, rough.coeffs)
+        phase_flip(rough.coeffs.reshape(2, -1), out=pad.retained)
+        nonlinear_blocks(GRID, pad, out)
+    assert [w.category for w in caught] == [AliasingBudgetWarning] * 3
+    assert [w.filename for w in caught] == [__file__] * 3
+    assert len({w.lineno for w in caught}) == 3
+
+
 def test_no_aliasing_warning_when_resolved():
     u = SpectralField.from_function(GRID, lambda x: np.exp(-x * x))
     import warnings as _w
@@ -433,3 +518,32 @@ def test_random_field_band_restriction():
     u = random_real_field(GRID, rng, band=(2.0, 5.0))
     outside = (np.abs(GRID.xi) < 2.0) | (np.abs(GRID.xi) > 5.0)
     assert np.abs(u.coeffs[outside]).max() == 0.0
+
+
+# ---------------------------------------------------------------------------
+# the transform convention lives in core.py
+# ---------------------------------------------------------------------------
+
+def test_only_core_touches_the_fft_and_the_grids_private_tables():
+    # np.fft and the grid's private tables are how spectra are stored; every
+    # other module goes through core.py's functions and Grid's public names
+    # (nyquist, modes, mode_index, xi)
+    private = {name for name in vars(Grid(1.0, 8)) if name.startswith("_")}
+    private |= {name for name in vars(Grid) if name.startswith("_") and not name.startswith("__")}
+    assert private  # the ratchet looks at something
+    fft_modules = {"numpy.fft", "scipy.fft"}
+    leaks = []
+    for path in sorted(pathlib.Path(chenlee_lab.__file__).parent.glob("*.py")):
+        if path.name == "core.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute) and (node.attr == "fft" or node.attr in private):
+                leaks.append(f"{path.name}:{node.lineno}: .{node.attr}")
+            elif isinstance(node, ast.Import):
+                leaks += [f"{path.name}:{node.lineno}: import {a.name}" for a in node.names
+                          if a.name in fft_modules]
+            elif isinstance(node, ast.ImportFrom) and node.module:
+                leaks += [f"{path.name}:{node.lineno}: from {node.module} import {a.name}"
+                          for a in node.names
+                          if node.module in fft_modules or f"{node.module}.{a.name}" in fft_modules]
+    assert leaks == []

@@ -118,7 +118,7 @@ class SpectralField:
         coeffs = np.asarray(coeffs, dtype=np.complex128)
         if coeffs.shape != (grid.M,):
             raise ValueError("coefficient array does not match grid size")
-        if check and not np.all(np.isfinite(coeffs.view(np.float64))):
+        if check and not np.isfinite(coeffs.view(np.float64)).all():
             raise ValueError("non-finite Fourier coefficients")
         self.grid = grid
         self.coeffs = coeffs

@@ -39,7 +39,9 @@ from .core import (
     symbol_q,
     values_stack,
 )
-from .spaces import sobolev_norm
+from .spaces import sobolev_norm_stack
+
+_EPS = np.finfo(float).eps
 
 
 class CflError(ValueError):
@@ -111,7 +113,7 @@ class Trajectory:
             raise ValueError("times/states length mismatch")
         if self.times.size and self.times[0] != 0.0:
             raise ValueError("trajectory must start at t=0")
-        if self.times.size > 1 and np.any(np.diff(self.times) <= 0):
+        if self.times.size > 1 and (np.diff(self.times) <= 0).any():
             raise ValueError("trajectory times must be strictly increasing")
 
     @property
@@ -126,6 +128,13 @@ class Trajectory:
         """(nodes, M) spectra of u u_x at the stored states, computed once
         as one stack."""
         return nonlinear_stack(self.grid, np.array([u.coeffs for u in self.states]))
+
+    @functools.cached_property
+    def _node_key(self) -> tuple:
+        """`times` as a tuple of floats, the node key of the Duhamel
+        operators, computed once; valid as long as `times` is not written
+        to, as `nonlinear_samples` is for `states`."""
+        return tuple(self.times.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -239,16 +248,16 @@ def duhamel_integral(traj_segment: Trajectory, t: float,
     params = traj_segment.params
     if not params.nonlinear or t == 0.0:
         return SpectralField.zero(grid)  # linear flow or empty interval
-    key = (grid, params, tuple(times.tolist()), float(t))
+    key = (grid, params, traj_segment._node_key, float(t))
 
     def integral(n_nodes):
         W, lebesgue = _duhamel_operator(*key, n_nodes, panel_length)
-        if np.finfo(float).eps * lebesgue > tol:
+        if _EPS * lebesgue > tol:
             raise ValueError(
                 f"interpolation in time through {times.size} nodes has Lebesgue "
                 f"constant {lebesgue:.2e}; rounding in the samples would exceed "
                 f"tol {tol:.1e} (use fewer or Chebyshev-spaced nodes)")
-        return np.einsum("jk,jk->k", W, traj_segment.nonlinear_samples)
+        return (W * traj_segment.nonlinear_samples).sum(axis=0)
 
     val = integral(quad_nodes)
     if check:
@@ -299,15 +308,14 @@ def solve_picard(phi: SpectralField, params: EquationParams, config: SolverConfi
         return out
 
     def sup_hs(mat: np.ndarray) -> float:
-        return max(sobolev_norm(SpectralField(grid, row, check=False), s)
-                   for row in mat)
+        return float(sobolev_norm_stack(grid, mat, s).max())
 
     u = lin.copy()
     diffs, ratios = [], []
     bad_streak = 0
     for _ in range(config.picard_max_iters):
         u_new = apply_map(u)
-        if not np.all(np.isfinite(u_new.view(np.float64))):
+        if not np.isfinite(u_new.view(np.float64)).all():
             raise SolverBlowupError(config.T, "Picard iterate diverged")
         d = sup_hs(u_new - u)
         if diffs:

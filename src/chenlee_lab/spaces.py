@@ -8,6 +8,7 @@ norms converge to their continuum values as L, M grow.
 from __future__ import annotations
 
 import functools
+import math
 import warnings
 
 import numpy as np
@@ -31,11 +32,25 @@ def _sobolev_weight(grid: Grid, s: float) -> np.ndarray:
     return w
 
 
+def _sobolev_norm_sq(grid: Grid, coeffs: np.ndarray, s: float):
+    """Squared H^s norms of a (..., M) stack of spectra along its last axis.
+    Each row is summed pairwise on its own, so every entry is bitwise the
+    sum of that row alone."""
+    return (_sobolev_weight(grid, s) * np.abs(coeffs) ** 2).sum(axis=-1) * grid.dxi
+
+
+def sobolev_norm_stack(grid: Grid, coeffs: np.ndarray, s: float) -> np.ndarray:
+    """`sobolev_norm` of every spectrum of a (..., M) stack on `grid`, as an
+    array of the stack's leading shape; each entry is bitwise the norm of
+    its row as a SpectralField."""
+    return np.sqrt(_sobolev_norm_sq(grid, coeffs, s))
+
+
 def sobolev_norm(f: SpectralField, s: float) -> float:
-    """(sum_k <xi_k>^{2s} |u_hat(xi_k)|^2 dxi)^{1/2}."""
-    g = f.grid
-    w = _sobolev_weight(g, s)
-    return float(np.sqrt(np.sum(w * np.abs(f.coeffs) ** 2) * g.dxi))
+    """(sum_k <xi_k>^{2s} |u_hat(xi_k)|^2 dxi)^{1/2}: the one-row case of
+    `sobolev_norm_stack`, with the same bits (both square roots are
+    correctly rounded)."""
+    return math.sqrt(_sobolev_norm_sq(f.grid, f.coeffs, s))
 
 
 def l2_norm(f: SpectralField) -> float:

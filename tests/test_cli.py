@@ -6,7 +6,7 @@ import os
 import numpy as np
 import pytest
 
-from chenlee_lab.cli import main, run_experiment
+from chenlee_lab.cli import _apply_quick, main, run_experiment
 from chenlee_lab.config import (
     ConfigError,
     RunConfig,
@@ -205,3 +205,27 @@ def test_cli_quick_scales_grid(tmp_path):
     assert run_experiment(cfg2, str(out2), quick=True) == 0
     manifest2 = json.loads((out2 / "manifest.json").read_text())
     assert manifest2["config"]["grid.M"] == 1024
+
+
+@pytest.mark.parametrize("M, quick_M", [(64, 64), (256, 256), (512, 256), (1024, 256)])
+def test_quick_never_enlarges_a_grid(M, quick_M):
+    # a quarter of the grid, but not below 256; a grid below 256 keeps its size
+    cfg = parse_config(f"grid.M = {M}\n")
+    assert _apply_quick(cfg).grid_M == quick_M
+
+
+def test_quick_leaves_the_callers_config_alone(tmp_path):
+    cfg = parse_config("grid.M = 1024\nsolver.T = 0.2\nsolver.dt = 1e-3\n"
+                       "data.amplitude = 0.1\ndata.width = 4.0\n")
+    cfg.experiment = "solve"
+    before = config_echo(cfg)
+    first, second = _apply_quick(cfg), _apply_quick(cfg)
+    assert (first.T, first.grid_M) == (second.T, second.grid_M) == (0.05, 256)
+    assert config_echo(cfg) == before
+    # two quick runs from one parsed config run the same configuration
+    echoes = []
+    for name in ("a", "b"):
+        assert run_experiment(cfg, str(tmp_path / name), quick=True) == 0
+        echoes.append(json.loads((tmp_path / name / "manifest.json").read_text())["config"])
+    assert echoes[0] == echoes[1] and echoes[0]["solver.T"] == 0.05
+    assert config_echo(cfg) == before

@@ -14,6 +14,7 @@ from chenlee_lab.spaces import (
     hs_inner,
     l2_norm,
     sobolev_norm,
+    sobolev_norm_stack,
     weighted_l2_norm,
 )
 
@@ -49,6 +50,31 @@ def test_sobolev_weight_memo_is_read_only_and_a_fresh_build():
     assert np.array_equal(fresh.view(np.uint64), w.view(np.uint64))
     assert np.array_equal(fresh.view(np.uint64), built.view(np.uint64))
     assert sobolev_norm(u, -0.5) == norm
+
+
+def _frozen_sobolev_norm(f, s):
+    # the one-row norm as written before the stacked form
+    w = spaces._sobolev_weight(f.grid, s)
+    return float(np.sqrt(np.sum(w * np.abs(f.coeffs) ** 2) * f.grid.dxi))
+
+
+@pytest.mark.parametrize("M", [256, 512, 1024, 4096])
+def test_stacked_norm_is_bitwise_the_per_row_norm(M):
+    # 17 rows (a Picard iterate's node count) spanning ten decades of size
+    grid = Grid(8.0 * np.pi, M)
+    rng = np.random.default_rng(M)
+    rows = [random_real_field(grid, rng, spectral_decay=1.0) * amp
+            for amp in np.geomspace(1e-8, 1e2, 17)]
+    stack = np.array([u.coeffs for u in rows])
+    for s in (-0.8, -0.5, 0.0, 1.0, 2.0):
+        norms = sobolev_norm_stack(grid, stack, s)
+        assert norms.shape == (17,)
+        for norm, u in zip(norms, rows):
+            assert float(norm).hex() == _frozen_sobolev_norm(u, s).hex()
+            assert float(norm).hex() == sobolev_norm(u, s).hex()
+        # any leading shape
+        block = sobolev_norm_stack(grid, stack.reshape(1, 17, M), s)
+        assert np.array_equal(block.view(np.uint64), norms.view(np.uint64)[None])
 
 
 def test_repeated_norm_builds_no_weight():

@@ -22,7 +22,7 @@ from chenlee_lab.core import (
     semigroup_apply,
     semigroup_multiplier,
 )
-from chenlee_lab import solver
+from chenlee_lab import solver, spaces
 from chenlee_lab.solver import (
     CflError,
     NonContractionError,
@@ -644,6 +644,30 @@ def test_duhamel_second_probe_builds_no_operator():
     assert solver._duhamel_operator.cache_info().misses == misses
 
 
+def _frozen_duhamel(traj, t, quad_nodes=10, panel_length=0.25):
+    # duhamel_integral(check=False) as written with einsum's product-sum
+    W = solver._duhamel_operator(traj.grid, traj.params, tuple(traj.times.tolist()),
+                                 float(t), quad_nodes, panel_length)[0]
+    val = np.einsum("jk,jk->k", W, traj.nonlinear_samples)
+    val[traj.grid.nyquist] = 0.0
+    return val
+
+
+@pytest.mark.filterwarnings("ignore::chenlee_lab.core.AliasingBudgetWarning")
+@pytest.mark.parametrize("T", [0.25, 1.0])
+def test_duhamel_integral_matches_the_frozen_einsum_form(T):
+    # the product-sum over the 17 nodes changed form, which moves the
+    # integral at roundoff only: at the node times, where the probes
+    # evaluate it, and between them
+    traj = _probe_trajectory(random_real_field(GRID, np.random.default_rng(7),
+                                               spectral_decay=1.0), T)
+    off_node = 0.5 * (traj.times[:-1] + traj.times[1:])
+    for t in np.concatenate([traj.times[1:], off_node]):
+        ref = _frozen_duhamel(traj, t)
+        val = duhamel_integral(traj, t, check=False).coeffs
+        assert np.linalg.norm(val - ref) <= 1e-15 * np.linalg.norm(ref), t
+
+
 def test_second_probe_builds_no_multiplier():
     # the probes' linear flows share the semigroup multiplier at every node
     _probe_trajectory(_gaussian(0.5), 0.25)
@@ -676,6 +700,27 @@ def test_picard_diverges_for_large_data():
     phi = _gaussian(40.0)
     with pytest.raises((NonContractionError, SolverBlowupError, PicardError)):
         solve_picard(phi, PARAMS, SolverConfig(dt=1e-3, T=1.0))
+
+
+def _frozen_sup_hs(grid, mat, s):
+    # solve_picard's sup-in-time norm as written before the stacked form:
+    # one SpectralField and one norm per node
+    w = spaces._sobolev_weight(grid, s)
+    return max(float(np.sqrt(np.sum(w * np.abs(row) ** 2) * grid.dxi)) for row in mat)
+
+
+@pytest.mark.parametrize("s", [-0.4, 0.0, 1.0])
+def test_picard_info_bitwise_equals_the_per_row_sup_norm(s, monkeypatch):
+    phi = _gaussian(0.05)
+    cfg = SolverConfig(dt=1e-3, T=0.25)
+    stacked = solve_picard(phi, PARAMS, cfg, s=s).info
+    monkeypatch.setattr(solver, "sobolev_norm_stack",
+                        lambda grid, mat, s: np.array([_frozen_sup_hs(grid, mat, s)]))
+    frozen = solve_picard(phi, PARAMS, cfg, s=s).info
+    assert len(stacked["diffs"]) >= 3
+    for key in ("diffs", "ratios"):
+        assert [x.hex() for x in stacked[key]] == [x.hex() for x in frozen[key]]
+    assert stacked["residual"].hex() == frozen["residual"].hex()
 
 
 def test_picard_is_deterministic():

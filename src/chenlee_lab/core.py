@@ -133,7 +133,9 @@ class SpectralField:
         """Forward transform of physical samples.  The Nyquist mode is
         zeroed (it has no conjugate partner and breaks real symmetry under
         the odd multipliers)."""
-        c = (grid.dx / TWO_PI_SQRT) * np.fft.fft(np.asarray(values))
+        values = np.asarray(values)
+        c = _fft(values, out=np.empty(values.shape, dtype=np.complex128))
+        np.multiply(grid.dx / TWO_PI_SQRT, c, out=c)
         phase_flip(c, out=c)
         c[grid.nyquist] = 0.0
         return cls(grid, c)
@@ -277,21 +279,55 @@ def phase_flip(coeffs: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return out
 
 
+def _ifft(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`np.fft.ifft(a, out=out)` along the last axis, bitwise, by the
+    pocketfft gufunc behind it (numpy >= 2.0), without np.fft's argument
+    handling: 5-8 us a call, which an IF-RK4 step pays eight times.  The
+    scale 1.0 / n is np.fft's `reciprocal(n)`; both are correctly rounded.
+    The gufunc is looked up at call time, as numpy loads `numpy.fft` lazily
+    and importing the package should not load it; Grid's `fftfreq` has."""
+    return np.fft._pocketfft_umath.ifft(a, 1.0 / a.shape[-1], out=out)
+
+
+def _fft(a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """`np.fft.fft(a, out=out)` along the last axis, bitwise; see `_ifft`."""
+    return np.fft._pocketfft_umath.fft(a, 1.0, out=out)
+
+
 def values_stack(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """Physical samples of a (..., M) stack of spectra, row by row (real
-    part; solver states are Hermitian-symmetric)."""
-    u = grid.M * (grid.dxi / TWO_PI_SQRT) * np.fft.ifft(phase_flip(coeffs))
+    part; solver states are Hermitian-symmetric).  The inverse transform
+    runs in place in the flipped copy, by the pocketfft gufunc behind
+    `np.fft.ifft` (see `_ifft`)."""
+    u = phase_flip(coeffs)
+    _ifft(u, out=u)
+    np.multiply(grid.M * (grid.dxi / TWO_PI_SQRT), u, out=u)
     return u.real
+
+
+@functools.lru_cache(maxsize=None)
+def _energy_sums(k: int) -> np.ndarray:
+    """Row 0 adds the 3k chunk energies of a padded spectrum, the total;
+    row 1 those of the middle third, the tail.  Read-only, as hits share it."""
+    sums = np.zeros((2, 3 * k))
+    sums[0] = 1.0
+    sums[1, k:2 * k] = 1.0
+    sums.flags.writeable = False
+    return sums
 
 
 class PaddedBuffer:
     """The kernel's workspace: `flat`, a C-contiguous complex128 (..., 3M/2)
-    array, with its views in the block layout of `nonlinear_stack`, made
-    once: `retained`, blocks 0 and 2, and `middle`, block 1, as (..., 2,
-    M/2) and (..., M/2) arrays; `power` and `cut` are the float views of
-    the whole buffer and of the middle block, which the aliasing check sums."""
+    array, in which the pocketfft gufuncs behind `np.fft` transform in
+    place (see `_ifft`), with its views in the block layout of
+    `nonlinear_stack`, made once: `retained`, blocks 0 and 2, and `middle`,
+    block 1, as (..., 2, M/2) and (..., M/2) arrays.  `power` is the float
+    view the aliasing check sums, as (..., 3k, c) chunks of c = min(M,
+    4096) floats, k = M/c per third, and `sums` the table that adds their
+    energies (see `_energy_sums`): OpenBLAS runs a ddot over more than
+    10,000 floats on its thread pool, and no ddot here is that long."""
 
-    __slots__ = ("flat", "retained", "middle", "power", "cut")
+    __slots__ = ("flat", "retained", "middle", "power", "sums")
 
     def __init__(self, flat: np.ndarray):
         n = flat.shape[-1] // 3
@@ -299,8 +335,9 @@ class PaddedBuffer:
         self.flat = flat
         self.retained = thirds[..., ::2, :]
         self.middle = thirds[..., 1, :]
-        self.power = flat.view(np.float64)
-        self.cut = self.power[..., 2 * n:4 * n]
+        c = min(2 * n, 4096)
+        self.power = flat.view(np.float64).reshape(flat.shape[:-1] + (6 * n // c, c))
+        self.sums = _energy_sums(2 * n // c)
 
 
 def nonlinear_stack(grid: Grid, coeffs: np.ndarray, dealias_budget: float = 1e-6,
@@ -358,21 +395,27 @@ def nonlinear_blocks(grid: Grid, pad: PaddedBuffer, out: np.ndarray,
     block layout: the spectra c~ = (-1)^k c of a stack, already written into
     `pad.retained`, give the spectra (-1)^k (u u_x)^ in `out`, a complex128
     (..., 2, M/2) array for the same leading shape, which is returned.
-    `pad`'s contents on return are scratch.  The aliasing check is that of
+    `pad`'s contents on return are scratch.  The transform pair runs in
+    place in `pad.flat`, by the pocketfft gufuncs behind `np.fft` (see
+    `_ifft`).  The aliasing check is that of
     `nonlinear_stack`; its warning is attributed to the first caller outside
     this module."""
     work = pad.flat
     pad.middle.fill(0.0)
     # physical samples on the fine grid; transform pair normalized as in
     # SpectralField but with 3M/2 points on the same [-L, L)
-    np.fft.ifft(work, axis=-1, out=work)
+    _ifft(work, out=work)
     np.multiply(grid._pad_scale, work, out=work)
     np.multiply(work, work, out=work)
-    np.fft.fft(work, axis=-1, out=work)
+    _fft(work, out=work)
 
-    # energies of the unscaled spectrum; the scale cancels in their ratio
-    total = np.vecdot(pad.power, pad.power)
-    tail = np.vecdot(pad.cut, pad.cut)
+    # energies of the unscaled spectrum; the scale cancels in their ratio.
+    # A ddot per chunk, then the total and the tail as two more ddots:
+    # cheaper than two reductions, and a matmul would be a gemv, whose BLAS
+    # work buffer adds 0.28 MB to the peak RSS
+    chunks = np.vecdot(pad.power, pad.power)
+    sums = np.vecdot(chunks[..., None, :], pad.sums)
+    total, tail = sums[..., 0], sums[..., 1]
     over = tail > dealias_budget * total
     if np.count_nonzero(over):
         worst = np.max(tail[over] / total[over])

@@ -146,6 +146,13 @@ def test_import_leaves_process_pools_out(prefix):
     assert _loaded_by_cli_import(prefix) == "[]"
 
 
+def test_import_leaves_numpy_fft_out():
+    # numpy.fft loads lazily: the first Grid loads it, and core.py reaches
+    # the pocketfft gufuncs through it at call time, so importing the
+    # package costs no FFT module
+    assert _loaded_by_cli_import("numpy.fft") == "[]"
+
+
 def test_import_leaves_numpy_polynomial_out():
     # the Gauss-Legendre rule loads it when the first Duhamel operator is
     # built; a stepper-only run never does

@@ -406,6 +406,27 @@ def test_nonlinear_stack_equals_frozen_kernel_bitwise(M, shape):
         assert warning.message.fraction == pytest.approx(worst, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("M", [8192, 16384])
+def test_aliasing_check_in_chunks_equals_frozen_kernel(M):
+    # above M = 4096 each third of the padded buffer's float view is summed
+    # in chunks of 4096 floats, short enough that OpenBLAS runs each ddot
+    # on one thread; the spectra stay bitwise up to the sign of an exact
+    # zero (a few top modes of the smooth row) and the fraction moves at
+    # roundoff only
+    grid = Grid(8.0 * np.pi, M)
+    assert PaddedBuffer(np.empty(3 * M // 2, dtype=np.complex128)).power.shape == (3 * M // 4096, 4096)
+    rng = np.random.default_rng(M)
+    coeffs = np.array([random_real_field(grid, rng, spectral_decay=d).coeffs
+                       for d in (6.0, 0.0)])
+    ref, worst = _frozen_nonlinear_stack(grid, coeffs)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", AliasingBudgetWarning)
+        got = nonlinear_stack(grid, coeffs)
+    assert _same_but_zero_signs(got, ref)
+    [warning] = caught
+    assert warning.message.fraction == pytest.approx(worst, rel=1e-12, abs=0.0)
+
+
 @pytest.mark.filterwarnings("ignore::chenlee_lab.core.AliasingBudgetWarning")
 @pytest.mark.parametrize("shape", [(), (6,), (2, 3)], ids=["M", "6xM", "2x3xM"])
 @pytest.mark.parametrize("M", [8, 512, 4096])
@@ -524,6 +545,37 @@ def test_random_field_band_restriction():
 # the transform convention lives in core.py
 # ---------------------------------------------------------------------------
 
+_FFT_MODULES = ("numpy.fft", "scipy.fft")
+# names by which a module reaches a transform: the packages and numpy's
+# pocketfft gufuncs behind np.fft, which core.py calls directly
+_FFT_NAMES = {"fft", "_pocketfft", "_pocketfft_umath"}
+
+
+def _names_fft_module(name):
+    return name in _FFT_MODULES or name.startswith(tuple(m + "." for m in _FFT_MODULES))
+
+
+def _fft_leaks(source, filename, private=frozenset()):
+    """Each place in `source` that reaches a transform module, a gufunc
+    behind one, or one of the attribute names in `private`."""
+    leaks = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        if isinstance(node, ast.Attribute) and (node.attr in _FFT_NAMES or node.attr in private):
+            leaks.append(f"{filename}:{node.lineno}: .{node.attr}")
+        elif isinstance(node, ast.Import):
+            leaks += [f"{filename}:{node.lineno}: import {a.name}" for a in node.names
+                      if _names_fft_module(a.name)]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            leaks += [f"{filename}:{node.lineno}: from {node.module} import {a.name}"
+                      for a in node.names
+                      if _names_fft_module(node.module)
+                      or _names_fft_module(f"{node.module}.{a.name}")]
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and (
+                node.value in _FFT_NAMES or _names_fft_module(node.value)):
+            leaks.append(f"{filename}:{node.lineno}: {node.value!r}")
+    return leaks
+
+
 def test_only_core_touches_the_fft_and_the_grids_private_tables():
     # np.fft and the grid's private tables are how spectra are stored; every
     # other module goes through core.py's functions and Grid's public names
@@ -531,19 +583,27 @@ def test_only_core_touches_the_fft_and_the_grids_private_tables():
     private = {name for name in vars(Grid(1.0, 8)) if name.startswith("_")}
     private |= {name for name in vars(Grid) if name.startswith("_") and not name.startswith("__")}
     assert private  # the ratchet looks at something
-    fft_modules = {"numpy.fft", "scipy.fft"}
     leaks = []
     for path in sorted(pathlib.Path(chenlee_lab.__file__).parent.glob("*.py")):
-        if path.name == "core.py":
-            continue
-        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
-            if isinstance(node, ast.Attribute) and (node.attr == "fft" or node.attr in private):
-                leaks.append(f"{path.name}:{node.lineno}: .{node.attr}")
-            elif isinstance(node, ast.Import):
-                leaks += [f"{path.name}:{node.lineno}: import {a.name}" for a in node.names
-                          if a.name in fft_modules]
-            elif isinstance(node, ast.ImportFrom) and node.module:
-                leaks += [f"{path.name}:{node.lineno}: from {node.module} import {a.name}"
-                          for a in node.names
-                          if node.module in fft_modules or f"{node.module}.{a.name}" in fft_modules]
+        if path.name != "core.py":
+            leaks += _fft_leaks(path.read_text(), path.name, private)
     assert leaks == []
+
+
+@pytest.mark.parametrize("source", [
+    "np.fft._pocketfft_umath.ifft(a, 1.0 / n, out=a)",
+    "import numpy.fft._pocketfft_umath as pfu",
+    "import numpy.fft",
+    "from numpy.fft import _pocketfft_umath",
+    "from numpy.fft._pocketfft_umath import ifft",
+    "from numpy import fft",
+    "from scipy.fft import fft",
+    "pfu = sys.modules['numpy.fft._pocketfft_umath']",
+    "pfu = importlib.import_module('numpy.fft._pocketfft_umath')",
+    "pfu = getattr(np.linalg, '_pocketfft_umath')",
+    "transforms = getattr(np, 'fft')",
+])
+def test_ratchet_catches_every_route_to_the_transform(source):
+    # the ratchet above is only as good as its scan: each way a module could
+    # reach np.fft or the pocketfft gufuncs behind it is a leak
+    assert _fft_leaks(source, "module.py") != []

@@ -29,7 +29,7 @@ from .config import (
     parse_config,
     validate,
 )
-from .core import EquationParams, semigroup_apply
+from .core import EquationParams, row_blocks, semigroup_apply
 from .decay import decay_report, mass_drift, weighted_energy_rate
 from .flowderiv import illposed_growth_c2_nd, illposed_growth_c3
 from .limits import LimitSweepConfig, beta_limit_sweep, eta_limit_sweep
@@ -43,7 +43,7 @@ from .solver import (
     solve_picard,
     solve_stepper,
 )
-from .spaces import l2_norm, sobolev_norm
+from .spaces import l2_norm, sobolev_norm, sobolev_norm_stack
 
 NUMERICAL_ERRORS = (SolverBlowupError, PicardError, QuadratureConvergenceError,
                     FloatingPointError)
@@ -73,10 +73,12 @@ def _run_solve(cfg: RunConfig):
     traj = solve_stepper(phi, cfg.equation_params(), cfg.solver_config())
     rep = ExperimentReport("trajectory",
                            ["t", "l2", "hs", "re_uhat0", "im_uhat0"])
-    for t, u in zip(traj.times, traj.states):
-        rep.add_row(t, l2_norm(u), sobolev_norm(u, cfg.sweep_s),
-                    float(u.coeffs[0].real), float(u.coeffs[0].imag))
-    drift = mass_drift([u.coeffs[0] for u in traj.states])
+    l2, hs = row_blocks(lambda c: (sobolev_norm_stack(traj.grid, c, 0.0),
+                                   sobolev_norm_stack(traj.grid, c, cfg.sweep_s)), traj.coeffs)
+    mass = traj.coeffs[:, 0]
+    for row in zip(traj.times, l2, hs, mass.real, mass.imag):
+        rep.add_row(*row)
+    drift = mass_drift(mass)
     rep.summary.update({
         "mass_drift": drift,
         "mass_tolerance": cfg.mass_tolerance,

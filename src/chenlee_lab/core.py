@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 TWO_PI_SQRT = np.sqrt(2.0 * np.pi)
+DEALIAS_BUDGET = 1e-6  # see nonlinear_stack
 
 
 class AliasingBudgetWarning(UserWarning):
@@ -130,15 +131,8 @@ class SpectralField:
 
     @classmethod
     def from_values(cls, grid: Grid, values: np.ndarray) -> "SpectralField":
-        """Forward transform of physical samples.  The Nyquist mode is
-        zeroed (it has no conjugate partner and breaks real symmetry under
-        the odd multipliers)."""
-        values = np.asarray(values)
-        c = _fft(values, out=np.empty(values.shape, dtype=np.complex128))
-        np.multiply(grid.dx / TWO_PI_SQRT, c, out=c)
-        phase_flip(c, out=c)
-        c[grid.nyquist] = 0.0
-        return cls(grid, c)
+        """The one-row case of `from_values_stack`."""
+        return cls(grid, from_values_stack(grid, values))
 
     @classmethod
     def from_function(cls, grid: Grid, f) -> "SpectralField":
@@ -220,20 +214,27 @@ def linear_symbol(xi, params: EquationParams):
 # operators
 # ---------------------------------------------------------------------------
 
+def hilbert_stack(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+    """H along the last axis of a (..., M) stack of spectra: the multiplier
+    i*sgn(xi), sgn(0) = 0, so H^2 = -I on mean-zero fields."""
+    c = coeffs * (1j * np.sign(grid.xi))
+    c[..., grid.nyquist] = 0.0
+    return c
+
+
+def x_derivative_stack(grid: Grid, coeffs: np.ndarray, order: int = 1) -> np.ndarray:
+    """d^order/dx^order along the last axis of a (..., M) stack of spectra."""
+    c = coeffs * (1j * grid.xi) ** order
+    c[..., grid.nyquist] = 0.0
+    return c
+
+
 def hilbert_transform(f: SpectralField) -> SpectralField:
-    """Multiply coefficient-wise by i*sgn(xi); sgn(0) = 0 so the mean maps
-    to zero and H^2 = -I on mean-zero fields."""
-    g = f.grid
-    c = f.coeffs * (1j * np.sign(g.xi))
-    c[g.nyquist] = 0.0
-    return SpectralField(g, c, check=False)
+    return SpectralField(f.grid, hilbert_stack(f.grid, f.coeffs), check=False)
 
 
 def x_derivative(f: SpectralField, order: int = 1) -> SpectralField:
-    g = f.grid
-    c = f.coeffs * (1j * g.xi) ** order
-    c[g.nyquist] = 0.0
-    return SpectralField(g, c, check=False)
+    return SpectralField(f.grid, x_derivative_stack(f.grid, f.coeffs, order), check=False)
 
 
 @functools.lru_cache(maxsize=64)
@@ -305,6 +306,33 @@ def values_stack(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     return u.real
 
 
+def from_values_stack(grid: Grid, values: np.ndarray) -> np.ndarray:
+    """Spectra of a (..., M) stack of physical samples, row by row, in
+    double precision (see `_fft`).  The Nyquist mode is zeroed (it has no
+    conjugate partner and breaks real symmetry under the odd multipliers)."""
+    values = np.asarray(values)
+    c = _fft(values, out=np.empty(values.shape, dtype=np.complex128))
+    np.multiply(grid.dx / TWO_PI_SQRT, c, out=c)
+    phase_flip(c, out=c)
+    c[..., grid.nyquist] = 0.0
+    return c
+
+
+def row_blocks(fn, *stacks):
+    """`fn` over consecutive row blocks of the (K, M) `stacks` (the same
+    rows of each), its per-row results (an array or a tuple of arrays)
+    joined along the first axis.  A block holds at most 4096 entries, so
+    the temporaries of `fn` do not grow with K (whole-stack ones cost up to
+    4 MB of peak memory on a run's trajectories); row-wise work gives the
+    same bits in any block."""
+    K, M = stacks[0].shape
+    rows = max(1, 4096 // M)
+    parts = [fn(*(s[i:i + rows] for s in stacks)) for i in range(0, K, rows)]
+    if isinstance(parts[0], tuple):
+        return tuple(np.concatenate(p) for p in zip(*parts))
+    return np.concatenate(parts)
+
+
 @functools.lru_cache(maxsize=None)
 def _energy_sums(k: int) -> np.ndarray:
     """Row 0 adds the 3k chunk energies of a padded spectrum, the total;
@@ -340,8 +368,7 @@ class PaddedBuffer:
         self.sums = _energy_sums(2 * n // c)
 
 
-def nonlinear_stack(grid: Grid, coeffs: np.ndarray, dealias_budget: float = 1e-6,
-                    *, out: np.ndarray | None = None,
+def nonlinear_stack(grid: Grid, coeffs: np.ndarray, *, out: np.ndarray | None = None,
                     work: np.ndarray | None = None) -> np.ndarray:
     """Spectra of u*u_x = (1/2) d/dx (u^2) for a (..., M) stack of spectra u,
     row by row.
@@ -349,7 +376,7 @@ def nonlinear_stack(grid: Grid, coeffs: np.ndarray, dealias_budget: float = 1e-6
     The square is formed on a 3/2 zero-padded grid, so the retained modes
     are alias-free (2/3 rule).  The energy fraction of each row's u^2 living
     in the truncated upper third of the padded spectrum is compared against
-    `dealias_budget`; exceeding it signals an under-resolved product.  One
+    `DEALIAS_BUDGET`; exceeding it signals an under-resolved product.  One
     warning per call carries the worst row's fraction as `.fraction`; its
     text names only the budget, so Python's once-per-location filter folds
     the repeats of a run.
@@ -384,13 +411,12 @@ def nonlinear_stack(grid: Grid, coeffs: np.ndarray, dealias_budget: float = 1e-6
     pad = PaddedBuffer(work)
     blocks = out.reshape(lead + (2, half))
     phase_flip(coeffs.reshape(lead + (2, half)), out=pad.retained)
-    nonlinear_blocks(grid, pad, blocks, dealias_budget)
+    nonlinear_blocks(grid, pad, blocks)
     phase_flip(blocks, out=blocks)
     return out
 
 
-def nonlinear_blocks(grid: Grid, pad: PaddedBuffer, out: np.ndarray,
-                     dealias_budget: float = 1e-6) -> np.ndarray:
+def nonlinear_blocks(grid: Grid, pad: PaddedBuffer, out: np.ndarray) -> np.ndarray:
     """The kernel of `nonlinear_stack`, in phase-free coordinates and the
     block layout: the spectra c~ = (-1)^k c of a stack, already written into
     `pad.retained`, give the spectra (-1)^k (u u_x)^ in `out`, a complex128
@@ -416,11 +442,11 @@ def nonlinear_blocks(grid: Grid, pad: PaddedBuffer, out: np.ndarray,
     chunks = np.vecdot(pad.power, pad.power)
     sums = np.vecdot(chunks[..., None, :], pad.sums)
     total, tail = sums[..., 0], sums[..., 1]
-    over = tail > dealias_budget * total
+    over = tail > DEALIAS_BUDGET * total
     if np.count_nonzero(over):
         worst = np.max(tail[over] / total[over])
         warning = AliasingBudgetWarning(
-            f"quadratic product carries more than its budget {dealias_budget:.1e} "
+            f"quadratic product carries more than its budget {DEALIAS_BUDGET:.1e} "
             f"of its energy in truncated modes")
         warning.fraction = float(worst)
         frame, level = sys._getframe(1), 2  # this function's caller...
@@ -434,11 +460,10 @@ def nonlinear_blocks(grid: Grid, pad: PaddedBuffer, out: np.ndarray,
     return out
 
 
-def nonlinear_term(u: SpectralField, dealias_budget: float = 1e-6) -> SpectralField:
+def nonlinear_term(u: SpectralField) -> SpectralField:
     """Spectral representation of u*u_x, dealiased and checked against
-    `dealias_budget` as in `nonlinear_stack`."""
-    return SpectralField(u.grid, nonlinear_stack(u.grid, u.coeffs, dealias_budget),
-                         check=False)
+    `DEALIAS_BUDGET`: the one-row case of `nonlinear_stack`."""
+    return SpectralField(u.grid, nonlinear_stack(u.grid, u.coeffs), check=False)
 
 
 def random_real_field(grid: Grid, rng: np.random.Generator, band=None,

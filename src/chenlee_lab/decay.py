@@ -14,15 +14,17 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    SpectralField,
     TWO_PI_SQRT,
-    hilbert_transform,
-    nonlinear_term,
-    x_derivative,
+    from_values_stack,
+    hilbert_stack,
+    nonlinear_stack,
+    row_blocks,
+    values_stack,
+    x_derivative_stack,
 )
 from .report import ExperimentReport
 from .solver import Trajectory
-from .spaces import l2_norm, weighted_l2_norm
+from .spaces import sobolev_norm_stack
 
 
 @dataclass
@@ -40,7 +42,7 @@ class MomentTrace:
         for a in (self.mass, self.dmass, self.l2sq, self.w1, self.w2, self.w3):
             if a.size != n:
                 raise ValueError("trace arrays misaligned")
-        if not np.all(np.isfinite(self.mass.view(np.float64))):
+        if not np.all(np.isfinite(self.mass)):
             raise ValueError("non-finite mass entries")
         if np.any(self.l2sq < 0):
             raise ValueError("negative L^2 energy")
@@ -57,28 +59,18 @@ def mass_drift(mass) -> float:
     return float(np.abs(mass - mass[0]).max())
 
 
-def _first_moment(u: SpectralField) -> complex:
-    """-i (2 pi)^{-1/2} int x u(x) dx by rectangle-rule quadrature."""
-    g = u.grid
-    return complex(-1j / TWO_PI_SQRT * np.sum(g.x * u.values()) * g.dx)
-
-
-def _weighted_norm_physical(u: SpectralField, r: int) -> float:
-    """||x^r u||_{L^2} (pure monomial weight; boundary guard as in
-    weighted_l2_norm applies through the caller's data choices)."""
-    g = u.grid
-    w = (g.x ** r * u.values()) ** 2
-    return float(np.sqrt(np.sum(w) * g.dx))
-
-
 def moment_trace(traj: Trajectory) -> MomentTrace:
-    mass = np.array([u.coeffs[0] for u in traj.states])
-    dmass = np.array([_first_moment(u) for u in traj.states])
-    l2sq = np.array([l2_norm(u) ** 2 for u in traj.states])
-    w1 = np.array([_weighted_norm_physical(u, 1) for u in traj.states])
-    w2 = np.array([_weighted_norm_physical(u, 2) for u in traj.states])
-    w3 = np.array([_weighted_norm_physical(u, 3) for u in traj.states])
-    return MomentTrace(traj.times, mass, dmass, l2sq, w1, w2, w3)
+    g = traj.grid
+
+    def moments(c):
+        # the first moment -i (2 pi)^{-1/2} int x u dx and ||x^r u||_{L^2},
+        # by rectangle-rule quadrature
+        u = values_stack(g, c)
+        w1, w2, w3 = (np.sqrt(np.sum((g.x ** r * u) ** 2, axis=-1) * g.dx) for r in (1, 2, 3))
+        return (c[:, 0], -1j / TWO_PI_SQRT * np.sum(g.x * u, axis=-1) * g.dx,
+                sobolev_norm_stack(g, c, 0.0) ** 2, w1, w2, w3)
+
+    return MomentTrace(traj.times, *row_blocks(moments, traj.coeffs))
 
 
 def yacasi_identity_residual(traj: Trajectory) -> float:
@@ -89,14 +81,14 @@ def yacasi_identity_residual(traj: Trajectory) -> float:
     transform at 0 is the L^2 energy over sqrt(2 pi).  The residual is pure
     quadrature/boundary error.
     """
-    worst = 0.0
-    for u in traj.states:
-        g = u.grid
-        w = x_derivative(SpectralField.from_values(g, u.values() ** 2))
-        moment = np.sum(g.x * w.values()) * g.dx
-        energy = l2_norm(u) ** 2
-        worst = max(worst, abs(moment + energy) / TWO_PI_SQRT)
-    return float(worst)
+    g = traj.grid
+
+    def residuals(c):
+        w = x_derivative_stack(g, from_values_stack(g, values_stack(g, c) ** 2))
+        moment = np.sum(g.x * values_stack(g, w), axis=-1) * g.dx
+        return np.abs(moment + sobolev_norm_stack(g, c, 0.0) ** 2) / TWO_PI_SQRT
+
+    return float(row_blocks(residuals, traj.coeffs).max())
 
 
 def _simpson(y: np.ndarray, x: np.ndarray) -> float:
@@ -131,7 +123,8 @@ def listo_functional(traj: Trajectory, t: float) -> float:
     """int_0^t (t - tau) ||u(tau)||_{L^2}^2 dtau (Simpson on the stored
     samples); strictly positive for any nonzero trajectory, which is the
     contrapositive driving unique continuation."""
-    return _listo(traj.times, np.array([l2_norm(u) ** 2 for u in traj.states]), t)
+    l2sq = row_blocks(lambda c: sobolev_norm_stack(traj.grid, c, 0.0) ** 2, traj.coeffs)
+    return _listo(traj.times, l2sq, t)
 
 
 def _listo(times: np.ndarray, l2sq: np.ndarray, t: float) -> float:
@@ -159,34 +152,32 @@ def weighted_energy_rate(traj: Trajectory) -> ExperimentReport:
         raise ValueError("need at least 3 stored states")
     x = g.x
 
-    xu_sq = []
-    rhs = []
-    for u in traj.states:
-        uv = u.values()
-        xu = x * uv
-        xu_sq.append(np.sum(xu * xu) * g.dx)
-        terms = -x * nonlinear_term(u).values()
-        terms -= p.beta * x * hilbert_transform(x_derivative(u, 2)).values()
-        terms -= p.eta * x * hilbert_transform(x_derivative(u)).values()
-        terms += p.eta * x * x_derivative(u, 2).values()
-        rhs.append(np.sum(xu * terms) * g.dx)
-    xu_sq = np.array(xu_sq)
-    rhs = np.array(rhs)
+    def energies(c):  # ||x u||^2, the right side and ||u||^2 of each row
+        xu = x * values_stack(g, c)
+        terms = -x * values_stack(g, nonlinear_stack(g, c))
+        u_xx = x_derivative_stack(g, c, 2)
+        terms -= p.beta * x * values_stack(g, hilbert_stack(g, u_xx))
+        terms -= p.eta * x * values_stack(g, hilbert_stack(g, x_derivative_stack(g, c)))
+        terms += p.eta * x * values_stack(g, u_xx)
+        return (np.sum(xu * xu, axis=-1) * g.dx, np.sum(xu * terms, axis=-1) * g.dx,
+                sobolev_norm_stack(g, c, 0.0) ** 2)
+
+    xu_sq, rhs, l2sq = row_blocks(energies, traj.coeffs)
 
     lhs = np.gradient(0.5 * xu_sq, times, edge_order=2)
     resid = np.abs(lhs[1:-1] - rhs[1:-1])  # interior: centered differences
 
     report = ExperimentReport("weighted_energy_rate",
                               ["t", "lhs", "rhs", "residual"])
-    for i in range(1, times.size - 1):
-        report.add_row(times[i], lhs[i], rhs[i], abs(lhs[i] - rhs[i]))
+    for row in zip(times[1:-1], lhs[1:-1], rhs[1:-1], resid):
+        report.add_row(*row)
     scale = max(np.abs(rhs).max(), 1.0)
     # Gronwall-style constant: growth rate against the full weighted norm
-    fnorm_sq = np.array([l2_norm(u) ** 2 for u in traj.states]) + xu_sq
+    fnorm_sq = l2sq + xu_sq
     with np.errstate(divide="ignore", invalid="ignore"):
         C_fit = float(np.nanmax(np.abs(2.0 * rhs[1:-1]) / fnorm_sq[1:-1]))
     report.summary.update({
-        "max_residual": float(resid.max()) if resid.size else 0.0,
+        "max_residual": float(resid.max()),
         "rhs_scale": float(scale),
         "gronwall_C": C_fit,
     })

@@ -22,7 +22,7 @@ import os
 import pickle
 import threading
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -69,72 +69,79 @@ class QuadratureConvergenceError(RuntimeError):
     pass
 
 
+# the Picard route's Chebyshev panels, and the composite Gauss-Legendre rule
+# of every Duhamel integral: nodes per panel and panel length
+_PICARD_PANELS = 16
+_QUAD_NODES = 10
+_PANEL_LENGTH = 0.25
+
+
 @dataclass(frozen=True)
 class SolverConfig:
     dt: float = 1e-3
     T: float = 1.0
     picard_max_iters: int = 40
     picard_tol: float = 1e-12
-    n_time_nodes: int = 16  # Chebyshev panels for the Picard route
-    quad_nodes: int = 10  # Gauss-Legendre nodes per quadrature panel
-    panel_length: float = 0.25
     keep_every: int = 1
     amplitude_cap: float = 1e6
-    dealias_budget: float = 1e-6
 
     def __post_init__(self):
         if self.dt <= 0 or self.T <= 0:
             raise ValueError("dt and T must be positive")
         if self.dt > self.T:
             raise ValueError(f"dt={self.dt} exceeds T={self.T}")
-        if self.picard_tol <= 0:
-            raise ValueError("picard_tol must be positive")
-        for name in ("picard_max_iters", "n_time_nodes", "quad_nodes", "keep_every"):
+        for name in ("picard_max_iters", "keep_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("panel_length", "amplitude_cap"):
+        for name in ("picard_tol", "amplitude_cap"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
-        if self.dealias_budget < 0:
-            raise ValueError(f"dealias_budget must be >= 0, got {self.dealias_budget}")
 
 
-@dataclass
 class Trajectory:
-    times: np.ndarray
-    states: tuple  # of SpectralField; a tuple, so nonlinear_samples stays valid
-    params: EquationParams
-    info: dict = field(default_factory=dict)
+    """A solution sampled at increasing `times` from t = 0: one read-only
+    complex (K, M) array `coeffs` on `grid`, row k the spectrum at times[k],
+    of which `states` and `final_state()` are SpectralField views.  `times`
+    is read-only too, so what is cached from them cannot go stale.  Built
+    from SpectralFields, stacked once (a copy), or by the solvers from a
+    stack they hand over (`from_stack`)."""
 
-    def __post_init__(self):
-        self.times = np.asarray(self.times, dtype=float)
-        self.states = tuple(self.states)
-        if self.times.size != len(self.states):
-            raise ValueError("times/states length mismatch")
-        if self.times.size and self.times[0] != 0.0:
-            raise ValueError("trajectory must start at t=0")
-        if self.times.size > 1 and (np.diff(self.times) <= 0).any():
-            raise ValueError("trajectory times must be strictly increasing")
+    def __init__(self, times, states, params: EquationParams, info: dict | None = None):
+        states = tuple(states)
+        if any(u.grid != states[0].grid for u in states):
+            raise ValueError("states on different grids")
+        self._adopt(states[0].grid if states else None, np.array(times, dtype=float),
+                    np.array([u.coeffs for u in states], dtype=np.complex128), params, info)
+
+    @classmethod
+    def from_stack(cls, grid: Grid, times, coeffs: np.ndarray, params: EquationParams,
+                   info: dict | None = None) -> "Trajectory":
+        """The trajectory of the (K, M) array `coeffs`, taken over as it is."""
+        traj = cls.__new__(cls)
+        traj._adopt(grid, np.asarray(times, dtype=float), coeffs, params, info)
+        return traj
+
+    def _adopt(self, grid, times, coeffs, params, info):
+        if not times.size or times.shape != coeffs.shape[:1]:
+            raise ValueError("a trajectory needs one state per time, and at least one")
+        if times[0] != 0.0 or (np.diff(times) <= 0).any():
+            raise ValueError("trajectory times must start at t=0 and increase strictly")
+        times.flags.writeable = coeffs.flags.writeable = False
+        self.grid, self.times, self.coeffs, self.params = grid, times, coeffs, params
+        self.info = {} if info is None else info
+        self._node_key = tuple(times.tolist())  # the Duhamel operators' key
 
     @property
-    def grid(self) -> Grid:
-        return self.states[0].grid
+    def states(self) -> tuple:
+        return tuple(SpectralField(self.grid, row, check=False) for row in self.coeffs)
 
     def final_state(self) -> SpectralField:
-        return self.states[-1]
+        return SpectralField(self.grid, self.coeffs[-1], check=False)
 
     @functools.cached_property
     def nonlinear_samples(self) -> np.ndarray:
-        """(nodes, M) spectra of u u_x at the stored states, computed once
-        as one stack."""
-        return nonlinear_stack(self.grid, np.array([u.coeffs for u in self.states]))
-
-    @functools.cached_property
-    def _node_key(self) -> tuple:
-        """`times` as a tuple of floats, the node key of the Duhamel
-        operators, computed once; valid as long as `times` is not written
-        to, as `nonlinear_samples` is for `states`."""
-        return tuple(self.times.tolist())
+        """(K, M) spectra of u u_x at the stored states, computed once."""
+        return nonlinear_stack(self.grid, self.coeffs)
 
 
 # ---------------------------------------------------------------------------
@@ -230,7 +237,7 @@ def _duhamel_operator(grid: Grid, params: EquationParams, nodes: tuple, t: float
 
 
 def duhamel_integral(traj_segment: Trajectory, t: float,
-                     quad_nodes: int = 10, panel_length: float = 0.25,
+                     quad_nodes: int = _QUAD_NODES, panel_length: float = _PANEL_LENGTH,
                      tol: float = 1e-8, check: bool = True) -> SpectralField:
     """int_0^t S(t - t') [u u_x](t') dt' evaluated from a stored trajectory.
 
@@ -288,21 +295,20 @@ def solve_picard(phi: SpectralField, params: EquationParams, config: SolverConfi
     if params.eta <= 0:
         raise ValueError("the Picard route needs eta > 0 (dissipative estimates)")
     grid = phi.grid
-    times = chebyshev_nodes(config.T, config.n_time_nodes)
+    times = chebyshev_nodes(config.T, _PICARD_PANELS)
     sym = linear_symbol(grid.xi, params)
     sym[grid.nyquist] = 0.0
     E_nodes = np.exp(np.multiply.outer(times, sym))
     E_nodes[:, grid.nyquist] = 0.0
     lin = E_nodes * phi.coeffs[None, :]
     nodes = tuple(times.tolist())
-    W = np.array([_duhamel_operator(grid, params, nodes, t, config.quad_nodes,
-                                    config.panel_length)[0]
+    W = np.array([_duhamel_operator(grid, params, nodes, t, _QUAD_NODES, _PANEL_LENGTH)[0]
                   for t in nodes[1:]])
 
     def apply_map(u_mat: np.ndarray) -> np.ndarray:
         if not params.nonlinear:
             return lin.copy()
-        G = nonlinear_stack(grid, u_mat, config.dealias_budget)
+        G = nonlinear_stack(grid, u_mat)
         out = lin.copy()
         out[1:] -= np.einsum("ijk,jk->ik", W, G)
         return out
@@ -337,10 +343,9 @@ def solve_picard(phi: SpectralField, params: EquationParams, config: SolverConfi
         )
 
     residual = sup_hs(apply_map(u) - u)
-    states = [SpectralField(grid, row.copy()) for row in u]
-    return Trajectory(times, states, params,
-                      info={"method": "picard", "diffs": diffs, "ratios": ratios,
-                            "residual": residual, "s": s})
+    return Trajectory.from_stack(grid, times, u, params,
+                                 info={"method": "picard", "diffs": diffs, "ratios": ratios,
+                                       "residual": residual, "s": s})
 
 
 # ---------------------------------------------------------------------------
@@ -400,10 +405,10 @@ def solve_stepper_stack(phi: SpectralField, params_list, config: SolverConfig) -
                                nonlinear[lo:hi], n_steps, dt, config)
              for lo, hi in zip(bounds, bounds[1:])]
     members = [(times, block) for times, kept in _run_split(steps) for block in kept]
-    return [Trajectory(times, [SpectralField(grid, row, check=False) for row in block],
-                       params, info={"method": "if_rk4", "dt": dt, "n_steps": n_steps,
-                                     "sweep_size": B, "processes": n_proc,
-                                     "rhs_evals": 4 * n_steps})
+    return [Trajectory.from_stack(grid, times, block, params,
+                                  info={"method": "if_rk4", "dt": dt, "n_steps": n_steps,
+                                        "sweep_size": B, "processes": n_proc,
+                                        "rhs_evals": 4 * n_steps})
             for (times, block), params in zip(members, params_list)]
 
 
@@ -455,7 +460,6 @@ def _if_rk4(grid: Grid, c: np.ndarray, E1: np.ndarray, E2: np.ndarray,
     blocks = (B, 2, M // 2)
     c, E1, E2 = (a.reshape(blocks) for a in (c, E1, E2))
     E2x2 = 2.0 * E2
-    budget = config.dealias_budget
     # one workspace for the whole run: the kernel's padded buffer, a block
     # for the nonlinear rows when some rows are linear, the four stages and
     # three temporaries
@@ -474,12 +478,12 @@ def _if_rk4(grid: Grid, c: np.ndarray, E1: np.ndarray, E2: np.ndarray,
         if part is None:
             if src is not buf:
                 np.copyto(buf, src)
-            nonlinear_blocks(grid, pad, k, budget)
+            nonlinear_blocks(grid, pad, k)
             np.multiply(k, neg_dt, out=k)  # bitwise dt * (-k)
             return
         if rows.size:
             buf[...] = src[rows]
-            nonlinear_blocks(grid, pad, part, budget)
+            nonlinear_blocks(grid, pad, part)
             np.multiply(part, neg_dt, out=part)
             k[rows] = part
         k[linear] = 0.0  # linear members have no nonlinearity

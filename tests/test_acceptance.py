@@ -266,6 +266,19 @@ def test_criterion10_cauchy_rate(eta_sweep_report):
     assert ok
 
 
+def test_criterion10_cauchy_local_slopes_climb_toward_one(eta_sweep_report):
+    # the finding behind the xfail above: smooth data make the flow
+    # differentiable in eta, so the local slopes log2(cauchy(eta) /
+    # cauchy(eta/2)) of the tuned run (configs/eta-limit.cfg, the fixture's
+    # settings) climb toward 1 as eta -> 0, not toward the Gronwall 1/2
+    cauchy = eta_sweep_report.column("cauchy_diff").astype(float)
+    slopes = np.log2(cauchy[:-1] / cauchy[1:])
+    ok = len(slopes) == 3 and np.all(np.diff(slopes) > 0) and slopes[-1] < 1.0
+    _line(10, "eta-limit-local-slopes", ok,
+          "local slopes " + ", ".join(f"{s:.3f}" for s in slopes))
+    assert ok
+
+
 # ---------------------------------------------------------------------------
 # 11. moment identities
 # ---------------------------------------------------------------------------

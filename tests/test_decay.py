@@ -49,9 +49,28 @@ def test_moment_trace_gaussian_oracle():
     assert tr.mass_drift == 0.0
 
 
+def test_diagnostics_do_not_depend_on_the_row_blocks():
+    # a trajectory's diagnostics run over blocks of rows (four at M = 1024,
+    # so these six states make a full block and a partial one); each row
+    # has the bits of its state alone, a block of one row
+    traj = _decay_traj(1e-3, 40)
+    trace = moment_trace(traj)
+    for k, u in enumerate(traj.states):
+        alone = moment_trace(_static(u))
+        for name in ("mass", "dmass", "l2sq", "w1", "w2", "w3"):
+            assert getattr(alone, name).tobytes() == getattr(trace, name)[k:k + 1].tobytes()
+    assert yacasi_identity_residual(traj) == max(
+        yacasi_identity_residual(_static(u)) for u in traj.states)
+
+
 def test_moment_trace_validation():
     t = np.array([0.0, 1.0])
     ones = np.ones(2)
+    # a column of a trajectory's stack is a strided array, and is accepted
+    column = np.ones((2, 4), complex)[:, 0]
+    assert MomentTrace(t, column, column, ones, ones, ones, ones).mass_drift == 0.0
+    with pytest.raises(ValueError):
+        MomentTrace(t, np.array([1.0, np.nan * 1j]), column, ones, ones, ones, ones)
     with pytest.raises(ValueError):
         MomentTrace(t, np.ones(3, complex), ones.astype(complex), ones, ones, ones, ones)
     with pytest.raises(ValueError):

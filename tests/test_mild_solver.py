@@ -59,13 +59,11 @@ def test_solver_config_validation():
         SolverConfig(dt=0.0)
     with pytest.raises(ValueError):
         SolverConfig(dt=2.0, T=1.0)
-    # rejected at construction, before a solver divides by it (keep_every),
-    # reports a spurious blow-up (amplitude_cap) or warns on every product
-    # (dealias_budget); the smallest accepted value passes
-    for name, bad, smallest in [("keep_every", 0, 1), ("n_time_nodes", 0, 1),
-                                ("quad_nodes", 0, 1), ("picard_max_iters", 0, 1),
-                                ("panel_length", 0.0, 1e-3), ("amplitude_cap", 0.0, 1e-3),
-                                ("amplitude_cap", -1.0, 1e-3), ("dealias_budget", -1e-9, 0.0)]:
+    # rejected at construction, before a solver divides by it (keep_every)
+    # or reports a spurious blow-up (amplitude_cap); the smallest accepted
+    # value passes
+    for name, bad, smallest in [("keep_every", 0, 1), ("picard_max_iters", 0, 1),
+                                ("amplitude_cap", 0.0, 1e-3), ("amplitude_cap", -1.0, 1e-3)]:
         with pytest.raises(ValueError, match=name):
             SolverConfig(**{name: bad})
         SolverConfig(**{name: smallest})
@@ -79,6 +77,34 @@ def test_trajectory_validation():
         Trajectory(np.array([0.0, 0.5, 0.25]), [u, u, u], PARAMS)
     with pytest.raises(ValueError):
         Trajectory(np.array([0.5]), [u], PARAMS)  # must start at 0
+    with pytest.raises(ValueError, match="grids"):  # same M, another box
+        Trajectory(np.array([0.0, 0.5]), [u, _gaussian(1.0, Grid(4.0 * np.pi, 256))], PARAMS)
+
+
+def test_trajectories_are_read_only():
+    # a write into a stored state or time would leave the samples cached
+    # from them stale, so every trajectory refuses it, however it was built
+    phi = _gaussian(0.1)
+    times = np.array([0.0, 0.1, 0.2])
+    fields = [semigroup_apply(phi, t, PARAMS) for t in times]
+    built = Trajectory(times, fields, PARAMS)
+    for traj in (solve_stepper(phi, PARAMS, SolverConfig(dt=1e-3, T=0.05, keep_every=10)),
+                 solve_picard(phi, PARAMS, SolverConfig(T=0.25)), built):
+        with pytest.raises(ValueError):
+            traj.coeffs[0, 0] = 1.0
+        with pytest.raises(ValueError):
+            traj.states[-1].coeffs *= 2.0
+        with pytest.raises(ValueError):
+            traj.final_state().coeffs[1] = 1.0
+        with pytest.raises(ValueError):
+            traj.times[-1] = 1.0
+    # a trajectory built from fields holds copies: the caller's arrays stay
+    # writable and writing them leaves the trajectory as it was
+    times[1] = 0.15
+    for u in fields:
+        u.coeffs *= 2.0
+    assert built.times[1] == 0.1
+    assert np.array_equal(built.coeffs, 0.5 * np.array([u.coeffs for u in fields]))
 
 
 def test_chebyshev_nodes():
@@ -196,14 +222,13 @@ def _frozen_if_rk4(phi, params_list, config):
     E1 = np.array([semigroup_multiplier(grid, dt, p) for p in params_list])
     E2 = np.array([semigroup_multiplier(grid, 0.5 * dt, p) for p in params_list])
     rows = np.flatnonzero([p.nonlinear for p in params_list])
-    budget = config.dealias_budget
 
     def rhs(c):
         if rows.size == B:
-            return -nonlinear_stack(grid, c, budget)
+            return -nonlinear_stack(grid, c)
         out = np.zeros_like(c)
         if rows.size:
-            out[rows] = -nonlinear_stack(grid, c[rows], budget)
+            out[rows] = -nonlinear_stack(grid, c[rows])
         return out
 
     c = np.repeat(phi.coeffs[None, :], B, axis=0)
@@ -609,6 +634,23 @@ def test_duhamel_samples_nonlinearity_once(monkeypatch):
     assert calls == [(17, GRID.M)]
     ratio = sup_duh / (T ** 0.25 * max(l2_norm(u) for u in traj.states) ** 2)
     assert ratio == pytest.approx(0.19605275283210102, rel=1e-9)
+
+
+def test_duhamel_samples_cannot_go_stale():
+    # the samples are cached per trajectory; doubling the fields it was
+    # built from changes neither its states nor its integral, and a
+    # trajectory of the doubled fields gives exactly four times the integral
+    times = chebyshev_nodes(0.5, 16)
+    fields = [semigroup_apply(_gaussian(0.5), t, PARAMS) for t in times]
+    traj = Trajectory(times, fields, PARAMS)
+    before = duhamel_integral(traj, 0.5, check=False).coeffs
+    for u in fields:
+        u.coeffs *= 2.0
+    assert np.array_equal(2.0 * np.array([u.coeffs for u in traj.states]),
+                          np.array([u.coeffs for u in fields]))
+    assert np.array_equal(duhamel_integral(traj, 0.5, check=False).coeffs, before)
+    doubled = duhamel_integral(Trajectory(times, fields, PARAMS), 0.5, check=False)
+    assert np.array_equal(doubled.coeffs, 4.0 * before)
 
 
 def test_nonlinear_samples_match_per_state_term():

@@ -16,6 +16,7 @@ from chenlee_lab.core import (
     Grid,
     PaddedBuffer,
     SpectralField,
+    from_values_stack,
     hilbert_transform,
     linear_symbol,
     nonlinear_blocks,
@@ -488,6 +489,10 @@ def test_values_stack_rows_equal_values_bitwise(M):
     stack = values_stack(grid, np.array([u.coeffs for u in fields]))
     assert np.array_equal(stack.view(np.uint64),
                           np.array([u.values() for u in fields]).view(np.uint64))
+    # and the forward transform: a stack's rows are the rows' transforms
+    back = from_values_stack(grid, stack)
+    assert np.array_equal(back.view(np.uint64), np.array(
+        [SpectralField.from_values(grid, v).coeffs for v in stack]).view(np.uint64))
 
 
 def test_aliasing_warning_on_rough_data():

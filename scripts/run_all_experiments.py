@@ -8,9 +8,11 @@ bound is not sharp there); every other experiment is expected to pass.
 The script exits 0 when every experiment matches its expected outcome.
 The summary gives each experiment's wall time in milliseconds.  Under
 each experiment's row, every CSV it wrote gets a line with the first 12
-hex digits of its sha256, so two runs' outputs compare byte for byte by
-a diff of their standard output (where only the time column should
-differ).
+hex digits of its sha256, so a diff of two runs' standard output shows
+which CSVs changed.  Only the time column should differ, with one
+exception: contraction.csv's roundoff-level `residual` and `agreement`
+columns can differ in their last digits from one process to the next,
+which changes its digest with no change to the code.
 
 Usage: python3 scripts/run_all_experiments.py [--out DIR] [--quick]
 """

@@ -11,7 +11,6 @@ from .core import (
     EquationParams,
     Grid,
     SpectralField,
-    hilbert_transform,
     linear_symbol,
     nonlinear_term,
     random_real_field,
@@ -45,7 +44,6 @@ from .flowderiv import (
     IllposedData,
     PicardTerm,
     build_illposed_datum,
-    first_term,
     illposed_growth_c2_nd,
     illposed_growth_c3,
     kern,

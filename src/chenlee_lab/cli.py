@@ -52,11 +52,11 @@ NUMERICAL_ERRORS = (SolverBlowupError, PicardError, QuadratureConvergenceError,
 def _apply_quick(cfg: RunConfig) -> RunConfig:
     """A copy of `cfg` scaled down ~4x for CI, validated again on the
     smaller grid; `cfg` itself is left as it is.  The grid shrinks to a
-    quarter but not below M = 256, and a grid already below that keeps its
-    size.  The smoothing experiment keeps its grid: the t -> 0 asymptotics
-    need the full frequency band, and it is already sub-second."""
+    quarter but not below M = 256 (a smaller grid keeps its size), except
+    for smoothing, whose t -> 0 asymptotics need the full band, and decay,
+    whose Yacasi residual needs M = 1024 (2e-5 at 256, tolerance 1e-8)."""
     M = cfg.grid_M
-    if cfg.experiment != "smoothing":
+    if cfg.experiment not in ("smoothing", "decay"):
         M = min(M, max(256, M // 4))
     quick = replace(cfg, grid_M=M, T=max(cfg.T / 4.0, 10.0 * cfg.dt),
                     illposed_N=tuple(cfg.illposed_N[:4]))

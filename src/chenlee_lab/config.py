@@ -10,6 +10,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field, fields
 
+import numpy as np
+
+from .core import EquationParams, Grid, SpectralField, random_real_field
+from .spaces import sobolev_norm
+
 EXPERIMENTS = (
     "solve", "smoothing", "contraction", "illposed-c3", "illposed-c2nd",
     "beta-limit", "eta-limit", "decay",
@@ -71,8 +76,6 @@ class RunConfig:
     agreement_tolerance: float = 1e-6
 
     def equation_params(self):
-        from .core import EquationParams
-
         return EquationParams(beta=self.beta, eta=self.eta, nonlinear=self.nonlinear)
 
     def solver_config(self):
@@ -185,10 +188,11 @@ def validate(cfg: RunConfig):
         raise ConfigError(f"solver.picard_tol must be positive, got {cfg.picard_tol}")
     if cfg.data_kind not in ("gaussian", "single-mode", "random", "rough-band"):
         raise ConfigError(f"unknown data.kind {cfg.data_kind!r}")
-    if cfg.data_kind == "single-mode" and abs(cfg.data_mode) >= cfg.grid_M // 2:
+    single_mode = cfg.data_kind == "single-mode"
+    if single_mode and not Grid(cfg.grid_L, cfg.grid_M).represents(cfg.data_mode):
         raise ConfigError(
-            f"data.mode must lie below grid.M/2 = {cfg.grid_M // 2} in magnitude "
-            f"(the Nyquist mode and above do not fit the grid), got {cfg.data_mode}")
+            f"data.mode must lie below grid.M/2 in magnitude (the Nyquist mode and "
+            f"above do not fit the grid of grid.M = {cfg.grid_M}), got {cfg.data_mode}")
     if cfg.data_width <= 0:
         raise ConfigError(f"data.width must be positive, got {cfg.data_width}")
     if not (0 < cfg.illposed_epsilon < 1):
@@ -222,11 +226,6 @@ def config_echo(cfg: RunConfig) -> dict:
 
 def build_initial_data(cfg: RunConfig):
     """Initial state selected by the data.* block (seeded when random)."""
-    import numpy as np
-
-    from .core import Grid, SpectralField, random_real_field
-    from .spaces import sobolev_norm
-
     grid = Grid(cfg.grid_L, cfg.grid_M)
     if cfg.data_kind == "gaussian":
         a, w = cfg.data_amplitude, cfg.data_width
@@ -237,12 +236,10 @@ def build_initial_data(cfg: RunConfig):
         rng = np.random.default_rng(cfg.seed)
         phi = random_real_field(grid, rng, spectral_decay=2.0) * cfg.data_amplitude
     elif cfg.data_kind == "rough-band":
-        c = np.zeros(grid.M, dtype=complex)
-        pos = (grid.xi >= 1.0) & (grid.xi <= 0.98 * grid.xi_max)
-        c[pos] = np.abs(grid.xi[pos]) ** -0.5
-        idx = np.flatnonzero(pos)
-        c[grid.mode_index(-idx)] = np.conj(c[idx])
-        phi = SpectralField(grid, c) * cfg.data_amplitude
+        n = grid.band((grid.xi >= 1.0) & (grid.xi <= 0.98 * grid.xi_max))
+        c = (np.abs(grid.at_modes(grid.xi, n)) ** -0.5).astype(complex)
+        phi = SpectralField.from_modes(grid, np.concatenate([n, -n]),
+                                       np.concatenate([c, np.conj(c)])) * cfg.data_amplitude
     else:  # pragma: no cover - guarded by validate
         raise ConfigError(f"unknown data.kind {cfg.data_kind!r}")
     if cfg.data_normalize_h2:

@@ -89,6 +89,19 @@ class Grid:
         """fft-order storage index of integer mode number n."""
         return np.asarray(n) % self.M
 
+    def represents(self, n):
+        """Where integer mode number n has a slot of its own: |n| < M/2."""
+        return np.abs(n) < self.nyquist
+
+    def at_modes(self, table, n):
+        """The (..., M) `table` (a spectrum, or `xi`) at integer mode numbers
+        n of any shape, zero where n is not represented."""
+        return np.where(self.represents(n), table[..., self.mode_index(n)], 0.0)
+
+    def band(self, where=True):
+        """The represented mode numbers where the (M,) table `where` holds."""
+        return self.modes[self.represents(self.modes) & where]
+
 
 @dataclass(frozen=True)
 class EquationParams:
@@ -139,10 +152,20 @@ class SpectralField:
         return cls.from_values(grid, f(grid.x))
 
     @classmethod
+    def from_modes(cls, grid: Grid, n, values) -> "SpectralField":
+        """The spectrum holding `values` at the distinct represented mode
+        numbers n, zero elsewhere."""
+        if not grid.represents(n).all():
+            raise ValueError("a mode number is not represented on the grid")
+        c = np.zeros(grid.M, dtype=np.complex128)
+        c[grid.mode_index(n)] = values
+        return cls(grid, c, check=False)
+
+    @classmethod
     def single_mode(cls, grid: Grid, n: int, amplitude: complex = 1.0) -> "SpectralField":
         """Real field amplitude*cos(xi_n x) built directly in Fourier space;
         |n| must be below M/2, the Nyquist mode."""
-        if abs(n) >= grid.nyquist:
+        if not grid.represents(n):
             raise ValueError(f"mode {n} is not below M/2 = {grid.nyquist}, the Nyquist mode")
         c = np.zeros(grid.M, dtype=np.complex128)
         w = grid.L * np.sqrt(2.0 / np.pi) * amplitude / 2.0
@@ -229,10 +252,6 @@ def x_derivative_stack(grid: Grid, coeffs: np.ndarray, order: int = 1) -> np.nda
     return c
 
 
-def hilbert_transform(f: SpectralField) -> SpectralField:
-    return SpectralField(f.grid, hilbert_stack(f.grid, f.coeffs), check=False)
-
-
 def x_derivative(f: SpectralField, order: int = 1) -> SpectralField:
     return SpectralField(f.grid, x_derivative_stack(f.grid, f.coeffs, order), check=False)
 
@@ -249,6 +268,14 @@ def semigroup_multiplier(grid: Grid, t: float, params: EquationParams) -> np.nda
     E = np.exp(linear_symbol(grid.xi, params) * t)
     E[grid.nyquist] = 0.0
     E.flags.writeable = False
+    return E
+
+
+def semigroup_stack(grid: Grid, times, params: EquationParams) -> np.ndarray:
+    """E(xi, t) for each t of the 1-d `times`, as a (len(times), M) array
+    with the Nyquist slot zeroed: the Picard route's multipliers."""
+    E = np.exp(np.multiply.outer(times, linear_symbol(grid.xi, params)))
+    E[:, grid.nyquist] = 0.0
     return E
 
 
@@ -353,9 +380,17 @@ class PaddedBuffer:
     view the aliasing check sums, as (..., 3k, c) chunks of c = min(M,
     4096) floats, k = M/c per third, and `sums` the table that adds their
     energies (see `_energy_sums`): OpenBLAS runs a ddot over more than
-    10,000 floats on its thread pool, and no ddot here is that long."""
+    10,000 floats on its thread pool, and no ddot here is that long.
 
-    __slots__ = ("flat", "retained", "middle", "power", "sums")
+    A stepper's workspace (`stepper_workspace`) holds all an IF-RK4 run
+    knows of storage.  Its state is in the block layout, as (-1)^k c on the
+    kernel's `rows` and as c on the `linear` rows, so that their exact zeros
+    keep their signs.  Negation commutes exactly with the kernel and with
+    each operation of a step, up to the sign of an exact zero.  A stage
+    written into `stage` is where the kernel reads it when no row is linear."""
+
+    __slots__ = ("flat", "retained", "middle", "power", "sums",
+                 "grid", "rows", "linear", "part", "stage")
 
     def __init__(self, flat: np.ndarray):
         n = flat.shape[-1] // 3
@@ -366,6 +401,54 @@ class PaddedBuffer:
         c = min(2 * n, 4096)
         self.power = flat.view(np.float64).reshape(flat.shape[:-1] + (6 * n // c, c))
         self.sums = _energy_sums(2 * n // c)
+
+    def load(self, stack: np.ndarray, *multipliers: np.ndarray) -> tuple:
+        """The (b, M) datum stack `stack`, overwritten, as the state (the
+        Nyquist slot zeroed, the rows with the kernel flipped), then the
+        (b, M) diagonal `multipliers`, which commute with the flip, in its
+        layout.  Raises ValueError on a non-finite datum."""
+        stack[:, self.grid.nyquist] = 0.0
+        if not np.isfinite(stack.view(np.float64)).all():
+            raise ValueError("non-finite Fourier coefficients")
+        phase_flip(stack, out=stack)  # in place, so no copy adds to peak memory
+        stack[self.linear] = phase_flip(stack[self.linear])  # back as they were
+        return tuple(a.reshape(len(a), 2, self.grid.nyquist) for a in (stack,) + multipliers)
+
+    def evaluate(self, src: np.ndarray, out: np.ndarray, scale: np.ndarray):
+        """out <- scale * (-1)^k (u u_x)^ at the stage `src` on the rows
+        with the kernel, 0 on the linear rows."""
+        if self.part is None:
+            if src is not self.retained:
+                np.copyto(self.retained, src)
+            nonlinear_blocks(self.grid, self, out)
+            np.multiply(out, scale, out=out)
+            return
+        if self.rows.size:
+            self.retained[...] = src[self.rows]
+            nonlinear_blocks(self.grid, self, self.part)
+            np.multiply(self.part, scale, out=self.part)
+            out[self.rows] = self.part
+        out[self.linear] = 0.0
+
+    def store(self, state: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The state's spectra written into the (b, M) array `out`, which
+        is returned."""
+        state = state.reshape(out.shape)
+        phase_flip(state, out=out)
+        out[self.linear] = state[self.linear]
+        return out
+
+
+def stepper_workspace(grid: Grid, nonlinear: np.ndarray) -> PaddedBuffer:
+    """The workspace of a stepper over a (b, M) stack whose rows marked in
+    the boolean `nonlinear` carry the u u_x term (see `PaddedBuffer`)."""
+    rows, linear = np.flatnonzero(nonlinear), np.flatnonzero(~nonlinear)
+    pad = PaddedBuffer(np.empty((rows.size, 3 * grid.nyquist), dtype=np.complex128))
+    pad.grid, pad.rows, pad.linear, pad.part, pad.stage = grid, rows, linear, None, pad.retained
+    if linear.size:  # the kernel's rows are gathered from `stage`, its result from `part`
+        pad.part, pad.stage = (np.empty((b, 2, grid.nyquist), dtype=np.complex128)
+                               for b in (rows.size, nonlinear.size))
+    return pad
 
 
 def nonlinear_stack(grid: Grid, coeffs: np.ndarray, *, out: np.ndarray | None = None,
@@ -386,8 +469,7 @@ def nonlinear_stack(grid: Grid, coeffs: np.ndarray, *, out: np.ndarray | None = 
     `coeffs` is read before `out` is written.  The transform runs in place
     in `work`, a C-contiguous complex128 array of shape (..., 3M/2) for the
     same leading shape (new when None); its contents on entry do not matter
-    and on return are scratch.  A caller that steps many times passes the
-    same two buffers on every call.
+    and on return are scratch.
 
     Three steps: `phase_flip` writes the stack into the retained blocks of
     `work` (see `PaddedBuffer`), the phase-free kernel `nonlinear_blocks`
@@ -397,11 +479,11 @@ def nonlinear_stack(grid: Grid, coeffs: np.ndarray, *, out: np.ndarray | None = 
     bitwise up to the sign of an exact zero: rounding is symmetric, so a
     product with the sign, alone or folded into a scale, is the exact
     negation a flip writes, and the kernel runs the plain form's other
-    operations in the same order, each operand on the same side.  Keep that rule when editing here or in the stepper: numpy's
-    complex multiply rounds one of its two products and fuses the other
-    into the sum (FMA), so `a * b` and `b * a` can differ in the last bit
-    (the stepper's `E1 * k1` written as `k1 * E1` moves the decay
-    experiment's CSV).
+    operations in the same order, each operand on the same side.  Keep
+    that rule here and in the stepper: numpy's complex multiply rounds one
+    of its two products and fuses the other into the sum (FMA), so `a * b`
+    and `b * a` can differ in the last bit (the stepper's `E1 * k1` written
+    as `k1 * E1` moves the decay experiment's CSV).
     """
     lead, half = coeffs.shape[:-1], grid.M // 2
     if work is None:

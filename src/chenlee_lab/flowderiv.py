@@ -91,11 +91,11 @@ def kern_diff(a, b, t: float):
     b = np.asarray(b, dtype=np.complex128)
     d = a - b
     small = np.abs(d) < _SERIES_EPS
-    safe = np.where(small, 1.0, d)
-    out = np.where(small,
-                   _kern_prime(0.5 * (a + b), t),
-                   (kern(a, t) - kern(b, t)) / safe)
-    return out if out.shape else complex(out)
+    out = (kern(a, t) - kern(b, t)) / np.where(small, 1.0, d)
+    if not out.shape:
+        return complex(_kern_prime(0.5 * (a + b), t) if small else out)
+    out[small] = _kern_prime((0.5 * (a + b))[small], t)  # only where they coalesce
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -141,13 +141,12 @@ def illposed_grid(d: IllposedData, xi_factor: float = 2.0,
     """Grid resolving the band with `points_per_band` frequencies and
     covering |xi| up to xi_factor*N + 8 gamma (room for the convolution
     lookups)."""
-    dxi = 2.0 * d.gamma / points_per_band
-    L = np.pi / dxi
+    L = np.pi / (2.0 * d.gamma / points_per_band)
     xi_need = xi_factor * d.N + 8.0 * d.gamma
-    M = 8
-    while (M // 2 - 1) * dxi < xi_need:
-        M *= 2
-    return Grid(L, M)
+    grid = Grid(L, 8)
+    while grid.xi_max < xi_need:
+        grid = Grid(L, 2 * grid.M)
+    return grid
 
 
 def build_illposed_datum(d: IllposedData, grid: Grid) -> SpectralField:
@@ -158,9 +157,7 @@ def build_illposed_datum(d: IllposedData, grid: Grid) -> SpectralField:
         raise ValueError(
             f"band [N, N+2*gamma] holds only {n_inside} grid frequencies (need >= 16)"
         )
-    c = np.where(in_band, d.amplitude, 0.0).astype(np.complex128)
-    c[grid.nyquist] = 0.0
-    return SpectralField(grid, c, check=False)
+    return SpectralField.from_modes(grid, grid.band(in_band), d.amplitude)
 
 
 # ---------------------------------------------------------------------------
@@ -188,58 +185,49 @@ class PicardTerm:
         return sobolev_norm(self.field(), s)
 
 
-def _window_indices(grid: Grid, window):
+def _window_modes(grid: Grid, window):
+    """The represented mode numbers with frequency in `window` (all when None)."""
     if window is None:
-        return np.arange(grid.M)
+        return grid.band()
     lo, hi = window
-    idx = np.flatnonzero((grid.xi >= lo) & (grid.xi <= hi))
-    if idx.size == 0:
+    n = grid.band((grid.xi >= lo) & (grid.xi <= hi))
+    if n.size == 0:
         raise ValueError(f"frequency window [{lo}, {hi}] outside grid support")
-    return idx
+    return n
 
 
-def _shifted_lookup(grid: Grid, coeffs: np.ndarray, modes_out, modes_in):
-    """coeffs at mode difference (modes_out - modes_in), zero when the
-    difference leaves the represented range (no FFT wraparound)."""
-    diff = np.asarray(modes_out) - np.asarray(modes_in)
-    valid = np.abs(diff) < grid.nyquist
-    return np.where(valid, coeffs[grid.mode_index(diff)], 0.0)
-
-
-def first_term(phi: SpectralField, t: float, params: EquationParams) -> PicardTerm:
-    """u1 = S(t) phi."""
+def _picard_term(phi: SpectralField, t: float, params: EquationParams, window,
+                 order: int, entry) -> PicardTerm:
+    """The term of `order` at time t whose entry at each output mode n, of
+    frequency xi, is entry(n, xi, E(xi, t), n1, xi1, phi1), with n1 the
+    datum's nonzero modes, xi1 their frequencies and phi1 their values; zero
+    at t = 0 or for zero data."""
     if t < 0:
         raise ValueError("t must be >= 0")
-    c = phi.coeffs * semigroup_multiplier(phi.grid, t, params)
-    return PicardTerm(phi.grid, c, t, order=1)
+    grid = phi.grid
+    n_out, n1 = _window_modes(grid, window), grid.band(np.abs(phi.coeffs) > 0)
+    c = np.zeros(n_out.size, dtype=np.complex128)
+    if t > 0 and n1.size:
+        support = n1, grid.at_modes(grid.xi, n1), grid.at_modes(phi.coeffs, n1)
+        E = grid.at_modes(semigroup_multiplier(grid, t, params), n_out)
+        for j, (n, xi) in enumerate(zip(n_out, grid.at_modes(grid.xi, n_out))):
+            c[j] = entry(n, xi, E[j], *support)
+    return PicardTerm(grid, SpectralField.from_modes(grid, n_out, c).coeffs, t, order=order,
+                      window=tuple(window) if window is not None else None)
 
 
 def second_term(phi: SpectralField, t: float, params: EquationParams,
                 window=None) -> PicardTerm:
     """u2_hat(xi) = i xi E(xi,t) (2 pi)^{-1/2} int phi_hat(xi - xi1)
     phi_hat(xi1) K(sigma(xi, xi1), t) dxi1 (trapezoid in xi1)."""
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    grid = phi.grid
-    sigma = make_sigma(params)
-    modes = grid.modes
-    out_idx = _window_indices(grid, window)
-    supp = np.flatnonzero(np.abs(phi.coeffs) > 0)
-    c = np.zeros(grid.M, dtype=np.complex128)
-    if t > 0 and supp.size:
-        xi1 = grid.xi[supp]
-        E = semigroup_multiplier(grid, t, params)
-        for j in out_idx:
-            if j == grid.nyquist:
-                continue
-            xi = grid.xi[j]
-            phi_shift = _shifted_lookup(grid, phi.coeffs, modes[j], modes[supp])
-            K = kern(sigma(xi, xi1), t)
-            c[j] = (1j * xi * E[j] / TWO_PI_SQRT) * grid.dxi * np.sum(
-                phi_shift * phi.coeffs[supp] * K
-            )
-    return PicardTerm(grid, c, t, order=2,
-                      window=tuple(window) if window is not None else None)
+    grid, sigma = phi.grid, make_sigma(params)
+
+    def entry(n, xi, E, n1, xi1, phi1):
+        phi_shift = grid.at_modes(phi.coeffs, n - n1)
+        K = kern(sigma(xi, xi1), t)
+        return (1j * xi * E / TWO_PI_SQRT) * grid.dxi * np.sum(phi_shift * phi1 * K)
+
+    return _picard_term(phi, t, params, window, 2, entry)
 
 
 def third_term(phi: SpectralField, t: float, params: EquationParams,
@@ -253,39 +241,25 @@ def third_term(phi: SpectralField, t: float, params: EquationParams,
     xi2 with phi_hat(xi - xi2) != 0, so band data costs O(band^2) per
     output frequency.
     """
-    if t < 0:
-        raise ValueError("t must be >= 0")
-    grid = phi.grid
-    sigma = make_sigma(params)
-    modes = grid.modes
-    out_idx = _window_indices(grid, window)
-    supp = np.flatnonzero(np.abs(phi.coeffs) > 0)
-    c = np.zeros(grid.M, dtype=np.complex128)
-    if t > 0 and supp.size:
-        E = semigroup_multiplier(grid, t, params)
-        xi1 = grid.xi[supp]  # (n1,)
-        phi1 = phi.coeffs[supp]
-        for j in out_idx:
-            if j == grid.nyquist:
-                continue
-            xi = grid.xi[j]
-            # xi2 must satisfy phi_hat(xi - xi2) != 0: xi2 = xi - (band)
-            m2 = modes[j] - modes[supp]
-            m2 = m2[np.abs(m2) < grid.nyquist]
-            if m2.size == 0:
-                continue
-            xi2 = grid.xi[grid.mode_index(m2)]  # (n2,)
-            phi_tail = phi.coeffs[grid.mode_index(modes[j] - m2)]  # phi_hat(xi - xi2)
-            phi_mid = _shifted_lookup(grid, phi.coeffs, m2[:, None],
-                                      modes[supp][None, :])  # phi_hat(xi2 - xi1), (n2, n1)
-            sig2 = sigma(xi, xi2)  # (n2,)
-            sig21 = sigma(xi2[:, None], xi1[None, :])  # (n2, n1)
-            D = kern_diff(sig2[:, None] + sig21, sig2[:, None], t)
-            inner = np.sum(phi_mid * phi1[None, :] * D, axis=1)  # (n2,)
-            total = np.sum(phi_tail * xi2 * inner)
-            c[j] = (-xi * E[j] / (2.0 * np.pi)) * grid.dxi ** 2 * total
-    return PicardTerm(grid, c, t, order=3,
-                      window=tuple(window) if window is not None else None)
+    grid, sigma = phi.grid, make_sigma(params)
+
+    def entry(n, xi, E, n1, xi1, phi1):
+        # xi2 must satisfy phi_hat(xi - xi2) != 0: xi2 = xi - (band)
+        m2 = n - n1
+        m2 = m2[grid.represents(m2)]
+        if m2.size == 0:
+            return 0.0
+        xi2 = grid.at_modes(grid.xi, m2)  # (n2,)
+        phi_tail = grid.at_modes(phi.coeffs, n - m2)  # phi_hat(xi - xi2)
+        phi_mid = grid.at_modes(phi.coeffs, m2[:, None] - n1[None, :])  # phi_hat(xi2 - xi1)
+        sig2 = sigma(xi, xi2)  # (n2,)
+        sig21 = sigma(xi2[:, None], xi1[None, :])  # (n2, n1)
+        D = kern_diff(sig2[:, None] + sig21, sig2[:, None], t)
+        inner = np.sum(phi_mid * phi1[None, :] * D, axis=1)  # (n2,)
+        total = np.sum(phi_tail * xi2 * inner)
+        return (-xi * E / (2.0 * np.pi)) * grid.dxi ** 2 * total
+
+    return _picard_term(phi, t, params, window, 3, entry)
 
 
 # ---------------------------------------------------------------------------

@@ -29,13 +29,11 @@ import numpy as np
 from .core import (
     EquationParams,
     Grid,
-    PaddedBuffer,
     SpectralField,
-    linear_symbol,
-    nonlinear_blocks,
     nonlinear_stack,
-    phase_flip,
     semigroup_multiplier,
+    semigroup_stack,
+    stepper_workspace,
     symbol_q,
     values_stack,
 )
@@ -203,37 +201,29 @@ def _lagrange_matrix(nodes: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return np.where(on_node.any(axis=1, keepdims=True), on_node, L)
 
 
-def _duhamel_weights(nodes: np.ndarray, sym: np.ndarray, t: float,
-                     n_nodes: int, panel_length: float):
-    """(W, Lebesgue constant).  W[j, k] = sum_q w_q l_j(tau_q) e^{sym_k (t - tau_q)}:
-    sum_j W[j] G_j is int_0^t e^{sym (t-tau)} G(tau) dtau for G interpolating
-    samples G_j at the `nodes`, by composite Gauss-Legendre (`n_nodes` per
-    panel).  The Lebesgue constant max_q sum_j |l_j(tau_q)| over the rule's
-    points bounds how much interpolation amplifies rounding in the G_j."""
+@functools.lru_cache(maxsize=64)
+def _duhamel_operator(grid: Grid, params: EquationParams, nodes: tuple, t: float,
+                      n_nodes: int, panel_length: float):
+    """(W, Lebesgue constant), built once per key; W is read-only, as every
+    hit shares it.  W[j] = sum_q w_q l_j(tau_q) E(t - tau_q), E the multiplier
+    of S for (grid, params): sum_j W[j] G_j is int_0^t S(t-tau) G(tau) dtau
+    for G interpolating samples G_j at the node times `nodes`, by composite
+    Gauss-Legendre (`n_nodes` per panel).  The Lebesgue constant max_q sum_j
+    |l_j(tau_q)| over the rule's points bounds how much interpolation
+    amplifies rounding.  64 entries hold the 48 operators of the
+    C_CONTRACTION probe sweep (3 horizons x 16 nodes, visited cyclically,
+    where a smaller LRU would miss on every call) plus the 16 of one Picard
+    solve."""
     n_panels = max(1, int(np.ceil(t / panel_length)))
     x, w = _gauss_legendre(n_nodes)
     edges = np.linspace(0.0, t, n_panels + 1)
     half = 0.5 * np.diff(edges)[:, None]
     tau = (half * x + 0.5 * (edges[:-1] + edges[1:])[:, None]).ravel()
     wq = (half * w).ravel()
-    L = _lagrange_matrix(nodes, tau)
-    E = np.exp(np.multiply.outer(t - tau, sym))
-    return (wq[:, None] * L).T @ E, float(np.abs(L).sum(axis=1).max())
-
-
-@functools.lru_cache(maxsize=64)
-def _duhamel_operator(grid: Grid, params: EquationParams, nodes: tuple, t: float,
-                      n_nodes: int, panel_length: float):
-    """`_duhamel_weights` for the linear symbol of (grid, params) at the node
-    times `nodes`, built once per key; W is read-only, as every hit shares it.
-    64 entries hold the 48 operators of the C_CONTRACTION probe sweep (3
-    horizons x 16 nodes, visited cyclically, where a smaller LRU would miss
-    on every call) plus the 16 of one Picard solve."""
-    sym = linear_symbol(grid.xi, params)
-    sym[grid.nyquist] = 0.0
-    W, lebesgue = _duhamel_weights(np.array(nodes), sym, t, n_nodes, panel_length)
+    L = _lagrange_matrix(np.array(nodes), tau)
+    W = (wq[:, None] * L).T @ semigroup_stack(grid, t - tau, params)
     W.flags.writeable = False
-    return W, lebesgue
+    return W, float(np.abs(L).sum(axis=1).max())
 
 
 def duhamel_integral(traj_segment: Trajectory, t: float,
@@ -276,7 +266,6 @@ def duhamel_integral(traj_segment: Trajectory, t: float,
                 f"node doubling changed the Duhamel integral by {err:.3e} (tol {tol:.1e})"
             )
         val = val2
-    val[grid.nyquist] = 0.0
     return SpectralField(grid, val)
 
 
@@ -296,11 +285,7 @@ def solve_picard(phi: SpectralField, params: EquationParams, config: SolverConfi
         raise ValueError("the Picard route needs eta > 0 (dissipative estimates)")
     grid = phi.grid
     times = chebyshev_nodes(config.T, _PICARD_PANELS)
-    sym = linear_symbol(grid.xi, params)
-    sym[grid.nyquist] = 0.0
-    E_nodes = np.exp(np.multiply.outer(times, sym))
-    E_nodes[:, grid.nyquist] = 0.0
-    lin = E_nodes * phi.coeffs[None, :]
+    lin = semigroup_stack(grid, times, params) * phi.coeffs[None, :]
     nodes = tuple(times.tolist())
     W = np.array([_duhamel_operator(grid, params, nodes, t, _QUAD_NODES, _PANEL_LENGTH)[0]
                   for t in nodes[1:]])
@@ -396,8 +381,6 @@ def solve_stepper_stack(phi: SpectralField, params_list, config: SolverConfig) -
     E2 = np.array([semigroup_multiplier(grid, 0.5 * dt, p) for p in params_list])
     nonlinear = np.array([p.nonlinear for p in params_list])
     c = np.repeat(phi.coeffs[None, :], B, axis=0)
-    c[:, grid.nyquist] = 0.0
-    SpectralField(grid, c[0])  # rejects a non-finite datum before stepping
 
     n_proc = _process_count(B)
     bounds = [i * B // n_proc for i in range(n_proc + 1)]
@@ -426,67 +409,31 @@ _CAP_MESSAGE = "amplitude cap exceeded"
 
 def _if_rk4(grid: Grid, c: np.ndarray, E1: np.ndarray, E2: np.ndarray,
             nonlinear: np.ndarray, n_steps: int, dt: float, config: SolverConfig):
-    """Step the (b, M) stack `c` through `n_steps` IF-RK4 steps of size `dt`
-    with multipliers E1 = e^{dt L}, E2 = e^{dt L / 2} per row; `nonlinear`
-    marks the rows with the u u_x term.  `c` holds the state and is
-    overwritten.  Returns the kept times and a (b, K, M) array of the
-    spectra kept at them, the datum first.  Raises SolverBlowupError at the
-    first non-finite state or kept state over the amplitude cap.
-
-    The steps run in the phase-free coordinates c~ = (-1)^k c and the block
-    layout of `nonlinear_blocks`: the last operation of each stage after
-    the first writes the kernel's input where the kernel reads it (the
-    first stage, the state, is copied there), and nothing is phased.  This
-    is exact: IEEE negation is exact, and each operation of a step (the
-    diagonal products with E1 and E2, the sums, the products with scalars,
-    the division by 6) commutes with negating a mode, as does the kernel.
-    So the state is bitwise (-1)^k times the state stepped in the usual
-    coordinates, up to the sign of an exact zero, which changes no nonzero
-    value.  The datum is flipped once; each kept state is flipped back as
-    it is stored, and the amplitude cap is checked on that row.  Linear
-    rows never meet the kernel and are not flipped, so their exact zeros
-    (a band-limited datum's empty modes stay empty) keep their signs too;
-    each stage's nonlinear rows are gathered into the buffer."""
-    B, M = c.shape
+    """Step the (b, M) datum stack `c` through `n_steps` IF-RK4 steps of
+    size `dt` with multipliers E1 = e^{dt L}, E2 = e^{dt L / 2} per row;
+    `nonlinear` marks the rows with the u u_x term.  `c` holds the state
+    and is overwritten.  Returns the kept times and a (b, K, M) array of the
+    spectra kept at them, the datum first.  Raises ValueError on a
+    non-finite datum, and SolverBlowupError at the first non-finite state
+    or kept state over the amplitude cap.  The loop is the step's algebra
+    alone; the workspace (`core.stepper_workspace`) loads the state,
+    evaluates each stage and stores each kept state back as spectra."""
     keep = config.keep_every
-    kept = np.empty((B, 1 + n_steps // keep + (n_steps % keep != 0), M),
+    kept = np.empty((len(c), 1 + n_steps // keep + (n_steps % keep != 0), c.shape[1]),
                     dtype=np.complex128)
-    kept[:, 0] = c
+    pad = stepper_workspace(grid, nonlinear)
+    c, E1, E2 = pad.load(c, E1, E2)
+    pad.store(c, kept[:, 0])
     times = [0.0]
-    rows = np.flatnonzero(nonlinear)
-    linear = np.flatnonzero(~nonlinear)
-    state = phase_flip(c, out=c)  # the (b, M) view kept states are read from
-    state[linear] = kept[linear, 0]  # rows without the kernel are not flipped
-    blocks = (B, 2, M // 2)
-    c, E1, E2 = (a.reshape(blocks) for a in (c, E1, E2))
     E2x2 = 2.0 * E2
-    # one workspace for the whole run: the kernel's padded buffer, a block
-    # for the nonlinear rows when some rows are linear, the four stages and
-    # three temporaries
-    pad = PaddedBuffer(np.empty((rows.size, 3 * M // 2), dtype=np.complex128))
-    buf = pad.retained
-    part = np.empty((rows.size,) + blocks[1:], dtype=np.complex128) if linear.size else None
-    k1, k2, k3, k4, E1c, w, v = (np.empty(blocks, dtype=np.complex128) for _ in range(7))
-    stage = buf if part is None else w  # where each stage's last operation writes
+    # one workspace for the whole run: the four stages and three temporaries
+    k1, k2, k3, k4, E1c, w, v = (np.empty_like(c) for _ in range(7))
+    stage = pad.stage
     # the step's scalars as 0-d complex arrays: numpy casts a float to the
     # same complex value for every product with a spectrum (same bits), and
-    # an array skips that conversion
+    # an array skips that conversion; k <- dt times the right-hand side
+    # -u u_x is the stage's kernel result times neg_dt
     neg_dt, half, six = (np.array(complex(x)) for x in (-dt, 0.5, 6.0))
-
-    def rhs(src, k):
-        """k <- dt times the right-hand side -u u_x at the stage `src`."""
-        if part is None:
-            if src is not buf:
-                np.copyto(buf, src)
-            nonlinear_blocks(grid, pad, k)
-            np.multiply(k, neg_dt, out=k)  # bitwise dt * (-k)
-            return
-        if rows.size:
-            buf[...] = src[rows]
-            nonlinear_blocks(grid, pad, part)
-            np.multiply(part, neg_dt, out=part)
-            k[rows] = part
-        k[linear] = 0.0  # linear members have no nonlinearity
 
     # The classical IF-RK4 step
     #   k1 = dt*f(c), k2 = dt*f(E2*(c + 0.5*k1)), k3 = dt*f(E2*c + 0.5*k2),
@@ -496,18 +443,18 @@ def _if_rk4(grid: Grid, c: np.ndarray, E1: np.ndarray, E2: np.ndarray,
     # (see nonlinear_stack on why the order is part of the result).
     for n in range(1, n_steps + 1):
         np.multiply(E1, c, out=E1c)
-        rhs(c, k1)
+        pad.evaluate(c, k1, neg_dt)
         np.multiply(half, k1, out=w)
         np.add(c, w, out=w)
         np.multiply(E2, w, out=stage)
-        rhs(stage, k2)
+        pad.evaluate(stage, k2, neg_dt)
         np.multiply(E2, c, out=w)
         np.multiply(half, k2, out=v)
         np.add(w, v, out=stage)
-        rhs(stage, k3)
+        pad.evaluate(stage, k3, neg_dt)
         np.multiply(E2, k3, out=w)
         np.add(E1c, w, out=stage)
-        rhs(stage, k4)
+        pad.evaluate(stage, k4, neg_dt)
         np.multiply(E1, k1, out=k1)
         np.add(k2, k3, out=k2)
         np.multiply(E2x2, k2, out=k2)
@@ -518,8 +465,7 @@ def _if_rk4(grid: Grid, c: np.ndarray, E1: np.ndarray, E2: np.ndarray,
         if not np.isfinite(c.view(np.float64)).all():
             raise SolverBlowupError(n * dt)
         if n % keep == 0 or n == n_steps:
-            row = phase_flip(state, out=kept[:, len(times)])
-            row[linear] = state[linear]
+            row = pad.store(c, kept[:, len(times)])
             if np.abs(values_stack(grid, row)).max() > config.amplitude_cap:
                 raise SolverBlowupError(n * dt, _CAP_MESSAGE)
             times.append(n * dt)

@@ -1,7 +1,9 @@
 """Config parsing, initial-data construction, and the CLI contract:
 exit codes, output files, determinism, and the output-dir override."""
+import importlib.util
 import json
 import os
+import pathlib
 
 import numpy as np
 import pytest
@@ -205,6 +207,25 @@ def test_cli_quick_scales_grid(tmp_path):
     assert run_experiment(cfg2, str(out2), quick=True) == 0
     manifest2 = json.loads((out2 / "manifest.json").read_text())
     assert manifest2["config"]["grid.M"] == 1024
+
+
+def _load_script(name):
+    path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+RUN_ALL = _load_script("run_all_experiments")
+
+
+@pytest.mark.parametrize("experiment, expected", list(RUN_ALL.EXPECTED.items()))
+def test_every_tuned_config_passes_under_quick(experiment, expected, tmp_path):
+    # each tuned config scaled by --quick exits with its documented code, as
+    # scripts/run_all_experiments.py --quick expects (decay keeps its grid)
+    cfg = parse_config((RUN_ALL.CONFIG_DIR / f"{experiment}.cfg").read_text())
+    assert run_experiment(cfg, str(tmp_path / experiment), quick=True) == expected
 
 
 @pytest.mark.parametrize("M, quick_M", [(64, 64), (256, 256), (512, 256), (1024, 256)])

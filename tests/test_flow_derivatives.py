@@ -4,11 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chenlee_lab.core import EquationParams, SpectralField, symbol_p, symbol_q
+from chenlee_lab.core import (
+    EquationParams,
+    SpectralField,
+    semigroup_apply,
+    symbol_p,
+    symbol_q,
+)
 from chenlee_lab.flowderiv import (
     IllposedData,
     build_illposed_datum,
-    first_term,
     illposed_grid,
     illposed_growth_c2_nd,
     illposed_growth_c3,
@@ -161,16 +166,8 @@ def _band_setup():
 
 def _u1_trajectory(phi, params, t):
     times = chebyshev_nodes(t, 24)
-    states = [first_term(phi, tau, params).field() for tau in times]
+    states = [semigroup_apply(phi, tau, params) for tau in times]
     return Trajectory(times, states, params)
-
-
-def test_first_term_is_semigroup():
-    _, grid, phi = _band_setup()
-    from chenlee_lab.core import semigroup_apply
-    u1 = first_term(phi, 0.01, PARAMS)
-    ref = semigroup_apply(phi, 0.01, PARAMS)
-    assert np.abs(u1.coeffs - ref.coeffs).max() <= 1e-14 * np.abs(ref.coeffs).max()
 
 
 def test_second_term_matches_duhamel():
@@ -187,7 +184,7 @@ def test_third_term_matches_picard_increment():
     params = PARAMS
     t = 5e-4
     times = chebyshev_nodes(t, 24)
-    u1 = [first_term(phi, tau, params).field() for tau in times]
+    u1 = [semigroup_apply(phi, tau, params) for tau in times]
     traj1 = Trajectory(times, u1, params)
     # literal second Picard increment w2(tau) = -duhamel(u1)(tau)
     w2 = [SpectralField.zero(phi.grid)] + [

@@ -15,14 +15,13 @@ from chenlee_lab.core import (
     EquationParams,
     Grid,
     SpectralField,
-    linear_symbol,
     nonlinear_stack,
     nonlinear_term,
     random_real_field,
     semigroup_apply,
     semigroup_multiplier,
 )
-from chenlee_lab import solver, spaces
+from chenlee_lab import core, solver, spaces
 from chenlee_lab.solver import (
     CflError,
     NonContractionError,
@@ -377,8 +376,9 @@ def test_stepper_runs_on_two_grids_share_no_buffer():
 
 def test_stack_cfl_checks_every_member_before_stepping(monkeypatch):
     calls = []
-    for kernel in ("nonlinear_stack", "nonlinear_blocks"):
-        monkeypatch.setattr(solver, kernel, lambda *a, **k: calls.append(a))
+    # the stepper's kernel runs through core's workspace
+    for module, kernel in ((solver, "nonlinear_stack"), (core, "nonlinear_blocks")):
+        monkeypatch.setattr(module, kernel, lambda *a, **k: calls.append(a))
     # dt * max|q| = 0.01 * 0.1 * 16^2 = 0.256 for the first, 2.56 for the last
     members = [EquationParams(beta=0.1, eta=1.0), PARAMS]
     with pytest.raises(CflError):
@@ -519,6 +519,20 @@ def test_stack_steps_here_with_one_cpu_or_a_live_thread(monkeypatch):
         release.set()
         thread.join(timeout=60)
     assert not thread.is_alive()
+
+
+@pytest.mark.parametrize("cpus", [1, 3])
+def test_stack_rejects_a_non_finite_datum(monkeypatch, cpus):
+    # a NaN anywhere but the Nyquist slot, which the stepper zeroes
+    c = _gaussian(0.5).coeffs.copy()
+    c[3] = np.nan
+    cfg = SolverConfig(dt=1e-3, T=0.01)
+    _cpus(monkeypatch, cpus)
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_stepper_stack(SpectralField(GRID, c, check=False), STACK[:3], cfg)
+    c[3], c[GRID.nyquist] = 0.0, np.nan
+    traj = solve_stepper(SpectralField(GRID, c, check=False), PARAMS, cfg)
+    assert np.isfinite(traj.coeffs.view(np.float64)).all()
 
 
 @pytest.mark.parametrize("args", [(0.5, "amplitude cap exceeded"), (0.25,)],
@@ -665,9 +679,7 @@ def test_duhamel_memo_hit_is_a_fresh_build_and_read_only():
     key = (GRID, PARAMS, nodes, nodes[5], 10, 0.25)
     W, lebesgue = solver._duhamel_operator(*key)
     assert solver._duhamel_operator(*key)[0] is W  # a hit shares the array
-    sym = linear_symbol(GRID.xi, PARAMS)
-    sym[GRID.M // 2] = 0.0
-    W_fresh, lebesgue_fresh = solver._duhamel_weights(np.array(nodes), sym, nodes[5], 10, 0.25)
+    W_fresh, lebesgue_fresh = solver._duhamel_operator.__wrapped__(*key)
     assert np.array_equal(W, W_fresh) and lebesgue == lebesgue_fresh
     assert not W.flags.writeable
     with pytest.raises(ValueError):
@@ -708,6 +720,16 @@ def test_duhamel_integral_matches_the_frozen_einsum_form(T):
         ref = _frozen_duhamel(traj, t)
         val = duhamel_integral(traj, t, check=False).coeffs
         assert np.linalg.norm(val - ref) <= 1e-15 * np.linalg.norm(ref), t
+
+
+@pytest.mark.parametrize("check", [False, True])
+def test_duhamel_integral_nyquist_slot_is_zero_by_construction(check):
+    # the weights carry the zeroed multiplier slot, so the integral's slot
+    # is +0 with no zeroing of its own
+    traj = _probe_trajectory(_gaussian(0.5), 0.5)
+    for t in traj.times[1:]:
+        val = duhamel_integral(traj, t, check=check).coeffs
+        assert val[GRID.nyquist].real.hex() == val[GRID.nyquist].imag.hex() == "0x0.0p+0"
 
 
 def test_second_probe_builds_no_multiplier():

@@ -17,7 +17,7 @@ from chenlee_lab.core import (
     PaddedBuffer,
     SpectralField,
     from_values_stack,
-    hilbert_transform,
+    hilbert_stack,
     linear_symbol,
     nonlinear_blocks,
     nonlinear_stack,
@@ -26,6 +26,8 @@ from chenlee_lab.core import (
     random_real_field,
     semigroup_apply,
     semigroup_multiplier,
+    semigroup_stack,
+    stepper_workspace,
     symbol_p,
     symbol_q,
     values_stack,
@@ -104,6 +106,71 @@ def test_grid_storage_facts():
     assert g.modes.tolist() == [0, 1, 2, 3, 4, 5, 6, 7, -8, -7, -6, -5, -4, -3, -2, -1]
     assert np.array_equal(g.mode_index(g.modes), np.arange(16))
     assert np.array_equal(g.xi, (np.pi / g.L) * g.modes)
+
+
+def test_lookup_by_mode_number():
+    # the represented band is |n| < M/2, in storage order; the lookup reads
+    # any (..., M) table there and gives zero outside, Nyquist mode included
+    g = Grid(5.0, 16)
+    assert g.represents(np.array([0, 7, -7, 8, -8, 9])).tolist() == [1, 1, 1, 0, 0, 0]
+    assert g.band().tolist() == [0, 1, 2, 3, 4, 5, 6, 7, -7, -6, -5, -4, -3, -2, -1]
+    assert g.band(g.xi > 0.5).tolist() == [1, 2, 3, 4, 5, 6, 7]
+    table = np.arange(16.0) + 100.0
+    n = np.array([[3, -3], [8, -8], [20, -1]])
+    assert g.at_modes(table, n).tolist() == [[103.0, 113.0], [0.0, 0.0], [0.0, 115.0]]
+    stack = np.array([table, -table])
+    assert g.at_modes(stack, np.array([1, -1])).tolist() == [[101.0, 115.0], [-101.0, -115.0]]
+    assert np.array_equal(g.at_modes(g.xi, g.band()), g.xi[g.band() % 16])
+
+
+def test_from_modes_places_values_and_rejects_unrepresented_modes():
+    g = Grid(5.0, 16)
+    f = SpectralField.from_modes(g, np.array([2, -2, 0]), np.array([1 + 2j, 1 - 2j, 3.0]))
+    expected = np.zeros(16, dtype=complex)
+    expected[[2, 14, 0]] = [1 + 2j, 1 - 2j, 3.0]
+    assert np.array_equal(f.coeffs.view(np.uint64), expected.view(np.uint64))
+    assert f.is_hermitian()
+    for n in (8, -8, 9):
+        with pytest.raises(ValueError, match="not represented"):
+            SpectralField.from_modes(g, np.array([1, n]), 1.0)
+
+
+@pytest.mark.parametrize("M", [8, 256])
+def test_semigroup_stack_equals_frozen_form_bitwise(M):
+    # the Picard route's multipliers as solve_picard built them: the symbol
+    # with its Nyquist slot zeroed, exponentiated at every time, the slot
+    # zeroed again; rows need not equal semigroup_multiplier's bits
+    grid = Grid(8.0 * np.pi, M)
+    times = np.linspace(0.0, 1.0, 17) ** 2
+    sym = linear_symbol(grid.xi, PARAMS)
+    sym[M // 2] = 0.0
+    ref = np.exp(np.multiply.outer(times, sym))
+    ref[:, M // 2] = 0.0
+    got = semigroup_stack(grid, times, PARAMS)
+    assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("nonlinear", [[True, True], [False, True, False], [False]])
+def test_stepper_workspace_round_trip_is_exact(nonlinear):
+    # load zeroes the Nyquist slot and flips the kernel's rows; store turns
+    # them back: the datum, signed zeros included, whatever the rows
+    grid = Grid(8.0 * np.pi, 64)
+    rng = np.random.default_rng(4)
+    datum = random_real_field(grid, rng, band=(1.0, 3.0)).coeffs
+    datum[grid.nyquist] = 5.0
+    datum[3] = complex(-0.0, 0.0)
+    stack = np.repeat(datum[None, :], len(nonlinear), axis=0)
+    E = rng.standard_normal(stack.shape) + 0j
+    pad = stepper_workspace(grid, np.array(nonlinear))
+    state, E_blocks = pad.load(stack, E)
+    assert state.shape == E_blocks.shape and np.shares_memory(E_blocks, E)
+    out = np.full_like(stack, np.nan)
+    assert pad.store(state, out) is out
+    datum[grid.nyquist] = 0.0
+    assert np.array_equal(out.view(np.uint64),
+                          np.repeat(datum[None, :], len(nonlinear), axis=0).view(np.uint64))
+    with pytest.raises(ValueError, match="non-finite"):
+        pad.load(np.full_like(stack, np.nan))
 
 
 def test_single_mode_rejects_nyquist_and_above():
@@ -233,13 +300,14 @@ def test_hilbert_cos_sin():
     xi5 = 5 * np.pi / GRID.L
     c = SpectralField.from_function(GRID, lambda x: np.cos(xi5 * x))
     s = SpectralField.from_function(GRID, lambda x: np.sin(xi5 * x))
-    assert np.abs(hilbert_transform(c).values() + np.sin(xi5 * GRID.x)).max() <= 1e-12
-    assert np.abs(hilbert_transform(s).values() - np.cos(xi5 * GRID.x)).max() <= 1e-12
+    H = hilbert_stack(GRID, np.array([c.coeffs, s.coeffs]))
+    assert np.abs(values_stack(GRID, H[0]) + np.sin(xi5 * GRID.x)).max() <= 1e-12
+    assert np.abs(values_stack(GRID, H[1]) - np.cos(xi5 * GRID.x)).max() <= 1e-12
 
 
 def test_hilbert_kills_mean():
     f = SpectralField.from_function(GRID, lambda x: 1.0 + np.cos(x))
-    assert hilbert_transform(f).coeffs[0] == 0.0
+    assert hilbert_stack(GRID, f.coeffs)[0] == 0.0
 
 
 @settings(max_examples=20, deadline=None)
@@ -248,9 +316,8 @@ def test_hilbert_squared_is_minus_identity(seed):
     u = _rand_field(seed)
     c = u.coeffs.copy()
     c[0] = 0.0  # mean-zero
-    u = SpectralField(GRID, c)
-    hh = hilbert_transform(hilbert_transform(u))
-    assert np.abs(hh.coeffs + u.coeffs).max() <= 1e-13 * max(np.abs(u.coeffs).max(), 1.0)
+    hh = hilbert_stack(GRID, hilbert_stack(GRID, c))
+    assert np.abs(hh + c).max() <= 1e-13 * max(np.abs(c).max(), 1.0)
 
 
 def test_x_derivative_sin():
@@ -581,18 +648,86 @@ def _fft_leaks(source, filename, private=frozenset()):
     return leaks
 
 
+# how a spectrum is stored: the unpaired Nyquist slot, fft mode order, the
+# (-1)^k phase and the kernel's block layout and workspace
+_STORAGE_NAMES = {"nyquist", "mode_index", "modes", "phase_flip", "PaddedBuffer",
+                  "nonlinear_blocks"}
+
+
+def _named(node):
+    """The identifiers a node names: a variable, an attribute, an imported
+    or defined name, an argument, a keyword or a string (as for getattr)."""
+    if isinstance(node, ast.Name):
+        return [node.id]
+    if isinstance(node, ast.Attribute):
+        return [node.attr]
+    if isinstance(node, (ast.Import, ast.ImportFrom)):
+        return [part for a in node.names for part in a.name.split(".")]
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, (ast.arg, ast.keyword)):
+        return [node.arg]
+    if isinstance(node, ast.Constant) and isinstance(node.value, str):
+        return [node.value]
+    return []
+
+
+def _storage_leaks(source, filename):
+    """Each place in `source` that names a storage fact, or halves a grid
+    size (`M // 2`, `grid.M // 2`, `cfg.grid_M // 2`)."""
+    leaks = []
+    for node in ast.walk(ast.parse(source, filename=filename)):
+        leaks += [f"{filename}:{node.lineno}: {name}" for name in _named(node)
+                  if name in _STORAGE_NAMES]
+        if (isinstance(node, ast.BinOp) and isinstance(node.op, ast.FloorDiv)
+                and isinstance(node.right, ast.Constant) and node.right.value == 2
+                and any(name == "M" or str(name).endswith("_M")
+                        for n in ast.walk(node.left) for name in _named(n))):
+            leaks.append(f"{filename}:{node.lineno}: // 2")
+    return leaks
+
+
+def _library_sources():
+    return {path.name: path.read_text()
+            for path in sorted(pathlib.Path(chenlee_lab.__file__).parent.glob("*.py"))
+            if path.name != "core.py"}
+
+
 def test_only_core_touches_the_fft_and_the_grids_private_tables():
-    # np.fft and the grid's private tables are how spectra are stored; every
-    # other module goes through core.py's functions and Grid's public names
-    # (nyquist, modes, mode_index, xi)
+    # np.fft, the grid's private tables and the storage facts are how
+    # spectra are stored; every other module goes through core.py's
+    # functions and Grid's lookups by mode number (represents, at_modes,
+    # band), its frequencies xi and its sizes
     private = {name for name in vars(Grid(1.0, 8)) if name.startswith("_")}
     private |= {name for name in vars(Grid) if name.startswith("_") and not name.startswith("__")}
     assert private  # the ratchet looks at something
     leaks = []
-    for path in sorted(pathlib.Path(chenlee_lab.__file__).parent.glob("*.py")):
-        if path.name != "core.py":
-            leaks += _fft_leaks(path.read_text(), path.name, private)
+    for name, source in _library_sources().items():
+        leaks += _fft_leaks(source, name, private) + _storage_leaks(source, name)
     assert leaks == []
+    # core.py itself names them, so the scan sees what it looks for
+    core_source = (pathlib.Path(chenlee_lab.__file__).parent / "core.py").read_text()
+    assert {leak.split(": ")[1] for leak in _storage_leaks(core_source, "core.py")} == (
+        _STORAGE_NAMES | {"// 2"})
+
+
+@pytest.mark.parametrize("module, planted", [
+    ("solver.py", "c[:, grid.nyquist] = 0.0"),
+    ("flowderiv.py", "from .core import phase_flip"),
+    ("solver.py", "from .core import PaddedBuffer, nonlinear_blocks"),
+    ("solver.py", "pad = core.PaddedBuffer(work)"),
+    ("flowderiv.py", "m = grid.modes[supp]"),
+    ("config.py", "c[grid.mode_index(-idx)] = np.conj(c[idx])"),
+    ("spaces.py", "slot = getattr(grid, 'nyquist')"),
+    ("decay.py", "def kernel(grid, pad, nonlinear_blocks=None): pass"),
+    ("config.py", "half = cfg.grid_M // 2"),
+    ("flowderiv.py", "while (M // 2 - 1) * dxi < xi_need: M *= 2"),
+    ("limits.py", "top = 3 * grid.M // 2"),
+])
+def test_ratchet_catches_a_planted_storage_leak(module, planted):
+    source = _library_sources()[module] + "\n" + planted + "\n"
+    line = source.count("\n")
+    assert any(leak.startswith(f"{module}:{line}: ") for leak in _storage_leaks(source, module))
 
 
 @pytest.mark.parametrize("source", [

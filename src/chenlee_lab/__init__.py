@@ -22,7 +22,6 @@ from .core import (
 )
 from .spaces import (
     BoundaryMassWarning,
-    f_lambda,
     hs_inner,
     l2_norm,
     sobolev_norm,

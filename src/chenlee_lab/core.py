@@ -182,33 +182,18 @@ class SpectralField:
     def copy(self) -> "SpectralField":
         return SpectralField(self.grid, self.coeffs.copy(), check=False)
 
-    def is_hermitian(self, tol: float = 1e-10) -> bool:
-        c = self.coeffs
-        mirror = np.conj(c[self.grid.mode_index(-self.grid.modes)])
-        scale = max(np.abs(c).max(), 1e-300)
-        return bool(np.abs(c - mirror).max() <= tol * scale)
-
     # -- arithmetic (coefficient-wise, same grid) ----------------------
-    def _binop(self, other, op):
+    def __sub__(self, other):
         if isinstance(other, SpectralField):
             if other.grid != self.grid:
                 raise ValueError("grid mismatch")
-            return SpectralField(self.grid, op(self.coeffs, other.coeffs), check=False)
-        return SpectralField(self.grid, op(self.coeffs, other), check=False)
-
-    def __add__(self, other):
-        return self._binop(other, np.add)
-
-    def __sub__(self, other):
-        return self._binop(other, np.subtract)
+            other = other.coeffs
+        return SpectralField(self.grid, self.coeffs - other, check=False)
 
     def __mul__(self, scalar):
         return SpectralField(self.grid, self.coeffs * scalar, check=False)
 
     __rmul__ = __mul__
-
-    def __neg__(self):
-        return SpectralField(self.grid, -self.coeffs, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -271,10 +256,41 @@ def semigroup_multiplier(grid: Grid, t: float, params: EquationParams) -> np.nda
     return E
 
 
+def semigroup_half(grid: Grid, times, params: EquationParams) -> np.ndarray:
+    """E(xi, t) on the non-negative modes 0..M/2-1 for each t of the 1-d
+    `times`, as a (len(times), M/2) array: the half that a real field's
+    multipliers are mirrored from (see `mirror_half`)."""
+    return np.exp(np.multiply.outer(times, linear_symbol(grid.xi[:grid.nyquist], params)))
+
+
+def mirror_half(grid: Grid, half: np.ndarray) -> np.ndarray:
+    """The (..., M) spectra whose non-negative modes 0..M/2-1 are the
+    (..., M/2) `half`, each negative mode the conjugate of its partner and
+    the Nyquist slot zero.  The symbol's real part is even and its
+    imaginary part odd, bitwise, and numpy's complex exp is conjugate-
+    symmetric, so multipliers and real-weighted sums of them, formed on
+    the half and mirrored, are bitwise those formed on every mode up to the
+    sign of an exact zero (an exponent with no imaginary part, or a sum
+    whose terms all underflow)."""
+    n = grid.nyquist
+    c = np.empty(half.shape[:-1] + (grid.M,), dtype=np.complex128)
+    c[..., :n] = half
+    c[..., n] = 0.0
+    np.conjugate(half[..., :0:-1], out=c[..., n + 1:])
+    return c
+
+
 def semigroup_stack(grid: Grid, times, params: EquationParams) -> np.ndarray:
     """E(xi, t) for each t of the 1-d `times`, as a (len(times), M) array
-    with the Nyquist slot zeroed: the Picard route's multipliers."""
-    E = np.exp(np.multiply.outer(times, linear_symbol(grid.xi, params)))
+    with the Nyquist slot zeroed: the Picard route's multipliers,
+    exponentiated on the non-negative modes and mirrored (`mirror_half`).
+    Where the exponent's imaginary part is an exact zero (t = 0, or no
+    dispersion), exp keeps that zero, whose sign on a negative mode follows
+    the symbol's real part; it is copied from the exponent, so every slot
+    is bitwise the evaluation on every mode."""
+    z = np.multiply.outer(times, linear_symbol(grid.xi, params))
+    E = mirror_half(grid, np.exp(z[:, :grid.nyquist]))
+    np.copyto(E.imag, z.imag, where=z.imag == 0.0)
     E[:, grid.nyquist] = 0.0
     return E
 
@@ -451,8 +467,7 @@ def stepper_workspace(grid: Grid, nonlinear: np.ndarray) -> PaddedBuffer:
     return pad
 
 
-def nonlinear_stack(grid: Grid, coeffs: np.ndarray, *, out: np.ndarray | None = None,
-                    work: np.ndarray | None = None) -> np.ndarray:
+def nonlinear_stack(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """Spectra of u*u_x = (1/2) d/dx (u^2) for a (..., M) stack of spectra u,
     row by row.
 
@@ -464,18 +479,12 @@ def nonlinear_stack(grid: Grid, coeffs: np.ndarray, *, out: np.ndarray | None = 
     text names only the budget, so Python's once-per-location filter folds
     the repeats of a run.
 
-    The result goes to `out`, a complex128 array of the stack's shape
-    (new when None), which is returned.  `out` may be `coeffs` itself:
-    `coeffs` is read before `out` is written.  The transform runs in place
-    in `work`, a C-contiguous complex128 array of shape (..., 3M/2) for the
-    same leading shape (new when None); its contents on entry do not matter
-    and on return are scratch.
-
     Three steps: `phase_flip` writes the stack into the retained blocks of
-    `work` (see `PaddedBuffer`), the phase-free kernel `nonlinear_blocks`
-    writes the flipped product into `out`, and `phase_flip` turns `out`
-    back in place.  The result is that of the plain form
-    `(s2*phase * fft(v * v)) * 0.5j*xi` with `v = s1 * ifft(pad(u) * phase)`,
+    a new (..., 3M/2) padded buffer (see `PaddedBuffer`), the phase-free
+    kernel `nonlinear_blocks` writes the flipped product into the result,
+    and `phase_flip` turns the result back in place.  The result is that of
+    the plain form `(s2*phase * fft(v * v)) * 0.5j*xi` with
+    `v = s1 * ifft(pad(u) * phase)`,
     bitwise up to the sign of an exact zero: rounding is symmetric, so a
     product with the sign, alone or folded into a scale, is the exact
     negation a flip writes, and the kernel runs the plain form's other
@@ -486,11 +495,8 @@ def nonlinear_stack(grid: Grid, coeffs: np.ndarray, *, out: np.ndarray | None = 
     as `k1 * E1` moves the decay experiment's CSV).
     """
     lead, half = coeffs.shape[:-1], grid.M // 2
-    if work is None:
-        work = np.empty(lead + (3 * half,), dtype=np.complex128)
-    if out is None:
-        out = np.empty(lead + (grid.M,), dtype=np.complex128)
-    pad = PaddedBuffer(work)
+    out = np.empty(lead + (grid.M,), dtype=np.complex128)
+    pad = PaddedBuffer(np.empty(lead + (3 * half,), dtype=np.complex128))
     blocks = out.reshape(lead + (2, half))
     phase_flip(coeffs.reshape(lead + (2, half)), out=pad.retained)
     nonlinear_blocks(grid, pad, blocks)

@@ -30,7 +30,9 @@ from .core import (
     EquationParams,
     Grid,
     SpectralField,
+    mirror_half,
     nonlinear_stack,
+    semigroup_half,
     semigroup_multiplier,
     semigroup_stack,
     stepper_workspace,
@@ -208,7 +210,12 @@ def _duhamel_operator(grid: Grid, params: EquationParams, nodes: tuple, t: float
     hit shares it.  W[j] = sum_q w_q l_j(tau_q) E(t - tau_q), E the multiplier
     of S for (grid, params): sum_j W[j] G_j is int_0^t S(t-tau) G(tau) dtau
     for G interpolating samples G_j at the node times `nodes`, by composite
-    Gauss-Legendre (`n_nodes` per panel).  The Lebesgue constant max_q sum_j
+    Gauss-Legendre (`n_nodes` per panel).  W is exponentiated and summed on
+    the non-negative modes only and mirrored onto the rest (core's
+    `mirror_half`): as the weights are real, that is bitwise the sum on
+    every mode, up to the sign of an exact zero (an entry all of whose
+    terms underflow, or an imaginary part without dispersion, beta = 0).
+    The Lebesgue constant max_q sum_j
     |l_j(tau_q)| over the rule's points bounds how much interpolation
     amplifies rounding.  64 entries hold the 48 operators of the
     C_CONTRACTION probe sweep (3 horizons x 16 nodes, visited cyclically,
@@ -221,7 +228,7 @@ def _duhamel_operator(grid: Grid, params: EquationParams, nodes: tuple, t: float
     tau = (half * x + 0.5 * (edges[:-1] + edges[1:])[:, None]).ravel()
     wq = (half * w).ravel()
     L = _lagrange_matrix(np.array(nodes), tau)
-    W = (wq[:, None] * L).T @ semigroup_stack(grid, t - tau, params)
+    W = mirror_half(grid, (wq[:, None] * L).T @ semigroup_half(grid, t - tau, params))
     W.flags.writeable = False
     return W, float(np.abs(L).sum(axis=1).max())
 
@@ -287,15 +294,17 @@ def solve_picard(phi: SpectralField, params: EquationParams, config: SolverConfi
     times = chebyshev_nodes(config.T, _PICARD_PANELS)
     lin = semigroup_stack(grid, times, params) * phi.coeffs[None, :]
     nodes = tuple(times.tolist())
-    W = np.array([_duhamel_operator(grid, params, nodes, t, _QUAD_NODES, _PANEL_LENGTH)[0]
-                  for t in nodes[1:]])
+    # the memoized operators themselves, one per node after t = 0; each
+    # node's product-sum is duhamel_integral's on the iterate, bitwise
+    Ws = [_duhamel_operator(grid, params, nodes, t, _QUAD_NODES, _PANEL_LENGTH)[0]
+          for t in nodes[1:]]
 
     def apply_map(u_mat: np.ndarray) -> np.ndarray:
-        if not params.nonlinear:
-            return lin.copy()
-        G = nonlinear_stack(grid, u_mat)
         out = lin.copy()
-        out[1:] -= np.einsum("ijk,jk->ik", W, G)
+        if params.nonlinear:
+            G = nonlinear_stack(grid, u_mat)
+            for row, W in zip(out[1:], Ws):
+                row -= (W * G).sum(axis=0)
         return out
 
     def sup_hs(mat: np.ndarray) -> float:

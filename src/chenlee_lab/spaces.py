@@ -1,5 +1,4 @@
-"""Sobolev / weighted norms and the closed-form dissipative estimate
-functions used by the well-posedness machinery.
+"""Sobolev / weighted norms used by the well-posedness machinery.
 
 Discrete norm convention: frequency quadrature weight dxi = pi/L, so the
 H^0 norm agrees with the physical L^2 norm by Plancherel and discrete
@@ -80,25 +79,6 @@ def weighted_l2_norm(f: SpectralField, r: int, boundary_guard: float = 0.01) -> 
             stacklevel=2,
         )
     return float(np.sqrt(max(total, 0.0)))
-
-
-def f_lambda(t: float, lam: float, eta: float) -> float:
-    """Closed-form envelope for sup_xi |t xi^2|^lam e^{eta(|xi|-xi^2) t}:
-
-        (t^lam + eta^-lam) * exp((eta/8) (t + sqrt(t) sqrt(t + 16 lam/eta))),
-
-    nondecreasing in t > 0.
-    """
-    if t <= 0 or lam <= 0 or eta <= 0:
-        raise ValueError("f_lambda requires t, lambda, eta > 0")
-    return (t ** lam + eta ** (-lam)) * np.exp(
-        (eta / 8.0) * (t + np.sqrt(t) * np.sqrt(t + 16.0 * lam / eta))
-    )
-
-
-def f_lambda_argmax(t: float, lam: float, eta: float) -> float:
-    """Maximizer x1 of x^{2 lam} e^{eta(x sqrt(t) - x^2)}, x >= 0."""
-    return 0.25 * (np.sqrt(t) + np.sqrt(t + 16.0 * lam / eta))
 
 
 def hs_inner(f: SpectralField, g_field: SpectralField, s: float) -> float:

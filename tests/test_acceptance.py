@@ -1,6 +1,9 @@
 """Acceptance suite: one test per numbered criterion, each printing a
 single PASS/FAIL line with the measured quantity.
 
+Criterion 04's oracle, the closed-form smoothing envelope, is defined
+here with the tests that check it against brute force.
+
 Criterion 10's Cauchy-rate clause is a documented expected failure: for
 smooth data the solution map is differentiable in the dissipation
 parameter, so the measured Cauchy rate is ~1, not the non-sharp
@@ -10,6 +13,7 @@ tolerance and marked xfail(strict=True) rather than weakened.
 """
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chenlee_lab.calibration import C_CONTRACTION
 from chenlee_lab.cli import main as cli_main
@@ -30,7 +34,7 @@ from chenlee_lab.flowderiv import illposed_growth_c2_nd, illposed_growth_c3
 from chenlee_lab.limits import LimitSweepConfig, beta_limit_sweep, eta_limit_sweep
 from chenlee_lab.report import fit_loglog
 from chenlee_lab.solver import SolverConfig, contraction_time, solve_picard, solve_stepper
-from chenlee_lab.spaces import f_lambda, f_lambda_argmax, l2_norm, sobolev_norm
+from chenlee_lab.spaces import l2_norm, sobolev_norm
 
 # mass drift of every nonlinear solver run executed by this suite
 # (criterion 6 asserts over all of them)
@@ -128,19 +132,73 @@ def test_criterion03_smoothing_rate():
 # 4. closed-form envelope oracle
 # ---------------------------------------------------------------------------
 
+def f_lambda(t: float, lam: float, eta: float) -> float:
+    """Closed-form envelope for sup_xi |t xi^2|^lam e^{eta(|xi|-xi^2) t}:
+
+        (t^lam + eta^-lam) * exp((eta/8) (t + sqrt(t) sqrt(t + 16 lam/eta))),
+
+    nondecreasing in t > 0.
+    """
+    if t <= 0 or lam <= 0 or eta <= 0:
+        raise ValueError("f_lambda requires t, lambda, eta > 0")
+    return (t ** lam + eta ** (-lam)) * np.exp(
+        (eta / 8.0) * (t + np.sqrt(t) * np.sqrt(t + 16.0 * lam / eta))
+    )
+
+
+def f_lambda_argmax(t: float, lam: float, eta: float) -> float:
+    """Maximizer x1 of x^{2 lam} e^{eta(x sqrt(t) - x^2)}, x >= 0."""
+    return 0.25 * (np.sqrt(t) + np.sqrt(t + 16.0 * lam / eta))
+
+
+def _brute_sup(t, lam, eta, n=200001):
+    x1 = f_lambda_argmax(t, lam, eta)
+    xi = np.linspace(0.0, 6.0 * x1 + 10.0, n)
+    return np.max(np.abs(t * xi ** 2) ** lam * np.exp(eta * (xi - xi ** 2) * t))
+
+
 def test_criterion04_envelope_oracle():
     worst = 0.0
     for t in np.geomspace(1e-3, 1.0, 13):
         for lam in (0.5, 1.0, 2.0):
             for eta in (0.5, 1.0, 2.0):
-                x1 = f_lambda_argmax(t, lam, eta)
-                xi = np.linspace(0.0, 6.0 * x1 + 10.0, 200001)
-                brute = np.max(np.abs(t * xi ** 2) ** lam
-                               * np.exp(eta * (xi - xi ** 2) * t))
-                worst = max(worst, brute / f_lambda(t, lam, eta))
+                worst = max(worst, _brute_sup(t, lam, eta) / f_lambda(t, lam, eta))
     ok = worst <= 10.0
     _line(4, "envelope-oracle", ok, f"max brute/closed-form ratio {worst:.4f} (C <= 10)")
     assert ok
+
+
+def test_f_lambda_dominates_brute_force():
+    worst = 0.0
+    for t in np.geomspace(1e-3, 1.0, 7):
+        for lam in (0.5, 1.0, 2.0):
+            for eta in (0.5, 1.0, 2.0):
+                worst = max(worst, _brute_sup(t, lam, eta) / f_lambda(t, lam, eta))
+    assert worst <= 1.0  # the closed form is a true envelope
+
+
+def test_f_lambda_argmax_is_maximizer():
+    t, lam, eta = 0.1, 1.0, 1.0
+    x1 = f_lambda_argmax(t, lam, eta)
+
+    def h(x):
+        return x ** (2 * lam) * np.exp(eta * (x * np.sqrt(t) - x * x))
+
+    assert h(x1) >= h(x1 * 1.001)
+    assert h(x1) >= h(x1 * 0.999)
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.floats(1e-3, 0.5), st.floats(1e-3, 0.5))
+def test_f_lambda_nondecreasing(t, dt):
+    assert f_lambda(t + dt, 1.0, 1.0) >= f_lambda(t, 1.0, 1.0) - 1e-12
+
+
+def test_f_lambda_domain():
+    with pytest.raises(ValueError):
+        f_lambda(0.0, 1.0, 1.0)
+    with pytest.raises(ValueError):
+        f_lambda(0.5, 1.0, 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,4 @@
-"""Sobolev and weighted norms and the closed-form dissipative envelope
-functions."""
+"""Sobolev and weighted norms."""
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,8 +8,6 @@ from chenlee_lab.core import Grid, SpectralField, random_real_field
 from chenlee_lab import spaces
 from chenlee_lab.spaces import (
     BoundaryMassWarning,
-    f_lambda,
-    f_lambda_argmax,
     hs_inner,
     l2_norm,
     sobolev_norm,
@@ -143,46 +140,3 @@ def test_weighted_norm_boundary_warning():
 def test_weighted_norm_rejects_negative_order():
     with pytest.raises(ValueError):
         weighted_l2_norm(_rand_field(0), -1)
-
-
-# ---------------------------------------------------------------------------
-# envelope functions
-# ---------------------------------------------------------------------------
-
-def _brute_sup(t, lam, eta, n=200001):
-    x1 = f_lambda_argmax(t, lam, eta)
-    xi = np.linspace(0.0, 6.0 * x1 + 10.0, n)
-    return np.max(np.abs(t * xi ** 2) ** lam * np.exp(eta * (xi - xi ** 2) * t))
-
-
-def test_f_lambda_dominates_brute_force():
-    worst = 0.0
-    for t in np.geomspace(1e-3, 1.0, 7):
-        for lam in (0.5, 1.0, 2.0):
-            for eta in (0.5, 1.0, 2.0):
-                worst = max(worst, _brute_sup(t, lam, eta) / f_lambda(t, lam, eta))
-    assert worst <= 1.0  # the closed form is a true envelope
-
-
-def test_f_lambda_argmax_is_maximizer():
-    t, lam, eta = 0.1, 1.0, 1.0
-    x1 = f_lambda_argmax(t, lam, eta)
-
-    def h(x):
-        return x ** (2 * lam) * np.exp(eta * (x * np.sqrt(t) - x * x))
-
-    assert h(x1) >= h(x1 * 1.001)
-    assert h(x1) >= h(x1 * 0.999)
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.floats(1e-3, 0.5), st.floats(1e-3, 0.5))
-def test_f_lambda_nondecreasing(t, dt):
-    assert f_lambda(t + dt, 1.0, 1.0) >= f_lambda(t, 1.0, 1.0) - 1e-12
-
-
-def test_f_lambda_domain():
-    with pytest.raises(ValueError):
-        f_lambda(0.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        f_lambda(0.5, 1.0, 0.0)

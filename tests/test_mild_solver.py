@@ -16,10 +16,12 @@ from chenlee_lab.core import (
     Grid,
     SpectralField,
     nonlinear_stack,
+    linear_symbol,
     nonlinear_term,
     random_real_field,
     semigroup_apply,
     semigroup_multiplier,
+    semigroup_stack,
 )
 from chenlee_lab import core, solver, spaces
 from chenlee_lab.solver import (
@@ -39,7 +41,7 @@ from chenlee_lab.solver import (
     solve_stepper,
     solve_stepper_stack,
 )
-from chenlee_lab.spaces import l2_norm, sobolev_norm
+from chenlee_lab.spaces import l2_norm, sobolev_norm, sobolev_norm_stack
 
 GRID = Grid(8.0 * np.pi, 256)
 PARAMS = EquationParams(beta=1.0, eta=1.0)
@@ -732,6 +734,45 @@ def test_duhamel_integral_nyquist_slot_is_zero_by_construction(check):
         assert val[GRID.nyquist].real.hex() == val[GRID.nyquist].imag.hex() == "0x0.0p+0"
 
 
+def _frozen_semigroup_stack(grid, times, params):
+    # the Picard route's multipliers as evaluated on every mode
+    E = np.exp(np.multiply.outer(times, linear_symbol(grid.xi, params)))
+    E[:, grid.nyquist] = 0.0
+    return E
+
+
+def _frozen_duhamel_operator(grid, params, nodes, t, n_nodes, panel_length):
+    # _duhamel_operator's W as exponentiated and summed on every mode
+    n_panels = max(1, int(np.ceil(t / panel_length)))
+    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    edges = np.linspace(0.0, t, n_panels + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    tau = (half * x + 0.5 * (edges[:-1] + edges[1:])[:, None]).ravel()
+    wq = (half * w).ravel()
+    L = _lagrange_matrix(np.array(nodes), tau)
+    return (wq[:, None] * L).T @ _frozen_semigroup_stack(grid, t - tau, params)
+
+
+@pytest.mark.parametrize("M", [8, 256, 512, 4096])
+def test_picard_operators_equal_the_full_mode_form_bitwise(M):
+    # semigroup_stack and _duhamel_operator exponentiate the non-negative
+    # modes only and mirror the rest: every bit is that of the evaluation
+    # on every mode, the t = 0 multipliers (exact zeros in the exponent)
+    # included, with the 10- and the 20-node rule (the memo is bypassed,
+    # so it keeps no M = 4096 entry)
+    grid = Grid(8.0 * np.pi, M)
+    for T in (0.25, 1.0):
+        times = chebyshev_nodes(T, 16)
+        nodes = tuple(times.tolist())
+        assert np.array_equal(semigroup_stack(grid, times, PARAMS).view(np.uint64),
+                              _frozen_semigroup_stack(grid, times, PARAMS).view(np.uint64))
+        for t in nodes[1:]:
+            for n_nodes in (10, 20):
+                W = solver._duhamel_operator.__wrapped__(grid, PARAMS, nodes, t, n_nodes, 0.25)[0]
+                ref = _frozen_duhamel_operator(grid, PARAMS, nodes, t, n_nodes, 0.25)
+                assert np.array_equal(W.view(np.uint64), ref.view(np.uint64)), (T, t, n_nodes)
+
+
 def test_second_probe_builds_no_multiplier():
     # the probes' linear flows share the semigroup multiplier at every node
     _probe_trajectory(_gaussian(0.5), 0.25)
@@ -785,6 +826,45 @@ def test_picard_info_bitwise_equals_the_per_row_sup_norm(s, monkeypatch):
     for key in ("diffs", "ratios"):
         assert [x.hex() for x in stacked[key]] == [x.hex() for x in frozen[key]]
     assert stacked["residual"].hex() == frozen["residual"].hex()
+
+
+def test_picard_map_is_duhamel_integral_at_every_node_bitwise():
+    # solve_picard applies the memoized operators node by node with
+    # duhamel_integral's product-sum, so the residual follows bitwise from
+    # duhamel_integral on the final iterate
+    phi = _gaussian(0.05)
+    s = 0.5
+    traj = solve_picard(phi, PARAMS, SolverConfig(dt=1e-3, T=0.25), s=s)
+    mapped = semigroup_stack(GRID, traj.times, PARAMS) * phi.coeffs[None, :]
+    for row, t in zip(mapped[1:], traj.times[1:]):
+        row -= duhamel_integral(traj, t, check=False).coeffs
+    residual = float(sobolev_norm_stack(GRID, mapped - traj.coeffs, s).max())
+    assert residual > 0.0
+    assert residual.hex() == traj.info["residual"].hex()
+
+
+def test_warm_picard_solve_holds_no_operator_stack():
+    # the operators of a solve are read where the memo holds them, so a
+    # warm solve on the contraction grid peaks below one stack of them,
+    # (nodes after t = 0, nodes, M) complex, which a stacked copy would add
+    import tracemalloc
+
+    grid = Grid(16.0 * np.pi, 512)
+    phi = random_real_field(grid, np.random.default_rng(0), spectral_decay=2.0)
+    phi = phi * (1e-2 / l2_norm(phi))
+    cfg = SolverConfig(dt=1e-3, T=1.0)
+    solve_picard(phi, PARAMS, cfg)  # builds and memoizes the operators
+    n = solver._PICARD_PANELS
+    stack_bytes = np.empty((n, n + 1, grid.M), dtype=np.complex128).nbytes
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        solve_picard(phi, PARAMS, cfg)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < stack_bytes
 
 
 def test_picard_is_deterministic():

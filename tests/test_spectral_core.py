@@ -42,6 +42,12 @@ def _rand_field(seed, grid=GRID):
     return random_real_field(grid, np.random.default_rng(seed), spectral_decay=1.0)
 
 
+def _is_hermitian(coeffs, grid=GRID, tol=1e-10):
+    # a real field's spectrum: each mode the conjugate of its partner's
+    mirror = np.conj(coeffs[grid.mode_index(-grid.modes)])
+    return np.abs(coeffs - mirror).max() <= tol * max(np.abs(coeffs).max(), 1e-300)
+
+
 # ---------------------------------------------------------------------------
 # grid
 # ---------------------------------------------------------------------------
@@ -129,7 +135,7 @@ def test_from_modes_places_values_and_rejects_unrepresented_modes():
     expected = np.zeros(16, dtype=complex)
     expected[[2, 14, 0]] = [1 + 2j, 1 - 2j, 3.0]
     assert np.array_equal(f.coeffs.view(np.uint64), expected.view(np.uint64))
-    assert f.is_hermitian()
+    assert _is_hermitian(f.coeffs, g)
     for n in (8, -8, 9):
         with pytest.raises(ValueError, match="not represented"):
             SpectralField.from_modes(g, np.array([1, n]), 1.0)
@@ -242,25 +248,27 @@ def test_nonfinite_rejected():
 def test_from_values_hermitian(seed):
     rng = np.random.default_rng(seed)
     f = SpectralField.from_values(GRID, rng.standard_normal(GRID.M))
-    assert f.is_hermitian()
+    assert _is_hermitian(f.coeffs)
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(0, 10 ** 6), st.floats(-3, 3))
 def test_arithmetic_preserves_hermitian(seed, alpha):
+    # the field arithmetic the library has (a - b, alpha * a), and a sum and
+    # a negation of the spectra
     a = _rand_field(seed)
     b = _rand_field(seed + 1)
-    assert (a + b).is_hermitian()
-    assert (a - b).is_hermitian()
-    assert (alpha * a).is_hermitian()
-    assert (-a).is_hermitian()
+    assert _is_hermitian(a.coeffs + b.coeffs)
+    assert _is_hermitian((a - b).coeffs)
+    assert _is_hermitian((alpha * a).coeffs)
+    assert _is_hermitian(-a.coeffs)
 
 
 def test_grid_mismatch_raises():
     a = _rand_field(0)
     b = _rand_field(0, Grid(8.0 * np.pi, 512))
     with pytest.raises(ValueError):
-        a + b
+        a - b
 
 
 # ---------------------------------------------------------------------------
@@ -396,7 +404,7 @@ def test_nonlinear_term_mean_exactly_zero():
 
 @pytest.mark.filterwarnings("ignore::chenlee_lab.core.AliasingBudgetWarning")
 def test_nonlinear_term_hermitian():
-    assert nonlinear_term(_rand_field(5)).is_hermitian()
+    assert _is_hermitian(nonlinear_term(_rand_field(5)).coeffs)
 
 
 @pytest.mark.filterwarnings("ignore::chenlee_lab.core.AliasingBudgetWarning")
@@ -499,6 +507,10 @@ def test_aliasing_check_in_chunks_equals_frozen_kernel(M):
 @pytest.mark.parametrize("shape", [(), (6,), (2, 3)], ids=["M", "6xM", "2x3xM"])
 @pytest.mark.parametrize("M", [8, 512, 4096])
 def test_nonlinear_stack_workspace_equals_allocating_call_bitwise(M, shape):
+    # a workspace reused as the stepper reuses its own (stepper_workspace):
+    # the stack flipped into a padded buffer, the phase-free kernel, the
+    # result flipped back, twice over the same buffers, gives
+    # nonlinear_stack's new arrays, and each row is its one-row call
     grid = Grid(8.0 * np.pi, M)
     rng = np.random.default_rng(M + 1)
     n = int(np.prod(shape))
@@ -506,15 +518,16 @@ def test_nonlinear_stack_workspace_equals_allocating_call_bitwise(M, shape):
     coeffs = np.array([random_real_field(grid, rng, spectral_decay=d).coeffs
                        for d in decays]).reshape(shape + (M,))
     ref = nonlinear_stack(grid, coeffs)
+    rows = coeffs.reshape(-1, M)
+    assert np.array_equal(ref.reshape(-1, M).view(np.uint64), np.array(
+        [nonlinear_stack(grid, row) for row in rows]).view(np.uint64))
     # a NaN left in the padded buffer's middle third would reach every mode
-    work = np.full(shape + (3 * M // 2,), np.nan, dtype=np.complex128)
-    out = np.empty_like(coeffs)
-    assert nonlinear_stack(grid, coeffs, out=out, work=work) is out
-    assert np.array_equal(out.view(np.uint64), ref.view(np.uint64))
-    # the same buffers again, and `out` aliasing `coeffs`
-    aliased = coeffs.copy()
-    assert nonlinear_stack(grid, aliased, out=aliased, work=work) is aliased
-    assert np.array_equal(aliased.view(np.uint64), ref.view(np.uint64))
+    pad = PaddedBuffer(np.full(shape + (3 * M // 2,), np.nan, dtype=np.complex128))
+    out = np.empty(shape + (2, M // 2), dtype=np.complex128)
+    for _ in range(2):
+        phase_flip(coeffs.reshape(shape + (2, M // 2)), out=pad.retained)
+        phase_flip(nonlinear_blocks(grid, pad, out), out=out)
+        assert np.array_equal(out.reshape(ref.shape).view(np.uint64), ref.view(np.uint64))
 
 
 def test_phase_flip_negates_odd_modes_exactly():
@@ -602,7 +615,7 @@ def test_random_field_seeded_and_hermitian():
     a = _rand_field(11)
     b = _rand_field(11)
     assert np.array_equal(a.coeffs, b.coeffs)
-    assert a.is_hermitian()
+    assert _is_hermitian(a.coeffs)
     assert np.abs(a.values().imag if np.iscomplexobj(a.values()) else 0.0) == 0.0
 
 

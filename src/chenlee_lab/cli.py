@@ -237,6 +237,7 @@ def run_experiment(cfg: RunConfig, out_dir: str, quick: bool = False) -> int:
 
 
 def build_parser():
+    d = RunConfig()
     parser = argparse.ArgumentParser(
         prog="chenlee-lab",
         description=(
@@ -244,8 +245,9 @@ def build_parser():
             "equation: solver runs, semigroup smoothing, contraction checks, "
             "rough-data norm inflation, singular limits, and decay diagnostics. "
             "Config file format: one 'key = value' per line, '#' comments; "
-            "defaults are grid.L=32*pi, grid.M=4096, eq.beta=1, eq.eta=1, "
-            "solver.dt=1e-3, solver.T=1, data.kind=gaussian, seed=0."
+            f"defaults are grid.L={d.grid_L / np.pi:g}*pi, grid.M={d.grid_M}, "
+            f"eq.beta={d.beta:g}, eq.eta={d.eta:g}, solver.dt={d.dt:g}, "
+            f"solver.T={d.T:g}, data.kind={d.data_kind}, seed={d.seed}."
         ),
     )
     parser.add_argument("experiment", choices=EXPERIMENTS)

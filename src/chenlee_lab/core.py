@@ -179,9 +179,6 @@ class SpectralField:
         are Hermitian-symmetric)."""
         return values_stack(self.grid, self.coeffs)
 
-    def copy(self) -> "SpectralField":
-        return SpectralField(self.grid, self.coeffs.copy(), check=False)
-
     # -- arithmetic (coefficient-wise, same grid) ----------------------
     def __sub__(self, other):
         if isinstance(other, SpectralField):
@@ -282,15 +279,8 @@ def mirror_half(grid: Grid, half: np.ndarray) -> np.ndarray:
 
 def semigroup_stack(grid: Grid, times, params: EquationParams) -> np.ndarray:
     """E(xi, t) for each t of the 1-d `times`, as a (len(times), M) array
-    with the Nyquist slot zeroed: the Picard route's multipliers,
-    exponentiated on the non-negative modes and mirrored (`mirror_half`).
-    Where the exponent's imaginary part is an exact zero (t = 0, or no
-    dispersion), exp keeps that zero, whose sign on a negative mode follows
-    the symbol's real part; it is copied from the exponent, so every slot
-    is bitwise the evaluation on every mode."""
-    z = np.multiply.outer(times, linear_symbol(grid.xi, params))
-    E = mirror_half(grid, np.exp(z[:, :grid.nyquist]))
-    np.copyto(E.imag, z.imag, where=z.imag == 0.0)
+    with the Nyquist slot zeroed: the Picard route's multipliers."""
+    E = np.exp(np.multiply.outer(times, linear_symbol(grid.xi, params)))
     E[:, grid.nyquist] = 0.0
     return E
 
@@ -399,14 +389,14 @@ class PaddedBuffer:
     10,000 floats on its thread pool, and no ddot here is that long.
 
     A stepper's workspace (`stepper_workspace`) holds all an IF-RK4 run
-    knows of storage.  Its state is in the block layout, as (-1)^k c on the
-    kernel's `rows` and as c on the `linear` rows, so that their exact zeros
-    keep their signs.  Negation commutes exactly with the kernel and with
-    each operation of a step, up to the sign of an exact zero.  A stage
-    written into `stage` is where the kernel reads it when no row is linear."""
+    knows of storage.  A stack is all nonlinear or all linear.  A nonlinear
+    stack's state is in the block layout as (-1)^k c, and a stage written
+    into `retained` is where the kernel reads it; negation commutes exactly
+    with the kernel and with each operation of a step, up to the sign of an
+    exact zero.  A linear stack's state is c, so that its exact zeros keep
+    their signs, and every stage evaluates to zero."""
 
-    __slots__ = ("flat", "retained", "middle", "power", "sums",
-                 "grid", "rows", "linear", "part", "stage")
+    __slots__ = ("flat", "retained", "middle", "power", "sums", "grid", "nonlinear")
 
     def __init__(self, flat: np.ndarray):
         n = flat.shape[-1] // 3
@@ -420,50 +410,42 @@ class PaddedBuffer:
 
     def load(self, stack: np.ndarray, *multipliers: np.ndarray) -> tuple:
         """The (b, M) datum stack `stack`, overwritten, as the state (the
-        Nyquist slot zeroed, the rows with the kernel flipped), then the
-        (b, M) diagonal `multipliers`, which commute with the flip, in its
-        layout.  Raises ValueError on a non-finite datum."""
+        Nyquist slot zeroed, flipped for a nonlinear stack), then the (b, M)
+        diagonal `multipliers`, which commute with the flip, in its layout.
+        Raises ValueError on a non-finite datum."""
         stack[:, self.grid.nyquist] = 0.0
         if not np.isfinite(stack.view(np.float64)).all():
             raise ValueError("non-finite Fourier coefficients")
-        phase_flip(stack, out=stack)  # in place, so no copy adds to peak memory
-        stack[self.linear] = phase_flip(stack[self.linear])  # back as they were
+        if self.nonlinear:
+            phase_flip(stack, out=stack)  # in place, so no copy adds to peak memory
         return tuple(a.reshape(len(a), 2, self.grid.nyquist) for a in (stack,) + multipliers)
 
     def evaluate(self, src: np.ndarray, out: np.ndarray, scale: np.ndarray):
-        """out <- scale * (-1)^k (u u_x)^ at the stage `src` on the rows
-        with the kernel, 0 on the linear rows."""
-        if self.part is None:
-            if src is not self.retained:
-                np.copyto(self.retained, src)
-            nonlinear_blocks(self.grid, self, out)
-            np.multiply(out, scale, out=out)
+        """out <- scale * (-1)^k (u u_x)^ at the stage `src` of a nonlinear
+        stack; 0 for a linear one."""
+        if not self.nonlinear:
+            out.fill(0.0)
             return
-        if self.rows.size:
-            self.retained[...] = src[self.rows]
-            nonlinear_blocks(self.grid, self, self.part)
-            np.multiply(self.part, scale, out=self.part)
-            out[self.rows] = self.part
-        out[self.linear] = 0.0
+        if src is not self.retained:
+            np.copyto(self.retained, src)
+        nonlinear_blocks(self.grid, self, out)
+        np.multiply(out, scale, out=out)
 
     def store(self, state: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The state's spectra written into the (b, M) array `out`, which
         is returned."""
         state = state.reshape(out.shape)
-        phase_flip(state, out=out)
-        out[self.linear] = state[self.linear]
+        if self.nonlinear:
+            return phase_flip(state, out=out)
+        np.copyto(out, state)
         return out
 
 
-def stepper_workspace(grid: Grid, nonlinear: np.ndarray) -> PaddedBuffer:
-    """The workspace of a stepper over a (b, M) stack whose rows marked in
-    the boolean `nonlinear` carry the u u_x term (see `PaddedBuffer`)."""
-    rows, linear = np.flatnonzero(nonlinear), np.flatnonzero(~nonlinear)
-    pad = PaddedBuffer(np.empty((rows.size, 3 * grid.nyquist), dtype=np.complex128))
-    pad.grid, pad.rows, pad.linear, pad.part, pad.stage = grid, rows, linear, None, pad.retained
-    if linear.size:  # the kernel's rows are gathered from `stage`, its result from `part`
-        pad.part, pad.stage = (np.empty((b, 2, grid.nyquist), dtype=np.complex128)
-                               for b in (rows.size, nonlinear.size))
+def stepper_workspace(grid: Grid, b: int, nonlinear: bool) -> PaddedBuffer:
+    """The workspace of a stepper over a (b, M) stack whose rows all carry
+    the u u_x term, or none does (see `PaddedBuffer`)."""
+    pad = PaddedBuffer(np.empty((b, 3 * grid.nyquist), dtype=np.complex128))
+    pad.grid, pad.nonlinear = grid, nonlinear
     return pad
 
 
@@ -554,22 +536,16 @@ def nonlinear_term(u: SpectralField) -> SpectralField:
     return SpectralField(u.grid, nonlinear_stack(u.grid, u.coeffs), check=False)
 
 
-def random_real_field(grid: Grid, rng: np.random.Generator, band=None,
+def random_real_field(grid: Grid, rng: np.random.Generator,
                       spectral_decay: float = 0.0) -> SpectralField:
     """Seeded random real field: unit-scale complex coefficients with
-    Hermitian symmetry, optionally restricted to |xi| in `band` and shaped
-    by |xi|^{-spectral_decay}."""
+    Hermitian symmetry, shaped by |xi|^{-spectral_decay}."""
     c = np.zeros(grid.M, dtype=np.complex128)
     kpos = np.arange(1, grid.nyquist)
-    xi_pos = grid.xi[kpos]
     amp = rng.standard_normal(kpos.size) + 1j * rng.standard_normal(kpos.size)
     if spectral_decay != 0.0:
-        amp = amp * np.abs(xi_pos) ** (-spectral_decay)
-    if band is not None:
-        lo, hi = band
-        amp = np.where((np.abs(xi_pos) >= lo) & (np.abs(xi_pos) <= hi), amp, 0.0)
+        amp = amp * grid.xi[kpos] ** (-spectral_decay)
     c[kpos] = amp
     c[grid.mode_index(-kpos)] = np.conj(amp)
-    if band is None or band[0] <= 0:
-        c[0] = rng.standard_normal()
+    c[0] = rng.standard_normal()
     return SpectralField(grid, c, check=False)

@@ -374,13 +374,17 @@ def solve_stepper_stack(phi: SpectralField, params_list, config: SolverConfig) -
     does not depend on how many processes ran; `info["processes"]` records
     it.  A stack of one member, a one-CPU mask, a platform without
     `os.fork` or a live second Python thread (forking a threaded process is
-    unsafe) gives one sub-stack, stepped here.  Every member's CFL check runs
-    before any stepping.  A blow-up raises the error a serial run would: the
-    earliest step, a non-finite state before the amplitude cap, the lowest
-    row.  A child's warnings are issued again here once it is done, in
-    sub-stack order."""
+    unsafe) gives one sub-stack, stepped here.  The members are all
+    nonlinear or all linear (else ValueError), and every member's CFL check
+    runs before any stepping.  A blow-up raises the error a serial run
+    would: the earliest step, a non-finite state before the amplitude cap,
+    the lowest row.  A child's warnings are issued again here once it is
+    done, in sub-stack order."""
     grid = phi.grid
     B = len(params_list)
+    kinds = {p.nonlinear for p in params_list}
+    if len(kinds) > 1:
+        raise ValueError("a stack's members must be all nonlinear or all linear")
     for params in params_list:
         _check_cfl(grid, config.dt, params)
     n_steps = max(1, int(round(config.T / config.dt)))
@@ -388,13 +392,12 @@ def solve_stepper_stack(phi: SpectralField, params_list, config: SolverConfig) -
 
     E1 = np.array([semigroup_multiplier(grid, dt, p) for p in params_list])
     E2 = np.array([semigroup_multiplier(grid, 0.5 * dt, p) for p in params_list])
-    nonlinear = np.array([p.nonlinear for p in params_list])
     c = np.repeat(phi.coeffs[None, :], B, axis=0)
 
     n_proc = _process_count(B)
     bounds = [i * B // n_proc for i in range(n_proc + 1)]
     steps = [functools.partial(_if_rk4, grid, c[lo:hi], E1[lo:hi], E2[lo:hi],
-                               nonlinear[lo:hi], n_steps, dt, config)
+                               True in kinds, n_steps, dt, config)
              for lo, hi in zip(bounds, bounds[1:])]
     members = [(times, block) for times, kept in _run_split(steps) for block in kept]
     return [Trajectory.from_stack(grid, times, block, params,
@@ -417,12 +420,12 @@ _CAP_MESSAGE = "amplitude cap exceeded"
 
 
 def _if_rk4(grid: Grid, c: np.ndarray, E1: np.ndarray, E2: np.ndarray,
-            nonlinear: np.ndarray, n_steps: int, dt: float, config: SolverConfig):
+            nonlinear: bool, n_steps: int, dt: float, config: SolverConfig):
     """Step the (b, M) datum stack `c` through `n_steps` IF-RK4 steps of
     size `dt` with multipliers E1 = e^{dt L}, E2 = e^{dt L / 2} per row;
-    `nonlinear` marks the rows with the u u_x term.  `c` holds the state
-    and is overwritten.  Returns the kept times and a (b, K, M) array of the
-    spectra kept at them, the datum first.  Raises ValueError on a
+    `nonlinear` says whether the rows carry the u u_x term.  `c` holds the
+    state and is overwritten.  Returns the kept times and a (b, K, M) array
+    of the spectra kept at them, the datum first.  Raises ValueError on a
     non-finite datum, and SolverBlowupError at the first non-finite state
     or kept state over the amplitude cap.  The loop is the step's algebra
     alone; the workspace (`core.stepper_workspace`) loads the state,
@@ -430,14 +433,14 @@ def _if_rk4(grid: Grid, c: np.ndarray, E1: np.ndarray, E2: np.ndarray,
     keep = config.keep_every
     kept = np.empty((len(c), 1 + n_steps // keep + (n_steps % keep != 0), c.shape[1]),
                     dtype=np.complex128)
-    pad = stepper_workspace(grid, nonlinear)
+    pad = stepper_workspace(grid, len(c), nonlinear)
     c, E1, E2 = pad.load(c, E1, E2)
     pad.store(c, kept[:, 0])
     times = [0.0]
     E2x2 = 2.0 * E2
     # one workspace for the whole run: the four stages and three temporaries
     k1, k2, k3, k4, E1c, w, v = (np.empty_like(c) for _ in range(7))
-    stage = pad.stage
+    stage = pad.retained  # where the kernel reads a stage
     # the step's scalars as 0-d complex arrays: numpy casts a float to the
     # same complex value for every product with a spectrum (same bits), and
     # an array skips that conversion; k <- dt times the right-hand side

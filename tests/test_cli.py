@@ -8,7 +8,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from chenlee_lab.cli import _apply_quick, main, run_experiment
+from chenlee_lab.cli import _apply_quick, build_parser, main, run_experiment
 from chenlee_lab.config import (
     ConfigError,
     RunConfig,
@@ -169,6 +169,20 @@ def test_cli_usage_errors(tmp_path, capsys):
     assert main(["smoothing", "--config", _write(tmp_path, SMOOTHING_CFG),
                  "--jobs", "2"]) == 2  # removed: the process count follows the CPUs
     assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
+
+
+def test_help_names_the_run_config_defaults(capsys):
+    # every default --help states, read back as a config file, is RunConfig's
+    assert main(["--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: chenlee-lab")
+    text = " ".join(build_parser().description.split())
+    pairs = dict(item.split("=") for item in
+                 text.split("defaults are ", 1)[1].rstrip(".").split(", "))
+    assert {"grid.M", "solver.dt", "solver.T"} <= set(pairs)
+    pairs["grid.L"] = repr(float(pairs["grid.L"].removesuffix("*pi")) * np.pi)
+    cfg = parse_config("".join(f"{key} = {value}\n" for key, value in pairs.items()))
+    assert cfg.explicit_keys == set(pairs)
+    assert cfg == RunConfig()
 
 
 def test_cli_cfl_violation_is_config_error(tmp_path, capsys):

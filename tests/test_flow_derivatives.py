@@ -244,6 +244,21 @@ def test_growth_sweep_report_structure():
     assert rep.summary["target_slope"] == pytest.approx(-2 * -0.8 - 1 - 2 * 0.2)
 
 
+@pytest.mark.parametrize("epsilon", [0.05, 0.1, 0.2])
+def test_c3_local_slopes_match_the_exponent_to_three_digits(epsilon):
+    # at beta = eta = 0.01 every local slope of ||u3(t_N)||_{H^s} over
+    # N = 64..16384 exceeds the target -2s - 1 - 2 eps by at most the
+    # eta-linear drift of the dissipative factor: log ||u3|| = a + target
+    # log N - kappa eta N^{-eps} gives an excess below kappa eta eps, and
+    # its fits gave kappa = 3.1-4.7 at eta = 0.25, so kappa = 5 bounds it
+    eta, kappa = 0.01, 5.0
+    N = 64.0 * 2.0 ** np.arange(9)
+    rep = illposed_growth_c3(-0.8, epsilon, N, EquationParams(beta=0.01, eta=eta), tol=np.inf)
+    local = np.diff(np.log(rep.column("norm").astype(float))) / np.diff(np.log(N))
+    excess = local - rep.summary["target_slope"]
+    assert (excess >= 0.0).all() and (excess <= kappa * eta * epsilon).all(), excess
+
+
 def test_growth_sweep_input_validation():
     with pytest.raises(ValueError):
         illposed_growth_c3(-0.8, 0.1, [64, 128], PARAMS)  # too few N

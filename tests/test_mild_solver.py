@@ -1,5 +1,6 @@
 """Mild-solution solvers: contraction construction, Duhamel quadrature,
 Picard iteration and the integrating-factor stepper."""
+import dataclasses
 import os
 import pickle
 import threading
@@ -49,6 +50,15 @@ PARAMS = EquationParams(beta=1.0, eta=1.0)
 
 def _gaussian(amp, grid=GRID):
     return SpectralField.from_function(grid, lambda x: amp * np.exp(-x * x))
+
+
+def _band_field(grid, rng, lo, hi):
+    """A seeded real field whose modes are random on lo <= |xi| <= hi and
+    zero elsewhere."""
+    k = grid.band((grid.xi >= lo) & (grid.xi <= hi))
+    amp = rng.standard_normal(k.size) + 1j * rng.standard_normal(k.size)
+    return SpectralField.from_modes(grid, np.concatenate([k, -k]),
+                                    np.concatenate([amp, amp.conj()]))
 
 
 # ---------------------------------------------------------------------------
@@ -190,47 +200,58 @@ def test_blowup_detection():
     assert 0.0 < exc.value.t_blowup <= 1.0
 
 
-# members of one stack: dispersion and dissipation varied, one linear member
+# members of one stack: dispersion and dissipation varied.  A stack is all
+# nonlinear or all linear; LINEAR_STACK is the same members without u u_x
 STACK = [PARAMS, EquationParams(beta=0.25, eta=1.0), EquationParams(beta=1.0, eta=0.1),
-         EquationParams(beta=0.0, eta=0.0), EquationParams(beta=1.0, eta=1.0, nonlinear=False)]
+         EquationParams(beta=0.0, eta=0.0)]
+LINEAR_STACK = [dataclasses.replace(p, nonlinear=False) for p in STACK]
+LINEAR = LINEAR_STACK[0]
 
 
 def test_stack_members_equal_separate_runs():
     phi = _gaussian(0.5)
     cfg = SolverConfig(dt=1e-3, T=0.2, keep_every=25)
-    stacked = solve_stepper_stack(phi, STACK, cfg)
-    assert len(stacked) == len(STACK)
-    for params, traj in zip(STACK, stacked):
-        alone = solve_stepper(phi, params, cfg)
-        assert traj.params == params
-        assert np.array_equal(traj.times, alone.times)
-        assert all(np.array_equal(u.coeffs, v.coeffs)
-                   for u, v in zip(traj.states, alone.states, strict=True))
-        assert alone.info == {"method": "if_rk4", "dt": 1e-3, "n_steps": 200,
-                              "sweep_size": 1, "processes": 1, "rhs_evals": 800}
-        assert traj.info == dict(alone.info, sweep_size=len(STACK),
-                                 processes=solver._process_count(len(STACK)))
+    for members in (STACK, LINEAR_STACK):
+        stacked = solve_stepper_stack(phi, members, cfg)
+        assert len(stacked) == len(members)
+        for params, traj in zip(members, stacked):
+            alone = solve_stepper(phi, params, cfg)
+            assert traj.params == params
+            assert np.array_equal(traj.times, alone.times)
+            assert all(np.array_equal(u.coeffs, v.coeffs)
+                       for u, v in zip(traj.states, alone.states, strict=True))
+            assert alone.info == {"method": "if_rk4", "dt": 1e-3, "n_steps": 200,
+                                  "sweep_size": 1, "processes": 1, "rhs_evals": 800}
+            assert traj.info == dict(alone.info, sweep_size=len(members),
+                                     processes=solver._process_count(len(members)))
+
+
+def test_mixed_stack_raises_before_stepping(monkeypatch):
+    # a stack is all nonlinear or all linear; a mixed one is refused before
+    # any CFL check (the linear member's dt * max|q| = 2.56 > 1) or step
+    calls = []
+    for module, kernel in ((solver, "nonlinear_stack"), (core, "nonlinear_blocks")):
+        monkeypatch.setattr(module, kernel, lambda *a, **k: calls.append(a))
+    members = [EquationParams(beta=0.1, eta=1.0), LINEAR]
+    with pytest.raises(ValueError, match="all nonlinear or all linear"):
+        solve_stepper_stack(_gaussian(0.1), members, SolverConfig(dt=1e-2, T=1.0))
+    assert calls == []
 
 
 def _frozen_if_rk4(phi, params_list, config):
     """solve_stepper_stack's loop as it read before it stepped in place, a
     fresh array for every operation: the oracle the in-place loop must equal
-    bitwise.  Returns the kept times and (B, M) blocks."""
+    bitwise.  The members are all nonlinear or all linear.  Returns the kept
+    times and (B, M) blocks."""
     grid = phi.grid
     B = len(params_list)
     n_steps = max(1, int(round(config.T / config.dt)))
     dt = config.T / n_steps
     E1 = np.array([semigroup_multiplier(grid, dt, p) for p in params_list])
     E2 = np.array([semigroup_multiplier(grid, 0.5 * dt, p) for p in params_list])
-    rows = np.flatnonzero([p.nonlinear for p in params_list])
 
     def rhs(c):
-        if rows.size == B:
-            return -nonlinear_stack(grid, c)
-        out = np.zeros_like(c)
-        if rows.size:
-            out[rows] = -nonlinear_stack(grid, c[rows])
-        return out
+        return -nonlinear_stack(grid, c) if params_list[0].nonlinear else np.zeros_like(c)
 
     c = np.repeat(phi.coeffs[None, :], B, axis=0)
     c[:, grid.M // 2] = 0.0
@@ -256,22 +277,23 @@ def test_stack_equals_frozen_if_rk4_bitwise(grid):
     # that moves printed digits of the decay experiment's CSVs.
     phi = _gaussian(0.5, grid)
     cfg = SolverConfig(dt=1e-3, T=0.2, keep_every=20)
-    times, kept = _frozen_if_rk4(phi, STACK, cfg)
-    trajs = solve_stepper_stack(phi, STACK, cfg)
-    for b, traj in enumerate(trajs):
-        assert traj.times.tolist() == times
-        got = np.array([u.coeffs for u in traj.states])
-        ref = np.array([block[b] for block in kept])
-        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+    for members in (STACK, LINEAR_STACK):
+        times, kept = _frozen_if_rk4(phi, members, cfg)
+        trajs = solve_stepper_stack(phi, members, cfg)
+        for b, traj in enumerate(trajs):
+            assert traj.times.tolist() == times
+            got = np.array([u.coeffs for u in traj.states])
+            ref = np.array([block[b] for block in kept])
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 @pytest.mark.filterwarnings("ignore::chenlee_lab.core.AliasingBudgetWarning")
 @pytest.mark.parametrize("grid, members, dt, T", [
-    (GRID, STACK[:4], 1e-3, 0.2),
+    (GRID, STACK, 1e-3, 0.2),
     (Grid(32.0 * np.pi, 4096), [PARAMS], 2e-4, 0.02),
 ], ids=["all_nonlinear_B4_M256", "B1_M4096"])
 def test_direct_write_path_equals_frozen_if_rk4_bitwise(grid, members, dt, T):
-    # the path every experiment takes: no linear member, so each RK4 stage
+    # the path every experiment takes: each RK4 stage of a nonlinear stack
     # writes straight into the kernel's padded buffer (a sweep's stack, and
     # one run on solve-m4096's grid and step); signed zeros count
     phi = _gaussian(0.5, grid)
@@ -289,21 +311,23 @@ def test_direct_write_path_equals_frozen_if_rk4_bitwise(grid, members, dt, T):
 @pytest.mark.filterwarnings("ignore::chenlee_lab.core.AliasingBudgetWarning")
 @pytest.mark.parametrize("datum", ["single_mode", "band"])
 def test_band_limited_datum_keeps_zero_signs_bitwise(datum):
-    # a linear member keeps a band-limited datum's empty modes exactly zero
-    # for the whole run; they keep their signs, as do the nonlinear rows'
+    # a linear stack keeps a band-limited datum's empty modes exactly zero
+    # for the whole run; they keep their signs, as do a nonlinear stack's
     grid = Grid(4.0 * np.pi, 64)
     phi = (SpectralField.single_mode(grid, 2, 0.1) if datum == "single_mode" else
-           random_real_field(grid, np.random.default_rng(1), band=(1.0, 3.0)))
-    members = [EquationParams(nonlinear=False), PARAMS, EquationParams(beta=0.0, eta=1.0)]
+           _band_field(grid, np.random.default_rng(1), 1.0, 3.0))
     cfg = SolverConfig(dt=1e-2, T=0.2, keep_every=5)
-    times, kept = _frozen_if_rk4(phi, members, cfg)
-    trajs = solve_stepper_stack(phi, members, cfg)
-    assert np.count_nonzero(trajs[0].final_state().coeffs == 0.0) > grid.M // 2
-    for b, traj in enumerate(trajs):
-        assert traj.times.tolist() == times
-        got = np.array([u.coeffs for u in traj.states])
-        ref = np.array([block[b] for block in kept])
-        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+    for members in ([LINEAR, EquationParams(beta=0.0, eta=1.0, nonlinear=False)],
+                    [PARAMS, EquationParams(beta=0.0, eta=1.0)]):
+        times, kept = _frozen_if_rk4(phi, members, cfg)
+        trajs = solve_stepper_stack(phi, members, cfg)
+        if not members[0].nonlinear:
+            assert np.count_nonzero(trajs[0].final_state().coeffs == 0.0) > grid.M // 2
+        for b, traj in enumerate(trajs):
+            assert traj.times.tolist() == times
+            got = np.array([u.coeffs for u in traj.states])
+            ref = np.array([block[b] for block in kept])
+            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 # operand entries of one step: products of two stay finite; exact zeros
@@ -392,13 +416,13 @@ def test_stack_cfl_checks_every_member_before_stepping(monkeypatch):
 @pytest.mark.parametrize("keep_every, message", [(10, "amplitude cap"), (10 ** 6, "blew up")],
                          ids=["amplitude_cap", "non_finite"])
 def test_stack_member_blowup_raises(keep_every, message):
-    # the linear member grows like e^{eta t / 4} on the band |xi| < 1:
+    # the runaway member grows like e^{eta t / 4} on the band |xi| < 1:
     # past the amplitude cap at a kept step, or to inf within T otherwise
     cfg = SolverConfig(dt=1e-3, T=1.0, keep_every=keep_every)
     runaway = EquationParams(beta=1.0, eta=4000.0, nonlinear=False)
-    solve_stepper(_gaussian(0.5), PARAMS, cfg)  # the first member alone is fine
+    solve_stepper(_gaussian(0.5), LINEAR, cfg)  # the first member alone is fine
     with pytest.raises(SolverBlowupError, match=message) as exc:
-        solve_stepper_stack(_gaussian(0.5), [PARAMS, runaway], cfg)
+        solve_stepper_stack(_gaussian(0.5), [LINEAR, runaway], cfg)
     assert 0.0 < exc.value.t_blowup < 1.0
 
 
@@ -429,17 +453,18 @@ def _bits(traj):
 
 
 def test_stack_split_over_processes_equals_separate_runs(monkeypatch):
-    # 5 members over 3 "CPUs": sub-stacks of 1, 2 and 2 members, the last
+    # 4 members over 3 "CPUs": sub-stacks of 1, 1 and 2 members, the last
     # two stepped in forked children
     phi = _gaussian(0.5)
     cfg = SolverConfig(dt=1e-3, T=0.2, keep_every=25)
-    alone = [solve_stepper(phi, params, cfg) for params in STACK]
-    _cpus(monkeypatch, 3)
-    split = solve_stepper_stack(phi, STACK, cfg)
-    for traj, ref in zip(split, alone, strict=True):
-        assert traj.info == dict(ref.info, sweep_size=len(STACK), processes=3)
-        assert traj.times.tolist() == ref.times.tolist()
-        assert np.array_equal(_bits(traj), _bits(ref))
+    for members in (STACK, LINEAR_STACK):
+        alone = [solve_stepper(phi, params, cfg) for params in members]
+        _cpus(monkeypatch, 3)
+        split = solve_stepper_stack(phi, members, cfg)
+        for traj, ref in zip(split, alone, strict=True):
+            assert traj.info == dict(ref.info, sweep_size=len(members), processes=3)
+            assert traj.times.tolist() == ref.times.tolist()
+            assert np.array_equal(_bits(traj), _bits(ref))
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to inf
@@ -450,7 +475,7 @@ def test_split_stack_raises_the_serial_blowup(monkeypatch, keep_every):
     cfg = SolverConfig(dt=1e-3, T=1.0, keep_every=keep_every)
     slower = EquationParams(beta=1.0, eta=3000.0, nonlinear=False)
     runaway = EquationParams(beta=1.0, eta=4000.0, nonlinear=False)
-    members = [slower, PARAMS, EquationParams(beta=0.25, eta=1.0), runaway, PARAMS]
+    members = [slower, LINEAR, LINEAR_STACK[1], runaway, LINEAR]
     _cpus(monkeypatch, 1)
     with pytest.raises(SolverBlowupError) as serial:
         solve_stepper_stack(_gaussian(0.5), members, cfg)
@@ -466,13 +491,12 @@ def test_split_stack_raises_the_serial_blowup(monkeypatch, keep_every):
 
 
 def test_split_stack_forwards_child_warnings(monkeypatch):
-    # the Burgers member steps in the second of 3 sub-stacks, in a child;
-    # its warnings arrive here with the fractions of its run alone
+    # the Burgers member steps in the last of 3 sub-stacks, in the second
+    # child; its warnings arrive here with the fractions of its run alone
     phi = _gaussian(1.0)
     cfg = SolverConfig(dt=1e-3, T=1.0, keep_every=1000)
     burgers = EquationParams(beta=0.0, eta=0.0)
-    members = [PARAMS, EquationParams(beta=0.25, eta=1.0), burgers,
-               EquationParams(beta=1.0, eta=1.0, nonlinear=False)]
+    members = [PARAMS, EquationParams(beta=0.25, eta=1.0), burgers, PARAMS]
     with pytest.warns(AliasingBudgetWarning) as alone:
         solve_stepper(phi, burgers, cfg)
     _cpus(monkeypatch, 3)

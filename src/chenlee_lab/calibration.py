@@ -7,16 +7,16 @@ frozen here.  `scripts/calibrate.py` re-runs both measurements.
 C_CONTRACTION: the bilinear Duhamel estimate constant at s=0, eta=1.
     sup_t ||int_0^t S(t-t') (u1 u1)_x / 2 dt'||_{L^2} <= C T^{1/4} (sup_t ||u1||)^2
     over linear trajectories u1 = S(t)phi of 30 seeded rough random fields
-    plus Gaussian probes on Grid(8 pi, 256), T in {0.25, 0.5, 1}.
+    plus Gaussian probes on Grid(8 pi, 256), T in {0.25, 0.5, 1}, by
+    `duhamel_integral`'s fixed rule (solver's `_QUAD_NODES`, `_PANEL_LENGTH`).
     Measured max ratio 0.196 (median 0.040); frozen with a 2x safety factor.
 
 C_KATO_S2: the commutator-form constant at s=2 of the a-priori envelope
-    rho(t); output of `calibrated_cs(Grid(8 pi, 256), s=2)` (max of the
-    normalized trilinear ratio over 50 seeded smooth random fields, 2x
-    safety already applied).  The library never reads it: eta-limit
-    recalibrates C_s on its own grid.  It is the reference that
-    `scripts/calibrate.py` and the `picard` workload of `perfbench/`
-    compare `calibrated_cs` against.
+    rho(t); output of `calibrated_cs(Grid(8 pi, 256), s=2)`, whose body fixes
+    its probes (50 smooth random fields, seed 7) and its 2x safety factor.
+    The library never reads it: eta-limit recalibrates C_s on its own grid.
+    It is the reference that `scripts/calibrate.py` and the `picard`
+    workload of `perfbench/` compare `calibrated_cs` against.
 """
 
 C_CONTRACTION = 0.4

@@ -113,7 +113,7 @@ def _run_smoothing(cfg: RunConfig):
 def _run_contraction(cfg: RunConfig):
     phi = build_initial_data(cfg)
     params = cfg.equation_params()
-    T = min(contraction_time(l2_norm(phi), 0.0, cfg.eta, C_CONTRACTION), cfg.T)
+    T = min(contraction_time(l2_norm(phi), 0.0, C_CONTRACTION), cfg.T)
     scfg = replace(cfg.solver_config(), T=T)
     traj_p = solve_picard(phi, params, scfg, s=0.0)
     traj_s = solve_stepper(phi, params, scfg)
@@ -150,7 +150,7 @@ def _limit_cfg(cfg: RunConfig, defaults):
     values = cfg.sweep_values or defaults
     return LimitSweepConfig(phi=build_initial_data(cfg), sweep_values=values,
                             base_params=cfg.equation_params(), s=cfg.sweep_s,
-                            T=cfg.T, solver=cfg.solver_config())
+                            solver=cfg.solver_config())
 
 
 def _run_beta_limit(cfg: RunConfig):

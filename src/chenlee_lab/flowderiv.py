@@ -136,12 +136,11 @@ class IllposedData:
         return float(self.N) ** (-self.s) / np.sqrt(self.gamma)
 
 
-def illposed_grid(d: IllposedData, xi_factor: float = 2.0,
-                  points_per_band: int = 32) -> Grid:
-    """Grid resolving the band with `points_per_band` frequencies and
+def illposed_grid(d: IllposedData, xi_factor: float = 2.0) -> Grid:
+    """Grid resolving the band [N, N + 2 gamma] with 32 frequencies and
     covering |xi| up to xi_factor*N + 8 gamma (room for the convolution
     lookups)."""
-    L = np.pi / (2.0 * d.gamma / points_per_band)
+    L = np.pi / (2.0 * d.gamma / 32)
     xi_need = xi_factor * d.N + 8.0 * d.gamma
     grid = Grid(L, 8)
     while grid.xi_max < xi_need:
@@ -288,7 +287,7 @@ def _finish_report(report: ExperimentReport, target: float, tol: float):
 
 
 def illposed_growth_c3(s: float, epsilon: float, N_list, params: EquationParams,
-                       tol: float = 0.15) -> ExperimentReport:
+                       tol: float) -> ExperimentReport:
     """Growth of ||u3(t_N)||_{H^s} vs N for band data with gamma = eps*N;
     target log-log slope -2s - 1 - 2*eps (positive for s < -1/2: no C^3
     data-to-solution map)."""
@@ -308,7 +307,7 @@ def illposed_growth_c3(s: float, epsilon: float, N_list, params: EquationParams,
 
 
 def illposed_growth_c2_nd(s: float, epsilon: float, N_list, eta: float,
-                          tol: float = 0.15) -> ExperimentReport:
+                          tol: float) -> ExperimentReport:
     """Non-dispersive (beta=0) growth of ||u2(t_N)||_{H^s} vs N with
     gamma = N^{1-eps} and output window [2N, 2N+4 gamma]; target slope
     (-2s - 1 - 3*eps)/2."""

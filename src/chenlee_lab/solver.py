@@ -70,10 +70,12 @@ class QuadratureConvergenceError(RuntimeError):
 
 
 # the Picard route's Chebyshev panels, and the composite Gauss-Legendre rule
-# of every Duhamel integral: nodes per panel and panel length
+# of every Duhamel integral: nodes per panel, panel length, and the one
+# tolerance of its Lebesgue guard and of node doubling
 _PICARD_PANELS = 16
 _QUAD_NODES = 10
 _PANEL_LENGTH = 0.25
+_QUAD_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,6 @@ class SolverConfig:
     picard_max_iters: int = 40
     picard_tol: float = 1e-12
     keep_every: int = 1
-    amplitude_cap: float = 1e6
 
     def __post_init__(self):
         if self.dt <= 0 or self.T <= 0:
@@ -93,9 +94,8 @@ class SolverConfig:
         for name in ("picard_max_iters", "keep_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("picard_tol", "amplitude_cap"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.picard_tol <= 0:
+            raise ValueError(f"picard_tol must be positive, got {self.picard_tol}")
 
 
 class Trajectory:
@@ -156,10 +156,10 @@ def g_exponent(s: float) -> float:
     return 0.25 * (1.0 + 2.0 * s) if s < 0 else 0.25
 
 
-def contraction_time(phi_norm_hs: float, s: float, eta: float, C: float) -> float:
+def contraction_time(phi_norm_hs: float, s: float, C: float) -> float:
     """Guaranteed contraction horizon min{1, (4 C gamma)^(-1/g(s))} with
     gamma = 2 C ||phi||_{H^s}; C is the calibrated bilinear-estimate
-    constant for this (eta, s)."""
+    constant for the equation's dissipation and s."""
     if C <= 0:
         raise ValueError("calibration constant C must be positive")
     if phi_norm_hs < 0:
@@ -205,23 +205,22 @@ def _lagrange_matrix(nodes: np.ndarray, tau: np.ndarray) -> np.ndarray:
 
 @functools.lru_cache(maxsize=64)
 def _duhamel_operator(grid: Grid, params: EquationParams, nodes: tuple, t: float,
-                      n_nodes: int, panel_length: float):
+                      n_nodes: int):
     """(W, Lebesgue constant), built once per key; W is read-only, as every
     hit shares it.  W[j] = sum_q w_q l_j(tau_q) E(t - tau_q), E the multiplier
     of S for (grid, params): sum_j W[j] G_j is int_0^t S(t-tau) G(tau) dtau
     for G interpolating samples G_j at the node times `nodes`, by composite
-    Gauss-Legendre (`n_nodes` per panel).  W is exponentiated and summed on
-    the non-negative modes only and mirrored onto the rest (core's
-    `mirror_half`): as the weights are real, that is bitwise the sum on
-    every mode, up to the sign of an exact zero (an entry all of whose
-    terms underflow, or an imaginary part without dispersion, beta = 0).
-    The Lebesgue constant max_q sum_j
-    |l_j(tau_q)| over the rule's points bounds how much interpolation
-    amplifies rounding.  64 entries hold the 48 operators of the
-    C_CONTRACTION probe sweep (3 horizons x 16 nodes, visited cyclically,
-    where a smaller LRU would miss on every call) plus the 16 of one Picard
-    solve."""
-    n_panels = max(1, int(np.ceil(t / panel_length)))
+    Gauss-Legendre (`n_nodes` per panel of length `_PANEL_LENGTH`).  W is
+    exponentiated and summed on the non-negative modes only and mirrored
+    onto the rest (core's `mirror_half`): as the weights are real, that is
+    bitwise the sum on every mode, up to the sign of an exact zero (an entry
+    all of whose terms underflow, or an imaginary part without dispersion,
+    beta = 0).  The Lebesgue constant max_q sum_j |l_j(tau_q)| over the
+    rule's points bounds how much interpolation amplifies rounding.  64
+    entries hold the 48 operators of the C_CONTRACTION probe sweep (3
+    horizons x 16 nodes, visited cyclically, where a smaller LRU would miss
+    on every call) plus the 16 of one Picard solve."""
+    n_panels = max(1, int(np.ceil(t / _PANEL_LENGTH)))
     x, w = _gauss_legendre(n_nodes)
     edges = np.linspace(0.0, t, n_panels + 1)
     half = 0.5 * np.diff(edges)[:, None]
@@ -233,17 +232,16 @@ def _duhamel_operator(grid: Grid, params: EquationParams, nodes: tuple, t: float
     return W, float(np.abs(L).sum(axis=1).max())
 
 
-def duhamel_integral(traj_segment: Trajectory, t: float,
-                     quad_nodes: int = _QUAD_NODES, panel_length: float = _PANEL_LENGTH,
-                     tol: float = 1e-8, check: bool = True) -> SpectralField:
+def duhamel_integral(traj_segment: Trajectory, t: float, check: bool = True) -> SpectralField:
     """int_0^t S(t - t') [u u_x](t') dt' evaluated from a stored trajectory.
 
     The nonlinearity, sampled once per trajectory at its nodes, is
     interpolated in time and integrated by composite Gauss-Legendre with the
-    exact semigroup multiplier, as one weight operator.  Nodes whose
-    Lebesgue constant times machine epsilon exceeds `tol` (many equispaced
-    nodes) raise ValueError.  With `check`, the node count is doubled and a
-    relative change above `tol` raises QuadratureConvergenceError.
+    exact semigroup multiplier, as one weight operator: `_QUAD_NODES` nodes
+    per panel of length `_PANEL_LENGTH`.  Nodes whose Lebesgue constant
+    times machine epsilon exceeds `_QUAD_TOL` (many equispaced nodes) raise
+    ValueError.  With `check`, the node count is doubled and a relative
+    change above `_QUAD_TOL` raises QuadratureConvergenceError.
     """
     times = traj_segment.times
     if not (times[0] <= t <= times[-1] + 1e-12):
@@ -255,22 +253,22 @@ def duhamel_integral(traj_segment: Trajectory, t: float,
     key = (grid, params, traj_segment._node_key, float(t))
 
     def integral(n_nodes):
-        W, lebesgue = _duhamel_operator(*key, n_nodes, panel_length)
-        if _EPS * lebesgue > tol:
+        W, lebesgue = _duhamel_operator(*key, n_nodes)
+        if _EPS * lebesgue > _QUAD_TOL:
             raise ValueError(
                 f"interpolation in time through {times.size} nodes has Lebesgue "
                 f"constant {lebesgue:.2e}; rounding in the samples would exceed "
-                f"tol {tol:.1e} (use fewer or Chebyshev-spaced nodes)")
+                f"tol {_QUAD_TOL:.1e} (use fewer or Chebyshev-spaced nodes)")
         return (W * traj_segment.nonlinear_samples).sum(axis=0)
 
-    val = integral(quad_nodes)
+    val = integral(_QUAD_NODES)
     if check:
-        val2 = integral(2 * quad_nodes)
+        val2 = integral(2 * _QUAD_NODES)
         scale = max(np.linalg.norm(val2), 1e-300)
         err = np.linalg.norm(val2 - val) / scale
-        if err > tol:
+        if err > _QUAD_TOL:
             raise QuadratureConvergenceError(
-                f"node doubling changed the Duhamel integral by {err:.3e} (tol {tol:.1e})"
+                f"node doubling changed the Duhamel integral by {err:.3e} (tol {_QUAD_TOL:.1e})"
             )
         val = val2
     return SpectralField(grid, val)
@@ -296,8 +294,7 @@ def solve_picard(phi: SpectralField, params: EquationParams, config: SolverConfi
     nodes = tuple(times.tolist())
     # the memoized operators themselves, one per node after t = 0; each
     # node's product-sum is duhamel_integral's on the iterate, bitwise
-    Ws = [_duhamel_operator(grid, params, nodes, t, _QUAD_NODES, _PANEL_LENGTH)[0]
-          for t in nodes[1:]]
+    Ws = [_duhamel_operator(grid, params, nodes, t, _QUAD_NODES)[0] for t in nodes[1:]]
 
     def apply_map(u_mat: np.ndarray) -> np.ndarray:
         out = lin.copy()
@@ -416,6 +413,8 @@ def _process_count(B: int) -> int:
     return min(B, len(os.sched_getaffinity(0)))
 
 
+# a kept state whose largest |u(x)| exceeds the cap is a blow-up
+_AMPLITUDE_CAP = 1e6
 _CAP_MESSAGE = "amplitude cap exceeded"
 
 
@@ -478,7 +477,7 @@ def _if_rk4(grid: Grid, c: np.ndarray, E1: np.ndarray, E2: np.ndarray,
             raise SolverBlowupError(n * dt)
         if n % keep == 0 or n == n_steps:
             row = pad.store(c, kept[:, len(times)])
-            if np.abs(values_stack(grid, row)).max() > config.amplitude_cap:
+            if np.abs(values_stack(grid, row)).max() > _AMPLITUDE_CAP:
                 raise SolverBlowupError(n * dt, _CAP_MESSAGE)
             times.append(n * dt)
     return times, kept

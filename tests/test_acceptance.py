@@ -209,7 +209,7 @@ def test_criterion05_contraction():
     grid = Grid(16.0 * np.pi, 512)
     phi = _gaussian(grid, 1e-3)
     params = EquationParams(beta=1.0, eta=1.0)
-    T = min(contraction_time(l2_norm(phi), 0.0, 1.0, C_CONTRACTION), 1.0)
+    T = min(contraction_time(l2_norm(phi), 0.0, C_CONTRACTION), 1.0)
     cfg = SolverConfig(dt=1e-3, T=T)
     traj_p = solve_picard(phi, params, cfg, s=0.0)
     traj_s = solve_stepper(phi, params, cfg)
@@ -272,7 +272,7 @@ def test_criterion09_beta_rate():
     phi = _gaussian(grid, 0.5)
     cfg = LimitSweepConfig(
         phi=phi, sweep_values=(0.4, 0.2, 0.1, 0.05),
-        base_params=EquationParams(beta=1.0, eta=1.0), s=0.0, T=1.0,
+        base_params=EquationParams(beta=1.0, eta=1.0), s=0.0,
         solver=SolverConfig(dt=1e-3, T=1.0, keep_every=20))
     rep = beta_limit_sweep(cfg, tol=0.15)
     slope = rep.summary["fitted_slope"]
@@ -295,7 +295,7 @@ def eta_sweep_report():
     phi = build_initial_data(cfg_data)
     cfg = LimitSweepConfig(
         phi=phi, sweep_values=(0.2, 0.1, 0.05, 0.025),
-        base_params=EquationParams(beta=1.0, eta=1.0), s=0.0, T=1.0,
+        base_params=EquationParams(beta=1.0, eta=1.0), s=0.0,
         solver=SolverConfig(dt=1e-3, T=1.0, keep_every=20))
     return eta_limit_sweep(cfg, tol=0.1)
 

@@ -174,8 +174,7 @@ def test_second_term_matches_duhamel():
     _, grid, phi = _band_setup()
     t = 5e-4  # sigma*t of order one: both kernel regimes active
     u2 = second_term(phi, t, PARAMS).field()
-    duh = duhamel_integral(_u1_trajectory(phi, PARAMS, t), t,
-                           quad_nodes=16, panel_length=t)
+    duh = duhamel_integral(_u1_trajectory(phi, PARAMS, t), t)
     assert l2_norm(u2 - 2.0 * duh) <= 1e-6 * l2_norm(u2)
 
 
@@ -188,17 +187,16 @@ def test_third_term_matches_picard_increment():
     traj1 = Trajectory(times, u1, params)
     # literal second Picard increment w2(tau) = -duhamel(u1)(tau)
     w2 = [SpectralField.zero(phi.grid)] + [
-        -1.0 * duhamel_integral(traj1, tau, quad_nodes=16, panel_length=t, check=False)
+        -1.0 * duhamel_integral(traj1, tau, check=False)
         for tau in times[1:]
     ]
     traj_sum = Trajectory(times, [SpectralField(grid, a.coeffs + b.coeffs)
                                   for a, b in zip(u1, w2)], params)
     traj_w2 = Trajectory(times, w2, params)
-    kw = dict(quad_nodes=16, panel_length=t, check=False)
     # cubic cross part by polarization (the w2*w2 quartic piece cancels)
-    cubic = -1.0 * (duhamel_integral(traj_sum, t, **kw)
-                    - duhamel_integral(traj1, t, **kw)
-                    - duhamel_integral(traj_w2, t, **kw))
+    cubic = -1.0 * (duhamel_integral(traj_sum, t, check=False)
+                    - duhamel_integral(traj1, t, check=False)
+                    - duhamel_integral(traj_w2, t, check=False))
     u3 = third_term(phi, t, params).field()
     assert l2_norm(u3 - 2.0 * cubic) <= 1e-4 * l2_norm(u3)
 
@@ -236,7 +234,7 @@ def test_terms_vanish_at_t_zero():
 
 def test_growth_sweep_report_structure():
     rep = illposed_growth_c3(-0.8, 0.2, [32, 64, 128, 256],
-                             EquationParams(beta=0.25, eta=0.25))
+                             EquationParams(beta=0.25, eta=0.25), tol=0.15)
     assert rep.columns == ["N", "gamma", "t_N", "norm", "target_exponent", "fitted_slope"]
     assert len(rep.rows) == 4
     assert {"fitted_slope", "target_slope", "passed"} <= set(rep.summary)
@@ -261,6 +259,6 @@ def test_c3_local_slopes_match_the_exponent_to_three_digits(epsilon):
 
 def test_growth_sweep_input_validation():
     with pytest.raises(ValueError):
-        illposed_growth_c3(-0.8, 0.1, [64, 128], PARAMS)  # too few N
+        illposed_growth_c3(-0.8, 0.1, [64, 128], PARAMS, tol=0.15)  # too few N
     with pytest.raises(ValueError):
-        illposed_growth_c2_nd(-0.8, 0.05, [256, 128, 64, 32], 1.0)  # not increasing
+        illposed_growth_c2_nd(-0.8, 0.05, [256, 128, 64, 32], 1.0, tol=0.15)  # not increasing

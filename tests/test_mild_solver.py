@@ -70,11 +70,11 @@ def test_solver_config_validation():
         SolverConfig(dt=0.0)
     with pytest.raises(ValueError):
         SolverConfig(dt=2.0, T=1.0)
-    # rejected at construction, before a solver divides by it (keep_every)
-    # or reports a spurious blow-up (amplitude_cap); the smallest accepted
-    # value passes
+    # rejected at construction, before a solver divides by it (keep_every),
+    # iterates zero times (picard_max_iters) or can never converge
+    # (picard_tol); the smallest accepted value passes
     for name, bad, smallest in [("keep_every", 0, 1), ("picard_max_iters", 0, 1),
-                                ("amplitude_cap", 0.0, 1e-3), ("amplitude_cap", -1.0, 1e-3)]:
+                                ("picard_tol", 0.0, 1e-300)]:
         with pytest.raises(ValueError, match=name):
             SolverConfig(**{name: bad})
         SolverConfig(**{name: smallest})
@@ -139,13 +139,13 @@ def test_g_exponent_values():
 
 def test_contraction_time_closed_form():
     # C=0.5, ||phi||=1, s=0: gamma=1, T = (4*0.5)^{-1/0.25} = 2^{-4}
-    assert contraction_time(1.0, 0.0, 1.0, 0.5) == pytest.approx(0.0625)
-    assert contraction_time(0.0, 0.0, 1.0, 0.5) == 1.0
-    assert contraction_time(1e-9, 0.0, 1.0, 0.5) == 1.0  # capped at 1
+    assert contraction_time(1.0, 0.0, 0.5) == pytest.approx(0.0625)
+    assert contraction_time(0.0, 0.0, 0.5) == 1.0
+    assert contraction_time(1e-9, 0.0, 0.5) == 1.0  # capped at 1
 
 
 def test_contraction_time_monotone_in_norm():
-    ts = [contraction_time(r, 0.0, 1.0, 0.4) for r in (0.5, 1.0, 2.0, 4.0)]
+    ts = [contraction_time(r, 0.0, 0.4) for r in (0.5, 1.0, 2.0, 4.0)]
     assert all(a >= b for a, b in zip(ts, ts[1:]))
 
 
@@ -194,10 +194,19 @@ def test_stepper_fourth_order():
 
 
 def test_blowup_detection():
-    cfg = SolverConfig(dt=1e-3, T=1.0, keep_every=10, amplitude_cap=0.5)
-    with pytest.raises(SolverBlowupError) as exc:
-        solve_stepper(_gaussian(0.9), PARAMS, cfg)  # already past the tiny cap
-    assert 0.0 < exc.value.t_blowup <= 1.0
+    # one run that grows like e^{eta t / 4} on the band |xi| < 1 is stopped
+    # at the first kept state whose amplitude exceeds 1e6, and not before:
+    # the run up to the previous kept step stays under the cap
+    cfg = SolverConfig(dt=1e-3, T=1.0, keep_every=10)
+    runaway = EquationParams(beta=1.0, eta=4000.0, nonlinear=False)
+    with pytest.raises(SolverBlowupError, match="amplitude cap") as exc:
+        solve_stepper(_gaussian(0.5), runaway, cfg)
+    t_blowup = exc.value.t_blowup
+    assert 0.0 < t_blowup < 1.0
+    before = solve_stepper(_gaussian(0.5), runaway,
+                           SolverConfig(dt=1e-3, T=t_blowup - 10e-3, keep_every=10))
+    peak = np.abs(core.values_stack(GRID, before.coeffs[-1])).max()
+    assert 1e6 / np.exp(4000.0 / 4.0 * 10e-3) < peak <= 1e6
 
 
 # members of one stack: dispersion and dissipation varied.  A stack is all
@@ -269,43 +278,30 @@ def _frozen_if_rk4(phi, params_list, config):
 
 
 @pytest.mark.filterwarnings("ignore::chenlee_lab.core.AliasingBudgetWarning")
-@pytest.mark.parametrize("grid", [GRID, Grid(32.0 * np.pi, 1024)], ids=["M256", "M1024"])
-def test_stack_equals_frozen_if_rk4_bitwise(grid):
+@pytest.mark.parametrize("grid, stacks, dt, T", [
+    (GRID, (STACK, LINEAR_STACK), 1e-3, 0.2),
+    (Grid(32.0 * np.pi, 1024), (STACK, LINEAR_STACK), 1e-3, 0.2),
+    (Grid(32.0 * np.pi, 4096), ([PARAMS],), 2e-4, 0.02),
+], ids=["M256", "M1024", "B1_M4096"])
+def test_stack_equals_frozen_if_rk4_bitwise(grid, stacks, dt, T):
     # The operand order of every complex product is part of the contract:
     # numpy's complex multiply fuses one of its two products (FMA), so
     # E1 * k1 and k1 * E1 can differ in the last bit, and over many steps
-    # that moves printed digits of the decay experiment's CSVs.
+    # that moves printed digits of the decay experiment's CSVs.  Each RK4
+    # stage of a nonlinear stack writes straight into the kernel's padded
+    # buffer: a sweep's stack, and one run on solve-m4096's grid and step
+    # (B1_M4096); signed zeros count.
     phi = _gaussian(0.5, grid)
-    cfg = SolverConfig(dt=1e-3, T=0.2, keep_every=20)
-    for members in (STACK, LINEAR_STACK):
+    cfg = SolverConfig(dt=dt, T=T, keep_every=20)
+    for members in stacks:
         times, kept = _frozen_if_rk4(phi, members, cfg)
         trajs = solve_stepper_stack(phi, members, cfg)
+        assert len(trajs) == len(members) and trajs[0].info["sweep_size"] == len(members)
         for b, traj in enumerate(trajs):
             assert traj.times.tolist() == times
             got = np.array([u.coeffs for u in traj.states])
             ref = np.array([block[b] for block in kept])
             assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
-
-
-@pytest.mark.filterwarnings("ignore::chenlee_lab.core.AliasingBudgetWarning")
-@pytest.mark.parametrize("grid, members, dt, T", [
-    (GRID, STACK, 1e-3, 0.2),
-    (Grid(32.0 * np.pi, 4096), [PARAMS], 2e-4, 0.02),
-], ids=["all_nonlinear_B4_M256", "B1_M4096"])
-def test_direct_write_path_equals_frozen_if_rk4_bitwise(grid, members, dt, T):
-    # the path every experiment takes: each RK4 stage of a nonlinear stack
-    # writes straight into the kernel's padded buffer (a sweep's stack, and
-    # one run on solve-m4096's grid and step); signed zeros count
-    phi = _gaussian(0.5, grid)
-    cfg = SolverConfig(dt=dt, T=T, keep_every=20)
-    times, kept = _frozen_if_rk4(phi, members, cfg)
-    trajs = solve_stepper_stack(phi, members, cfg)
-    assert len(trajs) == len(members) and trajs[0].info["sweep_size"] == len(members)
-    for b, traj in enumerate(trajs):
-        assert traj.times.tolist() == times
-        got = np.array([u.coeffs for u in traj.states])
-        ref = np.array([block[b] for block in kept])
-        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 @pytest.mark.filterwarnings("ignore::chenlee_lab.core.AliasingBudgetWarning")
@@ -597,11 +593,19 @@ def test_duhamel_identity():
     assert l2_norm(lhs - rhs) <= 1e-8 * l2_norm(lhs)
 
 
+@pytest.mark.filterwarnings("ignore::chenlee_lab.core.AliasingBudgetWarning")
 def test_duhamel_convergence_guard():
-    phi = _gaussian(0.5)
-    traj = solve_stepper(phi, PARAMS, SolverConfig(dt=1e-3, T=0.25, keep_every=10))
-    with pytest.raises(QuadratureConvergenceError):
-        duhamel_integral(traj, 0.25, quad_nodes=1, panel_length=10.0, tol=1e-14)
+    # a rough datum (|phi_hat| ~ |xi|^-1/2 up to Nyquist) on the linear flow
+    # at 5 to 17 Chebyshev nodes: the 10-node rule on the one 0.25-long
+    # panel does not resolve the fast-decaying high modes, and doubling the
+    # nodes moves the integral by about 1e-4, far above the 1e-8 tolerance
+    phi = random_real_field(GRID, np.random.default_rng(0), spectral_decay=0.5) * 0.01
+    for n in (4, 8, 16):
+        times = chebyshev_nodes(0.25, n)
+        traj = Trajectory(times, [semigroup_apply(phi, t, PARAMS) for t in times], PARAMS)
+        duhamel_integral(traj, 0.25, check=False)
+        with pytest.raises(QuadratureConvergenceError, match="node doubling changed"):
+            duhamel_integral(traj, 0.25)
 
 
 def test_duhamel_range_check():
@@ -702,7 +706,7 @@ def test_nonlinear_samples_match_per_state_term():
 
 def test_duhamel_memo_hit_is_a_fresh_build_and_read_only():
     nodes = tuple(chebyshev_nodes(0.5, 16).tolist())
-    key = (GRID, PARAMS, nodes, nodes[5], 10, 0.25)
+    key = (GRID, PARAMS, nodes, nodes[5], 10)
     W, lebesgue = solver._duhamel_operator(*key)
     assert solver._duhamel_operator(*key)[0] is W  # a hit shares the array
     W_fresh, lebesgue_fresh = solver._duhamel_operator.__wrapped__(*key)
@@ -724,10 +728,10 @@ def test_duhamel_second_probe_builds_no_operator():
     assert solver._duhamel_operator.cache_info().misses == misses
 
 
-def _frozen_duhamel(traj, t, quad_nodes=10, panel_length=0.25):
+def _frozen_duhamel(traj, t):
     # duhamel_integral(check=False) as written with einsum's product-sum
     W = solver._duhamel_operator(traj.grid, traj.params, tuple(traj.times.tolist()),
-                                 float(t), quad_nodes, panel_length)[0]
+                                 float(t), 10)[0]
     val = np.einsum("jk,jk->k", W, traj.nonlinear_samples)
     val[traj.grid.nyquist] = 0.0
     return val
@@ -765,9 +769,10 @@ def _frozen_semigroup_stack(grid, times, params):
     return E
 
 
-def _frozen_duhamel_operator(grid, params, nodes, t, n_nodes, panel_length):
-    # _duhamel_operator's W as exponentiated and summed on every mode
-    n_panels = max(1, int(np.ceil(t / panel_length)))
+def _frozen_duhamel_operator(grid, params, nodes, t, n_nodes):
+    # _duhamel_operator's W as exponentiated and summed on every mode, on
+    # panels of length 0.25
+    n_panels = max(1, int(np.ceil(t / 0.25)))
     x, w = np.polynomial.legendre.leggauss(n_nodes)
     edges = np.linspace(0.0, t, n_panels + 1)
     half = 0.5 * np.diff(edges)[:, None]
@@ -792,8 +797,8 @@ def test_picard_operators_equal_the_full_mode_form_bitwise(M):
                               _frozen_semigroup_stack(grid, times, PARAMS).view(np.uint64))
         for t in nodes[1:]:
             for n_nodes in (10, 20):
-                W = solver._duhamel_operator.__wrapped__(grid, PARAMS, nodes, t, n_nodes, 0.25)[0]
-                ref = _frozen_duhamel_operator(grid, PARAMS, nodes, t, n_nodes, 0.25)
+                W = solver._duhamel_operator.__wrapped__(grid, PARAMS, nodes, t, n_nodes)[0]
+                ref = _frozen_duhamel_operator(grid, PARAMS, nodes, t, n_nodes)
                 assert np.array_equal(W.view(np.uint64), ref.view(np.uint64)), (T, t, n_nodes)
 
 

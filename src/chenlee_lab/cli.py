@@ -82,7 +82,7 @@ def _run_solve(cfg: RunConfig):
     rep.summary.update({
         "mass_drift": drift,
         "mass_tolerance": cfg.mass_tolerance,
-        "passed": (drift <= cfg.mass_tolerance) if cfg.nonlinear else True,
+        "passed": drift <= cfg.mass_tolerance,
     })
     return [rep]
 

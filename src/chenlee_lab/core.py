@@ -238,21 +238,6 @@ def x_derivative(f: SpectralField, order: int = 1) -> SpectralField:
     return SpectralField(f.grid, x_derivative_stack(f.grid, f.coeffs, order), check=False)
 
 
-@functools.lru_cache(maxsize=64)
-def semigroup_multiplier(grid: Grid, t: float, params: EquationParams) -> np.ndarray:
-    """E(xi, t) = exp(i q(xi) t - p(xi) t), with the Nyquist slot zeroed.
-
-    Built once per (grid, t, params) and read-only, as every hit shares it.
-    64 entries hold the 49 multipliers of the C_CONTRACTION probe sweep (16
-    Chebyshev node times on each of 3 horizons, plus t = 0, visited
-    cyclically, where a smaller LRU would miss on every call); at M = 4096
-    a full cache holds 4 MB."""
-    E = np.exp(linear_symbol(grid.xi, params) * t)
-    E[grid.nyquist] = 0.0
-    E.flags.writeable = False
-    return E
-
-
 def semigroup_half(grid: Grid, times, params: EquationParams) -> np.ndarray:
     """E(xi, t) on the non-negative modes 0..M/2-1 for each t of the 1-d
     `times`, as a (len(times), M/2) array: the half that a real field's
@@ -279,9 +264,24 @@ def mirror_half(grid: Grid, half: np.ndarray) -> np.ndarray:
 
 def semigroup_stack(grid: Grid, times, params: EquationParams) -> np.ndarray:
     """E(xi, t) for each t of the 1-d `times`, as a (len(times), M) array
-    with the Nyquist slot zeroed: the Picard route's multipliers."""
-    E = np.exp(np.multiply.outer(times, linear_symbol(grid.xi, params)))
+    with the Nyquist slot zeroed: the multipliers of Picard and linear runs."""
+    E = np.multiply.outer(times, linear_symbol(grid.xi, params))
+    np.exp(E, out=E)
     E[:, grid.nyquist] = 0.0
+    return E
+
+
+@functools.lru_cache(maxsize=64)
+def semigroup_multiplier(grid: Grid, t: float, params: EquationParams) -> np.ndarray:
+    """E(xi, t) = exp(i q(xi) t - p(xi) t): the one-row `semigroup_stack`.
+
+    Built once per (grid, t, params) and read-only, as every hit shares it.
+    64 entries hold the 49 multipliers of the C_CONTRACTION probe sweep (16
+    Chebyshev node times on each of 3 horizons, plus t = 0, visited
+    cyclically, where a smaller LRU would miss on every call); at M = 4096
+    a full cache holds 4 MB."""
+    E = semigroup_stack(grid, (t,), params)[0]
+    E.flags.writeable = False
     return E
 
 
@@ -389,14 +389,12 @@ class PaddedBuffer:
     10,000 floats on its thread pool, and no ddot here is that long.
 
     A stepper's workspace (`stepper_workspace`) holds all an IF-RK4 run
-    knows of storage.  A stack is all nonlinear or all linear.  A nonlinear
-    stack's state is in the block layout as (-1)^k c, and a stage written
-    into `retained` is where the kernel reads it; negation commutes exactly
-    with the kernel and with each operation of a step, up to the sign of an
-    exact zero.  A linear stack's state is c, so that its exact zeros keep
-    their signs, and every stage evaluates to zero."""
+    knows of storage.  The stack's state is in the block layout as (-1)^k
+    c, and a stage written into `retained` is where the kernel reads it;
+    negation commutes exactly with the kernel and with each operation of a
+    step, up to the sign of an exact zero."""
 
-    __slots__ = ("flat", "retained", "middle", "power", "sums", "grid", "nonlinear")
+    __slots__ = ("flat", "retained", "middle", "power", "sums", "grid")
 
     def __init__(self, flat: np.ndarray):
         n = flat.shape[-1] // 3
@@ -410,42 +408,32 @@ class PaddedBuffer:
 
     def load(self, stack: np.ndarray, *multipliers: np.ndarray) -> tuple:
         """The (b, M) datum stack `stack`, overwritten, as the state (the
-        Nyquist slot zeroed, flipped for a nonlinear stack), then the (b, M)
-        diagonal `multipliers`, which commute with the flip, in its layout.
-        Raises ValueError on a non-finite datum."""
+        Nyquist slot zeroed, then flipped), then the (b, M) diagonal
+        `multipliers`, which commute with the flip, in its layout.  Raises
+        ValueError on a non-finite datum."""
         stack[:, self.grid.nyquist] = 0.0
         if not np.isfinite(stack.view(np.float64)).all():
             raise ValueError("non-finite Fourier coefficients")
-        if self.nonlinear:
-            phase_flip(stack, out=stack)  # in place, so no copy adds to peak memory
+        phase_flip(stack, out=stack)  # in place, so no copy adds to peak memory
         return tuple(a.reshape(len(a), 2, self.grid.nyquist) for a in (stack,) + multipliers)
 
     def evaluate(self, src: np.ndarray, out: np.ndarray, scale: np.ndarray):
-        """out <- scale * (-1)^k (u u_x)^ at the stage `src` of a nonlinear
-        stack; 0 for a linear one."""
-        if not self.nonlinear:
-            out.fill(0.0)
-            return
+        """out <- scale * (-1)^k (u u_x)^ at the stage `src`."""
         if src is not self.retained:
             np.copyto(self.retained, src)
         nonlinear_blocks(self.grid, self, out)
         np.multiply(out, scale, out=out)
 
-    def store(self, state: np.ndarray, out: np.ndarray) -> np.ndarray:
-        """The state's spectra written into the (b, M) array `out`, which
-        is returned."""
-        state = state.reshape(out.shape)
-        if self.nonlinear:
-            return phase_flip(state, out=out)
-        np.copyto(out, state)
-        return out
+    @staticmethod
+    def store(state: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """The state as (b, M) spectra, written into `out` and returned."""
+        return phase_flip(state.reshape(out.shape), out=out)
 
 
-def stepper_workspace(grid: Grid, b: int, nonlinear: bool) -> PaddedBuffer:
-    """The workspace of a stepper over a (b, M) stack whose rows all carry
-    the u u_x term, or none does (see `PaddedBuffer`)."""
+def stepper_workspace(grid: Grid, b: int) -> PaddedBuffer:
+    """The workspace of an IF-RK4 run over (b, M) stacks; see `PaddedBuffer`."""
     pad = PaddedBuffer(np.empty((b, 3 * grid.nyquist), dtype=np.complex128))
-    pad.grid, pad.nonlinear = grid, nonlinear
+    pad.grid = grid
     return pad
 
 

@@ -6,11 +6,12 @@ Two independent routes to u(t) = S(t) phi - int_0^t S(t-t') [u u_x](t') dt':
   (the contraction-mapping construction, valid for small data / short T)
   with the map a fixed Duhamel operator on the nonlinearity at the nodes;
 * `solve_stepper` is an integrating-factor RK4 production stepper (exact
-  linear multiplier, classical RK4 on the transformed nonlinearity);
-  `solve_stepper_stack` steps several parameter sets from one datum as
-  stacks of spectra, one per CPU of the affinity mask in forked
-  processes, which is how the singular-limit sweeps run.  Every row is
-  bitwise its serial run, so results do not depend on the core count.
+  linear multiplier, classical RK4 on the transformed nonlinearity, and
+  S(t) phi unstepped for a linear run); `solve_stepper_stack` steps
+  several parameter sets from one datum as stacks of spectra, one per CPU
+  of the affinity mask in forked processes, which is how the
+  singular-limit sweeps run.  Every row is bitwise its serial run, so
+  results do not depend on the core count.
 
 They agree within combined tolerance, which is the discrete uniqueness
 check used throughout the experiment suite.
@@ -355,8 +356,8 @@ def _check_cfl(grid: Grid, dt: float, params: EquationParams):
 def solve_stepper(phi: SpectralField, params: EquationParams,
                   config: SolverConfig) -> Trajectory:
     """Integrating-factor RK4: exact multiplier on the linear symbol, RK4
-    on the transformed nonlinearity.  Exact for linear runs; 4th order in
-    dt otherwise."""
+    on the transformed nonlinearity, 4th order in dt.  A linear run is
+    S(t) phi at the kept times, bitwise `semigroup_apply`."""
     return solve_stepper_stack(phi, [params], config)[0]
 
 
@@ -364,19 +365,20 @@ def solve_stepper_stack(phi: SpectralField, params_list, config: SolverConfig) -
     """`solve_stepper` for each parameter set of `params_list` from the same
     datum; returns one Trajectory per member, in order.
 
-    The members are stepped as contiguous sub-stacks of (b, M) spectra whose
-    sizes differ by at most one, one per CPU of the affinity mask, at most
-    one per member: the first here, each later one in a forked child.  Row b
-    of any stack is bitwise the run with params_list[b] alone, so the result
-    does not depend on how many processes ran; `info["processes"]` records
-    it.  A stack of one member, a one-CPU mask, a platform without
-    `os.fork` or a live second Python thread (forking a threaded process is
-    unsafe) gives one sub-stack, stepped here.  The members are all
-    nonlinear or all linear (else ValueError), and every member's CFL check
-    runs before any stepping.  A blow-up raises the error a serial run
-    would: the earliest step, a non-finite state before the amplitude cap,
-    the lowest row.  A child's warnings are issued again here once it is
-    done, in sub-stack order."""
+    The members are all nonlinear or all linear (else ValueError), and
+    every member's CFL check runs first.  Linear members are S(t) phi,
+    phi-hat times `semigroup_stack` at the kept times.  Nonlinear ones are
+    stepped as contiguous sub-stacks of (b, M) spectra whose sizes differ
+    by at most one, one per CPU of the affinity mask, at most one per
+    member: the first here, each later one in a forked child.  Row b of any
+    stack is bitwise the run with params_list[b] alone, so the result does
+    not depend on how many processes ran; `info["processes"]` records it.
+    A stack of one member, a one-CPU mask, a platform without `os.fork` or
+    a live second Python thread (forking a threaded process is unsafe)
+    gives one sub-stack, stepped here.  A blow-up raises the error a serial
+    run would: the earliest time, a non-finite state before the amplitude
+    cap, the lowest row.  A child's warnings are issued again here once it
+    is done, in sub-stack order."""
     grid = phi.grid
     B = len(params_list)
     kinds = {p.nonlinear for p in params_list}
@@ -386,22 +388,34 @@ def solve_stepper_stack(phi: SpectralField, params_list, config: SolverConfig) -
         _check_cfl(grid, config.dt, params)
     n_steps = max(1, int(round(config.T / config.dt)))
     dt = config.T / n_steps
-
-    E1 = np.array([semigroup_multiplier(grid, dt, p) for p in params_list])
-    E2 = np.array([semigroup_multiplier(grid, 0.5 * dt, p) for p in params_list])
-    c = np.repeat(phi.coeffs[None, :], B, axis=0)
-
-    n_proc = _process_count(B)
-    bounds = [i * B // n_proc for i in range(n_proc + 1)]
-    steps = [functools.partial(_if_rk4, grid, c[lo:hi], E1[lo:hi], E2[lo:hi],
-                               True in kinds, n_steps, dt, config)
-             for lo, hi in zip(bounds, bounds[1:])]
-    members = [(times, block) for times, kept in _run_split(steps) for block in kept]
+    kept_steps = [*range(0, n_steps, config.keep_every), n_steps]
+    times = [n * dt for n in kept_steps]
+    if True in kinds:
+        E1 = np.array([semigroup_multiplier(grid, dt, p) for p in params_list])
+        E2 = np.array([semigroup_multiplier(grid, 0.5 * dt, p) for p in params_list])
+        c = np.repeat(phi.coeffs[None, :], B, axis=0)
+        n_proc = _process_count(B)
+        bounds = [i * B // n_proc for i in range(n_proc + 1)]
+        steps = [functools.partial(_if_rk4, grid, c[lo:hi], E1[lo:hi], E2[lo:hi],
+                                   n_steps, dt, kept_steps)
+                 for lo, hi in zip(bounds, bounds[1:])]
+        members = [block for kept in _run_split(steps) for block in kept]
+        method, rhs_evals = "if_rk4", 4 * n_steps
+    else:  # S(t) phi: semigroup_apply's product, in place in each member's stack
+        with np.errstate(over="ignore", invalid="ignore"):  # a blow-up, raised below
+            members = [semigroup_stack(grid, times, p) for p in params_list]
+            for t, *rows in zip(times, *members):  # checked as _if_rk4 checks a kept step
+                rows = np.array([np.multiply(phi.coeffs, row, out=row) for row in rows])
+                if not np.isfinite(rows.view(np.float64)).all():  # at t = 0, S(0) phi = phi
+                    raise SolverBlowupError(t) if t else ValueError("non-finite datum")
+                if np.abs(values_stack(grid, rows)).max() > _AMPLITUDE_CAP:
+                    raise SolverBlowupError(t, _CAP_MESSAGE)
+        method, n_proc, rhs_evals = "semigroup", 1, 0
     return [Trajectory.from_stack(grid, times, block, params,
-                                  info={"method": "if_rk4", "dt": dt, "n_steps": n_steps,
+                                  info={"method": method, "dt": dt, "n_steps": n_steps,
                                         "sweep_size": B, "processes": n_proc,
-                                        "rhs_evals": 4 * n_steps})
-            for (times, block), params in zip(members, params_list)]
+                                        "rhs_evals": rhs_evals})
+            for block, params in zip(members, params_list)]
 
 
 def _process_count(B: int) -> int:
@@ -419,23 +433,20 @@ _CAP_MESSAGE = "amplitude cap exceeded"
 
 
 def _if_rk4(grid: Grid, c: np.ndarray, E1: np.ndarray, E2: np.ndarray,
-            nonlinear: bool, n_steps: int, dt: float, config: SolverConfig):
+            n_steps: int, dt: float, kept_steps: list):
     """Step the (b, M) datum stack `c` through `n_steps` IF-RK4 steps of
-    size `dt` with multipliers E1 = e^{dt L}, E2 = e^{dt L / 2} per row;
-    `nonlinear` says whether the rows carry the u u_x term.  `c` holds the
-    state and is overwritten.  Returns the kept times and a (b, K, M) array
-    of the spectra kept at them, the datum first.  Raises ValueError on a
-    non-finite datum, and SolverBlowupError at the first non-finite state
-    or kept state over the amplitude cap.  The loop is the step's algebra
-    alone; the workspace (`core.stepper_workspace`) loads the state,
-    evaluates each stage and stores each kept state back as spectra."""
-    keep = config.keep_every
-    kept = np.empty((len(c), 1 + n_steps // keep + (n_steps % keep != 0), c.shape[1]),
-                    dtype=np.complex128)
-    pad = stepper_workspace(grid, len(c), nonlinear)
+    size `dt` with multipliers E1 = e^{dt L}, E2 = e^{dt L / 2} per row.
+    `c` holds the state and is overwritten.  Returns a (b, K, M) array of
+    the spectra kept at the steps `kept_steps`, 0 first.  Raises ValueError
+    on a non-finite datum, and SolverBlowupError at the first non-finite
+    state or kept state over the amplitude cap.  The loop is the step's
+    algebra alone; the workspace (`core.stepper_workspace`) loads the
+    state, evaluates each stage and stores each kept state back."""
+    kept = np.empty((len(c), len(kept_steps), c.shape[1]), dtype=np.complex128)
+    pad = stepper_workspace(grid, len(c))
     c, E1, E2 = pad.load(c, E1, E2)
     pad.store(c, kept[:, 0])
-    times = [0.0]
+    j = 1  # the next row of kept
     E2x2 = 2.0 * E2
     # one workspace for the whole run: the four stages and three temporaries
     k1, k2, k3, k4, E1c, w, v = (np.empty_like(c) for _ in range(7))
@@ -475,12 +486,12 @@ def _if_rk4(grid: Grid, c: np.ndarray, E1: np.ndarray, E2: np.ndarray,
         np.add(E1c, k1, out=c)
         if not np.isfinite(c.view(np.float64)).all():
             raise SolverBlowupError(n * dt)
-        if n % keep == 0 or n == n_steps:
-            row = pad.store(c, kept[:, len(times)])
+        if n == kept_steps[j]:
+            row = pad.store(c, kept[:, j])
             if np.abs(values_stack(grid, row)).max() > _AMPLITUDE_CAP:
                 raise SolverBlowupError(n * dt, _CAP_MESSAGE)
-            times.append(n * dt)
-    return times, kept
+            j += 1
+    return kept
 
 
 def _run_split(steps: list) -> list:

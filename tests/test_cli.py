@@ -16,7 +16,9 @@ from chenlee_lab.config import (
     config_echo,
     parse_config,
 )
-from chenlee_lab.spaces import sobolev_norm
+from chenlee_lab.core import semigroup_apply
+from chenlee_lab.report import format_value
+from chenlee_lab.spaces import l2_norm, sobolev_norm
 
 SMOOTHING_CFG = """\
 # fast smoothing run
@@ -190,6 +192,29 @@ def test_cli_cfl_violation_is_config_error(tmp_path, capsys):
                            "grid.M = 1024\nsolver.dt = 0.05\nsolver.T = 0.1\n")
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_cli_linear_solve_is_the_semigroup(tmp_path):
+    # a linear solve is S(t)phi: its zero mode does not move (E(0, t) = 1),
+    # so it passes the mass check, and its l2 column prints the norms of
+    # semigroup_apply; too large a dt is still a config error
+    text = ("experiment = solve\ngrid.L = 25.132741228718345\ngrid.M = 256\n"
+            "eq.nonlinear = false\nsolver.dt = 1e-3\nsolver.T = 0.5\n"
+            "solver.keep_every = 100\n")
+    out = tmp_path / "o"
+    assert main(["solve", "--config", _write(tmp_path, text), "--out", str(out)]) == 0
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    rows = [line.split(",") for line in lines[1:lines.index("")]]
+    summary = dict(line.split(",") for line in lines[lines.index("") + 1:])
+    assert float(summary["mass_drift"]) == 0.0 and summary["passed"] == "true"
+    cfg = parse_config(text)
+    phi, params = build_initial_data(cfg), cfg.equation_params()
+    times = [n * 1e-3 for n in range(0, 501, 100)]  # the kept steps times dt
+    assert [row[0] for row in rows] == [format_value(t) for t in times]
+    assert [row[1] for row in rows] == [
+        format_value(l2_norm(semigroup_apply(phi, t, params))) for t in times]
+    too_large = _write(tmp_path, text.replace("solver.dt = 1e-3", "solver.dt = 0.05"), "cfl.cfg")
+    assert main(["solve", "--config", too_large, "--out", str(tmp_path / "c")]) == 2
 
 
 @pytest.mark.filterwarnings("ignore")  # the run is meant to blow up noisily

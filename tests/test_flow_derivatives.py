@@ -1,5 +1,7 @@
 """Resonance functions, Duhamel kernels, band data, and the closed-form
 Picard terms cross-checked against the independent time-quadrature route."""
+import functools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -242,19 +244,43 @@ def test_growth_sweep_report_structure():
     assert rep.summary["target_slope"] == pytest.approx(-2 * -0.8 - 1 - 2 * 0.2)
 
 
-@pytest.mark.parametrize("epsilon", [0.05, 0.1, 0.2])
-def test_c3_local_slopes_match_the_exponent_to_three_digits(epsilon):
-    # at beta = eta = 0.01 every local slope of ||u3(t_N)||_{H^s} over
-    # N = 64..16384 exceeds the target -2s - 1 - 2 eps by at most the
-    # eta-linear drift of the dissipative factor: log ||u3|| = a + target
-    # log N - kappa eta N^{-eps} gives an excess below kappa eta eps, and
-    # its fits gave kappa = 3.1-4.7 at eta = 0.25, so kappa = 5 bounds it
-    eta, kappa = 0.01, 5.0
+# the dissipative drift of the c3 slopes: log ||u3|| = a + target log N -
+# kappa eta N^{-eps}, whose fits gave kappa = 3.1-4.7 at eta = 0.25
+_KAPPA = 5.0
+
+
+@functools.cache
+def _c3_excess(eta, epsilon):
+    """The local slopes of ||u3(t_N)||_{H^s} over N = 64..16384 at beta =
+    0.01, s = -0.8, minus the target -2s - 1 - 2 eps (read-only, as the
+    cache shares it)."""
     N = 64.0 * 2.0 ** np.arange(9)
     rep = illposed_growth_c3(-0.8, epsilon, N, EquationParams(beta=0.01, eta=eta), tol=np.inf)
     local = np.diff(np.log(rep.column("norm").astype(float))) / np.diff(np.log(N))
     excess = local - rep.summary["target_slope"]
-    assert (excess >= 0.0).all() and (excess <= kappa * eta * epsilon).all(), excess
+    excess.flags.writeable = False
+    return excess
+
+
+@pytest.mark.parametrize("epsilon", [0.05, 0.1, 0.2])
+def test_c3_local_slopes_match_the_exponent_to_three_digits(epsilon):
+    # at beta = eta = 0.01 every local slope exceeds the target by at most
+    # the eta-linear drift of the dissipative factor, whose model gives an
+    # excess below kappa eta eps
+    eta = 0.01
+    excess = _c3_excess(eta, epsilon)
+    assert (excess >= 0.0).all() and (excess <= _KAPPA * eta * epsilon).all(), excess
+
+
+@pytest.mark.parametrize("epsilon", [0.05, 0.1, 0.2])
+def test_c3_slope_excess_is_linear_in_eta(epsilon):
+    # the drift is first order in eta: at 4 eta each local-slope excess is
+    # 4 times that at eta = 0.01, up to the model's second-order term, whose
+    # relative size kappa (4 eta) N^{-eps} / 2 <= kappa (4 eta) / 2 = 0.1
+    # bounds the deviation (the eta = 0.01 sweeps are the test above's)
+    eta = 0.01
+    ratio = _c3_excess(4.0 * eta, epsilon) / _c3_excess(eta, epsilon)
+    assert (np.abs(ratio / 4.0 - 1.0) <= _KAPPA * 4.0 * eta / 2.0).all(), ratio
 
 
 def test_growth_sweep_input_validation():

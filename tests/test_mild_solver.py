@@ -158,14 +158,25 @@ def test_cfl_rejection():
         solve_stepper(_gaussian(0.1), PARAMS, SolverConfig(dt=0.1, T=1.0))
 
 
+def _is_semigroup_run(phi, traj):
+    """Whether every kept state of the linear run `traj` from `phi` is
+    semigroup_apply's at its time, bitwise."""
+    ref = np.array([semigroup_apply(phi, t, traj.params).coeffs for t in traj.times])
+    return np.array_equal(traj.coeffs.view(np.uint64), ref.view(np.uint64))
+
+
 def test_linear_run_matches_semigroup():
+    # a linear run is S(t)phi exactly, kept on the nonlinear stepper's
+    # schedule: every 150th of 500 steps and the last
     phi = _gaussian(1.0)
     p = EquationParams(beta=1.0, eta=1.0, nonlinear=False)
-    traj = solve_stepper(phi, p, SolverConfig(dt=2e-3, T=1.0, keep_every=100))
-    for t, u in zip(traj.times, traj.states):
-        ref = semigroup_apply(phi, t, p)
-        scale = max(np.abs(ref.coeffs).max(), 1e-300)
-        assert np.abs(u.coeffs - ref.coeffs).max() <= 1e-12 * scale
+    cfg = SolverConfig(dt=2e-3, T=1.0, keep_every=150)
+    traj = solve_stepper(phi, p, cfg)
+    assert _is_semigroup_run(phi, traj)
+    assert traj.times.tolist() == solve_stepper(phi, PARAMS, cfg).times.tolist()
+    assert traj.times.tolist() == [0.0, 0.3, 0.6, 0.9, 1.0]
+    assert traj.info == {"method": "semigroup", "dt": 2e-3, "n_steps": 500,
+                         "sweep_size": 1, "processes": 1, "rhs_evals": 0}
 
 
 def test_instability_band_growth():
@@ -218,21 +229,28 @@ LINEAR = LINEAR_STACK[0]
 
 
 def test_stack_members_equal_separate_runs():
+    # a nonlinear member is bitwise its run alone; a linear one is S(t)phi
+    # at the same kept times, bitwise semigroup_apply
     phi = _gaussian(0.5)
     cfg = SolverConfig(dt=1e-3, T=0.2, keep_every=25)
-    for members in (STACK, LINEAR_STACK):
-        stacked = solve_stepper_stack(phi, members, cfg)
-        assert len(stacked) == len(members)
-        for params, traj in zip(members, stacked):
-            alone = solve_stepper(phi, params, cfg)
-            assert traj.params == params
-            assert np.array_equal(traj.times, alone.times)
-            assert all(np.array_equal(u.coeffs, v.coeffs)
-                       for u, v in zip(traj.states, alone.states, strict=True))
-            assert alone.info == {"method": "if_rk4", "dt": 1e-3, "n_steps": 200,
-                                  "sweep_size": 1, "processes": 1, "rhs_evals": 800}
-            assert traj.info == dict(alone.info, sweep_size=len(members),
-                                     processes=solver._process_count(len(members)))
+    stacked = solve_stepper_stack(phi, STACK, cfg)
+    assert len(stacked) == len(STACK)
+    for params, traj in zip(STACK, stacked):
+        alone = solve_stepper(phi, params, cfg)
+        assert traj.params == params
+        assert np.array_equal(traj.times, alone.times)
+        assert all(np.array_equal(u.coeffs, v.coeffs)
+                   for u, v in zip(traj.states, alone.states, strict=True))
+        assert alone.info == {"method": "if_rk4", "dt": 1e-3, "n_steps": 200,
+                              "sweep_size": 1, "processes": 1, "rhs_evals": 800}
+        assert traj.info == dict(alone.info, sweep_size=len(STACK),
+                                 processes=solver._process_count(len(STACK)))
+    linear = solve_stepper_stack(phi, LINEAR_STACK, cfg)
+    for params, traj, ref in zip(LINEAR_STACK, linear, stacked, strict=True):
+        assert traj.params == params
+        assert np.array_equal(traj.times, ref.times)
+        assert _is_semigroup_run(phi, traj)
+        assert traj.info == dict(ref.info, method="semigroup", processes=1, rhs_evals=0)
 
 
 def test_mixed_stack_raises_before_stepping(monkeypatch):
@@ -250,8 +268,8 @@ def test_mixed_stack_raises_before_stepping(monkeypatch):
 def _frozen_if_rk4(phi, params_list, config):
     """solve_stepper_stack's loop as it read before it stepped in place, a
     fresh array for every operation: the oracle the in-place loop must equal
-    bitwise.  The members are all nonlinear or all linear.  Returns the kept
-    times and (B, M) blocks."""
+    bitwise.  The members are nonlinear.  Returns the kept times and (B, M)
+    blocks."""
     grid = phi.grid
     B = len(params_list)
     n_steps = max(1, int(round(config.T / config.dt)))
@@ -260,7 +278,7 @@ def _frozen_if_rk4(phi, params_list, config):
     E2 = np.array([semigroup_multiplier(grid, 0.5 * dt, p) for p in params_list])
 
     def rhs(c):
-        return -nonlinear_stack(grid, c) if params_list[0].nonlinear else np.zeros_like(c)
+        return -nonlinear_stack(grid, c)
 
     c = np.repeat(phi.coeffs[None, :], B, axis=0)
     c[:, grid.M // 2] = 0.0
@@ -290,15 +308,19 @@ def test_stack_equals_frozen_if_rk4_bitwise(grid, stacks, dt, T):
     # that moves printed digits of the decay experiment's CSVs.  Each RK4
     # stage of a nonlinear stack writes straight into the kernel's padded
     # buffer: a sweep's stack, and one run on solve-m4096's grid and step
-    # (B1_M4096); signed zeros count.
+    # (B1_M4096); signed zeros count.  A linear stack is semigroup_apply's
+    # bits on the same schedule.
     phi = _gaussian(0.5, grid)
     cfg = SolverConfig(dt=dt, T=T, keep_every=20)
+    times, kept = _frozen_if_rk4(phi, stacks[0], cfg)
     for members in stacks:
-        times, kept = _frozen_if_rk4(phi, members, cfg)
         trajs = solve_stepper_stack(phi, members, cfg)
         assert len(trajs) == len(members) and trajs[0].info["sweep_size"] == len(members)
         for b, traj in enumerate(trajs):
             assert traj.times.tolist() == times
+            if not traj.params.nonlinear:
+                assert _is_semigroup_run(phi, traj)
+                continue
             got = np.array([u.coeffs for u in traj.states])
             ref = np.array([block[b] for block in kept])
             assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
@@ -308,22 +330,23 @@ def test_stack_equals_frozen_if_rk4_bitwise(grid, stacks, dt, T):
 @pytest.mark.parametrize("datum", ["single_mode", "band"])
 def test_band_limited_datum_keeps_zero_signs_bitwise(datum):
     # a linear stack keeps a band-limited datum's empty modes exactly zero
-    # for the whole run; they keep their signs, as do a nonlinear stack's
+    # for the whole run, with semigroup_apply's signs; a nonlinear stack's
+    # zeros keep the frozen loop's signs
     grid = Grid(4.0 * np.pi, 64)
     phi = (SpectralField.single_mode(grid, 2, 0.1) if datum == "single_mode" else
            _band_field(grid, np.random.default_rng(1), 1.0, 3.0))
     cfg = SolverConfig(dt=1e-2, T=0.2, keep_every=5)
-    for members in ([LINEAR, EquationParams(beta=0.0, eta=1.0, nonlinear=False)],
-                    [PARAMS, EquationParams(beta=0.0, eta=1.0)]):
-        times, kept = _frozen_if_rk4(phi, members, cfg)
-        trajs = solve_stepper_stack(phi, members, cfg)
-        if not members[0].nonlinear:
-            assert np.count_nonzero(trajs[0].final_state().coeffs == 0.0) > grid.M // 2
-        for b, traj in enumerate(trajs):
-            assert traj.times.tolist() == times
-            got = np.array([u.coeffs for u in traj.states])
-            ref = np.array([block[b] for block in kept])
-            assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+    linear = solve_stepper_stack(
+        phi, [LINEAR, EquationParams(beta=0.0, eta=1.0, nonlinear=False)], cfg)
+    assert np.count_nonzero(linear[0].final_state().coeffs == 0.0) > grid.M // 2
+    assert all(_is_semigroup_run(phi, traj) for traj in linear)
+    members = [PARAMS, EquationParams(beta=0.0, eta=1.0)]
+    times, kept = _frozen_if_rk4(phi, members, cfg)
+    for b, traj in enumerate(solve_stepper_stack(phi, members, cfg)):
+        assert traj.times.tolist() == times == linear[b].times.tolist()
+        got = np.array([u.coeffs for u in traj.states])
+        ref = np.array([block[b] for block in kept])
+        assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
 # operand entries of one step: products of two stay finite; exact zeros
@@ -398,28 +421,53 @@ def test_stepper_runs_on_two_grids_share_no_buffer():
 
 def test_stack_cfl_checks_every_member_before_stepping(monkeypatch):
     calls = []
-    # the stepper's kernel runs through core's workspace
-    for module, kernel in ((solver, "nonlinear_stack"), (core, "nonlinear_blocks")):
-        monkeypatch.setattr(module, kernel, lambda *a, **k: calls.append(a))
+    # the stepper's kernel runs through core's workspace, and a linear
+    # stack's states are its multipliers times the datum
+    for module, name in ((solver, "nonlinear_stack"), (core, "nonlinear_blocks"),
+                         (solver, "semigroup_multiplier"), (solver, "semigroup_stack")):
+        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a))
     # dt * max|q| = 0.01 * 0.1 * 16^2 = 0.256 for the first, 2.56 for the last
     members = [EquationParams(beta=0.1, eta=1.0), PARAMS]
-    with pytest.raises(CflError):
-        solve_stepper_stack(_gaussian(0.1), members, SolverConfig(dt=1e-2, T=1.0))
+    for stack in (members, [dataclasses.replace(p, nonlinear=False) for p in members]):
+        with pytest.raises(CflError):
+            solve_stepper_stack(_gaussian(0.1), stack, SolverConfig(dt=1e-2, T=1.0))
     assert calls == []
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to inf
-@pytest.mark.parametrize("keep_every, message", [(10, "amplitude cap"), (10 ** 6, "blew up")],
-                         ids=["amplitude_cap", "non_finite"])
-def test_stack_member_blowup_raises(keep_every, message):
-    # the runaway member grows like e^{eta t / 4} on the band |xi| < 1:
-    # past the amplitude cap at a kept step, or to inf within T otherwise
+@pytest.mark.parametrize("keep_every, eta, message, t_blowup", [
+    (10, 3000.0, "amplitude cap", 0.02), (10 ** 6, 4000.0, "blew up", 0.015),
+], ids=["amplitude_cap", "non_finite"])
+def test_stack_member_blowup_raises(keep_every, eta, message, t_blowup):
+    # the runaway member grows like e^{eta t / 4} on the band |xi| < 1 and
+    # its square feeds every mode: past the amplitude cap at a kept step,
+    # or to inf between kept steps
     cfg = SolverConfig(dt=1e-3, T=1.0, keep_every=keep_every)
-    runaway = EquationParams(beta=1.0, eta=4000.0, nonlinear=False)
-    solve_stepper(_gaussian(0.5), LINEAR, cfg)  # the first member alone is fine
+    runaway = EquationParams(beta=1.0, eta=eta)
+    solve_stepper(_gaussian(0.5), PARAMS, cfg)  # the first member alone is fine
     with pytest.raises(SolverBlowupError, match=message) as exc:
-        solve_stepper_stack(_gaussian(0.5), [LINEAR, runaway], cfg)
-    assert 0.0 < exc.value.t_blowup < 1.0
+        solve_stepper_stack(_gaussian(0.5), [PARAMS, runaway], cfg)
+    assert exc.value.t_blowup == pytest.approx(t_blowup, rel=1e-12)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("keep_every, message, t_blowup", [
+    (10, "amplitude cap", 0.02), (10 ** 6, "blew up near t=1", 1.0),
+], ids=["amplitude_cap", "non_finite"])
+def test_linear_stack_blowup_is_raised_at_a_kept_time(monkeypatch, keep_every, message,
+                                                      t_blowup):
+    # a linear stack is checked at its kept times, in one process: the
+    # runaway grows like e^{1000 t}, past the cap at t = 0.02 (0.04 for
+    # the slower one) and to inf by t = 1, where the slower one is only
+    # over the cap; a non-finite state comes first, and no overflow warns
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("a linear stack forked"))
+    _cpus(monkeypatch, 3)
+    cfg = SolverConfig(dt=1e-3, T=1.0, keep_every=keep_every)
+    slower = EquationParams(beta=1.0, eta=2000.0, nonlinear=False)
+    runaway = EquationParams(beta=1.0, eta=4000.0, nonlinear=False)
+    with pytest.raises(SolverBlowupError, match=message) as exc:
+        solve_stepper_stack(_gaussian(0.5), [slower, LINEAR, runaway], cfg)
+    assert exc.value.t_blowup == pytest.approx(t_blowup, rel=1e-12)
 
 
 def test_stack_warns_when_one_member_exceeds_aliasing_budget():
@@ -450,17 +498,22 @@ def _bits(traj):
 
 def test_stack_split_over_processes_equals_separate_runs(monkeypatch):
     # 4 members over 3 "CPUs": sub-stacks of 1, 1 and 2 members, the last
-    # two stepped in forked children
+    # two stepped in forked children; a linear stack forks nothing and is
+    # S(t)phi whatever the CPUs
     phi = _gaussian(0.5)
     cfg = SolverConfig(dt=1e-3, T=0.2, keep_every=25)
-    for members in (STACK, LINEAR_STACK):
-        alone = [solve_stepper(phi, params, cfg) for params in members]
-        _cpus(monkeypatch, 3)
-        split = solve_stepper_stack(phi, members, cfg)
-        for traj, ref in zip(split, alone, strict=True):
-            assert traj.info == dict(ref.info, sweep_size=len(members), processes=3)
-            assert traj.times.tolist() == ref.times.tolist()
-            assert np.array_equal(_bits(traj), _bits(ref))
+    alone = [solve_stepper(phi, params, cfg) for params in STACK]
+    _cpus(monkeypatch, 3)
+    split = solve_stepper_stack(phi, STACK, cfg)
+    for traj, ref in zip(split, alone, strict=True):
+        assert traj.info == dict(ref.info, sweep_size=len(STACK), processes=3)
+        assert traj.times.tolist() == ref.times.tolist()
+        assert np.array_equal(_bits(traj), _bits(ref))
+    monkeypatch.setattr(os, "fork", lambda: pytest.fail("a linear stack forked"))
+    for traj, ref in zip(solve_stepper_stack(phi, LINEAR_STACK, cfg), split, strict=True):
+        assert traj.info == dict(ref.info, method="semigroup", processes=1, rhs_evals=0)
+        assert traj.times.tolist() == ref.times.tolist()
+        assert _is_semigroup_run(phi, traj)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to inf
@@ -468,10 +521,12 @@ def test_stack_split_over_processes_equals_separate_runs(monkeypatch):
 def test_split_stack_raises_the_serial_blowup(monkeypatch, keep_every):
     # over 3 "CPUs" the slower runaway member steps here and the faster one
     # in the second child; the error is the one the serial run raises first
+    # (non-finite at t = 0.033 for the slower; over the cap at t = 0.02, or
+    # non-finite at t = 0.015 with nothing kept, for the faster)
     cfg = SolverConfig(dt=1e-3, T=1.0, keep_every=keep_every)
-    slower = EquationParams(beta=1.0, eta=3000.0, nonlinear=False)
-    runaway = EquationParams(beta=1.0, eta=4000.0, nonlinear=False)
-    members = [slower, LINEAR, LINEAR_STACK[1], runaway, LINEAR]
+    slower = EquationParams(beta=1.0, eta=2000.0)
+    runaway = EquationParams(beta=1.0, eta=3000.0 if keep_every == 10 else 4000.0)
+    members = [slower, PARAMS, STACK[1], runaway, PARAMS]
     _cpus(monkeypatch, 1)
     with pytest.raises(SolverBlowupError) as serial:
         solve_stepper_stack(_gaussian(0.5), members, cfg)
@@ -550,8 +605,9 @@ def test_stack_rejects_a_non_finite_datum(monkeypatch, cpus):
     c[3] = np.nan
     cfg = SolverConfig(dt=1e-3, T=0.01)
     _cpus(monkeypatch, cpus)
-    with pytest.raises(ValueError, match="non-finite"):
-        solve_stepper_stack(SpectralField(GRID, c, check=False), STACK[:3], cfg)
+    for members in (STACK[:3], LINEAR_STACK[:3]):
+        with pytest.raises(ValueError, match="non-finite"):
+            solve_stepper_stack(SpectralField(GRID, c, check=False), members, cfg)
     c[3], c[GRID.nyquist] = 0.0, np.nan
     traj = solve_stepper(SpectralField(GRID, c, check=False), PARAMS, cfg)
     assert np.isfinite(traj.coeffs.view(np.float64)).all()

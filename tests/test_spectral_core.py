@@ -145,7 +145,7 @@ def test_from_modes_places_values_and_rejects_unrepresented_modes():
 def test_semigroup_stack_equals_frozen_form_bitwise(M):
     # the Picard route's multipliers as solve_picard built them: the symbol
     # with its Nyquist slot zeroed, exponentiated at every time, the slot
-    # zeroed again; rows need not equal semigroup_multiplier's bits
+    # zeroed again; each row is semigroup_multiplier's bits at its time
     grid = Grid(8.0 * np.pi, M)
     times = np.linspace(0.0, 1.0, 17) ** 2
     sym = linear_symbol(grid.xi, PARAMS)
@@ -154,12 +154,13 @@ def test_semigroup_stack_equals_frozen_form_bitwise(M):
     ref[:, M // 2] = 0.0
     got = semigroup_stack(grid, times, PARAMS)
     assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
+    rows = np.array([semigroup_multiplier(grid, t, PARAMS) for t in times.tolist()])
+    assert np.array_equal(rows.view(np.uint64), ref.view(np.uint64))
 
 
-@pytest.mark.parametrize("nonlinear", [True, False])
-def test_stepper_workspace_round_trip_is_exact(nonlinear):
-    # load zeroes the Nyquist slot and flips a nonlinear stack, not a linear
-    # one; store turns it back: the datum, signed zeros included
+def test_stepper_workspace_round_trip_is_exact():
+    # load zeroes the Nyquist slot and flips the stack; store turns it
+    # back: the datum, signed zeros included
     grid = Grid(8.0 * np.pi, 64)
     rng = np.random.default_rng(4)
     k = grid.band((grid.xi >= 1.0) & (grid.xi <= 3.0))  # a band-limited datum
@@ -170,12 +171,12 @@ def test_stepper_workspace_round_trip_is_exact(nonlinear):
     datum[3] = complex(-0.0, 0.0)
     stack = np.repeat(datum[None, :], 2, axis=0)
     E = rng.standard_normal(stack.shape) + 0j
-    pad = stepper_workspace(grid, len(stack), nonlinear)
+    pad = stepper_workspace(grid, len(stack))
     state, E_blocks = pad.load(stack, E)
     assert state.shape == E_blocks.shape and np.shares_memory(E_blocks, E)
     datum[grid.nyquist] = 0.0
     expected = np.repeat(datum[None, :], 2, axis=0)
-    loaded = phase_flip(expected) if nonlinear else expected
+    loaded = phase_flip(expected)
     assert np.array_equal(state.reshape(stack.shape).view(np.uint64), loaded.view(np.uint64))
     out = np.full_like(stack, np.nan)
     assert pad.store(state, out) is out
@@ -375,10 +376,13 @@ def test_semigroup_multiplier_memo_is_read_only_and_a_fresh_build():
     semigroup_multiplier.cache_clear()
     fresh = semigroup_multiplier(GRID, 0.3, PARAMS)
     assert fresh is not E
+    # the one-row semigroup_stack, the same bits as the multiplier's own
+    # exponential read before it was that row
     built = np.exp(linear_symbol(GRID.xi, PARAMS) * 0.3)
     built[GRID.M // 2] = 0.0
-    assert np.array_equal(fresh.view(np.uint64), E.view(np.uint64))
-    assert np.array_equal(fresh.view(np.uint64), built.view(np.uint64))
+    row = semigroup_stack(GRID, [0.3], PARAMS)[0]
+    for ref in (E, built, row):
+        assert np.array_equal(fresh.view(np.uint64), ref.view(np.uint64))
 
 
 def test_semigroup_growth_cap():

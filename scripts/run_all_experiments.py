@@ -23,20 +23,13 @@ import sys
 import time
 
 from chenlee_lab.cli import main as cli_main
+from chenlee_lab.config import EXPERIMENTS
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
-# experiment -> expected exit code
-EXPECTED = {
-    "solve": 0,
-    "smoothing": 0,
-    "contraction": 0,
-    "illposed-c3": 0,
-    "illposed-c2nd": 0,
-    "beta-limit": 0,
-    "eta-limit": 1,  # documented expected failure (rate clause)
-    "decay": 0,
-}
+# experiment -> expected exit code: eta-limit's rate clause is the
+# documented expected failure, every other experiment passes
+EXPECTED = {exp: int(exp == "eta-limit") for exp in EXPERIMENTS}
 
 
 def main(argv=None) -> int:

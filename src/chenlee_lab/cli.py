@@ -58,7 +58,8 @@ def _apply_quick(cfg: RunConfig) -> RunConfig:
     M = cfg.grid_M
     if cfg.experiment not in ("smoothing", "decay"):
         M = min(M, max(256, M // 4))
-    quick = replace(cfg, grid_M=M, T=max(cfg.T / 4.0, 10.0 * cfg.dt),
+    quick = replace(cfg, grid_M=M,
+                    solver_T=max(cfg.solver_T / 4.0, 10.0 * cfg.solver_dt),
                     illposed_N=tuple(cfg.illposed_N[:4]))
     validate(quick)
     return quick
@@ -81,8 +82,8 @@ def _run_solve(cfg: RunConfig):
     drift = mass_drift(mass)
     rep.summary.update({
         "mass_drift": drift,
-        "mass_tolerance": cfg.mass_tolerance,
-        "passed": drift <= cfg.mass_tolerance,
+        "mass_tolerance": cfg.check_mass_tolerance,
+        "passed": drift <= cfg.check_mass_tolerance,
     })
     return [rep]
 
@@ -113,7 +114,7 @@ def _run_smoothing(cfg: RunConfig):
 def _run_contraction(cfg: RunConfig):
     phi = build_initial_data(cfg)
     params = cfg.equation_params()
-    T = min(contraction_time(l2_norm(phi), 0.0, C_CONTRACTION), cfg.T)
+    T = min(contraction_time(l2_norm(phi), 0.0, C_CONTRACTION), cfg.solver_T)
     scfg = replace(cfg.solver_config(), T=T)
     traj_p = solve_picard(phi, params, scfg, s=0.0)
     traj_s = solve_stepper(phi, params, scfg)
@@ -125,9 +126,9 @@ def _run_contraction(cfg: RunConfig):
     rep.add_row(T, len(traj_p.info["diffs"]), worst, traj_p.info["residual"],
                 agreement)
     rep.summary.update({
-        "passed": (worst <= cfg.contraction_ratio_max
-                   and traj_p.info["residual"] <= cfg.contraction_residual_max
-                   and agreement <= cfg.agreement_tolerance),
+        "passed": (worst <= cfg.check_contraction_ratio_max
+                   and traj_p.info["residual"] <= cfg.check_contraction_residual_max
+                   and agreement <= cfg.check_agreement_tolerance),
     })
     return [rep]
 
@@ -141,7 +142,7 @@ def _run_illposed_c3(cfg: RunConfig):
 
 def _run_illposed_c2nd(cfg: RunConfig):
     rep = illposed_growth_c2_nd(cfg.illposed_s, cfg.illposed_epsilon,
-                                cfg.illposed_N, cfg.eta,
+                                cfg.illposed_N, cfg.eq_eta,
                                 tol=cfg.illposed_tolerance)
     return [rep]
 
@@ -168,9 +169,9 @@ def _run_decay(cfg: RunConfig):
     traj = solve_stepper(phi, cfg.equation_params(), cfg.solver_config())
     rep = decay_report(traj)
     energy = weighted_energy_rate(traj)
-    ok = (rep.summary["mass_drift"] <= cfg.mass_tolerance
-          and rep.summary["yacasi_residual"] <= cfg.yacasi_tolerance
-          and energy.summary["max_residual"] <= cfg.energy_residual_tolerance)
+    ok = (rep.summary["mass_drift"] <= cfg.check_mass_tolerance
+          and rep.summary["yacasi_residual"] <= cfg.check_yacasi_tolerance
+          and energy.summary["max_residual"] <= cfg.check_energy_residual_tolerance)
     rep.summary["passed"] = ok
     energy.summary["passed"] = ok
     return [rep, energy]
@@ -246,8 +247,8 @@ def build_parser():
             "rough-data norm inflation, singular limits, and decay diagnostics. "
             "Config file format: one 'key = value' per line, '#' comments; "
             f"defaults are grid.L={d.grid_L / np.pi:g}*pi, grid.M={d.grid_M}, "
-            f"eq.beta={d.beta:g}, eq.eta={d.eta:g}, solver.dt={d.dt:g}, "
-            f"solver.T={d.T:g}, data.kind={d.data_kind}, seed={d.seed}."
+            f"eq.beta={d.eq_beta:g}, eq.eta={d.eq_eta:g}, solver.dt={d.solver_dt:g}, "
+            f"solver.T={d.solver_T:g}, data.kind={d.data_kind}, seed={d.seed}."
         ),
     )
     parser.add_argument("experiment", choices=EXPERIMENTS)

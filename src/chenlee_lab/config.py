@@ -8,7 +8,7 @@ document is a valid config.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -25,118 +25,80 @@ class ConfigError(ValueError):
     """Malformed or invalid configuration; maps to exit code 2."""
 
 
-def _parse_float_list(text):
-    return tuple(float(v) for v in text.split(","))
-
-
 @dataclass
 class RunConfig:
+    """Every setting of a run.  A field is a config key: the key is the
+    field name with its first `_` written as `.` (`grid_M` is `grid.M`),
+    and its value is read by the type of the field's default."""
     experiment: str = "solve"
     seed: int = 0
-    # grid
     grid_L: float = 32.0 * math.pi
     grid_M: int = 4096
-    # equation
-    beta: float = 1.0
-    eta: float = 1.0
-    nonlinear: bool = True
-    # initial data
+    eq_beta: float = 1.0
+    eq_eta: float = 1.0
+    eq_nonlinear: bool = True
     data_kind: str = "gaussian"  # gaussian | single-mode | random | rough-band
     data_amplitude: float = 0.5
     data_width: float = 1.0
     data_mode: int = 8
     data_normalize_h2: bool = False
-    # solver (default dt sized for the default grid's CFL bound:
-    # dt * beta * xi_max^2 <= 1 with xi_max = 64)
-    dt: float = 2e-4
-    T: float = 1.0
-    keep_every: int = 20
-    picard_tol: float = 1e-12
-    picard_max_iters: int = 40
-    # smoothing experiment
+    # default dt sized for the default grid's CFL bound:
+    # dt * beta * xi_max^2 <= 1 with xi_max = 64
+    solver_dt: float = 2e-4
+    solver_T: float = 1.0
+    solver_keep_every: int = 20
+    solver_picard_tol: float = 1e-12
+    solver_picard_max_iters: int = 40
     smoothing_lambdas: tuple = (0.5, 1.0, 2.0)
     smoothing_t_min: float = 1e-4
     smoothing_t_max: float = 1e-2
     smoothing_tolerance: float = 0.10  # relative deviation from -lambda/2
-    # ill-posedness experiments
     illposed_s: float = -0.8
     illposed_epsilon: float = 0.1
     illposed_N: tuple = (64.0, 128.0, 256.0, 512.0, 1024.0)
     illposed_tolerance: float = 0.15
-    # limit sweeps
     sweep_values: tuple = ()
     sweep_s: float = 0.0
     sweep_tolerance: float = 0.15
-    # diagnostics thresholds
-    mass_tolerance: float = 1e-10
-    yacasi_tolerance: float = 1e-8
-    energy_residual_tolerance: float = 1e-5
-    contraction_ratio_max: float = 0.75
-    contraction_residual_max: float = 1e-10
-    agreement_tolerance: float = 1e-6
+    # verdict thresholds
+    check_mass_tolerance: float = 1e-10
+    check_yacasi_tolerance: float = 1e-8
+    check_energy_residual_tolerance: float = 1e-5
+    check_contraction_ratio_max: float = 0.75
+    check_contraction_residual_max: float = 1e-10
+    check_agreement_tolerance: float = 1e-6
 
     def equation_params(self):
-        return EquationParams(beta=self.beta, eta=self.eta, nonlinear=self.nonlinear)
+        return EquationParams(beta=self.eq_beta, eta=self.eq_eta,
+                              nonlinear=self.eq_nonlinear)
 
     def solver_config(self):
         from .solver import SolverConfig
 
-        return SolverConfig(dt=self.dt, T=self.T, keep_every=self.keep_every,
-                            picard_tol=self.picard_tol,
-                            picard_max_iters=self.picard_max_iters)
+        return SolverConfig(dt=self.solver_dt, T=self.solver_T,
+                            keep_every=self.solver_keep_every,
+                            picard_tol=self.solver_picard_tol,
+                            picard_max_iters=self.solver_picard_max_iters)
 
 
-# config-file key -> (attribute, converter)
-_KEYS = {
-    "experiment": ("experiment", str),
-    "seed": ("seed", int),
-    "grid.L": ("grid_L", float),
-    "grid.M": ("grid_M", int),
-    "eq.beta": ("beta", float),
-    "eq.eta": ("eta", float),
-    "eq.nonlinear": ("nonlinear", None),  # bool, special-cased
-    "data.kind": ("data_kind", str),
-    "data.amplitude": ("data_amplitude", float),
-    "data.width": ("data_width", float),
-    "data.mode": ("data_mode", int),
-    "data.normalize_h2": ("data_normalize_h2", None),
-    "solver.dt": ("dt", float),
-    "solver.T": ("T", float),
-    "solver.keep_every": ("keep_every", int),
-    "solver.picard_tol": ("picard_tol", float),
-    "solver.picard_max_iters": ("picard_max_iters", int),
-    "smoothing.lambdas": ("smoothing_lambdas", _parse_float_list),
-    "smoothing.t_min": ("smoothing_t_min", float),
-    "smoothing.t_max": ("smoothing_t_max", float),
-    "smoothing.tolerance": ("smoothing_tolerance", float),
-    "illposed.s": ("illposed_s", float),
-    "illposed.epsilon": ("illposed_epsilon", float),
-    "illposed.N": ("illposed_N", _parse_float_list),
-    "illposed.tolerance": ("illposed_tolerance", float),
-    "sweep.values": ("sweep_values", _parse_float_list),
-    "sweep.s": ("sweep_s", float),
-    "sweep.tolerance": ("sweep_tolerance", float),
-    "check.mass_tolerance": ("mass_tolerance", float),
-    "check.yacasi_tolerance": ("yacasi_tolerance", float),
-    "check.energy_residual_tolerance": ("energy_residual_tolerance", float),
-    "check.contraction_ratio_max": ("contraction_ratio_max", float),
-    "check.contraction_residual_max": ("contraction_residual_max", float),
-    "check.agreement_tolerance": ("agreement_tolerance", float),
-}
+# config-file key -> RunConfig field
+_FIELDS = {f.name.replace("_", ".", 1): f for f in fields(RunConfig)}
 
 _BOOLS = {"true": True, "false": False, "yes": True, "no": False,
           "1": True, "0": False}
 
 
 def _convert(key, raw, lineno):
-    attr, conv = _KEYS[key]
+    default = _FIELDS[key].default
     raw = raw.strip()
     try:
-        if conv is None:
+        if isinstance(default, bool):  # before int: a bool is an int
             if raw.lower() not in _BOOLS:
                 raise ValueError(f"expected a boolean, got {raw!r}")
-            return attr, _BOOLS[raw.lower()]
-        return attr, conv(raw)
+            return _BOOLS[raw.lower()]
+        if isinstance(default, tuple):
+            return tuple(float(v) for v in raw.split(","))
+        return type(default)(raw)
     except ValueError as exc:
         raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
 
@@ -154,10 +116,9 @@ def parse_config(text: str) -> RunConfig:
             )
         key, raw = stripped.split("=", 1)
         key = key.strip()
-        if key not in _KEYS:
+        if key not in _FIELDS:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
-        attr, value = _convert(key, raw, lineno)
-        setattr(cfg, attr, value)
+        setattr(cfg, _FIELDS[key].name, _convert(key, raw, lineno))
         explicit.add(key)
     validate(cfg)
     cfg.explicit_keys = explicit
@@ -173,19 +134,20 @@ def validate(cfg: RunConfig):
         raise ConfigError(f"grid.L must be positive, got {cfg.grid_L}")
     if cfg.grid_M < 8 or cfg.grid_M & (cfg.grid_M - 1):
         raise ConfigError(f"grid.M must be a power of two >= 8, got {cfg.grid_M}")
-    if cfg.beta < 0:
-        raise ConfigError(f"beta must be >= 0, got {cfg.beta}")
-    if cfg.eta < 0:
-        raise ConfigError(f"eta must be >= 0, got {cfg.eta}")
-    if cfg.dt <= 0 or cfg.T <= 0 or cfg.dt > cfg.T:
-        raise ConfigError(f"need 0 < solver.dt <= solver.T, got dt={cfg.dt}, T={cfg.T}")
-    if cfg.keep_every < 1:
-        raise ConfigError(f"solver.keep_every must be >= 1, got {cfg.keep_every}")
-    if cfg.picard_max_iters < 1:
+    if cfg.eq_beta < 0:
+        raise ConfigError(f"beta must be >= 0, got {cfg.eq_beta}")
+    if cfg.eq_eta < 0:
+        raise ConfigError(f"eta must be >= 0, got {cfg.eq_eta}")
+    if cfg.solver_dt <= 0 or cfg.solver_T <= 0 or cfg.solver_dt > cfg.solver_T:
+        raise ConfigError(f"need 0 < solver.dt <= solver.T, "
+                          f"got dt={cfg.solver_dt}, T={cfg.solver_T}")
+    if cfg.solver_keep_every < 1:
+        raise ConfigError(f"solver.keep_every must be >= 1, got {cfg.solver_keep_every}")
+    if cfg.solver_picard_max_iters < 1:
         raise ConfigError(
-            f"solver.picard_max_iters must be >= 1, got {cfg.picard_max_iters}")
-    if cfg.picard_tol <= 0:
-        raise ConfigError(f"solver.picard_tol must be positive, got {cfg.picard_tol}")
+            f"solver.picard_max_iters must be >= 1, got {cfg.solver_picard_max_iters}")
+    if cfg.solver_picard_tol <= 0:
+        raise ConfigError(f"solver.picard_tol must be positive, got {cfg.solver_picard_tol}")
     if cfg.data_kind not in ("gaussian", "single-mode", "random", "rough-band"):
         raise ConfigError(f"unknown data.kind {cfg.data_kind!r}")
     single_mode = cfg.data_kind == "single-mode"
@@ -215,10 +177,8 @@ def validate(cfg: RunConfig):
 
 def config_echo(cfg: RunConfig) -> dict:
     """Flat config-file view of a RunConfig (for the run manifest)."""
-    by_attr = {attr: key for key, (attr, _) in _KEYS.items()}
     out = {}
-    for f in fields(cfg):
-        key = by_attr.get(f.name, f.name)
+    for key, f in _FIELDS.items():
         v = getattr(cfg, f.name)
         out[key] = list(v) if isinstance(v, tuple) else v
     return out

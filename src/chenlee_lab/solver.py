@@ -291,7 +291,8 @@ def solve_picard(phi: SpectralField, params: EquationParams, config: SolverConfi
         raise ValueError("the Picard route needs eta > 0 (dissipative estimates)")
     grid = phi.grid
     times = chebyshev_nodes(config.T, _PICARD_PANELS)
-    lin = semigroup_stack(grid, times, params) * phi.coeffs[None, :]
+    lin = semigroup_stack(grid, times, params)
+    np.multiply(phi.coeffs, lin, out=lin)  # semigroup_apply's operands, phi-hat * E
     nodes = tuple(times.tolist())
     # the memoized operators themselves, one per node after t = 0; each
     # node's product-sum is duhamel_integral's on the iterate, bitwise

@@ -1,5 +1,7 @@
 """Config parsing, initial-data construction, and the CLI contract:
 exit codes, output files, determinism, and the output-dir override."""
+import dataclasses
+import hashlib
 import importlib.util
 import json
 import os
@@ -8,6 +10,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from chenlee_lab import config
 from chenlee_lab.cli import _apply_quick, build_parser, main, run_experiment
 from chenlee_lab.config import (
     ConfigError,
@@ -42,7 +45,7 @@ def test_empty_config_is_valid_defaults():
 
 def test_parse_records_explicit_keys():
     cfg = parse_config("eq.beta = 0.5\nseed = 3\n")
-    assert cfg.beta == 0.5 and cfg.seed == 3
+    assert cfg.eq_beta == 0.5 and cfg.seed == 3
     assert cfg.explicit_keys == {"eq.beta", "seed"}
 
 
@@ -76,7 +79,7 @@ def test_comments_and_lists():
     cfg = parse_config("smoothing.lambdas = 0.5, 1.0, 2.0  # three gains\n"
                        "eq.nonlinear = false\n")
     assert cfg.smoothing_lambdas == (0.5, 1.0, 2.0)
-    assert cfg.nonlinear is False
+    assert cfg.eq_nonlinear is False
 
 
 def test_config_echo_roundtrips_keys():
@@ -84,6 +87,49 @@ def test_config_echo_roundtrips_keys():
     assert echo["grid.M"] == 4096
     assert echo["eq.beta"] == 1.0
     assert isinstance(echo["smoothing.lambdas"], list)
+
+
+def test_each_key_is_its_fields_name():
+    # a key is its RunConfig field's name with the first '_' written as '.',
+    # one to one; the field's spelling is not a key, and each default has a
+    # type the parser reads
+    names = [f.name for f in dataclasses.fields(RunConfig)]
+    keys = list(config_echo(RunConfig()))
+    assert keys == [name.replace("_", ".", 1) for name in names]
+    assert len(set(keys)) == len(keys) == len(names)
+    assert {key: f.name for key, f in config._FIELDS.items()} == dict(zip(keys, names))
+    for f in dataclasses.fields(RunConfig):
+        assert type(f.default) in (bool, int, float, str, tuple), f.name
+        if "_" in f.name:
+            with pytest.raises(ConfigError, match=rf"line 1: unknown key '{f.name}'"):
+                parse_config(f"{f.name} = 1\n")
+
+
+# sha256 (first 16 hex digits) of each tuned config's sorted config_echo, as
+# recorded when every key was still declared in a separate key table
+TUNED_ECHO_DIGESTS = {
+    "beta-limit": "b2ba9326b0cf39d5",
+    "contraction": "145d90131d032b84",
+    "decay": "0e50bd5458a07de2",
+    "eta-limit": "d5edee8bd5b4ef60",
+    "illposed-c2nd": "880d00466ec3c6f1",
+    "illposed-c3": "e4af87e8df1f0c99",
+    "smoothing": "ee1ad70a4f8e868e",
+    "solve": "39ca81e9ae072124",
+}
+
+
+@pytest.mark.parametrize("experiment", list(TUNED_ECHO_DIGESTS))
+def test_tuned_config_echo_is_unchanged(experiment):
+    echo = config_echo(parse_config((RUN_ALL.CONFIG_DIR / f"{experiment}.cfg").read_text()))
+    digest = hashlib.sha256(json.dumps(echo, sort_keys=True).encode()).hexdigest()
+    assert digest[:16] == TUNED_ECHO_DIGESTS[experiment]
+
+
+def test_readme_lists_every_key():
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("The keys:", 1)[1].split("```")[1]
+    assert set(config_echo(RunConfig())) <= set(block.replace("(", " ").split())
 
 
 # ---------------------------------------------------------------------------
@@ -282,7 +328,7 @@ def test_quick_leaves_the_callers_config_alone(tmp_path):
     cfg.experiment = "solve"
     before = config_echo(cfg)
     first, second = _apply_quick(cfg), _apply_quick(cfg)
-    assert (first.T, first.grid_M) == (second.T, second.grid_M) == (0.05, 256)
+    assert (first.solver_T, first.grid_M) == (second.solver_T, second.grid_M) == (0.05, 256)
     assert config_echo(cfg) == before
     # two quick runs from one parsed config run the same configuration
     echoes = []

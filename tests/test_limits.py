@@ -2,7 +2,13 @@
 import numpy as np
 import pytest
 
-from chenlee_lab.core import EquationParams, Grid, SpectralField, random_real_field
+from chenlee_lab.core import (
+    EquationParams,
+    Grid,
+    SpectralField,
+    random_real_field,
+    semigroup_apply,
+)
 from chenlee_lab.limits import (
     LimitSweepConfig,
     beta_limit_sweep,
@@ -13,7 +19,7 @@ from chenlee_lab.limits import (
     rho_bound,
 )
 from chenlee_lab.solver import SolverConfig, solve_stepper
-from chenlee_lab.spaces import sobolev_norm
+from chenlee_lab.spaces import l2_norm, sobolev_norm
 
 GRID = Grid(4.0 * np.pi, 64)
 
@@ -110,6 +116,53 @@ def test_eta_sweep_reads_its_sobolev_index():
     # sweep.s reaches the eta sweep's differences as it does beta's: the H^1
     # rows are the serial H^1 differences, not the L^2 ones
     _assert_eta_rows_equal_serial_runs(1.0)
+
+
+def _s2_log_correction(a):
+    """How far below 1 the local slope log2(d(2a) / d(a)) of the s0 = 2
+    linear eta-limit difference d = ||(E_eta - E_0)phi|| lies, at a = eta*T.
+
+    With |phi_hat|^2 = <xi>^{-5} and p = xi^2 - |xi|, d^2 = a^2 I(a) with
+    I(a) = int <xi>^{-5} p^2 ((1 - e^{-a p}) / (a p))^2 dxi, whose weight
+    <xi>^{-5} p^2 ~ 1/xi cuts off at xi ~ a^{-1/2}: I(a) = ln(1/a)/2 + C + o(1),
+    C = c + g/2, c = int_0^inf (<xi>^{-5} p^2 - 1/xi [xi > 1]) dxi and
+    g = int_0^inf (((1 - e^{-v}) / v)^2 - [v < 1]) dv / v."""
+    from scipy.integrate import quad
+
+    f = lambda x: (x * x - x) ** 2 * (1.0 + x * x) ** -2.5
+    h = lambda v: (np.expm1(-v) / v) ** 2
+    c = quad(f, 0.0, 1.0)[0] + quad(lambda x: f(x) - 1.0 / x, 1.0, np.inf, limit=200)[0]
+    g = quad(lambda v: (h(v) - 1.0) / v, 0.0, 1.0)[0] + quad(lambda v: h(v) / v, 1.0, np.inf)[0]
+    integral = lambda a: 0.5 * np.log(1.0 / a) + c + 0.5 * g
+    return 0.5 * np.log2(integral(a) / integral(2.0 * a))
+
+
+def test_linear_eta_rate_follows_the_datums_regularity():
+    # the linear flow's eta -> 0 rate: ||(E_eta - E_0)phi|| ~ eta^{min(1, s0/2)}
+    # for |phi_hat| ~ <xi>^{-(s0 + 1/2)}, so the sqrt(eta) rate is sharp for
+    # H^1 data only.  The local slopes climb toward the rate from below; the
+    # slowest is s0 = 2, where eta^2 ln(1/eta) holds them back by a log
+    # correction, and that correction at the last pair bounds every gap
+    grid = Grid(16.0 * np.pi, 8192)
+    T = 0.25
+    etas = 0.2 / 2.0 ** np.arange(6)
+    n = grid.band(grid.xi > 0.0)
+    xi = grid.at_modes(grid.xi, n)
+    phases = np.exp(2j * np.pi * np.random.default_rng(0).random(n.size))
+    tol = _s2_log_correction(etas[-1] * T)
+    gaps = {}
+    for s0 in (1.0, 2.0, 3.0):
+        c = (1.0 + xi ** 2) ** (-(s0 + 0.5) / 2.0) * phases
+        phi = SpectralField.from_modes(grid, np.concatenate([n, -n]),
+                                       np.concatenate([c, np.conj(c)]))
+        u0 = semigroup_apply(phi, T, EquationParams(beta=1.0, eta=0.0))
+        d = np.array([l2_norm(semigroup_apply(phi, T, EquationParams(beta=1.0, eta=e)) - u0)
+                      for e in etas])
+        slopes = np.log2(d[:-1] / d[1:])
+        rate = min(1.0, s0 / 2.0)
+        assert np.all(np.diff(slopes) > 0) and slopes[-1] < rate, (s0, slopes)
+        gaps[s0] = rate - slopes[-1]
+    assert max(gaps.values()) == gaps[2.0] <= tol, (gaps, tol)
 
 
 # ---------------------------------------------------------------------------

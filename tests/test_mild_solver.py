@@ -349,9 +349,10 @@ def test_band_limited_datum_keeps_zero_signs_bitwise(datum):
         assert np.array_equal(got.view(np.uint64), ref.view(np.uint64))
 
 
-# operand entries of one step: products of two stay finite; exact zeros
-# and subnormals included
-_ENTRIES = st.complex_numbers(max_magnitude=1e150, allow_nan=False, allow_infinity=False)
+# real and imaginary parts of the operand entries of one step: each
+# |entry| <= 1e150, so products of two stay finite; exact zeros and
+# subnormals included
+_PARTS = st.floats(-1e150 / np.sqrt(2.0), 1e150 / np.sqrt(2.0))
 
 
 def _padded(a, strided):
@@ -382,9 +383,10 @@ def test_negation_commutes_with_the_step_arithmetic(n, strided, data):
     # whether a Python float or a 0-d complex array.  Only an exact zero may
     # change sign (x + (-x) is +0 either way), and no nonzero value depends
     # on that sign.  Lengths 1-70 reach every SIMD remainder; the strided
-    # case reads and writes the padded buffer's retained blocks.
-    E, c, b = (data.draw(hnp.arrays(np.complex128, (2, n), elements=_ENTRIES))
-               for _ in range(3))
+    # case reads and writes the padded buffer's retained blocks.  The three
+    # operands are one draw of float pairs, the cheapest form to generate.
+    parts = data.draw(hnp.arrays(np.float64, (3, 2, n, 2), elements=_PARTS))
+    E, c, b = parts.view(np.complex128)[..., 0]
     x, neg = _padded(c, strided), _padded(-c, strided)
     y, neg_y = _padded(b, strided), _padded(-b, strided)
 
@@ -885,6 +887,17 @@ def test_picard_converges_and_agrees_with_stepper():
     assert l2_norm(traj_p.final_state() - traj_s.final_state()) <= 1e-6
 
 
+def test_linear_picard_is_the_semigroup_bitwise():
+    # a linear Picard solve is its first iterate S(t)phi, formed in
+    # semigroup_apply's operand order (phi-hat * E): every Chebyshev node's
+    # state is semigroup_apply's bits, on a smooth and a seeded rough datum
+    for phi in (_gaussian(0.5), random_real_field(GRID, np.random.default_rng(3))):
+        for p in (LINEAR, EquationParams(beta=0.0, eta=0.25, nonlinear=False)):
+            traj = solve_picard(phi, p, SolverConfig(dt=1e-3, T=0.25))
+            assert len(traj.times) == 17 and traj.info["diffs"] == [0.0]
+            assert _is_semigroup_run(phi, traj)
+
+
 @pytest.mark.filterwarnings("ignore")  # divergence is the point here
 def test_picard_diverges_for_large_data():
     phi = _gaussian(40.0)
@@ -915,12 +928,13 @@ def test_picard_info_bitwise_equals_the_per_row_sup_norm(s, monkeypatch):
 
 def test_picard_map_is_duhamel_integral_at_every_node_bitwise():
     # solve_picard applies the memoized operators node by node with
-    # duhamel_integral's product-sum, so the residual follows bitwise from
+    # duhamel_integral's product-sum to its first iterate, S(t)phi in
+    # semigroup_apply's operand order, so the residual follows bitwise from
     # duhamel_integral on the final iterate
     phi = _gaussian(0.05)
     s = 0.5
     traj = solve_picard(phi, PARAMS, SolverConfig(dt=1e-3, T=0.25), s=s)
-    mapped = semigroup_stack(GRID, traj.times, PARAMS) * phi.coeffs[None, :]
+    mapped = phi.coeffs * semigroup_stack(GRID, traj.times, PARAMS)
     for row, t in zip(mapped[1:], traj.times[1:]):
         row -= duhamel_integral(traj, t, check=False).coeffs
     residual = float(sobolev_norm_stack(GRID, mapped - traj.coeffs, s).max())

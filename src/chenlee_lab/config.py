@@ -97,8 +97,12 @@ def _convert(key, raw, lineno):
                 raise ValueError(f"expected a boolean, got {raw!r}")
             return _BOOLS[raw.lower()]
         if isinstance(default, tuple):
-            return tuple(float(v) for v in raw.split(","))
-        return type(default)(raw)
+            value = tuple(float(v) for v in raw.split(","))
+        else:
+            value = type(default)(raw)
+        if isinstance(default, (float, tuple)) and not np.isfinite(value).all():
+            raise ValueError(f"non-finite value {raw!r}")
+        return value
     except ValueError as exc:
         raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
 

@@ -240,25 +240,28 @@ def x_derivative(f: SpectralField, order: int = 1) -> SpectralField:
 
 def semigroup_half(grid: Grid, times, params: EquationParams) -> np.ndarray:
     """E(xi, t) on the non-negative modes 0..M/2-1 for each t of the 1-d
-    `times`, as a (len(times), M/2) array: the half that a real field's
-    multipliers are mirrored from (see `mirror_half`)."""
+    `times`, as a (len(times), M/2) array: the half of a real field's
+    multipliers that `hermitian_sums` applies."""
     return np.exp(np.multiply.outer(times, linear_symbol(grid.xi[:grid.nyquist], params)))
 
 
-def mirror_half(grid: Grid, half: np.ndarray) -> np.ndarray:
-    """The (..., M) spectra whose non-negative modes 0..M/2-1 are the
-    (..., M/2) `half`, each negative mode the conjugate of its partner and
-    the Nyquist slot zero.  The symbol's real part is even and its
+def hermitian_sums(grid: Grid, operators, samples: np.ndarray) -> np.ndarray:
+    """The (len(operators), M) spectra sum_j W[j] G[j], one per (K, M/2)
+    operator W on the non-negative modes 0..M/2-1 (real-weighted sums of
+    `semigroup_half` rows), with G the (K, M) `samples`.  Each sum is
+    formed on the non-negative half of G and mirrored, each negative mode
+    the conjugate of its partner and the Nyquist slot zero, so it is
+    Hermitian by construction.  The symbol's real part is even and its
     imaginary part odd, bitwise, and numpy's complex exp is conjugate-
-    symmetric, so multipliers and real-weighted sums of them, formed on
-    the half and mirrored, are bitwise those formed on every mode up to the
-    sign of an exact zero (an exponent with no imaginary part, or a sum
-    whose terms all underflow)."""
+    symmetric, so for Hermitian samples this is bitwise the sum on every
+    mode up to the sign of an exact zero; otherwise it differs by the
+    samples' rounding away from Hermitian symmetry."""
     n = grid.nyquist
-    c = np.empty(half.shape[:-1] + (grid.M,), dtype=np.complex128)
-    c[..., :n] = half
-    c[..., n] = 0.0
-    np.conjugate(half[..., :0:-1], out=c[..., n + 1:])
+    G = samples[:, :n]
+    c = np.zeros((len(operators), grid.M), dtype=np.complex128)
+    for row, W in zip(c, operators):
+        np.add.reduce(W * G, axis=0, out=row[:n])  # .sum(axis=0), minus np.sum's dispatch
+    np.conjugate(c[:, n - 1:0:-1], out=c[:, n + 1:])
     return c
 
 

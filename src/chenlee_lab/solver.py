@@ -31,7 +31,7 @@ from .core import (
     EquationParams,
     Grid,
     SpectralField,
-    mirror_half,
+    hermitian_sums,
     nonlinear_stack,
     semigroup_half,
     semigroup_multiplier,
@@ -184,9 +184,19 @@ def chebyshev_nodes(T: float, n: int) -> np.ndarray:
 
 @functools.cache
 def _gauss_legendre(n: int):
-    """Gauss-Legendre nodes and weights on [-1, 1]; numpy.polynomial is
-    loaded by the first call, not at import (stepper-only runs never need it)."""
-    return np.polynomial.legendre.leggauss(n)
+    """Gauss-Legendre nodes (increasing) and weights on [-1, 1]: 8 Newton
+    steps on P_n, evaluated by its three-term recurrence, from the guesses
+    -cos(pi (k + 3/4) / (n + 1/2)), where about 4 reach roundoff; then
+    symmetrized, so the rule is exactly even."""
+    x = -np.cos(np.pi * (np.arange(n) + 0.75) / (n + 0.5))
+    for _ in range(8):
+        p0, p1 = np.ones(n), x
+        for m in range(2, n + 1):
+            p0, p1 = p1, ((2 * m - 1) * x * p1 - (m - 1) * p0) / m
+        dp = n * (p0 - x * p1) / (1.0 - x * x)  # P_n'(x)
+        x = x - p1 / dp
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    return 0.5 * (x - x[::-1]), 0.5 * (w + w[::-1])
 
 
 def _lagrange_matrix(nodes: np.ndarray, tau: np.ndarray) -> np.ndarray:
@@ -212,15 +222,13 @@ def _duhamel_operator(grid: Grid, params: EquationParams, nodes: tuple, t: float
     of S for (grid, params): sum_j W[j] G_j is int_0^t S(t-tau) G(tau) dtau
     for G interpolating samples G_j at the node times `nodes`, by composite
     Gauss-Legendre (`n_nodes` per panel of length `_PANEL_LENGTH`).  W is
-    exponentiated and summed on the non-negative modes only and mirrored
-    onto the rest (core's `mirror_half`): as the weights are real, that is
-    bitwise the sum on every mode, up to the sign of an exact zero (an entry
-    all of whose terms underflow, or an imaginary part without dispersion,
-    beta = 0).  The Lebesgue constant max_q sum_j |l_j(tau_q)| over the
-    rule's points bounds how much interpolation amplifies rounding.  64
-    entries hold the 48 operators of the C_CONTRACTION probe sweep (3
-    horizons x 16 nodes, visited cyclically, where a smaller LRU would miss
-    on every call) plus the 16 of one Picard solve."""
+    the (K, M/2) half on the non-negative modes (`semigroup_half`), which
+    core's `hermitian_sums` applies and mirrors.  The Lebesgue constant
+    max_q sum_j |l_j(tau_q)| over the rule's points bounds how much
+    interpolation amplifies rounding.  64 entries hold the 48 operators of
+    the C_CONTRACTION probe sweep (3 horizons x 16 nodes, visited
+    cyclically, where a smaller LRU would miss on every call) plus the 16
+    of one Picard solve."""
     n_panels = max(1, int(np.ceil(t / _PANEL_LENGTH)))
     x, w = _gauss_legendre(n_nodes)
     edges = np.linspace(0.0, t, n_panels + 1)
@@ -228,7 +236,7 @@ def _duhamel_operator(grid: Grid, params: EquationParams, nodes: tuple, t: float
     tau = (half * x + 0.5 * (edges[:-1] + edges[1:])[:, None]).ravel()
     wq = (half * w).ravel()
     L = _lagrange_matrix(np.array(nodes), tau)
-    W = mirror_half(grid, (wq[:, None] * L).T @ semigroup_half(grid, t - tau, params))
+    W = (wq[:, None] * L).T @ semigroup_half(grid, t - tau, params)
     W.flags.writeable = False
     return W, float(np.abs(L).sum(axis=1).max())
 
@@ -260,7 +268,7 @@ def duhamel_integral(traj_segment: Trajectory, t: float, check: bool = True) -> 
                 f"interpolation in time through {times.size} nodes has Lebesgue "
                 f"constant {lebesgue:.2e}; rounding in the samples would exceed "
                 f"tol {_QUAD_TOL:.1e} (use fewer or Chebyshev-spaced nodes)")
-        return (W * traj_segment.nonlinear_samples).sum(axis=0)
+        return hermitian_sums(grid, [W], traj_segment.nonlinear_samples)[0]
 
     val = integral(_QUAD_NODES)
     if check:
@@ -301,9 +309,7 @@ def solve_picard(phi: SpectralField, params: EquationParams, config: SolverConfi
     def apply_map(u_mat: np.ndarray) -> np.ndarray:
         out = lin.copy()
         if params.nonlinear:
-            G = nonlinear_stack(grid, u_mat)
-            for row, W in zip(out[1:], Ws):
-                row -= (W * G).sum(axis=0)
+            out[1:] -= hermitian_sums(grid, Ws, nonlinear_stack(grid, u_mat))
         return out
 
     def sup_hs(mat: np.ndarray) -> float:

@@ -2,6 +2,7 @@
 with a message naming the key, before any experiment runs."""
 import pytest
 
+from chenlee_lab import config
 from chenlee_lab.cli import main
 from chenlee_lab.config import ConfigError, parse_config
 
@@ -52,4 +53,30 @@ def test_data_mode_checked_on_the_quick_grid(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "data.mode" in err
+    assert not (tmp_path / "out").exists()
+
+
+# every key read as floats (a plain float, or a tuple of them)
+_FLOAT_KEYS = [key for key, f in config._FIELDS.items()
+               if isinstance(f.default, (float, tuple))]
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", _FLOAT_KEYS)
+def test_non_finite_value_is_a_config_error(key, bad):
+    # NaN passes every range check (each comparison is false), and an
+    # infinity passes the one-sided ones; both are refused where the value
+    # is read, with its key and line, in a tuple entry too
+    value = f"64, 128, {bad}, 512" if isinstance(config._FIELDS[key].default, tuple) else bad
+    with pytest.raises(ConfigError, match=rf"line 2: bad value for '{key}'.*finite"):
+        parse_config(f"# a non-finite value\n{key} = {value}\n")
+
+
+def test_non_finite_grid_exits_2(tmp_path, capsys):
+    path = tmp_path / "nan.cfg"
+    path.write_text("grid.M = 256\ngrid.L = nan\nsolver.T = 0.01\n")
+    rc = main(["solve", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "grid.L" in err
     assert not (tmp_path / "out").exists()

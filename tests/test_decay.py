@@ -173,9 +173,22 @@ def test_import_leaves_numpy_fft_out():
 
 
 def test_import_leaves_numpy_polynomial_out():
-    # the Gauss-Legendre rule loads it when the first Duhamel operator is
-    # built; a stepper-only run never does
     assert _loaded_by_cli_import("numpy.polynomial") == "[]"
+
+
+def test_picard_run_leaves_numpy_polynomial_out(tmp_path):
+    # the Duhamel operators' Gauss-Legendre rule is the library's own, so a
+    # whole contraction run (Picard solve, stepper, report) never loads it
+    root = pathlib.Path(__file__).resolve().parents[1]
+    env = {**os.environ, "PYTHONPATH": str(root / "src")}
+    argv = ["contraction", "--quick", "--config", str(root / "configs" / "contraction.cfg"),
+            "--out", str(tmp_path / "out")]
+    code = ("import sys; from chenlee_lab import cli; "
+            f"rc = cli.main({argv!r}); "
+            "print(rc, sorted(m for m in sys.modules if m.startswith('numpy.polynomial')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 # ---------------------------------------------------------------------------

@@ -766,6 +766,7 @@ def test_duhamel_memo_hit_is_a_fresh_build_and_read_only():
     nodes = tuple(chebyshev_nodes(0.5, 16).tolist())
     key = (GRID, PARAMS, nodes, nodes[5], 10)
     W, lebesgue = solver._duhamel_operator(*key)
+    assert W.shape == (17, GRID.M // 2)  # the memo holds modes 0..M/2-1 only
     assert solver._duhamel_operator(*key)[0] is W  # a hit shares the array
     W_fresh, lebesgue_fresh = solver._duhamel_operator.__wrapped__(*key)
     assert np.array_equal(W, W_fresh) and lebesgue == lebesgue_fresh
@@ -786,21 +787,26 @@ def test_duhamel_second_probe_builds_no_operator():
     assert solver._duhamel_operator.cache_info().misses == misses
 
 
+def _mirrored(W):
+    # a (K, M/2) operator on the non-negative modes as the (K, M) operator
+    # on every mode: conjugates on the negative modes, zero at Nyquist
+    return np.concatenate([W, np.zeros((len(W), 1)), W[:, :0:-1].conj()], axis=1)
+
+
 def _frozen_duhamel(traj, t):
-    # duhamel_integral(check=False) as written with einsum's product-sum
+    # duhamel_integral(check=False) as written with einsum's product-sum on
+    # every mode, with the operator mirrored to full width
     W = solver._duhamel_operator(traj.grid, traj.params, tuple(traj.times.tolist()),
                                  float(t), 10)[0]
-    val = np.einsum("jk,jk->k", W, traj.nonlinear_samples)
-    val[traj.grid.nyquist] = 0.0
-    return val
+    return np.einsum("jk,jk->k", _mirrored(W), traj.nonlinear_samples)
 
 
 @pytest.mark.filterwarnings("ignore::chenlee_lab.core.AliasingBudgetWarning")
 @pytest.mark.parametrize("T", [0.25, 1.0])
 def test_duhamel_integral_matches_the_frozen_einsum_form(T):
-    # the product-sum over the 17 nodes changed form, which moves the
-    # integral at roundoff only: at the node times, where the probes
-    # evaluate it, and between them
+    # the product-sum over the 17 nodes changed form (now on the samples'
+    # non-negative half, mirrored), which moves the integral at roundoff
+    # only: at the node times, where the probes evaluate it, and between them
     traj = _probe_trajectory(random_real_field(GRID, np.random.default_rng(7),
                                                spectral_decay=1.0), T)
     off_node = 0.5 * (traj.times[:-1] + traj.times[1:])
@@ -828,8 +834,8 @@ def _frozen_semigroup_stack(grid, times, params):
 
 
 def _frozen_duhamel_operator(grid, params, nodes, t, n_nodes):
-    # _duhamel_operator's W as exponentiated and summed on every mode, on
-    # panels of length 0.25
+    # _duhamel_operator's W as exponentiated and summed on every mode with
+    # numpy's Gauss-Legendre rule, on panels of length 0.25
     n_panels = max(1, int(np.ceil(t / 0.25)))
     x, w = np.polynomial.legendre.leggauss(n_nodes)
     edges = np.linspace(0.0, t, n_panels + 1)
@@ -841,23 +847,79 @@ def _frozen_duhamel_operator(grid, params, nodes, t, n_nodes):
 
 
 @pytest.mark.parametrize("M", [8, 256, 512, 4096])
-def test_picard_operators_equal_the_full_mode_form_bitwise(M):
-    # semigroup_stack and _duhamel_operator exponentiate the non-negative
-    # modes only and mirror the rest: every bit is that of the evaluation
-    # on every mode, the t = 0 multipliers (exact zeros in the exponent)
-    # included, with the 10- and the 20-node rule (the memo is bypassed,
-    # so it keeps no M = 4096 entry)
+def test_picard_operators_are_the_half_of_the_full_mode_form(M):
+    # _duhamel_operator keeps the (K, M/2) operator on the non-negative
+    # modes, which is the non-negative half of the operator exponentiated
+    # and summed on every mode, up to the two Gauss-Legendre rules: their
+    # weights agree to 1e-12 relative and their nodes to 4 eps (see
+    # test_gauss_legendre_matches_leggauss), so every entry agrees to 1e-12
+    # of the largest; with the 10- and the 20-node rule (the memo is
+    # bypassed, so it keeps no M = 4096 entry)
     grid = Grid(8.0 * np.pi, M)
     for T in (0.25, 1.0):
-        times = chebyshev_nodes(T, 16)
-        nodes = tuple(times.tolist())
-        assert np.array_equal(semigroup_stack(grid, times, PARAMS).view(np.uint64),
-                              _frozen_semigroup_stack(grid, times, PARAMS).view(np.uint64))
+        nodes = tuple(chebyshev_nodes(T, 16).tolist())
         for t in nodes[1:]:
             for n_nodes in (10, 20):
                 W = solver._duhamel_operator.__wrapped__(grid, PARAMS, nodes, t, n_nodes)[0]
                 ref = _frozen_duhamel_operator(grid, PARAMS, nodes, t, n_nodes)
-                assert np.array_equal(W.view(np.uint64), ref.view(np.uint64)), (T, t, n_nodes)
+                assert W.shape == (17, M // 2)
+                err = np.abs(W - ref[:, :M // 2]).max()
+                assert err <= 1e-12 * np.abs(ref).max(), (T, t, n_nodes)
+
+
+def _assert_hermitian(c):
+    # each negative mode bitwise the conjugate of its partner, the Nyquist
+    # slot zero
+    n = c.shape[-1] // 2
+    assert np.array_equal(c[..., n + 1:].view(np.uint64),
+                          c[..., n - 1:0:-1].conj().view(np.uint64))
+    assert np.all(c[..., n] == 0.0)
+
+
+@pytest.mark.filterwarnings("ignore::chenlee_lab.core.AliasingBudgetWarning")
+@pytest.mark.parametrize("check", [False, True])
+def test_duhamel_integral_is_hermitian_by_construction(check):
+    # the nonlinearity's samples are Hermitian only up to rounding; the
+    # integral is mirrored from its non-negative half.  A rough probe (whose
+    # rule fails node doubling, see test_duhamel_convergence_guard) without
+    # the check, a Gaussian one with it
+    phi = (_gaussian(0.5) if check else
+           random_real_field(GRID, np.random.default_rng(7), spectral_decay=1.0))
+    traj = _probe_trajectory(phi, 0.5)
+    G = traj.nonlinear_samples
+    assert not np.array_equal(G[:, GRID.M // 2 + 1:], G[:, GRID.M // 2 - 1:0:-1].conj())
+    for t in (traj.times[5], 0.5 * (traj.times[7] + traj.times[8]), traj.times[-1]):
+        _assert_hermitian(duhamel_integral(traj, t, check=check).coeffs)
+
+
+def test_nonlinear_picard_states_are_hermitian():
+    # from an exactly Hermitian datum, every Picard state is exactly
+    # Hermitian: S(t)phi is, and each Duhamel term is mirrored
+    phi = random_real_field(GRID, np.random.default_rng(4), spectral_decay=2.0)
+    phi = phi * (1e-2 / l2_norm(phi))
+    traj = solve_picard(phi, PARAMS, SolverConfig(dt=1e-3, T=0.5))
+    assert len(traj.info["diffs"]) >= 3
+    _assert_hermitian(traj.coeffs)
+
+
+@pytest.mark.parametrize("n", [10, 20])
+def test_gauss_legendre_integrates_monomials_exactly(n):
+    # exact on degree <= 2n-1, to the rounding of n terms of total weight 2
+    x, w = solver._gauss_legendre(n)
+    for d in range(2 * n):
+        exact = 2.0 / (d + 1) if d % 2 == 0 else 0.0
+        assert abs(w @ x ** d - exact) <= 4 * n * np.finfo(float).eps, d
+    assert np.all(np.diff(x) > 0) and np.array_equal(x, -x[::-1])
+
+
+@pytest.mark.parametrize("n", [10, 20])
+def test_gauss_legendre_matches_leggauss(n):
+    # numpy's rule, to 4 eps in the nodes and 1e-12 relative in the weights
+    # (leggauss's own weights are off by up to about 1e-13 at n = 20)
+    x, w = solver._gauss_legendre(n)
+    x_ref, w_ref = np.polynomial.legendre.leggauss(n)
+    assert np.abs(x - x_ref).max() <= 4 * np.finfo(float).eps
+    assert np.all(np.abs(w - w_ref) <= 1e-12 * w_ref)
 
 
 def test_second_probe_builds_no_multiplier():

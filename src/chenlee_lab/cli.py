@@ -22,6 +22,7 @@ from . import __version__
 from .calibration import C_CONTRACTION
 from .config import (
     EXPERIMENTS,
+    LOG_FLOAT_MAX,
     ConfigError,
     RunConfig,
     build_initial_data,
@@ -95,6 +96,11 @@ def _run_smoothing(cfg: RunConfig):
     # proportional to |xi|^{-1/2}, whatever data.kind says
     phi = build_initial_data(replace(cfg, data_kind="rough-band"))
     params = cfg.equation_params()
+    if params.eta * cfg.smoothing_t_max / 4.0 > LOG_FLOAT_MAX:
+        raise ConfigError(
+            f"smoothing.t_max = {cfg.smoothing_t_max}: S(t) grows like e^(eta t/4) on "
+            f"the instability band, which overflows past t = "
+            f"{4.0 * LOG_FLOAT_MAX / params.eta:.4g}; lower smoothing.t_max or eq.eta")
     ts = np.geomspace(cfg.smoothing_t_min, cfg.smoothing_t_max, 9)
     rep = ExperimentReport("smoothing",
                            ["lambda", "fitted_slope", "target_slope", "pass"])
@@ -201,7 +207,7 @@ def run_experiment(cfg: RunConfig, out_dir: str, quick: bool = False) -> int:
     start = time.time()
     try:
         reports = _RUNNERS[cfg.experiment](cfg)
-    except CflError as exc:
+    except (CflError, ConfigError) as exc:  # found once the run builds its datum or steps
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except NUMERICAL_ERRORS as exc:

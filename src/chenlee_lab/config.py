@@ -8,11 +8,13 @@ document is a valid config.
 from __future__ import annotations
 
 import math
+import os
+import sys
 from dataclasses import dataclass, fields
 
 import numpy as np
 
-from .core import EquationParams, Grid, SpectralField, random_real_field
+from .core import EquationParams, Grid, SpectralField, from_values_stack, random_real_field
 from .spaces import sobolev_norm
 
 EXPERIMENTS = (
@@ -23,6 +25,9 @@ EXPERIMENTS = (
 
 class ConfigError(ValueError):
     """Malformed or invalid configuration; maps to exit code 2."""
+
+
+LOG_FLOAT_MAX = math.log(sys.float_info.max)  # e^x overflows above it
 
 
 @dataclass
@@ -129,6 +134,14 @@ def parse_config(text: str) -> RunConfig:
     return cfg
 
 
+def _physical_memory() -> float:
+    """Bytes of physical memory, or inf where `os.sysconf` cannot say."""
+    try:
+        return float(os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES"))
+    except (AttributeError, ValueError, OSError):
+        return math.inf
+
+
 def validate(cfg: RunConfig):
     if cfg.experiment not in EXPERIMENTS:
         raise ConfigError(
@@ -147,6 +160,20 @@ def validate(cfg: RunConfig):
                           f"got dt={cfg.solver_dt}, T={cfg.solver_T}")
     if cfg.solver_keep_every < 1:
         raise ConfigError(f"solver.keep_every must be >= 1, got {cfg.solver_keep_every}")
+    steps = cfg.solver_T / cfg.solver_dt
+    if not steps <= sys.maxsize:  # inf too
+        raise ConfigError(
+            f"solver.T / solver.dt = {steps:.3g} steps is more than a step count "
+            f"can hold ({sys.maxsize}); lower solver.T or raise solver.dt")
+    kept = -(-max(1, round(steps)) // cfg.solver_keep_every) + 1  # as the stepper keeps
+    kept_bytes = 16.0 * kept * cfg.grid_M  # complex128 spectra
+    memory = _physical_memory()
+    if kept_bytes > memory:
+        raise ConfigError(
+            f"a trajectory would keep {kept} states of grid.M = {cfg.grid_M} "
+            f"({kept_bytes / 2**30:.3g} GiB), more than the {memory / 2**30:.3g} GiB "
+            f"of physical memory; raise solver.keep_every or solver.dt, or lower "
+            f"solver.T or grid.M")
     if cfg.solver_picard_max_iters < 1:
         raise ConfigError(
             f"solver.picard_max_iters must be >= 1, got {cfg.solver_picard_max_iters}")
@@ -170,6 +197,12 @@ def validate(cfg: RunConfig):
         raise ConfigError(
             f"illposed.N must be >= 4 strictly increasing values, each >= 32; got {N}"
         )
+    if -cfg.illposed_s * math.log(N[-1]) > LOG_FLOAT_MAX:
+        raise ConfigError(f"illposed.s = {cfg.illposed_s}: the band datum's amplitude "
+                          f"N^(-s) overflows at N = {N[-1]:g}; raise illposed.s")
+    if not 0 < cfg.smoothing_t_min < cfg.smoothing_t_max:
+        raise ConfigError(f"need 0 < smoothing.t_min < smoothing.t_max, got "
+                          f"t_min={cfg.smoothing_t_min}, t_max={cfg.smoothing_t_max}")
     v = cfg.sweep_values
     if v and (len(v) < 4 or min(v) <= 0 or any(b >= a for a, b in zip(v, v[1:]))):
         raise ConfigError(
@@ -189,11 +222,15 @@ def config_echo(cfg: RunConfig) -> dict:
 
 
 def build_initial_data(cfg: RunConfig):
-    """Initial state selected by the data.* block (seeded when random)."""
+    """Initial state selected by the data.* block (seeded when random).
+    Raises ConfigError where the data.* and grid.* keys give a datum that
+    is not finite, or, with data.normalize_h2, one whose H^2 norm is zero
+    or not finite."""
     grid = Grid(cfg.grid_L, cfg.grid_M)
-    if cfg.data_kind == "gaussian":
+    if cfg.data_kind == "gaussian":  # unchecked: a non-finite datum is refused below
         a, w = cfg.data_amplitude, cfg.data_width
-        phi = SpectralField.from_function(grid, lambda x: a * np.exp(-((x / w) ** 2)))
+        values = a * np.exp(-((grid.x / w) ** 2))
+        phi = SpectralField(grid, from_values_stack(grid, values), check=False)
     elif cfg.data_kind == "single-mode":
         phi = SpectralField.single_mode(grid, cfg.data_mode, cfg.data_amplitude)
     elif cfg.data_kind == "random":
@@ -207,5 +244,15 @@ def build_initial_data(cfg: RunConfig):
     else:  # pragma: no cover - guarded by validate
         raise ConfigError(f"unknown data.kind {cfg.data_kind!r}")
     if cfg.data_normalize_h2:
-        phi = phi * (1.0 / sobolev_norm(phi, 2.0))
+        h2 = sobolev_norm(phi, 2.0)
+        if not 0.0 < h2 < math.inf:
+            raise ConfigError(
+                f"data.normalize_h2: the datum's H^2 norm is {h2:.3g}, which cannot "
+                f"be normalized; change data.amplitude, data.kind or grid.L")
+        phi = phi * (1.0 / h2)
+    if not np.isfinite(phi.coeffs.view(np.float64)).all():
+        raise ConfigError(
+            f"data.kind = {cfg.data_kind} with data.amplitude = {cfg.data_amplitude} has "
+            f"non-finite Fourier coefficients on grid.L = {cfg.grid_L}, grid.M = "
+            f"{cfg.grid_M}; change data.amplitude or grid.L")
     return phi

@@ -130,7 +130,6 @@ class Trajectory:
         times.flags.writeable = coeffs.flags.writeable = False
         self.grid, self.times, self.coeffs, self.params = grid, times, coeffs, params
         self.info = {} if info is None else info
-        self._node_key = tuple(times.tolist())  # the Duhamel operators' key
 
     @property
     def states(self) -> tuple:
@@ -143,6 +142,27 @@ class Trajectory:
     def nonlinear_samples(self) -> np.ndarray:
         """(K, M) spectra of u u_x at the stored states, computed once."""
         return nonlinear_stack(self.grid, self.coeffs)
+
+    @functools.cached_property
+    def node_integrals(self) -> np.ndarray:
+        """Read-only (K-1, M) stack whose row k-1 is `duhamel_integral` at
+        times[k] without node doubling, for every node after t = 0: one
+        `hermitian_sums` of the node set's memoized operators on
+        `nonlinear_samples`, after one Lebesgue guard, and checked finite
+        once (else ValueError)."""
+        operators, lebesgue = _node_operators(self.grid, self.params,
+                                              tuple(self.times.tolist()))
+        _lebesgue_guard(lebesgue, self.times.size)
+        c = hermitian_sums(self.grid, operators, self.nonlinear_samples)
+        if not np.isfinite(c.view(np.float64)).all():
+            raise ValueError("non-finite Fourier coefficients")
+        c.flags.writeable = False
+        return c
+
+    @functools.cached_property
+    def _node_rows(self) -> dict:
+        """The row of `node_integrals` of each node time after t = 0."""
+        return {t: k for k, t in enumerate(self.times[1:].tolist())}
 
 
 # ---------------------------------------------------------------------------
@@ -214,21 +234,16 @@ def _lagrange_matrix(nodes: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return np.where(on_node.any(axis=1, keepdims=True), on_node, L)
 
 
-@functools.lru_cache(maxsize=64)
-def _duhamel_operator(grid: Grid, params: EquationParams, nodes: tuple, t: float,
+def _duhamel_operator(grid: Grid, params: EquationParams, nodes, t: float,
                       n_nodes: int):
-    """(W, Lebesgue constant), built once per key; W is read-only, as every
-    hit shares it.  W[j] = sum_q w_q l_j(tau_q) E(t - tau_q), E the multiplier
-    of S for (grid, params): sum_j W[j] G_j is int_0^t S(t-tau) G(tau) dtau
-    for G interpolating samples G_j at the node times `nodes`, by composite
-    Gauss-Legendre (`n_nodes` per panel of length `_PANEL_LENGTH`).  W is
-    the (K, M/2) half on the non-negative modes (`semigroup_half`), which
-    core's `hermitian_sums` applies and mirrors.  The Lebesgue constant
-    max_q sum_j |l_j(tau_q)| over the rule's points bounds how much
-    interpolation amplifies rounding.  64 entries hold the 48 operators of
-    the C_CONTRACTION probe sweep (3 horizons x 16 nodes, visited
-    cyclically, where a smaller LRU would miss on every call) plus the 16
-    of one Picard solve."""
+    """(W, Lebesgue constant), W read-only.  W[j] = sum_q w_q l_j(tau_q)
+    E(t - tau_q), E the multiplier of S for (grid, params): sum_j W[j] G_j
+    is int_0^t S(t-tau) G(tau) dtau for G interpolating samples G_j at the
+    node times `nodes`, by composite Gauss-Legendre (`n_nodes` per panel of
+    length `_PANEL_LENGTH`).  W is the (K, M/2) half on the non-negative
+    modes (`semigroup_half`), which core's `hermitian_sums` applies and
+    mirrors.  The Lebesgue constant max_q sum_j |l_j(tau_q)| over the
+    rule's points bounds how much interpolation amplifies rounding."""
     n_panels = max(1, int(np.ceil(t / _PANEL_LENGTH)))
     x, w = _gauss_legendre(n_nodes)
     edges = np.linspace(0.0, t, n_panels + 1)
@@ -241,16 +256,39 @@ def _duhamel_operator(grid: Grid, params: EquationParams, nodes: tuple, t: float
     return W, float(np.abs(L).sum(axis=1).max())
 
 
+@functools.lru_cache(maxsize=4)
+def _node_operators(grid: Grid, params: EquationParams, nodes: tuple):
+    """(operators, Lebesgue constant) of the node times `nodes`: the
+    `_duhamel_operator` of every node after t = 0 with `_QUAD_NODES` nodes
+    per panel, each its own read-only (K, M/2) array, and the largest of
+    their Lebesgue constants; built once per key, as every hit shares it.
+    4 entries hold the 3 node sets of the C_CONTRACTION probe sweep (one
+    per horizon, visited in turn) plus one Picard solve's: 64 operators."""
+    built = [_duhamel_operator(grid, params, nodes, t, _QUAD_NODES) for t in nodes[1:]]
+    return tuple(W for W, _ in built), max(lebesgue for _, lebesgue in built)
+
+
+def _lebesgue_guard(lebesgue: float, n_nodes: int):
+    if _EPS * lebesgue > _QUAD_TOL:
+        raise ValueError(
+            f"interpolation in time through {n_nodes} nodes has Lebesgue "
+            f"constant {lebesgue:.2e}; rounding in the samples would exceed "
+            f"tol {_QUAD_TOL:.1e} (use fewer or Chebyshev-spaced nodes)")
+
+
 def duhamel_integral(traj_segment: Trajectory, t: float, check: bool = True) -> SpectralField:
     """int_0^t S(t - t') [u u_x](t') dt' evaluated from a stored trajectory.
 
     The nonlinearity, sampled once per trajectory at its nodes, is
     interpolated in time and integrated by composite Gauss-Legendre with the
     exact semigroup multiplier, as one weight operator: `_QUAD_NODES` nodes
-    per panel of length `_PANEL_LENGTH`.  Nodes whose Lebesgue constant
-    times machine epsilon exceeds `_QUAD_TOL` (many equispaced nodes) raise
-    ValueError.  With `check`, the node count is doubled and a relative
-    change above `_QUAD_TOL` raises QuadratureConvergenceError.
+    per panel of length `_PANEL_LENGTH`.  At a node time without `check`
+    this is a read-only row of the trajectory's `node_integrals`, formed
+    once for all its nodes.  Nodes whose Lebesgue constant times machine
+    epsilon exceeds `_QUAD_TOL` (many equispaced nodes) raise ValueError.
+    With `check`, the node count is doubled and a relative change above
+    `_QUAD_TOL` raises QuadratureConvergenceError; that check and a time
+    between the nodes build their operators here, unmemoized.
     """
     times = traj_segment.times
     if not (times[0] <= t <= times[-1] + 1e-12):
@@ -259,15 +297,13 @@ def duhamel_integral(traj_segment: Trajectory, t: float, check: bool = True) -> 
     params = traj_segment.params
     if not params.nonlinear or t == 0.0:
         return SpectralField.zero(grid)  # linear flow or empty interval
-    key = (grid, params, traj_segment._node_key, float(t))
+    row = traj_segment._node_rows.get(float(t))
+    if row is not None and not check:
+        return SpectralField(grid, traj_segment.node_integrals[row], check=False)
 
     def integral(n_nodes):
-        W, lebesgue = _duhamel_operator(*key, n_nodes)
-        if _EPS * lebesgue > _QUAD_TOL:
-            raise ValueError(
-                f"interpolation in time through {times.size} nodes has Lebesgue "
-                f"constant {lebesgue:.2e}; rounding in the samples would exceed "
-                f"tol {_QUAD_TOL:.1e} (use fewer or Chebyshev-spaced nodes)")
+        W, lebesgue = _duhamel_operator(grid, params, times, float(t), n_nodes)
+        _lebesgue_guard(lebesgue, times.size)
         return hermitian_sums(grid, [W], traj_segment.nonlinear_samples)[0]
 
     val = integral(_QUAD_NODES)
@@ -301,10 +337,9 @@ def solve_picard(phi: SpectralField, params: EquationParams, config: SolverConfi
     times = chebyshev_nodes(config.T, _PICARD_PANELS)
     lin = semigroup_stack(grid, times, params)
     np.multiply(phi.coeffs, lin, out=lin)  # semigroup_apply's operands, phi-hat * E
-    nodes = tuple(times.tolist())
-    # the memoized operators themselves, one per node after t = 0; each
-    # node's product-sum is duhamel_integral's on the iterate, bitwise
-    Ws = [_duhamel_operator(grid, params, nodes, t, _QUAD_NODES)[0] for t in nodes[1:]]
+    # the memoized operators of the node set, one per node after t = 0; the
+    # map's product-sums are the iterate's node_integrals, bitwise
+    Ws = _node_operators(grid, params, tuple(times.tolist()))[0]
 
     def apply_map(u_mat: np.ndarray) -> np.ndarray:
         out = lin.copy()

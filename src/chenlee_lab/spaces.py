@@ -23,9 +23,10 @@ class BoundaryMassWarning(UserWarning):
 @functools.lru_cache(maxsize=8)
 def _sobolev_weight(grid: Grid, s: float) -> np.ndarray:
     """<xi_k>^{2s} = (1 + xi_k^2)^s on the grid, built once per (grid, s)
-    and read-only, as every hit shares it.  8 entries hold the 4 keys of
-    the C_CONTRACTION probes and Picard solves, and the at most 5 of one
-    experiment (illposed's five grids); at M = 4096 they take 0.25 MB."""
+    and read-only, as every hit shares it; L^2 norms (s = 0) need none.
+    8 entries hold the 2 keys of `calibrated_cs` (s = 2 and 1 on one grid),
+    and the at most 5 of one experiment (illposed's five grids); at
+    M = 4096 they take 0.25 MB."""
     w = (1.0 + grid.xi * grid.xi) ** s
     w.flags.writeable = False
     return w
@@ -34,8 +35,12 @@ def _sobolev_weight(grid: Grid, s: float) -> np.ndarray:
 def _sobolev_norm_sq(grid: Grid, coeffs: np.ndarray, s: float):
     """Squared H^s norms of a (..., M) stack of spectra along its last axis.
     Each row is summed pairwise on its own, so every entry is bitwise the
-    sum of that row alone."""
-    return (_sobolev_weight(grid, s) * np.abs(coeffs) ** 2).sum(axis=-1) * grid.dxi
+    sum of that row alone.  At s = 0 the weight is all ones and 1.0 * x is
+    x, so the product is skipped."""
+    sq = np.abs(coeffs) ** 2
+    if s != 0.0:
+        sq = _sobolev_weight(grid, s) * sq
+    return sq.sum(axis=-1) * grid.dxi
 
 
 def sobolev_norm_stack(grid: Grid, coeffs: np.ndarray, s: float) -> np.ndarray:

@@ -1,10 +1,16 @@
 """Out-of-range sweep and solver inputs are config errors: the CLI exits 2
 with a message naming the key, before any experiment runs."""
+import json
+import pathlib
+
+import numpy as np
 import pytest
 
 from chenlee_lab import config
 from chenlee_lab.cli import main
-from chenlee_lab.config import ConfigError, parse_config
+from chenlee_lab.config import ConfigError, build_initial_data, parse_config, validate
+
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 BAD_CONFIGS = {
     "sweep-values-not-decreasing": ("beta-limit", "sweep.values",
@@ -24,6 +30,11 @@ BAD_CONFIGS = {
                                    "data.kind = single-mode\ndata.mode = -2048"),
     "data-mode-aliased": ("solve", "data.mode",
                           "data.kind = single-mode\ndata.mode = 5000"),
+    # 1e300 here ended in a traceback (exit 1): geomspace over reversed or
+    # negative times gave non-finite fields, and N^(-s) an OverflowError
+    "smoothing-times-reversed": ("smoothing", "smoothing.t_min", "smoothing.t_min = 1e300"),
+    "smoothing-t-max-negative": ("smoothing", "smoothing.t_max", "smoothing.t_max = -1e300"),
+    "illposed-amplitude-overflows": ("illposed-c3", "illposed.s", "illposed.s = -1e300"),
 }
 
 
@@ -80,3 +91,96 @@ def test_non_finite_grid_exits_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:") and "grid.L" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow warnings
+@pytest.mark.parametrize("big", ["1e300", "-1e300"])
+@pytest.mark.parametrize("key", _FLOAT_KEYS)
+def test_huge_value_builds_a_finite_datum_or_is_a_config_error(key, big):
+    # +-1e300 are finite, so they are read; each tuned config with one such
+    # edit either raises ConfigError naming the key, in validation or where
+    # its datum is built, or builds a finite datum.  Nothing runs at these
+    # values: a huge step count or grid would allocate without bound
+    value = f"64, 128, {big}, 512" if isinstance(config._FIELDS[key].default, tuple) else big
+    for path in sorted(CONFIGS.glob("*.cfg")):
+        try:
+            cfg = parse_config(f"{path.read_text()}\n{key} = {value}\n")
+            validate(cfg)
+            phi = build_initial_data(cfg)
+        except ConfigError as exc:
+            assert key.split(".", 1)[1] in str(exc), (path.name, str(exc))
+            continue
+        assert np.isfinite(phi.coeffs.view(np.float64)).all(), path.name
+
+
+@pytest.mark.parametrize("line", ["solver.T = 1e300", "solver.dt = 1e-300"])
+def test_unrepresentable_step_count_is_a_config_error(line):
+    # T/dt = 5e303 and 1e300 steps: the stepper's list of kept steps
+    # raised OverflowError (exit 1) at the first of them
+    with pytest.raises(ConfigError, match=r"solver\.T / solver\.dt = (5e\+303|1e\+300) steps"):
+        parse_config(line + "\n")
+
+
+def test_kept_states_beyond_physical_memory_are_a_config_error(monkeypatch):
+    # the default run keeps 251 states (1 s in steps of 2e-4, every 20th
+    # and the last) of 4096 complex128 modes: 16,449,536 bytes
+    kept_bytes = 251 * 4096 * 16
+    monkeypatch.setattr(config, "_physical_memory", lambda: float(kept_bytes))
+    validate(config.RunConfig())
+    monkeypatch.setattr(config, "_physical_memory", lambda: float(kept_bytes - 1))
+    with pytest.raises(ConfigError, match=r"keep 251 states of grid\.M = 4096.*solver\.keep_every"):
+        validate(config.RunConfig())
+
+
+def test_kept_states_are_checked_against_this_machines_memory():
+    # 5001 states of 2^30 modes are 80 TiB; validate allocates none of it
+    with pytest.raises(ConfigError, match="physical memory"):
+        parse_config("grid.M = 1073741824\nsolver.keep_every = 1\n")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the overflowing norm warns
+@pytest.mark.parametrize("text", ["data.amplitude = 0", "grid.L = 1e300"])
+def test_datum_without_an_h2_norm_is_a_config_error(text):
+    # data.normalize_h2 divides by the datum's H^2 norm: zero for a zero
+    # datum, infinite where the squares overflow
+    cfg = parse_config((CONFIGS / "eta-limit.cfg").read_text() + "\n" + text + "\n")
+    with pytest.raises(ConfigError, match="data.normalize_h2"):
+        build_initial_data(cfg)
+
+
+# one small solve per exit code, each with one +-1e300 edit
+_SMALL = "grid.L = 25.132741228718345\ngrid.M = 256\nsolver.T = 0.01\n"
+_EXIT_CODES = {
+    "passes": (0, "check.mass_tolerance = 1e300"),
+    "fails-its-check": (1, "check.mass_tolerance = -1e300"),
+    "step-count": (2, "solver.T = 1e300"),
+    "non-finite-datum": (2, "grid.L = 1e300\ndata.kind = random"),
+    "blows-up": (3, "data.amplitude = 1e300"),
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the blow-up and the datum overflow
+@pytest.mark.parametrize("case", list(_EXIT_CODES))
+def test_cli_exit_code_at_huge_values(case, tmp_path, capsys):
+    code, text = _EXIT_CODES[case]
+    path = tmp_path / "run.cfg"
+    path.write_text(_SMALL + text + "\n")
+    out = tmp_path / "out"
+    assert main(["solve", "--config", str(path), "--out", str(out)]) == code
+    err = capsys.readouterr().err
+    if code == 2:
+        assert err.startswith("config error:")
+    if code == 3:
+        assert json.loads((out / "error.json").read_text())["error"] == "SolverBlowupError"
+
+
+def test_smoothing_past_the_semigroups_overflow_exits_2(tmp_path, capsys):
+    # at eta = 1 the instability band's e^(eta t/4) overflows past t = 2839:
+    # S(t) phi was 0 * inf = NaN on the datum's empty modes, a ValueError
+    # traceback (exit 1); the run refuses it before taking a norm
+    path = tmp_path / "late.cfg"
+    path.write_text("grid.M = 256\nsmoothing.t_max = 1e4\n")
+    rc = main(["smoothing", "--config", str(path), "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: smoothing.t_max") and "past t = 2839" in err

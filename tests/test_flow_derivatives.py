@@ -1,11 +1,13 @@
 """Resonance functions, Duhamel kernels, band data, and the closed-form
 Picard terms cross-checked against the independent time-quadrature route."""
 import functools
+import pathlib
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chenlee_lab.config import parse_config
 from chenlee_lab.core import (
     EquationParams,
     SpectralField,
@@ -26,7 +28,14 @@ from chenlee_lab.flowderiv import (
     second_term,
     third_term,
 )
-from chenlee_lab.solver import Trajectory, chebyshev_nodes, duhamel_integral
+from chenlee_lab.solver import (
+    SolverConfig,
+    Trajectory,
+    chebyshev_nodes,
+    duhamel_integral,
+    solve_picard,
+    solve_stepper,
+)
 from chenlee_lab.spaces import l2_norm
 
 PARAMS = EquationParams(beta=1.0, eta=1.0)
@@ -228,6 +237,115 @@ def test_terms_vanish_at_t_zero():
     assert l2_norm(third_term(phi, 0.0, PARAMS).field()) == 0.0
     with pytest.raises(ValueError):
         second_term(phi, -1e-3, PARAMS)
+
+
+# ---------------------------------------------------------------------------
+# the Picard terms as Taylor coefficients of the nonlinear flow
+# ---------------------------------------------------------------------------
+
+# u(delta phi) = delta u1 + delta^2 c2 + delta^3 c3 + ..., where c2 = -u2/2
+# and c3 = +u3/2 in the closed forms' convention (second_term is twice the
+# Duhamel integral of u1 u1_x, see test_second_term_matches_duhamel).  On a
+# window where u1 vanishes, the odd part of u(+-delta phi) over delta^3 (the
+# even part over delta^2) is f(delta) = c + a delta^2 + b delta^4 + ...
+# Richardson over delta and 2 delta, (4 f(delta) - f(2 delta)) / 3, leaves
+# c - 4 b delta^4.  With rho = |f(2 delta) - f(delta)| / (3 |c|), the raw
+# quotient's relative O(delta^2) remainder, and terms that shrink
+# geometrically (|b| delta^4 <= rho^2 |c|), the extrapolated error is at
+# most 4 rho^2.  So each sweep's tolerance is fixed beforehand from a bound
+# RHO_MAX on rho at _DELTA, which the test checks too.
+CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
+_DELTA = 1e-3
+
+
+def _taylor_coefficient(flow, phi, order, where):
+    """(Richardson value, rho) of the odd (order 3) or even (order 2) part
+    of flow(+-delta phi) / delta^order on the modes `where`, over _DELTA and
+    2 _DELTA, against nothing: rho is relative to the Richardson value."""
+    def quotient(h):
+        plus, minus = flow(phi * h)[where], flow(phi * -h)[where]
+        return (plus - minus if order == 3 else plus + minus) / (2.0 * h ** order)
+
+    f1, f2 = quotient(_DELTA), quotient(2.0 * _DELTA)
+    value = (4.0 * f1 - f2) / 3.0
+    return value, np.linalg.norm(f2 - f1) / (3.0 * np.linalg.norm(value))
+
+
+def _picard_flow(params, t):
+    return lambda psi: solve_picard(psi, params, SolverConfig(dt=t, T=t)).final_state().coeffs
+
+
+def _sweep(name):
+    cfg = parse_config((CONFIGS / f"{name}.cfg").read_text())
+    return cfg, [float(N) for N in cfg.illposed_N]
+
+
+_C3, _C3_N = _sweep("illposed-c3")
+_C2ND, _C2ND_N = _sweep("illposed-c2nd")
+
+
+def _assert_taylor(value, rho, ref, rho_max):
+    err = np.linalg.norm(value - ref) / np.linalg.norm(ref)
+    assert rho <= rho_max and err <= 4.0 * rho_max ** 2, (rho, err)
+
+
+# the iterates' products of u1 with u2 reach 3.6 N, past the grid's 2.8 N;
+# their modes lie far from the window and enter it at delta^4 at the earliest
+@pytest.mark.filterwarnings("ignore::chenlee_lab.core.AliasingBudgetWarning")
+@pytest.mark.parametrize("N", _C3_N)
+def test_picard_cubic_taylor_coefficient_is_half_u3(N):
+    # the tuned c3 sweep's probe (beta = eta = 0.25, s = -0.8, eps = 0.1) on
+    # its own grid, M = 1024, at t_N; rho measured 2.6e-7..8.4e-7, the
+    # extrapolated error 3e-13..1.5e-12
+    cfg = _C3
+    d = IllposedData(N=N, epsilon=cfg.illposed_epsilon, gamma=cfg.illposed_epsilon * N,
+                     s=cfg.illposed_s)
+    grid = illposed_grid(d)
+    phi = build_illposed_datum(d, grid)
+    params = cfg.equation_params()
+    window = (N + 3.0 * d.gamma, N + 4.0 * d.gamma)
+    where = (grid.xi >= window[0]) & (grid.xi <= window[1])
+    value, rho = _taylor_coefficient(_picard_flow(params, d.t_N), phi, 3, where)
+    u3 = third_term(phi, d.t_N, params, window=window).coeffs[where]
+    _assert_taylor(value, rho, u3 / 2.0, rho_max=1e-5)
+
+
+@pytest.mark.parametrize("N", _C2ND_N)
+def test_picard_quadratic_taylor_coefficient_is_minus_half_u2(N):
+    # the tuned c2nd sweep's probe (beta = 0, eta = 0.1, s = -0.8, eps =
+    # 0.05) on its own grid, M = 512, at t_N; rho measured 9e-6..3.2e-5, the
+    # extrapolated error 2.3e-10..2.7e-9
+    cfg = _C2ND
+    eps = cfg.illposed_epsilon
+    d = IllposedData(N=N, epsilon=eps, gamma=N ** (1.0 - eps), s=cfg.illposed_s)
+    grid = illposed_grid(d, xi_factor=2.5)
+    phi = build_illposed_datum(d, grid)
+    params = EquationParams(beta=0.0, eta=cfg.eq_eta)
+    window = (2.0 * N, 2.0 * N + 4.0 * d.gamma)
+    where = (grid.xi >= window[0]) & (grid.xi <= window[1])
+    value, rho = _taylor_coefficient(_picard_flow(params, d.t_N), phi, 2, where)
+    u2 = second_term(phi, d.t_N, params, window=window).coeffs[where]
+    _assert_taylor(value, rho, -u2 / 2.0, rho_max=1e-4)
+
+
+def test_stepper_taylor_coefficients_are_the_picard_terms():
+    # the same oracle on the stepper, at the band datum with beta = eta = 1
+    # and t = 5e-4 in 50 IF-RK4 steps (dt max|q| = 0.65): -u2/2 on every
+    # mode and u3/2 on the window past the band.  Here the step's O(dt^4)
+    # error, not delta, sets the extrapolated error: measured 4.5e-9 (u2)
+    # and 9.4e-8 (u3), falling 16 times per halving of dt
+    d, grid, phi = _band_setup()
+    t = 5e-4
+    cfg = SolverConfig(dt=t / 50, T=t, keep_every=50)
+    flow = functools.cache(lambda psi: solve_stepper(psi, PARAMS, cfg).final_state().coeffs)
+    window = (d.N + 3.0 * d.gamma, d.N + 4.0 * d.gamma)
+    where = (grid.xi >= window[0]) & (grid.xi <= window[1])
+    for order, ref, mask in ((2, -second_term(phi, t, PARAMS).coeffs / 2.0, slice(None)),
+                             (3, third_term(phi, t, PARAMS, window=window).coeffs[where] / 2.0,
+                              where)):
+        value, rho = _taylor_coefficient(flow, phi, order, mask)
+        err = np.linalg.norm(value - ref) / np.linalg.norm(ref)
+        assert rho <= 1e-6 and err <= 1e-6, (order, rho, err)
 
 
 # ---------------------------------------------------------------------------

@@ -9,10 +9,9 @@ The script exits 0 when every experiment matches its expected outcome.
 The summary gives each experiment's wall time in milliseconds.  Under
 each experiment's row, every CSV it wrote gets a line with the first 12
 hex digits of its sha256, so a diff of two runs' standard output shows
-which CSVs changed.  Only the time column should differ, with one
-exception: contraction.csv's roundoff-level `residual` and `agreement`
-columns can differ in their last digits from one process to the next,
-which changes its digest with no change to the code.
+which CSVs changed.  Only the time column should differ: every CSV,
+contraction.csv included, is byte-identical from one process to the
+next, so a changed digest means changed output.
 
 Usage: python3 scripts/run_all_experiments.py [--out DIR] [--quick]
 """

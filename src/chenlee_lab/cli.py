@@ -22,7 +22,6 @@ from . import __version__
 from .calibration import C_CONTRACTION
 from .config import (
     EXPERIMENTS,
-    LOG_FLOAT_MAX,
     ConfigError,
     RunConfig,
     build_initial_data,
@@ -30,11 +29,11 @@ from .config import (
     parse_config,
     validate,
 )
-from .core import EquationParams, row_blocks, semigroup_apply
+from .core import LOG_FLOAT_MAX, row_blocks, semigroup_apply
 from .decay import decay_report, mass_drift, weighted_energy_rate
 from .flowderiv import illposed_growth_c2_nd, illposed_growth_c3
 from .limits import LimitSweepConfig, beta_limit_sweep, eta_limit_sweep
-from .report import ExperimentReport, fit_loglog
+from .report import ExperimentReport, FitError, fit_loglog
 from .solver import (
     CflError,
     PicardError,
@@ -121,7 +120,11 @@ def _run_contraction(cfg: RunConfig):
     phi = build_initial_data(cfg)
     params = cfg.equation_params()
     T = min(contraction_time(l2_norm(phi), 0.0, C_CONTRACTION), cfg.solver_T)
-    scfg = replace(cfg.solver_config(), T=T)
+    try:
+        scfg = replace(cfg.solver_config(), T=T)
+    except ValueError as exc:  # T underflows to 0, or is shorter than dt
+        raise ConfigError(f"the datum's contraction horizon T = {T:.3g} is refused ({exc}); "
+                          f"lower data.amplitude or grid.L, or solver.dt where T > 0") from None
     traj_p = solve_picard(phi, params, scfg, s=0.0)
     traj_s = solve_stepper(phi, params, scfg)
     agreement = l2_norm(traj_p.final_state() - traj_s.final_state())
@@ -197,28 +200,28 @@ _RUNNERS = {
 
 def run_experiment(cfg: RunConfig, out_dir: str, quick: bool = False) -> int:
     """Execute one experiment; write CSVs + manifest; return the exit code."""
-    if quick:
-        try:
-            cfg = _apply_quick(cfg)
-        except ConfigError as exc:
-            print(f"config error: {exc}", file=sys.stderr)
-            return 2
-    os.makedirs(out_dir, exist_ok=True)
     start = time.time()
     try:
+        if quick:
+            cfg = _apply_quick(cfg)
         reports = _RUNNERS[cfg.experiment](cfg)
-    except (CflError, ConfigError) as exc:  # found once the run builds its datum or steps
+    except (CflError, ConfigError) as exc:  # found by --quick, or as the run builds or steps
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except NUMERICAL_ERRORS as exc:
+    except (*NUMERICAL_ERRORS, FitError) as exc:
+        os.makedirs(out_dir, exist_ok=True)
         record = {"experiment": cfg.experiment, "error": type(exc).__name__,
                   "message": str(exc)}
         if isinstance(exc, SolverBlowupError):
             record["t_blowup"] = exc.t_blowup
         with open(os.path.join(out_dir, "error.json"), "w") as fh:
             json.dump(record, fh, indent=2, sort_keys=True)
+        if isinstance(exc, FitError):  # the run ran; its norms give no verdict
+            print(f"[FAIL] {cfg.experiment}: {exc}")
+            return 1
         print(f"[FAIL] {cfg.experiment}: numerical failure: {exc}", file=sys.stderr)
         return 3
+    os.makedirs(out_dir, exist_ok=True)
     passed = all(r.passed for r in reports)
     for rep in reports:
         rep.write_csv(os.path.join(out_dir, f"{rep.name}.csv"))

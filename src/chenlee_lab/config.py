@@ -9,12 +9,15 @@ from __future__ import annotations
 
 import math
 import os
-import sys
+import re
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .core import EquationParams, Grid, SpectralField, from_values_stack, random_real_field
+from .flowderiv import IllposedData, band_centers
+from .limits import check_sweep_values
+from .solver import SolverConfig
 from .spaces import sobolev_norm
 
 EXPERIMENTS = (
@@ -25,9 +28,6 @@ EXPERIMENTS = (
 
 class ConfigError(ValueError):
     """Malformed or invalid configuration; maps to exit code 2."""
-
-
-LOG_FLOAT_MAX = math.log(sys.float_info.max)  # e^x overflows above it
 
 
 @dataclass
@@ -42,7 +42,7 @@ class RunConfig:
     eq_beta: float = 1.0
     eq_eta: float = 1.0
     eq_nonlinear: bool = True
-    data_kind: str = "gaussian"  # gaussian | single-mode | random | rough-band
+    data_kind: str = "gaussian"  # a key of DATA_KINDS
     data_amplitude: float = 0.5
     data_width: float = 1.0
     data_mode: int = 8
@@ -78,8 +78,6 @@ class RunConfig:
                               nonlinear=self.eq_nonlinear)
 
     def solver_config(self):
-        from .solver import SolverConfig
-
         return SolverConfig(dt=self.solver_dt, T=self.solver_T,
                             keep_every=self.solver_keep_every,
                             picard_tol=self.solver_picard_tol,
@@ -142,72 +140,49 @@ def _physical_memory() -> float:
         return math.inf
 
 
+def _owned(group: str, build):
+    """`build()`, which builds the library type that holds the `group.*` keys' rules; its
+    ValueError becomes a ConfigError with those keys written in full (`grid.M must ...`)."""
+    try:
+        return build()
+    except ValueError as exc:
+        names = "|".join(key.split(".")[1] for key in _FIELDS if key.startswith(group + "."))
+        raise ConfigError(re.sub(rf"(?<![\w'.])({names})\b", rf"{group}.\1", str(exc))) from None
+
+
 def validate(cfg: RunConfig):
+    """ConfigError naming the key where `cfg` cannot run; library types keep their own rules."""
     if cfg.experiment not in EXPERIMENTS:
-        raise ConfigError(
-            f"experiment must be one of {', '.join(EXPERIMENTS)}; got {cfg.experiment!r}"
-        )
-    if cfg.grid_L <= 0:
-        raise ConfigError(f"grid.L must be positive, got {cfg.grid_L}")
-    if cfg.grid_M < 8 or cfg.grid_M & (cfg.grid_M - 1):
-        raise ConfigError(f"grid.M must be a power of two >= 8, got {cfg.grid_M}")
-    if cfg.eq_beta < 0:
-        raise ConfigError(f"beta must be >= 0, got {cfg.eq_beta}")
-    if cfg.eq_eta < 0:
-        raise ConfigError(f"eta must be >= 0, got {cfg.eq_eta}")
-    if cfg.solver_dt <= 0 or cfg.solver_T <= 0 or cfg.solver_dt > cfg.solver_T:
-        raise ConfigError(f"need 0 < solver.dt <= solver.T, "
-                          f"got dt={cfg.solver_dt}, T={cfg.solver_T}")
-    if cfg.solver_keep_every < 1:
-        raise ConfigError(f"solver.keep_every must be >= 1, got {cfg.solver_keep_every}")
-    steps = cfg.solver_T / cfg.solver_dt
-    if not steps <= sys.maxsize:  # inf too
-        raise ConfigError(
-            f"solver.T / solver.dt = {steps:.3g} steps is more than a step count "
-            f"can hold ({sys.maxsize}); lower solver.T or raise solver.dt")
-    kept = -(-max(1, round(steps)) // cfg.solver_keep_every) + 1  # as the stepper keeps
+        raise ConfigError(f"experiment must be one of {', '.join(EXPERIMENTS)}; "
+                          f"got {cfg.experiment!r}")
+    solver = _owned("solver", cfg.solver_config)
+    kept = -(-solver.n_steps // solver.keep_every) + 1  # as the stepper keeps
     kept_bytes = 16.0 * kept * cfg.grid_M  # complex128 spectra
     memory = _physical_memory()
-    if kept_bytes > memory:
-        raise ConfigError(
-            f"a trajectory would keep {kept} states of grid.M = {cfg.grid_M} "
-            f"({kept_bytes / 2**30:.3g} GiB), more than the {memory / 2**30:.3g} GiB "
-            f"of physical memory; raise solver.keep_every or solver.dt, or lower "
-            f"solver.T or grid.M")
-    if cfg.solver_picard_max_iters < 1:
-        raise ConfigError(
-            f"solver.picard_max_iters must be >= 1, got {cfg.solver_picard_max_iters}")
-    if cfg.solver_picard_tol <= 0:
-        raise ConfigError(f"solver.picard_tol must be positive, got {cfg.solver_picard_tol}")
-    if cfg.data_kind not in ("gaussian", "single-mode", "random", "rough-band"):
-        raise ConfigError(f"unknown data.kind {cfg.data_kind!r}")
-    single_mode = cfg.data_kind == "single-mode"
-    if single_mode and not Grid(cfg.grid_L, cfg.grid_M).represents(cfg.data_mode):
-        raise ConfigError(
-            f"data.mode must lie below grid.M/2 in magnitude (the Nyquist mode and "
-            f"above do not fit the grid of grid.M = {cfg.grid_M}), got {cfg.data_mode}")
+    if kept_bytes > memory:  # before a Grid allocates grid.M points
+        raise ConfigError(f"a trajectory would keep {kept} states of grid.M = {cfg.grid_M} "
+                          f"({kept_bytes / 2**30:.3g} GiB), more than the {memory / 2**30:.3g} "
+                          f"GiB of physical memory; raise solver.keep_every or solver.dt, or "
+                          f"lower solver.T or grid.M")
+    grid = _owned("grid", lambda: Grid(cfg.grid_L, cfg.grid_M))
+    _owned("eq", cfg.equation_params)
+    if cfg.data_kind not in DATA_KINDS:
+        raise ConfigError(f"data.kind {cfg.data_kind!r} is not one of {', '.join(DATA_KINDS)}")
+    if cfg.data_kind == "single-mode":
+        _owned("data", lambda: SpectralField.single_mode(grid, cfg.data_mode))
     if cfg.data_width <= 0:
         raise ConfigError(f"data.width must be positive, got {cfg.data_width}")
-    if not (0 < cfg.illposed_epsilon < 1):
-        raise ConfigError(f"illposed.epsilon must be in (0,1), got {cfg.illposed_epsilon}")
-    if cfg.illposed_s >= 0:
-        raise ConfigError(f"illposed.s must be negative, got {cfg.illposed_s}")
-    N = cfg.illposed_N
-    if len(N) < 4 or min(N) < 32 or any(b <= a for a, b in zip(N, N[1:])):
-        raise ConfigError(
-            f"illposed.N must be >= 4 strictly increasing values, each >= 32; got {N}"
-        )
-    if -cfg.illposed_s * math.log(N[-1]) > LOG_FLOAT_MAX:
-        raise ConfigError(f"illposed.s = {cfg.illposed_s}: the band datum's amplitude "
-                          f"N^(-s) overflows at N = {N[-1]:g}; raise illposed.s")
+    for N in _owned("illposed", lambda: band_centers(cfg.illposed_N)):
+        _owned("illposed", lambda: IllposedData(N=N, epsilon=cfg.illposed_epsilon,
+                                                gamma=cfg.illposed_epsilon * N, s=cfg.illposed_s))
     if not 0 < cfg.smoothing_t_min < cfg.smoothing_t_max:
         raise ConfigError(f"need 0 < smoothing.t_min < smoothing.t_max, got "
                           f"t_min={cfg.smoothing_t_min}, t_max={cfg.smoothing_t_max}")
-    v = cfg.sweep_values
-    if v and (len(v) < 4 or min(v) <= 0 or any(b >= a for a, b in zip(v, v[1:]))):
-        raise ConfigError(
-            f"sweep.values must be >= 4 positive strictly decreasing values; got {v}"
-        )
+    if min(cfg.smoothing_lambdas) <= 0:
+        raise ConfigError(f"smoothing.lambdas must be positive (derivatives gained); "
+                          f"got {cfg.smoothing_lambdas}")
+    if cfg.sweep_values:  # () runs each sweep's own values
+        _owned("sweep", lambda: check_sweep_values(cfg.sweep_values))
     if cfg.seed < 0:
         raise ConfigError(f"seed must be >= 0, got {cfg.seed}")
 
@@ -221,28 +196,30 @@ def config_echo(cfg: RunConfig) -> dict:
     return out
 
 
+def _rough_band(grid: Grid):
+    n = grid.band((grid.xi >= 1.0) & (grid.xi <= 0.98 * grid.xi_max))
+    c = (np.abs(grid.at_modes(grid.xi, n)) ** -0.5).astype(complex)
+    return SpectralField.from_modes(grid, np.concatenate([n, -n]), np.concatenate([c, np.conj(c)]))
+
+
+# data.kind -> its datum on a grid (a Gaussian unchecked: build_initial_data checks it)
+DATA_KINDS = {
+    "gaussian": lambda cfg, grid: SpectralField(grid, from_values_stack(
+        grid, cfg.data_amplitude * np.exp(-((grid.x / cfg.data_width) ** 2))), check=False),
+    "single-mode": lambda cfg, grid: SpectralField.single_mode(grid, cfg.data_mode,
+                                                               cfg.data_amplitude),
+    "random": lambda cfg, grid: random_real_field(
+        grid, np.random.default_rng(cfg.seed), spectral_decay=2.0) * cfg.data_amplitude,
+    "rough-band": lambda cfg, grid: _rough_band(grid) * cfg.data_amplitude,
+}
+
+
 def build_initial_data(cfg: RunConfig):
     """Initial state selected by the data.* block (seeded when random).
     Raises ConfigError where the data.* and grid.* keys give a datum that
     is not finite, or, with data.normalize_h2, one whose H^2 norm is zero
     or not finite."""
-    grid = Grid(cfg.grid_L, cfg.grid_M)
-    if cfg.data_kind == "gaussian":  # unchecked: a non-finite datum is refused below
-        a, w = cfg.data_amplitude, cfg.data_width
-        values = a * np.exp(-((grid.x / w) ** 2))
-        phi = SpectralField(grid, from_values_stack(grid, values), check=False)
-    elif cfg.data_kind == "single-mode":
-        phi = SpectralField.single_mode(grid, cfg.data_mode, cfg.data_amplitude)
-    elif cfg.data_kind == "random":
-        rng = np.random.default_rng(cfg.seed)
-        phi = random_real_field(grid, rng, spectral_decay=2.0) * cfg.data_amplitude
-    elif cfg.data_kind == "rough-band":
-        n = grid.band((grid.xi >= 1.0) & (grid.xi <= 0.98 * grid.xi_max))
-        c = (np.abs(grid.at_modes(grid.xi, n)) ** -0.5).astype(complex)
-        phi = SpectralField.from_modes(grid, np.concatenate([n, -n]),
-                                       np.concatenate([c, np.conj(c)])) * cfg.data_amplitude
-    else:  # pragma: no cover - guarded by validate
-        raise ConfigError(f"unknown data.kind {cfg.data_kind!r}")
+    phi = DATA_KINDS[cfg.data_kind](cfg, Grid(cfg.grid_L, cfg.grid_M))
     if cfg.data_normalize_h2:
         h2 = sobolev_norm(phi, 2.0)
         if not 0.0 < h2 < math.inf:

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 TWO_PI_SQRT = np.sqrt(2.0 * np.pi)
+LOG_FLOAT_MAX = np.log(sys.float_info.max)  # e^x overflows above it
 DEALIAS_BUDGET = 1e-6  # see nonlinear_stack
 
 
@@ -27,10 +28,6 @@ class AliasingBudgetWarning(UserWarning):
     """Raised when the quadratic product carries too much energy in the
     modes that the 2/3-rule truncation discards; `fraction` is the worst
     row's share of that energy (the text names only the budget)."""
-
-
-def _is_power_of_two(n: int) -> bool:
-    return n >= 1 and (n & (n - 1)) == 0
 
 
 @dataclass(frozen=True)
@@ -51,7 +48,7 @@ class Grid:
     def __post_init__(self):
         if self.L <= 0:
             raise ValueError(f"L must be positive, got {self.L}")
-        if self.M < 8 or not _is_power_of_two(self.M):
+        if self.M < 8 or self.M & (self.M - 1):
             raise ValueError(f"M must be a power of two >= 8, got {self.M}")
         object.__setattr__(self, "x", -self.L + self.dx * np.arange(self.M))
         modes = np.fft.fftfreq(self.M, d=1.0 / self.M).astype(int)
@@ -166,7 +163,7 @@ class SpectralField:
         """Real field amplitude*cos(xi_n x) built directly in Fourier space;
         |n| must be below M/2, the Nyquist mode."""
         if not grid.represents(n):
-            raise ValueError(f"mode {n} is not below M/2 = {grid.nyquist}, the Nyquist mode")
+            raise ValueError(f"mode {n} is not below the Nyquist index M/2 = {grid.nyquist}")
         c = np.zeros(grid.M, dtype=np.complex128)
         w = grid.L * np.sqrt(2.0 / np.pi) * amplitude / 2.0
         c[grid.mode_index(n)] += w

@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    LOG_FLOAT_MAX,
     TWO_PI_SQRT,
     EquationParams,
     Grid,
@@ -114,18 +115,20 @@ class IllposedData:
 
     def __post_init__(self):
         if self.N < 32:
-            raise ValueError(f"frequency center must satisfy N >= 32, got {self.N}")
+            raise ValueError(f"N must be >= 32, got {self.N:g}")
         if not 0 < self.epsilon < 1:
             raise ValueError(f"epsilon must lie in (0,1), got {self.epsilon}")
         if not 0 < self.gamma:
-            raise ValueError(f"bandwidth must be positive, got {self.gamma}")
+            raise ValueError(f"gamma must be positive, got {self.gamma}")
         # the bands +-[N, N+2 gamma] must not touch the origin / each other
         if self.gamma > self.N:
             raise ValueError(f"gamma={self.gamma} too wide: bands would overlap 0")
         # the growth regime is s < -1/2, but the consistency harness reruns
         # the same sweep on the well-posed side, so only s < 0 is enforced
         if self.s >= 0:
-            raise ValueError(f"band datum is calibrated for s < 0, got s={self.s}")
+            raise ValueError(f"s must be negative, got {self.s}")
+        if -self.s * np.log(self.N) > LOG_FLOAT_MAX:
+            raise ValueError(f"s = {self.s} overflows the amplitude at N = {self.N:g}; raise s")
 
     @property
     def t_N(self) -> float:
@@ -268,6 +271,14 @@ def third_term(phi: SpectralField, t: float, params: EquationParams,
 REPORT_COLUMNS = ["N", "gamma", "t_N", "norm", "target_exponent", "fitted_slope"]
 
 
+def band_centers(N) -> np.ndarray:
+    """A growth sweep's frequency centers N as floats, >= 4 strictly increasing."""
+    centers = np.asarray(N, dtype=float)
+    if centers.size < 4 or np.any(np.diff(centers) <= 0):
+        raise ValueError(f"N must be >= 4 strictly increasing values; got {centers.tolist()}")
+    return centers
+
+
 def _finish_report(report: ExperimentReport, target: float, tol: float):
     N = report.column("N").astype(float)
     norms = report.column("norm").astype(float)
@@ -291,9 +302,7 @@ def illposed_growth_c3(s: float, epsilon: float, N_list, params: EquationParams,
     """Growth of ||u3(t_N)||_{H^s} vs N for band data with gamma = eps*N;
     target log-log slope -2s - 1 - 2*eps (positive for s < -1/2: no C^3
     data-to-solution map)."""
-    N_list = np.asarray(N_list, dtype=float)
-    if N_list.size < 4 or np.any(np.diff(N_list) <= 0):
-        raise ValueError("need >= 4 strictly increasing N values")
+    N_list = band_centers(N_list)
     target = -2.0 * s - 1.0 - 2.0 * epsilon
     report = ExperimentReport("illposed_c3", list(REPORT_COLUMNS))
     for N in N_list:
@@ -311,9 +320,7 @@ def illposed_growth_c2_nd(s: float, epsilon: float, N_list, eta: float,
     """Non-dispersive (beta=0) growth of ||u2(t_N)||_{H^s} vs N with
     gamma = N^{1-eps} and output window [2N, 2N+4 gamma]; target slope
     (-2s - 1 - 3*eps)/2."""
-    N_list = np.asarray(N_list, dtype=float)
-    if N_list.size < 4 or np.any(np.diff(N_list) <= 0):
-        raise ValueError("need >= 4 strictly increasing N values")
+    N_list = band_centers(N_list)
     params = EquationParams(beta=0.0, eta=eta)
     target = (-2.0 * s - 1.0 - 3.0 * epsilon) / 2.0
     report = ExperimentReport("illposed_c2_nd", list(REPORT_COLUMNS))

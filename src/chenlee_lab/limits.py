@@ -18,6 +18,13 @@ from .solver import SolverConfig, solve_stepper_stack
 from .spaces import hs_inner, sobolev_norm, sobolev_norm_stack
 
 
+def check_sweep_values(values):
+    """A sweep's beta or eta values are >= 4, positive, decreasing toward 0."""
+    vals = np.asarray(values, dtype=float)
+    if vals.size < 4 or np.any(vals <= 0) or np.any(np.diff(vals) >= 0):
+        raise ValueError(f"values must be >= 4, positive, strictly decreasing: {vals.tolist()}")
+
+
 @dataclass(frozen=True)
 class LimitSweepConfig:
     phi: SpectralField
@@ -27,9 +34,7 @@ class LimitSweepConfig:
     s: float = 0.0
 
     def __post_init__(self):
-        vals = np.asarray(self.sweep_values, dtype=float)
-        if vals.size < 4 or np.any(vals <= 0) or np.any(np.diff(vals) >= 0):
-            raise ValueError("sweep_values must be >= 4 positive strictly decreasing entries")
+        check_sweep_values(self.sweep_values)
 
 
 def _sup_diff(traj_a, traj_b, s: float) -> float:

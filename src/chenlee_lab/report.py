@@ -21,15 +21,19 @@ def format_value(v) -> str:
     return str(v)
 
 
+class FitError(ValueError):
+    """A log-log fit over data that vanish or overflow; maps to exit code 1."""
+
+
 def fit_loglog(x, y, drop_head: int = 0):
-    """Least-squares slope of log(y) vs log(x); `drop_head` discards the
-    smallest-x entries (pre-asymptotic regime)."""
+    """Least-squares slope of log(y) vs log(x), all positive and finite (else FitError);
+    `drop_head` discards the smallest-x entries (pre-asymptotic regime)."""
     x = np.asarray(x, dtype=float)[drop_head:]
     y = np.asarray(y, dtype=float)[drop_head:]
     if x.size < 2:
         raise ValueError("need at least two points to fit a slope")
-    if np.any(x <= 0) or np.any(y <= 0):
-        raise ValueError("log-log fit requires positive data")
+    if not (np.all((0 < x) & (x < np.inf)) and np.all((0 < y) & (y < np.inf))):
+        raise FitError(f"log-log fit needs positive finite data, got {y.tolist()} at {x.tolist()}")
     slope, intercept = np.polyfit(np.log(x), np.log(y), 1)
     return float(slope), float(intercept)
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import functools
 import os
 import pickle
+import sys
 import threading
 import warnings
 from dataclasses import dataclass
@@ -88,15 +89,20 @@ class SolverConfig:
     keep_every: int = 1
 
     def __post_init__(self):
-        if self.dt <= 0 or self.T <= 0:
-            raise ValueError("dt and T must be positive")
-        if self.dt > self.T:
-            raise ValueError(f"dt={self.dt} exceeds T={self.T}")
+        if not 0 < self.dt <= self.T:
+            raise ValueError(f"dt must be positive and at most T, got dt={self.dt}, T={self.T}")
+        if not self.T / self.dt <= sys.maxsize:  # inf too
+            raise ValueError(f"T / dt = {self.T / self.dt:.3g} steps is more than a step "
+                             f"count can hold ({sys.maxsize}); lower T or raise dt")
         for name in ("picard_max_iters", "keep_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.picard_tol <= 0:
             raise ValueError(f"picard_tol must be positive, got {self.picard_tol}")
+
+    @property
+    def n_steps(self) -> int:
+        return round(self.T / self.dt)  # >= 1, as dt <= T
 
 
 class Trajectory:
@@ -428,7 +434,7 @@ def solve_stepper_stack(phi: SpectralField, params_list, config: SolverConfig) -
         raise ValueError("a stack's members must be all nonlinear or all linear")
     for params in params_list:
         _check_cfl(grid, config.dt, params)
-    n_steps = max(1, int(round(config.T / config.dt)))
+    n_steps = config.n_steps
     dt = config.T / n_steps
     kept_steps = [*range(0, n_steps, config.keep_every), n_steps]
     times = [n * dt for n in kept_steps]

@@ -2,6 +2,7 @@
 with a message naming the key, before any experiment runs."""
 import json
 import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,10 @@ import pytest
 from chenlee_lab import config
 from chenlee_lab.cli import main
 from chenlee_lab.config import ConfigError, build_initial_data, parse_config, validate
+from chenlee_lab.core import EquationParams, Grid, SpectralField
+from chenlee_lab.flowderiv import IllposedData, illposed_growth_c2_nd, illposed_growth_c3
+from chenlee_lab.limits import LimitSweepConfig
+from chenlee_lab.solver import SolverConfig
 
 CONFIGS = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
@@ -184,3 +189,100 @@ def test_smoothing_past_the_semigroups_overflow_exits_2(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err
     assert err.startswith("config error: smoothing.t_max") and "past t = 2839" in err
+
+
+# one row per rule that a library type owns: the config text that breaks
+# it, the key its ConfigError names, and the library call that refuses the
+# same value (with the default config's other values)
+_DEFAULT_GRID = (32.0 * np.pi, 4096)
+OWNED_RULES = {
+    "grid-L-positive": ("grid.L = -1", "grid.L", lambda: Grid(-1.0, 4096)),
+    "grid-M-power-of-two": ("grid.M = 100", "grid.M", lambda: Grid(32.0 * np.pi, 100)),
+    "eq-beta-non-negative": ("eq.beta = -1", "eq.beta", lambda: EquationParams(beta=-1.0)),
+    "eq-eta-non-negative": ("eq.eta = -1", "eq.eta", lambda: EquationParams(eta=-1.0)),
+    "solver-dt-positive": ("solver.dt = -1", "solver.dt", lambda: SolverConfig(dt=-1.0)),
+    "solver-dt-within-T": ("solver.dt = 2", "solver.dt", lambda: SolverConfig(dt=2.0)),
+    # 1e300 steps: accepted by SolverConfig before it owned the step count
+    "solver-step-count": ("solver.dt = 1e-300", "solver.T / solver.dt",
+                          lambda: SolverConfig(dt=1e-300, T=1.0)),
+    "solver-keep-every": ("solver.keep_every = 0", "solver.keep_every",
+                          lambda: SolverConfig(keep_every=0)),
+    "solver-picard-max-iters": ("solver.picard_max_iters = 0", "solver.picard_max_iters",
+                                lambda: SolverConfig(picard_max_iters=0)),
+    "solver-picard-tol": ("solver.picard_tol = 0", "solver.picard_tol",
+                          lambda: SolverConfig(picard_tol=0.0)),
+    "data-mode-below-nyquist": ("data.kind = single-mode\ndata.mode = -2048", "data.mode",
+                                lambda: SpectralField.single_mode(Grid(*_DEFAULT_GRID), -2048)),
+    "illposed-epsilon": ("illposed.epsilon = 1", "illposed.epsilon",
+                         lambda: IllposedData(N=64.0, epsilon=1.0, gamma=64.0, s=-0.8)),
+    "illposed-s-negative": ("illposed.s = 0", "illposed.s",
+                            lambda: IllposedData(N=64.0, epsilon=0.1, gamma=6.4, s=0.0)),
+    # N^(-s) overflows: IllposedData accepted it, and its amplitude raised
+    # OverflowError
+    "illposed-s-overflow": ("illposed.s = -1e300", "illposed.s",
+                            lambda: IllposedData(N=64.0, epsilon=0.1, gamma=6.4, s=-1e300)),
+    "illposed-N-at-least-32": ("illposed.N = 16, 32, 64, 128", "illposed.N",
+                               lambda: IllposedData(N=16.0, epsilon=0.1, gamma=1.6, s=-0.8)),
+    "illposed-N-at-least-4": ("illposed.N = 64, 128, 256", "illposed.N",
+                              lambda: illposed_growth_c3(-0.8, 0.1, (64.0, 128.0, 256.0),
+                                                         EquationParams(), tol=0.15)),
+    "illposed-N-increasing": ("illposed.N = 64, 128, 128, 256", "illposed.N",
+                              lambda: illposed_growth_c2_nd(-0.8, 0.1, (64.0, 128.0, 128.0, 256.0),
+                                                            eta=1.0, tol=0.15)),
+    "sweep-values": ("sweep.values = 0.1, 0.2, 0.3, 0.4", "sweep.values",
+                     lambda: LimitSweepConfig(phi=SpectralField.zero(Grid(*_DEFAULT_GRID)),
+                                              sweep_values=(0.1, 0.2, 0.3, 0.4),
+                                              solver=SolverConfig())),
+}
+
+
+@pytest.mark.parametrize("case", list(OWNED_RULES))
+def test_each_rule_is_the_library_types_own(case):
+    # the config refuses a value by building the type that takes it: its
+    # message is the library's, with the group's keys written in full
+    text, key, build = OWNED_RULES[case]
+    with pytest.raises(ConfigError, match=re.escape(key)) as refused:
+        parse_config(text + "\n")
+    with pytest.raises(ValueError) as owned:
+        build()
+    assert not isinstance(owned.value, ConfigError)
+    group = key.split(".", 1)[0] + "."
+    assert str(refused.value).replace(group, "") == str(owned.value)
+
+
+# the tuned configs' single +-1e300 edits that ended in a traceback (exit 1):
+# norms that vanish or overflow admit no log-log fit, a failed verdict; a
+# negative gain in smoothing.lambdas and a zero contraction horizon are
+# config errors
+_HUGE_EDITS = [
+    ("beta-limit", "grid.L = 1e300", 1),
+    ("beta-limit", "data.width = 1e300", 1),
+    ("beta-limit", "sweep.s = -1e300", 1),
+    ("eta-limit", "data.width = 1e300", 1),
+    ("eta-limit", "sweep.s = -1e300", 1),
+    ("illposed-c3", "eq.beta = 1e300", 1),
+    ("smoothing", "grid.L = 1e300", 1),
+    ("smoothing", "smoothing.lambdas = 0.5, -1e300, 2", 2),
+    ("contraction", "grid.L = 1e300", 2),
+    ("contraction", "data.amplitude = 1e300", 2),
+    ("contraction", "data.amplitude = -1e300", 2),
+]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the norms' overflow
+@pytest.mark.filterwarnings("ignore::chenlee_lab.core.AliasingBudgetWarning")
+@pytest.mark.parametrize("experiment, edit, code", _HUGE_EDITS,
+                         ids=[f"{e}:{t.replace(' ', '')}" for e, t, _ in _HUGE_EDITS])
+def test_huge_edit_exits_without_a_traceback(experiment, edit, code, tmp_path, capsys):
+    path = tmp_path / "huge.cfg"
+    path.write_text(f"{(CONFIGS / f'{experiment}.cfg').read_text()}\n{edit}\n")
+    out = tmp_path / "out"
+    assert main([experiment, "--config", str(path), "--quick", "--out", str(out)]) == code
+    captured = capsys.readouterr()
+    assert "Traceback" not in captured.err
+    if code == 1:  # the run ran: its verdict says why it failed
+        assert captured.out.startswith(f"[FAIL] {experiment}: log-log fit needs positive finite")
+        assert json.loads((out / "error.json").read_text())["error"] == "FitError"
+    else:
+        key = edit.split(" =")[0]
+        assert captured.err.startswith("config error:") and key in captured.err

@@ -14,7 +14,10 @@ Grid(8 pi, 256), horizons T in {0.25, 0.5, 1}.
 Each probe stack's AliasingBudgetWarnings are recorded: the rough probes'
 squares are under-resolved on this grid, so the script reports how many
 stacks exceed the kernel's aliasing budget, the worst tail fraction, and
-the largest ratio over the resolved stacks alone.
+the largest ratio over the resolved stacks alone.  The probe integrals
+are taken without node doubling; the script takes each once more with
+`duhamel_integral(..., check=True)` and reports how many fail it, among
+the rough and among the Gaussian probes.
 
 C_KATO_S2 is the output of limits.calibrated_cs(Grid(8 pi, 256), s=2)
 (50 seeded smooth random probes, 2x safety applied inside).
@@ -36,28 +39,36 @@ from chenlee_lab.core import (
     semigroup_apply,
 )
 from chenlee_lab.limits import calibrated_cs
-from chenlee_lab.solver import Trajectory, chebyshev_nodes, duhamel_integral
+from chenlee_lab.solver import (
+    QuadratureConvergenceError,
+    Trajectory,
+    chebyshev_nodes,
+    duhamel_integral,
+)
 from chenlee_lab.spaces import l2_norm
 
 GRID = Grid(8.0 * np.pi, 256)
 PARAMS = EquationParams(beta=1.0, eta=1.0)
 HORIZONS = (0.25, 0.5, 1.0)
+PANELS = 16  # Chebyshev panels per horizon: one Duhamel integral per node after t = 0
 SAFETY = 2.0
 
 
 def _probes():
+    """(kind, field) of each probe: 30 rough, then 3 Gaussian."""
     rng = np.random.default_rng(42)
     for _ in range(30):
-        yield random_real_field(GRID, rng, spectral_decay=1.0)
+        yield "rough", random_real_field(GRID, rng, spectral_decay=1.0)
     for width in (0.5, 1.0, 2.0):
-        yield SpectralField.from_function(
+        yield "Gaussian", SpectralField.from_function(
             GRID, lambda x, w=width: np.exp(-((x / w) ** 2)))
 
 
-def _bilinear_ratio(phi, T: float) -> tuple[float, float]:
-    """The probe's ratio, and the worst aliasing tail fraction of its
-    stack's products (0.0 when every product is within the budget)."""
-    times = chebyshev_nodes(T, 16)
+def _bilinear_ratio(phi, T: float) -> tuple[float, float, int]:
+    """The probe's ratio, the worst aliasing tail fraction of its stack's
+    products (0.0 when every product is within the budget), and how many
+    of its integrals fail node doubling."""
+    times = chebyshev_nodes(T, PANELS)
     states = [semigroup_apply(phi, t, PARAMS) for t in times]
     traj = Trajectory(times, states, PARAMS)
     sup_lin = max(l2_norm(u) for u in states)
@@ -67,14 +78,22 @@ def _bilinear_ratio(phi, T: float) -> tuple[float, float]:
                       for t in times[1:])
     worst = max((w.message.fraction for w in caught
                  if issubclass(w.category, AliasingBudgetWarning)), default=0.0)
-    return sup_duh / (T ** 0.25 * sup_lin ** 2), worst
+    failed = 0
+    for t in times[1:]:
+        try:
+            duhamel_integral(traj, t, check=True)
+        except QuadratureConvergenceError:
+            failed += 1
+    return sup_duh / (T ** 0.25 * sup_lin ** 2), worst, failed
 
 
 def main() -> int:
-    probes = [_bilinear_ratio(phi, T) for phi in _probes() for T in HORIZONS]
-    ratios = [ratio for ratio, _ in probes]
-    over = [worst for _, worst in probes if worst > 0.0]
-    resolved = [ratio for ratio, worst in probes if worst == 0.0]
+    probes = [(kind, *_bilinear_ratio(phi, T)) for kind, phi in _probes() for T in HORIZONS]
+    ratios = [ratio for _, ratio, _, _ in probes]
+    over = [worst for _, _, worst, _ in probes if worst > 0.0]
+    resolved = [ratio for _, ratio, worst, _ in probes if worst == 0.0]
+    doubling = {kind: [failed for k, _, _, failed in probes if k == kind]
+                for kind in ("rough", "Gaussian")}
     measured = max(ratios)
     proposed = SAFETY * measured
     print("bilinear Duhamel constant (s=0, eta=1)")
@@ -83,6 +102,9 @@ def main() -> int:
     print(f"  aliasing budget exceeded on {len(over)} of {len(probes)} stacks "
           f"(worst fraction {max(over, default=0.0):.2e}); the "
           f"{len(resolved)} resolved give max {max(resolved, default=np.nan):.4f}")
+    n_fail = sum(sum(failed) for failed in doubling.values())
+    print(f"  node doubling fails on {n_fail} of {PANELS * len(probes)} integrals: " + ", ".join(
+        f"{sum(failed)} of {PANELS * len(failed)} {kind}" for kind, failed in doubling.items()))
     print(f"  with {SAFETY:g}x safety: {proposed:.4f}; frozen C_CONTRACTION = "
           f"{C_CONTRACTION}")
 

@@ -50,18 +50,16 @@ NUMERICAL_ERRORS = (SolverBlowupError, PicardError, QuadratureConvergenceError,
 
 
 def _apply_quick(cfg: RunConfig) -> RunConfig:
-    """A copy of `cfg` scaled down ~4x for CI, validated again on the
-    smaller grid; `cfg` itself is left as it is.  The grid shrinks to a
-    quarter but not below M = 256 (a smaller grid keeps its size), except
-    for smoothing, whose t -> 0 asymptotics need the full band, and decay,
-    whose Yacasi residual needs M = 1024 (2e-5 at 256, tolerance 1e-8)."""
+    """A copy of `cfg` scaled down ~4x for CI (`cfg` is left as it is): the
+    grid shrinks to a quarter but not below M = 256 (a smaller grid keeps its
+    size), except for smoothing, whose t -> 0 asymptotics need the full band,
+    and decay, whose Yacasi residual needs M = 1024 (2e-5 at 256, tol 1e-8)."""
     M = cfg.grid_M
     if cfg.experiment not in ("smoothing", "decay"):
         M = min(M, max(256, M // 4))
     quick = replace(cfg, grid_M=M,
                     solver_T=max(cfg.solver_T / 4.0, 10.0 * cfg.solver_dt),
                     illposed_N=tuple(cfg.illposed_N[:4]))
-    validate(quick)
     return quick
 
 
@@ -204,8 +202,9 @@ def run_experiment(cfg: RunConfig, out_dir: str, quick: bool = False) -> int:
     try:
         if quick:
             cfg = _apply_quick(cfg)
+        validate(cfg)  # again: on the --quick grid, and with the experiment run
         reports = _RUNNERS[cfg.experiment](cfg)
-    except (CflError, ConfigError) as exc:  # found by --quick, or as the run builds or steps
+    except (CflError, ConfigError) as exc:  # found by validate, or as the run builds or steps
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except (*NUMERICAL_ERRORS, FitError) as exc:
@@ -237,10 +236,10 @@ def run_experiment(cfg: RunConfig, out_dir: str, quick: bool = False) -> int:
     }
     with open(os.path.join(out_dir, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
-    detail = "; ".join(
-        f"{r.name}: " + ", ".join(
-            f"{k}={v:.4g}" if isinstance(v, float) else f"{k}={v}"
-            for k, v in sorted(r.summary.items()) if k != "passed")
+    detail = "; ".join(f"{r.name}: " + ", ".join(
+        f"{k}={v:.4g}" if isinstance(v, float) else f"{k}={v}"
+        for k, v in ([kv for kv in sorted(r.summary.items()) if kv[0] != "passed"]
+                     or [kv for row in r.rows for kv in zip(r.columns, row)]))
         for r in reports) or "ok"
     print(f"[{'PASS' if passed else 'FAIL'}] {cfg.experiment}: {detail}")
     return 0 if passed else 1

@@ -15,7 +15,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .core import EquationParams, Grid, SpectralField, from_values_stack, random_real_field
-from .flowderiv import IllposedData, band_centers
+from .flowderiv import growth_bands, illposed_grid_shape
 from .limits import check_sweep_values
 from .solver import SolverConfig
 from .spaces import sobolev_norm
@@ -172,9 +172,16 @@ def validate(cfg: RunConfig):
         _owned("data", lambda: SpectralField.single_mode(grid, cfg.data_mode))
     if cfg.data_width <= 0:
         raise ConfigError(f"data.width must be positive, got {cfg.data_width}")
-    for N in _owned("illposed", lambda: band_centers(cfg.illposed_N)):
-        _owned("illposed", lambda: IllposedData(N=N, epsilon=cfg.illposed_epsilon,
-                                                gamma=cfg.illposed_epsilon * N, s=cfg.illposed_s))
+    sweep = "c2nd" if cfg.experiment == "illposed-c2nd" else "c3"  # c3's rule for the rest
+    sizes = [_owned("illposed", lambda: illposed_grid_shape(*band)[1]) for band in _owned(
+        "illposed", lambda: growth_bands(sweep, cfg.illposed_s, cfg.illposed_epsilon,
+                                         cfg.illposed_N))]
+    held = 112 * sum(sizes)  # bytes a sweep holds per grid point (tracemalloc, M = 2^16-2^21)
+    if cfg.experiment.startswith("illposed-") and held > memory:  # before any grid is built
+        raise ConfigError(f"illposed.epsilon = {cfg.illposed_epsilon} and illposed.N up to "
+                          f"{cfg.illposed_N[-1]:g} need grids of up to M = {max(sizes)} points "
+                          f"({held / 2**30:.3g} GiB), more than the {memory / 2**30:.3g} GiB of "
+                          f"physical memory; raise illposed.epsilon or lower illposed.N")
     if not 0 < cfg.smoothing_t_min < cfg.smoothing_t_max:
         raise ConfigError(f"need 0 < smoothing.t_min < smoothing.t_max, got "
                           f"t_min={cfg.smoothing_t_min}, t_max={cfg.smoothing_t_max}")

@@ -80,7 +80,12 @@ class Grid:
 
     @property
     def xi_max(self) -> float:
-        return np.pi * (self.nyquist - 1) / self.L
+        return self.xi_max_of(self.L, self.M)
+
+    @staticmethod
+    def xi_max_of(L: float, M: int) -> float:
+        """The largest frequency that Grid(L, M) represents, without building it."""
+        return np.pi * (M // 2 - 1) / L
 
     def mode_index(self, n):
         """fft-order storage index of integer mode number n."""
@@ -242,9 +247,9 @@ def semigroup_half(grid: Grid, times, params: EquationParams) -> np.ndarray:
     return np.exp(np.multiply.outer(times, linear_symbol(grid.xi[:grid.nyquist], params)))
 
 
-def hermitian_sums(grid: Grid, operators, samples: np.ndarray) -> np.ndarray:
-    """The (len(operators), M) spectra sum_j W[j] G[j], one per (K, M/2)
-    operator W on the non-negative modes 0..M/2-1 (real-weighted sums of
+def hermitian_sums(grid: Grid, operators: np.ndarray, samples: np.ndarray) -> np.ndarray:
+    """The (R, M) spectra sum_j W[j] G[j], one per row W of the (R, K, M/2)
+    `operators` on the non-negative modes 0..M/2-1 (real-weighted sums of
     `semigroup_half` rows), with G the (K, M) `samples`.  Each sum is
     formed on the non-negative half of G and mirrored, each negative mode
     the conjugate of its partner and the Nyquist slot zero, so it is

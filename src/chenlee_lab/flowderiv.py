@@ -139,16 +139,33 @@ class IllposedData:
         return float(self.N) ** (-self.s) / np.sqrt(self.gamma)
 
 
+def growth_bands(sweep: str, s: float, epsilon: float, N_list) -> list:
+    """(datum, xi_factor) at each N (`band_centers`) of the growth sweep "c3"
+    (gamma = epsilon N) or "c2nd" (gamma = N^(1 - epsilon), grids to 2.5 N)."""
+    Ns = band_centers(N_list)
+    if sweep == "c3":
+        return [(IllposedData(N=N, epsilon=epsilon, gamma=epsilon * N, s=s), 2.0) for N in Ns]
+    return [(IllposedData(N=N, epsilon=epsilon, gamma=N ** (1.0 - epsilon), s=s), 2.5) for N in Ns]
+
+
+def illposed_grid_shape(d: IllposedData, xi_factor: float = 2.0) -> tuple:
+    """(L, M) of `illposed_grid(d, xi_factor)` by arithmetic, no grid built;
+    ValueError where no M that a float can hold reaches the band."""
+    L, xi_need = np.pi / (2.0 * d.gamma / 32), xi_factor * d.N + 8.0 * d.gamma
+    if not np.isfinite(xi_need * L):
+        raise ValueError(f"N = {d.N:g} with gamma = {d.gamma:g} needs more grid points "
+                         f"than a float holds")
+    M = 8
+    while Grid.xi_max_of(L, M) < xi_need:
+        M *= 2
+    return L, M
+
+
 def illposed_grid(d: IllposedData, xi_factor: float = 2.0) -> Grid:
     """Grid resolving the band [N, N + 2 gamma] with 32 frequencies and
     covering |xi| up to xi_factor*N + 8 gamma (room for the convolution
-    lookups)."""
-    L = np.pi / (2.0 * d.gamma / 32)
-    xi_need = xi_factor * d.N + 8.0 * d.gamma
-    grid = Grid(L, 8)
-    while grid.xi_max < xi_need:
-        grid = Grid(L, 2 * grid.M)
-    return grid
+    lookups): the least power of two M >= 8 that does."""
+    return Grid(*illposed_grid_shape(d, xi_factor))
 
 
 def build_illposed_datum(d: IllposedData, grid: Grid) -> SpectralField:
@@ -302,16 +319,14 @@ def illposed_growth_c3(s: float, epsilon: float, N_list, params: EquationParams,
     """Growth of ||u3(t_N)||_{H^s} vs N for band data with gamma = eps*N;
     target log-log slope -2s - 1 - 2*eps (positive for s < -1/2: no C^3
     data-to-solution map)."""
-    N_list = band_centers(N_list)
     target = -2.0 * s - 1.0 - 2.0 * epsilon
     report = ExperimentReport("illposed_c3", list(REPORT_COLUMNS))
-    for N in N_list:
-        d = IllposedData(N=N, epsilon=epsilon, gamma=epsilon * N, s=s)
-        grid = illposed_grid(d)
+    for d, xi_factor in growth_bands("c3", s, epsilon, N_list):
+        grid = illposed_grid(d, xi_factor)
         phi = build_illposed_datum(d, grid)
-        window = (N + 3.0 * d.gamma, N + 4.0 * d.gamma)
+        window = (d.N + 3.0 * d.gamma, d.N + 4.0 * d.gamma)
         u3 = third_term(phi, d.t_N, params, window=window)
-        report.add_row(int(N), d.gamma, d.t_N, u3.hs_norm(s), target, np.nan)
+        report.add_row(int(d.N), d.gamma, d.t_N, u3.hs_norm(s), target, np.nan)
     return _finish_report(report, target, tol)
 
 
@@ -320,23 +335,20 @@ def illposed_growth_c2_nd(s: float, epsilon: float, N_list, eta: float,
     """Non-dispersive (beta=0) growth of ||u2(t_N)||_{H^s} vs N with
     gamma = N^{1-eps} and output window [2N, 2N+4 gamma]; target slope
     (-2s - 1 - 3*eps)/2."""
-    N_list = band_centers(N_list)
     params = EquationParams(beta=0.0, eta=eta)
     target = (-2.0 * s - 1.0 - 3.0 * epsilon) / 2.0
     report = ExperimentReport("illposed_c2_nd", list(REPORT_COLUMNS))
     lam_ratios, exp_floors = [], []
-    for N in N_list:
-        gamma = N ** (1.0 - epsilon)
-        d = IllposedData(N=N, epsilon=epsilon, gamma=gamma, s=s)
-        grid = illposed_grid(d, xi_factor=2.5)
+    for d, xi_factor in growth_bands("c2nd", s, epsilon, N_list):
+        grid = illposed_grid(d, xi_factor)
         phi = build_illposed_datum(d, grid)
-        window = (2.0 * N, 2.0 * N + 4.0 * gamma)
+        window = (2.0 * d.N, 2.0 * d.N + 4.0 * d.gamma)
         u2 = second_term(phi, d.t_N, params, window=window)
-        report.add_row(int(N), gamma, d.t_N, u2.hs_norm(s), target, np.nan)
+        report.add_row(int(d.N), d.gamma, d.t_N, u2.hs_norm(s), target, np.nan)
         # resonance scale lambda ~ eta N^2 on interacting pairs
-        xi1 = np.linspace(N, N + 2.0 * gamma, 8)
+        xi1 = np.linspace(d.N, d.N + 2.0 * d.gamma, 8)
         lam = np.abs(lambda_nd(2.0 * xi1, xi1, eta))
-        lam_ratios.extend((lam / (eta * N * N)).tolist())
+        lam_ratios.extend((lam / (eta * d.N * d.N)).tolist())
         # dissipative factor stays bounded below on the output window
         xi_w = np.linspace(*window, 8)
         exp_floors.append(float(np.min(np.exp(eta * (np.abs(xi_w) - xi_w ** 2) * d.t_N))))

@@ -4,7 +4,8 @@ Two independent routes to u(t) = S(t) phi - int_0^t S(t-t') [u u_x](t') dt':
 
 * `solve_picard` iterates the Duhamel map on Chebyshev-spaced time nodes
   (the contraction-mapping construction, valid for small data / short T)
-  with the map a fixed Duhamel operator on the nonlinearity at the nodes;
+  with the map the node set's Duhamel operator array (`_node_operators`),
+  whose row at a node is every Duhamel integral taken there;
 * `solve_stepper` is an integrating-factor RK4 production stepper (exact
   linear multiplier, classical RK4 on the transformed nonlinearity, and
   S(t) phi unstepped for a linear run); `solve_stepper_stack` steps
@@ -151,14 +152,18 @@ class Trajectory:
 
     @functools.cached_property
     def node_integrals(self) -> np.ndarray:
-        """Read-only (K-1, M) stack whose row k-1 is `duhamel_integral` at
-        times[k] without node doubling, for every node after t = 0: one
-        `hermitian_sums` of the node set's memoized operators on
-        `nonlinear_samples`, after one Lebesgue guard, and checked finite
-        once (else ValueError)."""
-        operators, lebesgue = _node_operators(self.grid, self.params,
-                                              tuple(self.times.tolist()))
-        _lebesgue_guard(lebesgue, self.times.size)
+        """Read-only (K-1, M) stack of `duhamel_integral` at times[1:] without
+        node doubling: the node set's memoized operators' `hermitian_sums` on
+        `nonlinear_samples`, checked finite (else ValueError)."""
+        return self._integrals(_node_operators, _QUAD_NODES)
+
+    @functools.cached_property
+    def _doubled_integrals(self) -> np.ndarray:
+        """`node_integrals` with twice the nodes per panel, outside the memo."""
+        return self._integrals(_node_operators.__wrapped__, 2 * _QUAD_NODES)
+
+    def _integrals(self, build, n_nodes: int) -> np.ndarray:
+        operators = build(self.grid, self.params, tuple(self.times.tolist()), n_nodes)
         c = hermitian_sums(self.grid, operators, self.nonlinear_samples)
         if not np.isfinite(c.view(np.float64)).all():
             raise ValueError("non-finite Fourier coefficients")
@@ -240,89 +245,60 @@ def _lagrange_matrix(nodes: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return np.where(on_node.any(axis=1, keepdims=True), on_node, L)
 
 
-def _duhamel_operator(grid: Grid, params: EquationParams, nodes, t: float,
-                      n_nodes: int):
-    """(W, Lebesgue constant), W read-only.  W[j] = sum_q w_q l_j(tau_q)
-    E(t - tau_q), E the multiplier of S for (grid, params): sum_j W[j] G_j
-    is int_0^t S(t-tau) G(tau) dtau for G interpolating samples G_j at the
-    node times `nodes`, by composite Gauss-Legendre (`n_nodes` per panel of
-    length `_PANEL_LENGTH`).  W is the (K, M/2) half on the non-negative
-    modes (`semigroup_half`), which core's `hermitian_sums` applies and
-    mirrors.  The Lebesgue constant max_q sum_j |l_j(tau_q)| over the
-    rule's points bounds how much interpolation amplifies rounding."""
-    n_panels = max(1, int(np.ceil(t / _PANEL_LENGTH)))
-    x, w = _gauss_legendre(n_nodes)
-    edges = np.linspace(0.0, t, n_panels + 1)
-    half = 0.5 * np.diff(edges)[:, None]
-    tau = (half * x + 0.5 * (edges[:-1] + edges[1:])[:, None]).ravel()
-    wq = (half * w).ravel()
-    L = _lagrange_matrix(np.array(nodes), tau)
-    W = (wq[:, None] * L).T @ semigroup_half(grid, t - tau, params)
-    W.flags.writeable = False
-    return W, float(np.abs(L).sum(axis=1).max())
-
-
 @functools.lru_cache(maxsize=4)
-def _node_operators(grid: Grid, params: EquationParams, nodes: tuple):
-    """(operators, Lebesgue constant) of the node times `nodes`: the
-    `_duhamel_operator` of every node after t = 0 with `_QUAD_NODES` nodes
-    per panel, each its own read-only (K, M/2) array, and the largest of
-    their Lebesgue constants; built once per key, as every hit shares it.
-    4 entries hold the 3 node sets of the C_CONTRACTION probe sweep (one
-    per horizon, visited in turn) plus one Picard solve's: 64 operators."""
-    built = [_duhamel_operator(grid, params, nodes, t, _QUAD_NODES) for t in nodes[1:]]
-    return tuple(W for W, _ in built), max(lebesgue for _, lebesgue in built)
-
-
-def _lebesgue_guard(lebesgue: float, n_nodes: int):
+def _node_operators(grid: Grid, params: EquationParams, nodes: tuple,
+                    n_nodes: int) -> np.ndarray:
+    """Read-only (K-1, K, M/2) array of the K node times `nodes` (0 first)
+    whose row k-1 is the W with sum_j W[j] G_j = int_0^t S(t-tau) G(tau) dtau
+    at t = nodes[k], G interpolating samples G_j at the nodes, by composite
+    Gauss-Legendre (`n_nodes` per panel of length `_PANEL_LENGTH`) on the
+    non-negative modes (`semigroup_half`), which `hermitian_sums` mirrors.
+    ValueError where eps times the largest Lebesgue constant max_q sum_j
+    |l_j(tau_q)|, which bounds how interpolation amplifies rounding, exceeds
+    `_QUAD_TOL`, so nothing refused is stored.  The 4 entries, shared by
+    every hit, hold the C_CONTRACTION probes' 3 node sets and a Picard
+    solve's; `__wrapped__` builds without storing."""
+    x, w = _gauss_legendre(n_nodes)
+    ops = np.empty((len(nodes) - 1, len(nodes), grid.band(grid.xi >= 0).size), complex)
+    lebesgue = 0.0
+    for W, t in zip(ops, nodes[1:]):
+        edges = np.linspace(0.0, t, max(1, int(np.ceil(t / _PANEL_LENGTH))) + 1)
+        half = 0.5 * np.diff(edges)[:, None]
+        tau = (half * x + 0.5 * (edges[:-1] + edges[1:])[:, None]).ravel()
+        L = _lagrange_matrix(np.array(nodes), tau)
+        np.matmul(((half * w).ravel()[:, None] * L).T, semigroup_half(grid, t - tau, params), out=W)
+        lebesgue = max(lebesgue, float(np.abs(L).sum(axis=1).max()))
     if _EPS * lebesgue > _QUAD_TOL:
-        raise ValueError(
-            f"interpolation in time through {n_nodes} nodes has Lebesgue "
-            f"constant {lebesgue:.2e}; rounding in the samples would exceed "
-            f"tol {_QUAD_TOL:.1e} (use fewer or Chebyshev-spaced nodes)")
+        raise ValueError(f"interpolation in time through {len(nodes)} nodes has Lebesgue "
+                         f"constant {lebesgue:.2e}; rounding in the samples would exceed "
+                         f"tol {_QUAD_TOL:.1e} (use fewer or Chebyshev-spaced nodes)")
+    ops.flags.writeable = False
+    return ops
 
 
 def duhamel_integral(traj_segment: Trajectory, t: float, check: bool = True) -> SpectralField:
-    """int_0^t S(t - t') [u u_x](t') dt' evaluated from a stored trajectory.
-
-    The nonlinearity, sampled once per trajectory at its nodes, is
-    interpolated in time and integrated by composite Gauss-Legendre with the
-    exact semigroup multiplier, as one weight operator: `_QUAD_NODES` nodes
-    per panel of length `_PANEL_LENGTH`.  At a node time without `check`
-    this is a read-only row of the trajectory's `node_integrals`, formed
-    once for all its nodes.  Nodes whose Lebesgue constant times machine
-    epsilon exceeds `_QUAD_TOL` (many equispaced nodes) raise ValueError.
-    With `check`, the node count is doubled and a relative change above
-    `_QUAD_TOL` raises QuadratureConvergenceError; that check and a time
-    between the nodes build their operators here, unmemoized.
-    """
-    times = traj_segment.times
-    if not (times[0] <= t <= times[-1] + 1e-12):
-        raise ValueError(f"t={t} outside trajectory range")
-    grid = traj_segment.grid
-    params = traj_segment.params
-    if not params.nonlinear or t == 0.0:
-        return SpectralField.zero(grid)  # linear flow or empty interval
-    row = traj_segment._node_rows.get(float(t))
-    if row is not None and not check:
-        return SpectralField(grid, traj_segment.node_integrals[row], check=False)
-
-    def integral(n_nodes):
-        W, lebesgue = _duhamel_operator(grid, params, times, float(t), n_nodes)
-        _lebesgue_guard(lebesgue, times.size)
-        return hermitian_sums(grid, [W], traj_segment.nonlinear_samples)[0]
-
-    val = integral(_QUAD_NODES)
-    if check:
-        val2 = integral(2 * _QUAD_NODES)
-        scale = max(np.linalg.norm(val2), 1e-300)
-        err = np.linalg.norm(val2 - val) / scale
-        if err > _QUAD_TOL:
-            raise QuadratureConvergenceError(
-                f"node doubling changed the Duhamel integral by {err:.3e} (tol {_QUAD_TOL:.1e})"
-            )
-        val = val2
-    return SpectralField(grid, val)
+    """int_0^t S(t - t') [u u_x](t') dt' from a stored trajectory, at t = 0
+    or one of its node times (else ValueError): a read-only row of its
+    `node_integrals`, which interpolate the nonlinearity's samples in time
+    and integrate them with the exact semigroup by `_QUAD_NODES`
+    Gauss-Legendre nodes per panel of length `_PANEL_LENGTH`.  With `check`,
+    the row with twice the nodes per panel, formed once per trajectory too;
+    QuadratureConvergenceError where it is more than `_QUAD_TOL` away."""
+    row, times = traj_segment._node_rows.get(float(t)), traj_segment.times
+    if row is None and t != 0.0:
+        raise ValueError(f"t={t} is not 0 or a node time of the trajectory "
+                         f"(its {times.size} nodes run from 0 to {times[-1]})")
+    if row is None or not traj_segment.params.nonlinear:
+        return SpectralField.zero(traj_segment.grid)  # empty interval or linear flow
+    if not check:
+        return SpectralField(traj_segment.grid, traj_segment.node_integrals[row], check=False)
+    doubled = traj_segment._doubled_integrals[row]  # first, so its guard speaks for the check
+    err = (np.linalg.norm(doubled - traj_segment.node_integrals[row])
+           / max(np.linalg.norm(doubled), 1e-300))
+    if err > _QUAD_TOL:
+        raise QuadratureConvergenceError(
+            f"node doubling changed the Duhamel integral by {err:.3e} (tol {_QUAD_TOL:.1e})")
+    return SpectralField(traj_segment.grid, doubled, check=False)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +321,7 @@ def solve_picard(phi: SpectralField, params: EquationParams, config: SolverConfi
     np.multiply(phi.coeffs, lin, out=lin)  # semigroup_apply's operands, phi-hat * E
     # the memoized operators of the node set, one per node after t = 0; the
     # map's product-sums are the iterate's node_integrals, bitwise
-    Ws = _node_operators(grid, params, tuple(times.tolist()))[0]
+    Ws = _node_operators(grid, params, tuple(times.tolist()), _QUAD_NODES)
 
     def apply_map(u_mat: np.ndarray) -> np.ndarray:
         out = lin.copy()

@@ -1,7 +1,7 @@
 """Smoke test of scripts/calibrate.py: it runs, its C_CONTRACTION probes
 reproduce the measured maximum 0.196 behind the frozen constant, and it
-reports the probe stacks over the aliasing budget instead of silencing
-them."""
+reports the probe stacks over the aliasing budget and the integrals that
+fail node doubling instead of silencing them."""
 import os
 import pathlib
 import subprocess
@@ -19,3 +19,5 @@ def test_calibrate_script_reproduces_contraction_maximum():
     # 90 rough probe stacks are under-resolved; the maximum is a resolved one's
     assert ("aliasing budget exceeded on 90 of 99 stacks (worst fraction 1.43e-03); "
             "the 9 resolved give max 0.1961") in proc.stdout
+    assert ("node doubling fails on 1204 of 1584 integrals: 1170 of 1440 rough, "
+            "34 of 144 Gaussian") in proc.stdout

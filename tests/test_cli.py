@@ -337,3 +337,16 @@ def test_quick_leaves_the_callers_config_alone(tmp_path):
         echoes.append(json.loads((tmp_path / name / "manifest.json").read_text())["config"])
     assert echoes[0] == echoes[1] and echoes[0]["solver.T"] == 0.05
     assert config_echo(cfg) == before
+
+
+def test_contraction_verdict_line_gives_its_figures(tmp_path, capsys):
+    # contraction's summary is its verdict alone, so its line gives the
+    # report row's figures by column name, .4g like every summary figure,
+    # as contraction.csv writes them
+    cfg = parse_config((RUN_ALL.CONFIG_DIR / "contraction.cfg").read_text())
+    assert run_experiment(cfg, str(tmp_path)) == 0
+    header, row = (tmp_path / "contraction.csv").read_text().splitlines()[:2]
+    figures = ", ".join(f"{k}={float(v):.4g}" if "." in v else f"{k}={v}"
+                        for k, v in zip(header.split(","), row.split(",")))
+    assert figures.startswith("T=1, iterations=3, max_ratio=0.0002674, residual=")
+    assert capsys.readouterr().out == f"[PASS] contraction: contraction: {figures}\n"

@@ -3,6 +3,7 @@ with a message naming the key, before any experiment runs."""
 import json
 import pathlib
 import re
+import time
 
 import numpy as np
 import pytest
@@ -135,6 +136,44 @@ def test_kept_states_beyond_physical_memory_are_a_config_error(monkeypatch):
     monkeypatch.setattr(config, "_physical_memory", lambda: float(kept_bytes - 1))
     with pytest.raises(ConfigError, match=r"keep 251 states of grid\.M = 4096.*solver\.keep_every"):
         validate(config.RunConfig())
+
+
+@pytest.mark.parametrize("experiment, lines, M", [
+    # c3's grids grow like 1/epsilon, c2nd's like N^epsilon
+    ("illposed-c3", "illposed.epsilon = 1e-9", 2 ** 36),
+    ("illposed-c2nd", "illposed.epsilon = 0.9\nillposed.N = 64, 1e10, 1e20, 1e30", 2 ** 97),
+])
+def test_growth_sweep_beyond_physical_memory_exits_2(experiment, lines, M, tmp_path, capsys):
+    # the sweep's grid sizes are found by arithmetic and refused before any
+    # grid is built: through parse_config where the config names the
+    # experiment, and through the run's own validation where only the
+    # command line does
+    message = (rf"illposed\.epsilon = [\de.+-]+ and illposed\.N up to [\de.+-]+ need grids "
+               rf"of up to M = {M} points \([\de.+]+ GiB\), more than .* physical memory")
+    with pytest.raises(ConfigError, match=message):
+        parse_config(f"experiment = {experiment}\n{lines}\n")
+    path = tmp_path / "big.cfg"
+    path.write_text(lines + "\n")
+    start = time.perf_counter()
+    rc = main([experiment, "--config", str(path), "--out", str(tmp_path / "out")])
+    assert time.perf_counter() - start < 0.1
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and re.search(message, err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_growth_sweep_memory_counts_every_grid(monkeypatch):
+    # the tuned c3 sweep's five grids of 1024 points hold 112 bytes per
+    # point at most: refused only below that (a short solver.T keeps the
+    # unused trajectory estimate below it)
+    cfg = parse_config((CONFIGS / "illposed-c3.cfg").read_text() + "solver.T = 0.01\n")
+    held = 112 * 5 * 1024
+    monkeypatch.setattr(config, "_physical_memory", lambda: float(held))
+    validate(cfg)
+    monkeypatch.setattr(config, "_physical_memory", lambda: float(held - 1))
+    with pytest.raises(ConfigError, match="up to M = 1024 points"):
+        validate(cfg)
 
 
 def test_kept_states_are_checked_against_this_machines_memory():

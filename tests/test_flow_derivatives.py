@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chenlee_lab.config import parse_config
+from chenlee_lab.cli import _apply_quick
 from chenlee_lab.core import (
     EquationParams,
+    Grid,
     SpectralField,
     semigroup_apply,
     symbol_p,
@@ -18,7 +20,9 @@ from chenlee_lab.core import (
 from chenlee_lab.flowderiv import (
     IllposedData,
     build_illposed_datum,
+    growth_bands,
     illposed_grid,
+    illposed_grid_shape,
     illposed_growth_c2_nd,
     illposed_growth_c3,
     kern,
@@ -154,6 +158,42 @@ def test_illposed_grid_and_datum():
     assert np.all(np.abs(phi.coeffs[in_band & (np.arange(g.M) != g.M // 2)]
                          - d.amplitude) <= 1e-12 * d.amplitude)
     assert np.abs(phi.coeffs[~in_band]).max() == 0.0
+
+
+def _doubled_grid(d, xi_factor):
+    # illposed_grid as it was: from M = 8, double until xi_max covers
+    # xi_factor*N + 8 gamma, building each grid
+    grid = Grid(np.pi / (2.0 * d.gamma / 32), 8)
+    while grid.xi_max < xi_factor * d.N + 8.0 * d.gamma:
+        grid = Grid(grid.L, 2 * grid.M)
+    return grid
+
+
+@pytest.mark.parametrize("quick", [False, True])
+@pytest.mark.parametrize("name", ["illposed-c3", "illposed-c2nd"])
+def test_tuned_sweep_grids_are_the_doubling_loops(name, quick):
+    # the grid size found by arithmetic is the doubling loop's, at every N
+    # of both tuned configs, full and --quick, so the sweeps' grids and
+    # arrays are as they were
+    cfg = parse_config((CONFIGS / f"{name}.cfg").read_text())
+    cfg = _apply_quick(cfg) if quick else cfg
+    for d, xi_factor in growth_bands(name.removeprefix("illposed-"), cfg.illposed_s,
+                                     cfg.illposed_epsilon, cfg.illposed_N):
+        assert illposed_grid(d, xi_factor) == _doubled_grid(d, xi_factor), d.N
+
+
+@given(N=st.floats(32.0, 1e4), epsilon=st.floats(0.01, 0.99),
+       xi_factor=st.sampled_from([2.0, 2.5]))
+@settings(max_examples=50, deadline=None)
+def test_grid_size_is_the_doubling_loops(N, epsilon, xi_factor):
+    d = IllposedData(N=N, epsilon=epsilon, gamma=N ** (1.0 - epsilon), s=-0.8)
+    assert illposed_grid_shape(d, xi_factor)[1] == _doubled_grid(d, xi_factor).M
+
+
+def test_grid_size_past_a_float_is_refused():
+    # the box 16 pi / gamma overflows: no grid reaches the band
+    with pytest.raises(ValueError, match="needs more grid points than a float holds"):
+        illposed_grid_shape(IllposedData(N=64.0, epsilon=1e-320, gamma=6.4e-319, s=-0.8))
 
 
 def test_datum_requires_resolved_band():

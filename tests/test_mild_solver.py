@@ -672,6 +672,21 @@ def test_duhamel_range_check():
         duhamel_integral(traj, 0.5)
 
 
+@pytest.mark.parametrize("check", [False, True])
+def test_duhamel_integral_is_taken_at_node_times_only(check):
+    # the integral is a row of the node set's integrals: t = 0 and every
+    # node time are accepted, a time between two nodes is refused with the
+    # node range named, on a linear flow too
+    for params in (PARAMS, LINEAR):
+        traj = _probe_trajectory(_gaussian(0.5), 0.5, params)
+        assert l2_norm(duhamel_integral(traj, 0.0, check=check)) == 0.0
+        duhamel_integral(traj, traj.times[-1], check=check)
+        for t in (0.5 * (traj.times[7] + traj.times[8]), np.nextafter(traj.times[-1], 0.0)):
+            with pytest.raises(ValueError, match=r"not 0 or a node time of the trajectory "
+                                                 r"\(its 17 nodes run from 0 to 0\.5\)"):
+                duhamel_integral(traj, t, check=check)
+
+
 def test_duhamel_rejects_too_many_nodes():
     # polynomial interpolation through 41 equispaced nodes is not trusted
     traj = solve_stepper(_gaussian(0.1), PARAMS, SolverConfig(dt=1e-3, T=0.04))
@@ -681,19 +696,32 @@ def test_duhamel_rejects_too_many_nodes():
 
 
 def test_duhamel_rejects_40_equispaced_nodes():
-    # 40 equispaced nodes: Lebesgue constant about 1.3e9 on the Gauss points
-    # of the last node's rule, and up to 2.4e9 on those of the others, so
-    # rounding in the samples is amplified past the 1e-8 tolerance.  The
-    # node-time integrals are guarded once, by the node set's largest
-    # constant; node doubling builds the one node's operators and guards
-    # them by their own
+    # 40 equispaced nodes: Lebesgue constant up to 2.4e9 on the Gauss points
+    # of the nodes' rules, so rounding in the samples is amplified past the
+    # 1e-8 tolerance.  Each node set is guarded once, by its largest
+    # constant: 2.4212e9 with 10 nodes per panel, and 2.4220e9 with the 20
+    # of node doubling, whose set is built first
     times = 1e-3 * np.arange(40)
     phi = _gaussian(0.1)
     traj = Trajectory(times, [semigroup_apply(phi, t, PARAMS) for t in times], PARAMS)
     with pytest.raises(ValueError, match=r"40 nodes has Lebesgue constant 2\.4\de\+09"):
         duhamel_integral(traj, times[-1], check=False)
-    with pytest.raises(ValueError, match=r"40 nodes has Lebesgue constant 1\.\d+e\+09"):
+    with pytest.raises(ValueError, match=r"40 nodes has Lebesgue constant 2\.42e\+09"):
         duhamel_integral(traj, times[-1])
+
+
+def test_refused_node_set_leaves_no_memo_entry():
+    # the builder raises the Lebesgue guard itself, so the memo stores no
+    # refused set: asking again builds it again
+    times = 1e-3 * np.arange(40)
+    traj = Trajectory(times, [semigroup_apply(_gaussian(0.1), t, PARAMS) for t in times],
+                      PARAMS)
+    for _ in range(2):
+        info = solver._node_operators.cache_info()
+        with pytest.raises(ValueError, match="Lebesgue constant"):
+            traj.node_integrals
+        assert solver._node_operators.cache_info().misses == info.misses + 1
+        assert solver._node_operators.cache_info().currsize == info.currsize
 
 
 @pytest.mark.parametrize("nodes", [chebyshev_nodes(1.0, 16), 0.01 * np.arange(26)],
@@ -717,11 +745,11 @@ def test_lagrange_matrix_unit_row_on_node():
     assert np.array_equal(_lagrange_matrix(nodes, nodes[rows]), np.eye(17)[rows])
 
 
-def _probe_trajectory(phi, T):
+def _probe_trajectory(phi, T, params=PARAMS):
     # C_CONTRACTION's probe (scripts/calibrate.py): the linear flow at 17
     # Chebyshev nodes on [0, T]
     times = chebyshev_nodes(T, 16)
-    return Trajectory(times, [semigroup_apply(phi, t, PARAMS) for t in times], PARAMS)
+    return Trajectory(times, [semigroup_apply(phi, t, params) for t in times], params)
 
 
 def test_duhamel_samples_nonlinearity_once(monkeypatch):
@@ -756,8 +784,8 @@ def test_gaussian_probe_ratios_are_converged_in_the_rule(width):
         sup_lin = max(l2_norm(u) for u in traj.states)
 
         def ratio(n_nodes):
-            W = [solver._duhamel_operator(GRID, PARAMS, traj.times, float(t), n_nodes)[0]
-                 for t in traj.times[1:]]
+            W = solver._node_operators.__wrapped__(GRID, PARAMS, tuple(traj.times.tolist()),
+                                                   n_nodes)
             sums = core.hermitian_sums(GRID, W, traj.nonlinear_samples)
             return sobolev_norm_stack(GRID, sums, 0.0).max() / (T ** 0.25 * sup_lin ** 2)
 
@@ -789,21 +817,17 @@ def test_nonlinear_samples_match_per_state_term():
 
 
 def test_duhamel_memo_hit_is_a_fresh_build_and_read_only():
-    # one memo entry per node set: every node after t = 0 has its own
-    # (K, M/2) operator, bitwise a fresh build, and the entry carries the
-    # largest of their Lebesgue constants
+    # one memo entry per node set: one read-only array holding the (K, M/2)
+    # operator of every node after t = 0, bitwise a fresh build
     nodes = tuple(chebyshev_nodes(0.5, 16).tolist())
-    operators, lebesgue = solver._node_operators(GRID, PARAMS, nodes)
-    assert solver._node_operators(GRID, PARAMS, nodes)[0] is operators  # a hit shares them
-    fresh = [solver._duhamel_operator(GRID, PARAMS, nodes, t, 10) for t in nodes[1:]]
-    assert len(operators) == len(nodes) - 1
-    for W, (W_fresh, _) in zip(operators, fresh):
-        assert W.shape == (17, GRID.M // 2)  # the memo holds modes 0..M/2-1 only
-        assert np.array_equal(W, W_fresh)
-        assert not W.flags.writeable
-        with pytest.raises(ValueError):
-            W[0, 0] = 0.0
-    assert lebesgue == max(constant for _, constant in fresh)
+    operators = solver._node_operators(GRID, PARAMS, nodes, 10)
+    assert solver._node_operators(GRID, PARAMS, nodes, 10) is operators  # a hit shares it
+    # the memo holds modes 0..M/2-1 only
+    assert operators.shape == (len(nodes) - 1, len(nodes), GRID.M // 2)
+    assert np.array_equal(operators, solver._node_operators.__wrapped__(GRID, PARAMS, nodes, 10))
+    assert not operators.flags.writeable
+    with pytest.raises(ValueError):
+        operators[0, 0, 0] = 0.0
 
 
 def test_duhamel_second_probe_builds_no_operator():
@@ -841,6 +865,24 @@ def test_probe_pattern_misses_no_node_set_on_a_second_cycle():
     assert solver._node_operators.cache_info().hits > info.hits
 
 
+def _frozen_node_integral(traj, t, n_nodes):
+    # the Duhamel integral at the node time t as it was formed before the
+    # node set's array: the one node's operator built on its own, with the
+    # library's rule and half multipliers, and its product-sum over the
+    # samples' non-negative half, mirrored
+    W = _frozen_duhamel_operator(traj.grid, traj.params, traj.times, t, n_nodes,
+                                 rule=solver._gauss_legendre, multipliers=core.semigroup_half)
+    n = traj.grid.nyquist
+    c = np.zeros(traj.grid.M, dtype=np.complex128)
+    np.add.reduce(W * traj.nonlinear_samples[:, :n], axis=0, out=c[:n])
+    c[n + 1:] = c[n - 1:0:-1].conj()
+    return c
+
+
+def _same_bits(a, b):
+    return np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 @pytest.mark.filterwarnings("ignore::chenlee_lab.core.AliasingBudgetWarning")
 @pytest.mark.parametrize("M", [256, 512])
 def test_node_rows_are_each_operators_product_sum_bitwise(M):
@@ -853,10 +895,54 @@ def test_node_rows_are_each_operators_product_sum_bitwise(M):
     traj = Trajectory(times, [semigroup_apply(phi, t, PARAMS) for t in times], PARAMS)
     for k, t in enumerate(times[1:]):
         val = duhamel_integral(traj, t, check=False).coeffs
-        W = solver._duhamel_operator(grid, PARAMS, times, float(t), 10)[0]
-        ref = core.hermitian_sums(grid, [W], traj.nonlinear_samples)[0]
-        assert np.array_equal(val.view(np.uint64), ref.view(np.uint64)), t
+        assert _same_bits(val, _frozen_node_integral(traj, t, 10)), t
         assert np.shares_memory(val, traj.node_integrals[k]) and not val.flags.writeable
+
+
+@pytest.mark.filterwarnings("ignore::chenlee_lab.core.AliasingBudgetWarning")
+@pytest.mark.parametrize("rough", [False, True], ids=["gaussian", "rough"])
+def test_node_doubling_is_the_frozen_per_node_check_bitwise(rough):
+    # at every node, duhamel_integral(check=True) returns the frozen 20-node
+    # integral, bitwise, where it is within the tolerance of the frozen
+    # 10-node one, and raises QuadratureConvergenceError where it is not.
+    # The unit Gaussian probe passes at every node, the rough one fails at
+    # some nodes and passes at others
+    phi = (random_real_field(GRID, np.random.default_rng(7), spectral_decay=1.0) if rough
+           else SpectralField.from_function(GRID, lambda x: np.exp(-x * x)))
+    traj = _probe_trajectory(phi, 0.5)
+    failed = 0
+    for t in traj.times[1:]:
+        doubled = _frozen_node_integral(traj, t, 20)
+        err = (np.linalg.norm(doubled - _frozen_node_integral(traj, t, 10))
+               / max(np.linalg.norm(doubled), 1e-300))
+        if err > solver._QUAD_TOL:
+            failed += 1
+            with pytest.raises(QuadratureConvergenceError, match=f"by {err:.3e} "):
+                duhamel_integral(traj, t)
+        else:
+            assert _same_bits(duhamel_integral(traj, t).coeffs, doubled), t
+    assert 0 < failed < 16 if rough else failed == 0
+
+
+def test_node_doubling_builds_its_node_set_once_outside_the_memo(monkeypatch):
+    # a check=True sweep over a trajectory's nodes builds the 20-node set
+    # once, unmemoized, and adds no memo entry
+    builds = []
+    build = solver._node_operators.__wrapped__
+
+    def counting(grid, params, nodes, n_nodes):
+        builds.append(n_nodes)
+        return build(grid, params, nodes, n_nodes)
+
+    monkeypatch.setattr(solver._node_operators, "__wrapped__", counting)
+    traj = _probe_trajectory(_gaussian(0.5), 0.5)
+    traj.node_integrals  # the 10-node entry, memoized
+    info = solver._node_operators.cache_info()
+    for t in traj.times[1:]:
+        duhamel_integral(traj, t)
+    assert builds == [20]
+    after = solver._node_operators.cache_info()
+    assert (after.misses, after.currsize) == (info.misses, info.currsize)
 
 
 def _mirrored(W):
@@ -868,8 +954,8 @@ def _mirrored(W):
 def _frozen_duhamel(traj, t):
     # duhamel_integral(check=False) as written with einsum's product-sum on
     # every mode, with the operator mirrored to full width
-    W = solver._duhamel_operator(traj.grid, traj.params, tuple(traj.times.tolist()),
-                                 float(t), 10)[0]
+    W = _frozen_duhamel_operator(traj.grid, traj.params, traj.times, t, 10,
+                                 rule=solver._gauss_legendre, multipliers=core.semigroup_half)
     return np.einsum("jk,jk->k", _mirrored(W), traj.nonlinear_samples)
 
 
@@ -878,11 +964,10 @@ def _frozen_duhamel(traj, t):
 def test_duhamel_integral_matches_the_frozen_einsum_form(T):
     # the product-sum over the 17 nodes changed form (now on the samples'
     # non-negative half, mirrored), which moves the integral at roundoff
-    # only: at the node times, where the probes evaluate it, and between them
+    # only, at the node times, where the probes evaluate it
     traj = _probe_trajectory(random_real_field(GRID, np.random.default_rng(7),
                                                spectral_decay=1.0), T)
-    off_node = 0.5 * (traj.times[:-1] + traj.times[1:])
-    for t in np.concatenate([traj.times[1:], off_node]):
+    for t in traj.times[1:]:
         ref = _frozen_duhamel(traj, t)
         val = duhamel_integral(traj, t, check=False).coeffs
         assert np.linalg.norm(val - ref) <= 1e-15 * np.linalg.norm(ref), t
@@ -905,34 +990,37 @@ def _frozen_semigroup_stack(grid, times, params):
     return E
 
 
-def _frozen_duhamel_operator(grid, params, nodes, t, n_nodes):
-    # _duhamel_operator's W as exponentiated and summed on every mode with
-    # numpy's Gauss-Legendre rule, on panels of length 0.25
+def _frozen_duhamel_operator(grid, params, nodes, t, n_nodes,
+                             rule=np.polynomial.legendre.leggauss,
+                             multipliers=_frozen_semigroup_stack):
+    # the (K, .) operator W of one node time t, built on its own, on panels
+    # of length 0.25: by default exponentiated and summed on every mode
+    # with numpy's Gauss-Legendre rule
     n_panels = max(1, int(np.ceil(t / 0.25)))
-    x, w = np.polynomial.legendre.leggauss(n_nodes)
+    x, w = rule(n_nodes)
     edges = np.linspace(0.0, t, n_panels + 1)
     half = 0.5 * np.diff(edges)[:, None]
     tau = (half * x + 0.5 * (edges[:-1] + edges[1:])[:, None]).ravel()
     wq = (half * w).ravel()
     L = _lagrange_matrix(np.array(nodes), tau)
-    return (wq[:, None] * L).T @ _frozen_semigroup_stack(grid, t - tau, params)
+    return (wq[:, None] * L).T @ multipliers(grid, t - tau, params)
 
 
 @pytest.mark.parametrize("M", [8, 256, 512, 4096])
 def test_picard_operators_are_the_half_of_the_full_mode_form(M):
-    # _duhamel_operator keeps the (K, M/2) operator on the non-negative
+    # the node set's array keeps each (K, M/2) operator on the non-negative
     # modes, which is the non-negative half of the operator exponentiated
     # and summed on every mode, up to the two Gauss-Legendre rules: their
     # weights agree to 1e-12 relative and their nodes to 4 eps (see
     # test_gauss_legendre_matches_leggauss), so every entry agrees to 1e-12
-    # of the largest; with the 10- and the 20-node rule (built directly, so
-    # the memo keeps no M = 4096 entry)
+    # of the largest; with the 10- and the 20-node rule (built by the
+    # unmemoized body, so the memo keeps no M = 4096 entry)
     grid = Grid(8.0 * np.pi, M)
     for T in (0.25, 1.0):
         nodes = tuple(chebyshev_nodes(T, 16).tolist())
-        for t in nodes[1:]:
-            for n_nodes in (10, 20):
-                W = solver._duhamel_operator(grid, PARAMS, nodes, t, n_nodes)[0]
+        for n_nodes in (10, 20):
+            operators = solver._node_operators.__wrapped__(grid, PARAMS, nodes, n_nodes)
+            for W, t in zip(operators, nodes[1:]):
                 ref = _frozen_duhamel_operator(grid, PARAMS, nodes, t, n_nodes)
                 assert W.shape == (17, M // 2)
                 err = np.abs(W - ref[:, :M // 2]).max()
@@ -960,7 +1048,7 @@ def test_duhamel_integral_is_hermitian_by_construction(check):
     traj = _probe_trajectory(phi, 0.5)
     G = traj.nonlinear_samples
     assert not np.array_equal(G[:, GRID.M // 2 + 1:], G[:, GRID.M // 2 - 1:0:-1].conj())
-    for t in (traj.times[5], 0.5 * (traj.times[7] + traj.times[8]), traj.times[-1]):
+    for t in (traj.times[5], traj.times[8], traj.times[-1]):
         _assert_hermitian(duhamel_integral(traj, t, check=check).coeffs)
 
 

@@ -6,10 +6,13 @@ The eta-limit run is expected to exit 1: its square-root Cauchy-rate
 clause is a documented expected failure for smooth data (the Gronwall
 bound is not sharp there); every other experiment is expected to pass.
 The script exits 0 when every experiment matches its expected outcome.
-The summary gives each experiment's wall time in milliseconds.  Under
+The summary gives each experiment's wall time in milliseconds and the
+process's peak resident memory once it finished (getrusage's ru_maxrss,
+in MB; `-` where the `resource` module is missing), so the row where the
+column jumps is the experiment that set the battery's peak.  Under
 each experiment's row, every CSV it wrote gets a line with the first 12
 hex digits of its sha256, so a diff of two runs' standard output shows
-which CSVs changed.  Only the time column should differ: every CSV,
+which CSVs changed.  Only the time and memory columns should differ: every CSV,
 contraction.csv included, is byte-identical from one process to the
 next, so a changed digest means changed output.
 
@@ -21,8 +24,22 @@ import pathlib
 import sys
 import time
 
+try:
+    import resource
+except ImportError:  # not on Windows
+    resource = None
+
 from chenlee_lab.cli import main as cli_main
 from chenlee_lab.config import EXPERIMENTS
+
+
+def peak_rss() -> str:
+    """The process's peak resident memory so far in MB (ru_maxrss is in KB
+    on Linux), or `-` without the `resource` module."""
+    if resource is None:
+        return "-"
+    return f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0:.1f}"
+
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parent.parent / "configs"
 
@@ -47,18 +64,18 @@ def main(argv=None) -> int:
             cli_args.append("--quick")
         start = time.perf_counter()
         rc = cli_main(cli_args)
-        results.append((exp, rc, expected, time.perf_counter() - start))
+        results.append((exp, rc, expected, time.perf_counter() - start, peak_rss()))
 
     print()
-    print(f"{'experiment':<14} {'exit':>4} {'expected':>8} {'time':>8}  verdict")
+    print(f"{'experiment':<14} {'exit':>4} {'expected':>8} {'time':>8} {'peak MB':>8}  verdict")
     bad = 0
-    for exp, rc, expected, wall in results:
+    for exp, rc, expected, wall, peak in results:
         ok = rc == expected
         bad += not ok
         note = "as expected" if ok else "UNEXPECTED"
         if exp == "eta-limit" and ok:
             note += " (documented red: rate clause)"
-        print(f"{exp:<14} {rc:>4} {expected:>8} {1e3 * wall:>6.0f}ms  {note}")
+        print(f"{exp:<14} {rc:>4} {expected:>8} {1e3 * wall:>6.0f}ms {peak:>8}  {note}")
         for csv in sorted((pathlib.Path(args.out) / exp).glob("*.csv")):
             print(f"  {csv.name:<40} {hashlib.sha256(csv.read_bytes()).hexdigest()[:12]}")
     return 1 if bad else 0

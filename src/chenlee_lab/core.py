@@ -63,6 +63,8 @@ class Grid:
         object.__setattr__(self, "_fwd_scale", np.array(complex((2.0 * self.L / Mp) / TWO_PI_SQRT)))
         object.__setattr__(self, "_pad_scale", np.array(complex(Mp * (self.dxi / TWO_PI_SQRT))))
         object.__setattr__(self, "_half_ixi", (0.5j * self.xi).reshape(2, -1))
+        # the tables of `grid_memo`'s builders on this grid, which die with it
+        object.__setattr__(self, "_memo", {})
 
     @property
     def dx(self) -> float:
@@ -276,15 +278,41 @@ def semigroup_stack(grid: Grid, times, params: EquationParams) -> np.ndarray:
     return E
 
 
-@functools.lru_cache(maxsize=64)
+_KEYWORDS = object()  # parts a memo key's arguments from its keyword items
+
+
+def grid_memo(maxsize: int):
+    """Memoize `build(grid, ...)` on `grid` itself, keyed by the other
+    arguments, so each table lives and dies with the grid it was built for.
+    A hit returns the stored value, shared; past `maxsize` entries of one
+    builder on one grid, its least recently used one goes.  A miss calls
+    the memo's `__wrapped__`, looked up then, which builds without storing.
+    Nothing stored may refer to its grid, or only the cycle collector could
+    free the pair."""
+    def decorate(build):
+        @functools.wraps(build)
+        def memo(grid: Grid, *args, **kwargs):
+            key = (*args, _KEYWORDS, *kwargs.items()) if kwargs else args
+            table = grid._memo.setdefault(build, {})
+            value = table.pop(key, None)
+            if value is None:
+                value = memo.__wrapped__(grid, *args, **kwargs)
+                if len(table) >= maxsize:
+                    del table[next(iter(table))]
+            table[key] = value  # (again) the most recently used
+            return value
+        return memo
+    return decorate
+
+
+@grid_memo(maxsize=64)
 def semigroup_multiplier(grid: Grid, t: float, params: EquationParams) -> np.ndarray:
     """E(xi, t) = exp(i q(xi) t - p(xi) t): the one-row `semigroup_stack`.
 
-    Built once per (grid, t, params) and read-only, as every hit shares it.
-    64 entries hold the 49 multipliers of the C_CONTRACTION probe sweep (16
-    Chebyshev node times on each of 3 horizons, plus t = 0, visited
-    cyclically, where a smaller LRU would miss on every call); at M = 4096
-    a full cache holds 4 MB."""
+    Built once per (t, params) on each grid and read-only, as every hit
+    shares it.  64 per grid hold the 49 multipliers of the C_CONTRACTION
+    probe sweep (16 Chebyshev node times on each of 3 horizons, plus
+    t = 0, visited cyclically, where fewer would miss on every call)."""
     E = semigroup_stack(grid, (t,), params)[0]
     E.flags.writeable = False
     return E

@@ -33,6 +33,7 @@ from .core import (
     EquationParams,
     Grid,
     SpectralField,
+    grid_memo,
     hermitian_sums,
     nonlinear_stack,
     semigroup_half,
@@ -245,33 +246,42 @@ def _lagrange_matrix(nodes: np.ndarray, tau: np.ndarray) -> np.ndarray:
     return np.where(on_node.any(axis=1, keepdims=True), on_node, L)
 
 
-@functools.lru_cache(maxsize=4)
+def _panel_rule(t: float, n_nodes: int):
+    """Points tau and weights of the composite Gauss-Legendre rule on
+    [0, t]: `n_nodes` per panel of length at most `_PANEL_LENGTH`."""
+    x, w = _gauss_legendre(n_nodes)
+    edges = np.linspace(0.0, t, max(1, int(np.ceil(t / _PANEL_LENGTH))) + 1)
+    half = 0.5 * np.diff(edges)[:, None]
+    return (half * x + 0.5 * (edges[:-1] + edges[1:])[:, None]).ravel(), (half * w).ravel()
+
+
+@grid_memo(maxsize=4)
 def _node_operators(grid: Grid, params: EquationParams, nodes: tuple,
                     n_nodes: int) -> np.ndarray:
     """Read-only (K-1, K, M/2) array of the K node times `nodes` (0 first)
     whose row k-1 is the W with sum_j W[j] G_j = int_0^t S(t-tau) G(tau) dtau
     at t = nodes[k], G interpolating samples G_j at the nodes, by composite
-    Gauss-Legendre (`n_nodes` per panel of length `_PANEL_LENGTH`) on the
-    non-negative modes (`semigroup_half`), which `hermitian_sums` mirrors.
-    ValueError where eps times the largest Lebesgue constant max_q sum_j
-    |l_j(tau_q)|, which bounds how interpolation amplifies rounding, exceeds
-    `_QUAD_TOL`, so nothing refused is stored.  The 4 entries, shared by
-    every hit, hold the C_CONTRACTION probes' 3 node sets and a Picard
-    solve's; `__wrapped__` builds without storing."""
-    x, w = _gauss_legendre(n_nodes)
-    ops = np.empty((len(nodes) - 1, len(nodes), grid.band(grid.xi >= 0).size), complex)
-    lebesgue = 0.0
-    for W, t in zip(ops, nodes[1:]):
-        edges = np.linspace(0.0, t, max(1, int(np.ceil(t / _PANEL_LENGTH))) + 1)
-        half = 0.5 * np.diff(edges)[:, None]
-        tau = (half * x + 0.5 * (edges[:-1] + edges[1:])[:, None]).ravel()
-        L = _lagrange_matrix(np.array(nodes), tau)
-        np.matmul(((half * w).ravel()[:, None] * L).T, semigroup_half(grid, t - tau, params), out=W)
-        lebesgue = max(lebesgue, float(np.abs(L).sum(axis=1).max()))
+    Gauss-Legendre (`_panel_rule`) on the non-negative modes
+    (`semigroup_half`), which `hermitian_sums` mirrors.  Each node's
+    interpolation table is formed first, alone, and the set refused (a
+    ValueError, before the array exists) where eps times the largest
+    Lebesgue constant max_q sum_j |l_j(tau_q)|, which bounds how
+    interpolation amplifies rounding, exceeds `_QUAD_TOL`, so nothing
+    refused is stored.  Memoized per (params, nodes, n_nodes) on each grid,
+    4 of them: the C_CONTRACTION probes' 3 node sets and a Picard solve's;
+    `__wrapped__` builds without storing."""
+    times = np.array(nodes)
+    rules = [_panel_rule(t, n_nodes) for t in nodes[1:]]
+    lebesgue = max((float(np.abs(_lagrange_matrix(times, tau)).sum(axis=1).max())
+                    for tau, _ in rules), default=0.0)
     if _EPS * lebesgue > _QUAD_TOL:
         raise ValueError(f"interpolation in time through {len(nodes)} nodes has Lebesgue "
                          f"constant {lebesgue:.2e}; rounding in the samples would exceed "
                          f"tol {_QUAD_TOL:.1e} (use fewer or Chebyshev-spaced nodes)")
+    ops = np.empty((len(nodes) - 1, len(nodes), grid.band(grid.xi >= 0).size), complex)
+    for W, t, (tau, wq) in zip(ops, nodes[1:], rules):
+        L = _lagrange_matrix(times, tau)
+        np.matmul((wq[:, None] * L).T, semigroup_half(grid, t - tau, params), out=W)
     ops.flags.writeable = False
     return ops
 

@@ -6,13 +6,12 @@ norms converge to their continuum values as L, M grow.
 """
 from __future__ import annotations
 
-import functools
 import math
 import warnings
 
 import numpy as np
 
-from .core import Grid, SpectralField
+from .core import Grid, SpectralField, grid_memo
 
 
 class BoundaryMassWarning(UserWarning):
@@ -20,13 +19,11 @@ class BoundaryMassWarning(UserWarning):
     periodic boundary."""
 
 
-@functools.lru_cache(maxsize=8)
+@grid_memo(maxsize=8)
 def _sobolev_weight(grid: Grid, s: float) -> np.ndarray:
-    """<xi_k>^{2s} = (1 + xi_k^2)^s on the grid, built once per (grid, s)
-    and read-only, as every hit shares it; L^2 norms (s = 0) need none.
-    8 entries hold the 2 keys of `calibrated_cs` (s = 2 and 1 on one grid),
-    and the at most 5 of one experiment (illposed's five grids); at
-    M = 4096 they take 0.25 MB."""
+    """<xi_k>^{2s} = (1 + xi_k^2)^s on the grid, built once per s on each
+    grid and read-only, as every hit shares it; L^2 norms (s = 0) need none.
+    8 per grid hold the 2 orders of `calibrated_cs` (s = 2 and 1)."""
     w = (1.0 + grid.xi * grid.xi) ** s
     w.flags.writeable = False
     return w

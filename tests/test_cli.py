@@ -6,6 +6,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import weakref
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from chenlee_lab.config import (
     config_echo,
     parse_config,
 )
-from chenlee_lab.core import semigroup_apply
+from chenlee_lab.core import Grid, semigroup_apply
 from chenlee_lab.report import format_value
 from chenlee_lab.spaces import l2_norm, sobolev_norm
 
@@ -313,6 +314,23 @@ def test_every_tuned_config_passes_under_quick(experiment, expected, tmp_path):
     # scripts/run_all_experiments.py --quick expects (decay keeps its grid)
     cfg = parse_config((RUN_ALL.CONFIG_DIR / f"{experiment}.cfg").read_text())
     assert run_experiment(cfg, str(tmp_path / experiment), quick=True) == expected
+
+
+@pytest.mark.parametrize("experiment", list(RUN_ALL.EXPECTED))
+def test_a_finished_experiment_frees_its_grids(experiment, tmp_path, monkeypatch,
+                                               refcounting_only):
+    # every grid an experiment builds dies when the run returns, with the
+    # memo tables stored on it; reference counting alone frees it
+    refs, init = [], Grid.__post_init__
+
+    def tracking(grid):
+        init(grid)
+        refs.append(weakref.ref(grid))
+
+    monkeypatch.setattr(Grid, "__post_init__", tracking)
+    cfg = parse_config((RUN_ALL.CONFIG_DIR / f"{experiment}.cfg").read_text())
+    run_experiment(cfg, str(tmp_path), quick=True)
+    assert refs and [ref() for ref in refs] == [None] * len(refs)
 
 
 @pytest.mark.parametrize("M, quick_M", [(64, 64), (256, 256), (512, 256), (1024, 256)])

@@ -2,11 +2,13 @@
 Picard terms cross-checked against the independent time-quadrature route."""
 import functools
 import pathlib
+import weakref
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chenlee_lab import flowderiv
 from chenlee_lab.config import parse_config
 from chenlee_lab.cli import _apply_quick
 from chenlee_lab.core import (
@@ -400,6 +402,22 @@ def test_growth_sweep_report_structure():
     assert {"fitted_slope", "target_slope", "passed"} <= set(rep.summary)
     assert np.isfinite(rep.summary["fitted_slope"])
     assert rep.summary["target_slope"] == pytest.approx(-2 * -0.8 - 1 - 2 * 0.2)
+
+
+def test_growth_sweep_frees_each_grid_on_return(monkeypatch, refcounting_only):
+    # the memo tables live on the grid, so no grid of a finished sweep stays
+    # alive, and reference counting alone frees it
+    refs, build = [], flowderiv.illposed_grid
+
+    def tracking(*args):
+        grid = build(*args)
+        refs.append(weakref.ref(grid))
+        return grid
+
+    monkeypatch.setattr(flowderiv, "illposed_grid", tracking)
+    illposed_growth_c3(-0.8, 0.2, [32, 64, 128, 256], EquationParams(beta=0.25, eta=0.25),
+                       tol=0.15)
+    assert len(refs) == 4 and [ref() for ref in refs] == [None] * 4
 
 
 # the dissipative drift of the c3 slopes: log ||u3|| = a + target log N -

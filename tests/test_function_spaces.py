@@ -32,17 +32,19 @@ def test_l2_norm_matches_physical():
     assert l2_norm(u) == pytest.approx(phys, rel=1e-12)
 
 
-def test_sobolev_weight_memo_is_read_only_and_a_fresh_build():
+def test_sobolev_weight_memo_is_read_only_and_a_fresh_build(count_builds):
     u = _rand_field(2)
+    builds = count_builds(spaces._sobolev_weight)
     w = spaces._sobolev_weight(GRID, -0.5)
     assert spaces._sobolev_weight(GRID, -0.5) is w  # a hit shares the array
+    assert len(builds) <= 1  # the first call may hit an entry of an earlier test
     assert not w.flags.writeable
     with pytest.raises(ValueError):
         w[0] = 0.0
     norm = sobolev_norm(u, -0.5)
-    spaces._sobolev_weight.cache_clear()
-    fresh = spaces._sobolev_weight(GRID, -0.5)
-    assert fresh is not w
+    # an equal grid is another object, with tables of its own
+    fresh = spaces._sobolev_weight(Grid(GRID.L, GRID.M), -0.5)
+    assert fresh is not w and builds[-1] == (-0.5,)
     built = (1.0 + GRID.xi * GRID.xi) ** -0.5
     assert np.array_equal(fresh.view(np.uint64), w.view(np.uint64))
     assert np.array_equal(fresh.view(np.uint64), built.view(np.uint64))
@@ -74,13 +76,13 @@ def test_stacked_norm_is_bitwise_the_per_row_norm(M):
         assert np.array_equal(block.view(np.uint64), norms.view(np.uint64)[None])
 
 
-def test_repeated_norm_builds_no_weight():
+def test_repeated_norm_builds_no_weight(count_builds):
     u, v = _rand_field(3), _rand_field(4)
     sobolev_norm(u, 1.5)
-    misses = spaces._sobolev_weight.cache_info().misses
+    builds = count_builds(spaces._sobolev_weight)
     sobolev_norm(v, 1.5)
     hs_inner(u, v, 1.5)
-    assert spaces._sobolev_weight.cache_info().misses == misses
+    assert builds == []
 
 
 def test_sobolev_norm_gaussian_oracle():

@@ -4,7 +4,9 @@ import dataclasses
 import os
 import pickle
 import threading
+import tracemalloc
 import warnings
+import weakref
 
 import numpy as np
 import pytest
@@ -710,18 +712,33 @@ def test_duhamel_rejects_40_equispaced_nodes():
         duhamel_integral(traj, times[-1])
 
 
-def test_refused_node_set_leaves_no_memo_entry():
+def test_refused_node_set_leaves_no_memo_entry(count_builds):
     # the builder raises the Lebesgue guard itself, so the memo stores no
     # refused set: asking again builds it again
     times = 1e-3 * np.arange(40)
     traj = Trajectory(times, [semigroup_apply(_gaussian(0.1), t, PARAMS) for t in times],
                       PARAMS)
-    for _ in range(2):
-        info = solver._node_operators.cache_info()
+    builds = count_builds(solver._node_operators)
+    for attempt in (1, 2):
         with pytest.raises(ValueError, match="Lebesgue constant"):
             traj.node_integrals
-        assert solver._node_operators.cache_info().misses == info.misses + 1
-        assert solver._node_operators.cache_info().currsize == info.currsize
+        assert builds == [(PARAMS, tuple(times.tolist()), 10)] * attempt
+
+
+def test_refused_node_set_is_refused_before_its_array_exists():
+    # 201 equispaced states: the (200, 201, M/2) array would take 165 MB at
+    # M = 512; each node's interpolation table is checked alone first
+    grid = Grid(16.0 * np.pi, 512)
+    traj = solve_stepper(_gaussian(0.1, grid), PARAMS, SolverConfig(dt=1e-3, T=0.2))
+    assert traj.times.size == 201
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"201 nodes has Lebesgue constant"):
+            traj.node_integrals
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2**20
 
 
 @pytest.mark.parametrize("nodes", [chebyshev_nodes(1.0, 16), 0.01 * np.arange(26)],
@@ -816,12 +833,14 @@ def test_nonlinear_samples_match_per_state_term():
         assert np.array_equal(row, nonlinear_term(u).coeffs)
 
 
-def test_duhamel_memo_hit_is_a_fresh_build_and_read_only():
+def test_duhamel_memo_hit_is_a_fresh_build_and_read_only(count_builds):
     # one memo entry per node set: one read-only array holding the (K, M/2)
     # operator of every node after t = 0, bitwise a fresh build
     nodes = tuple(chebyshev_nodes(0.5, 16).tolist())
+    builds = count_builds(solver._node_operators)
     operators = solver._node_operators(GRID, PARAMS, nodes, 10)
     assert solver._node_operators(GRID, PARAMS, nodes, 10) is operators  # a hit shares it
+    assert len(builds) <= 1  # the first call may hit an entry of an earlier test
     # the memo holds modes 0..M/2-1 only
     assert operators.shape == (len(nodes) - 1, len(nodes), GRID.M // 2)
     assert np.array_equal(operators, solver._node_operators.__wrapped__(GRID, PARAMS, nodes, 10))
@@ -830,23 +849,24 @@ def test_duhamel_memo_hit_is_a_fresh_build_and_read_only():
         operators[0, 0, 0] = 0.0
 
 
-def test_duhamel_second_probe_builds_no_operator():
+def test_duhamel_second_probe_builds_no_operator(count_builds):
     # probes on the same grid, params and nodes share every weight operator
     first = _probe_trajectory(_gaussian(0.5), 0.25)
     second = _probe_trajectory(_gaussian(0.3), 0.25)
     for t in first.times[1:]:
         duhamel_integral(first, t, check=False)
-    misses = solver._node_operators.cache_info().misses
+    builds = count_builds(solver._node_operators)
     for t in second.times[1:]:
         duhamel_integral(second, t, check=False)
-    assert solver._node_operators.cache_info().misses == misses
+    assert builds == []
 
 
-def test_probe_pattern_misses_no_node_set_on_a_second_cycle():
+def test_probe_pattern_misses_no_node_set_on_a_second_cycle(monkeypatch, count_builds):
     # the picard workload's pattern: the C_CONTRACTION probes visit three
     # horizons in turn on Grid(8 pi, 256), then Picard solves on
-    # Grid(16 pi, 512) at T = 1.  Its 4 node sets fit the 4-entry memo, so
-    # after one cycle every lookup hits
+    # Grid(16 pi, 512) at T = 1.  Its 4 node sets, 3 on the one grid and 1
+    # on the other, fit the memo's 4 per grid, so after one cycle every
+    # lookup hits
     grid = Grid(16.0 * np.pi, 512)
     phi = random_real_field(grid, np.random.default_rng(0), spectral_decay=2.0)
     phi = phi * (1e-2 / l2_norm(phi))
@@ -859,10 +879,33 @@ def test_probe_pattern_misses_no_node_set_on_a_second_cycle():
         solve_picard(phi, PARAMS, SolverConfig(dt=1e-3, T=1.0))
 
     cycle()
-    info = solver._node_operators.cache_info()
+    lookups, memo = [], solver._node_operators
+    monkeypatch.setattr(solver, "_node_operators",
+                        lambda *args: lookups.append(args[2:]) or memo(*args))
+    builds = count_builds(memo)
     cycle()
-    assert solver._node_operators.cache_info().misses == info.misses
-    assert solver._node_operators.cache_info().hits > info.hits
+    assert builds == []
+    assert len(lookups) == 4
+
+
+def test_trajectory_grid_dies_with_its_last_user(refcounting_only):
+    # a grid lives while a trajectory or a datum on it does, with its
+    # multipliers, Sobolev weights and node sets; reference counting alone
+    # frees it with the last of them
+    grid = Grid(8.0 * np.pi, 256)
+    ref = weakref.ref(grid)
+    phi = _gaussian(0.5, grid)
+    stepped = solve_stepper(phi, PARAMS, SolverConfig(dt=1e-3, T=0.05))
+    probe = _probe_trajectory(phi, 0.5)
+    sobolev_norm(stepped.final_state(), 1.0)
+    duhamel_integral(probe, probe.times[-1])
+    del grid
+    del stepped
+    assert ref() is not None
+    del probe
+    assert ref() is not None  # the datum still uses it
+    del phi
+    assert ref() is None
 
 
 def _frozen_node_integral(traj, t, n_nodes):
@@ -924,25 +967,19 @@ def test_node_doubling_is_the_frozen_per_node_check_bitwise(rough):
     assert 0 < failed < 16 if rough else failed == 0
 
 
-def test_node_doubling_builds_its_node_set_once_outside_the_memo(monkeypatch):
+def test_node_doubling_builds_its_node_set_once_outside_the_memo(count_builds):
     # a check=True sweep over a trajectory's nodes builds the 20-node set
     # once, unmemoized, and adds no memo entry
-    builds = []
-    build = solver._node_operators.__wrapped__
-
-    def counting(grid, params, nodes, n_nodes):
-        builds.append(n_nodes)
-        return build(grid, params, nodes, n_nodes)
-
-    monkeypatch.setattr(solver._node_operators, "__wrapped__", counting)
     traj = _probe_trajectory(_gaussian(0.5), 0.5)
     traj.node_integrals  # the 10-node entry, memoized
-    info = solver._node_operators.cache_info()
+    builds = count_builds(solver._node_operators)
     for t in traj.times[1:]:
         duhamel_integral(traj, t)
-    assert builds == [20]
-    after = solver._node_operators.cache_info()
-    assert (after.misses, after.currsize) == (info.misses, info.currsize)
+    nodes = tuple(traj.times.tolist())
+    assert builds == [(PARAMS, nodes, 20)]
+    # no entry holds the 20-node set: asking the memo for it builds it
+    solver._node_operators(GRID, PARAMS, nodes, 20)
+    assert builds == [(PARAMS, nodes, 20)] * 2
 
 
 def _mirrored(W):
@@ -1082,12 +1119,12 @@ def test_gauss_legendre_matches_leggauss(n):
     assert np.all(np.abs(w - w_ref) <= 1e-12 * w_ref)
 
 
-def test_second_probe_builds_no_multiplier():
+def test_second_probe_builds_no_multiplier(count_builds):
     # the probes' linear flows share the semigroup multiplier at every node
     _probe_trajectory(_gaussian(0.5), 0.25)
-    misses = semigroup_multiplier.cache_info().misses
+    builds = count_builds(semigroup_multiplier)
     _probe_trajectory(_gaussian(0.3), 0.25)
-    assert semigroup_multiplier.cache_info().misses == misses
+    assert builds == []
 
 
 # ---------------------------------------------------------------------------

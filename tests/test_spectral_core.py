@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chenlee_lab
+from chenlee_lab import solver, spaces
 from chenlee_lab.core import (
     TWO_PI_SQRT,
     AliasingBudgetWarning,
@@ -367,15 +368,21 @@ def test_semigroup_law(t, s):
     assert np.abs(E_t * E_s - E_ts).max() <= 1e-12 * max(np.abs(E_ts).max(), 1.0)
 
 
-def test_semigroup_multiplier_memo_is_read_only_and_a_fresh_build():
+def test_semigroup_multiplier_memo_is_read_only_and_a_fresh_build(count_builds):
+    builds = count_builds(semigroup_multiplier)
     E = semigroup_multiplier(GRID, 0.3, PARAMS)
     assert semigroup_multiplier(GRID, 0.3, PARAMS) is E  # a hit shares the array
+    assert len(builds) <= 1  # the first call may hit an entry of an earlier test
     assert not E.flags.writeable
     with pytest.raises(ValueError):
         E[0] = 0.0
-    semigroup_multiplier.cache_clear()
-    fresh = semigroup_multiplier(GRID, 0.3, PARAMS)
-    assert fresh is not E
+    # an equal grid is another object, with tables of its own
+    fresh = semigroup_multiplier(Grid(GRID.L, GRID.M), 0.3, PARAMS)
+    assert fresh is not E and builds[-1] == (0.3, PARAMS)
+    # a call by keyword has a key of its own, and hits it
+    by_name = semigroup_multiplier(GRID, t=0.3, params=PARAMS)
+    assert semigroup_multiplier(GRID, t=0.3, params=PARAMS) is by_name is not E
+    assert np.array_equal(by_name.view(np.uint64), E.view(np.uint64))
     # the one-row semigroup_stack, the same bits as the multiplier's own
     # exponential read before it was that row
     built = np.exp(linear_symbol(GRID.xi, PARAMS) * 0.3)
@@ -383,6 +390,34 @@ def test_semigroup_multiplier_memo_is_read_only_and_a_fresh_build():
     row = semigroup_stack(GRID, [0.3], PARAMS)[0]
     for ref in (E, built, row):
         assert np.array_equal(fresh.view(np.uint64), ref.view(np.uint64))
+
+
+@pytest.mark.parametrize("memo, maxsize, key", [
+    (semigroup_multiplier, 64, lambda i: (0.01 * i, PARAMS)),
+    (spaces._sobolev_weight, 8, lambda i: (0.5 * i,)),
+    (solver._node_operators, 4, lambda i: (PARAMS, (0.0, 0.1 * (i + 1)), 10)),
+], ids=["multiplier", "sobolev_weight", "node_operators"])
+def test_grid_memo_drops_the_least_recently_used_entry_past_its_bound(memo, maxsize, key,
+                                                                      count_builds):
+    # each builder keeps `maxsize` entries per grid; one more drops the
+    # least recently used: the second built, as the first was read again
+    grid = Grid(1.0, 8)
+    builds = count_builds(memo)
+    first = memo(grid, *key(0))
+    for i in range(1, maxsize):
+        memo(grid, *key(i))
+    assert memo(grid, *key(0)) is first
+    memo(grid, *key(maxsize))
+    assert builds == [key(i) for i in range(maxsize + 1)]
+    for i in [0, *range(2, maxsize + 1)]:
+        memo(grid, *key(i))  # every other entry is still held
+    assert len(builds) == maxsize + 1
+    memo(grid, *key(1))
+    assert builds[-1] == key(1) and len(builds) == maxsize + 2
+    # the bound counts per grid: another grid's entries drop none of these
+    memo(Grid(2.0, 8), *key(maxsize + 1))
+    memo(grid, *key(maxsize))
+    assert len(builds) == maxsize + 3
 
 
 def test_semigroup_growth_cap():

@@ -11,13 +11,15 @@ square-root bound of the energy argument (slope 0.83 measured).  See the
 analysis in the project notes; the assertion is kept at the stated
 tolerance and marked xfail(strict=True) rather than weakened.
 """
+import pathlib
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from chenlee_lab.calibration import C_CONTRACTION
-from chenlee_lab.cli import main as cli_main
-from chenlee_lab.config import RunConfig, build_initial_data
+from chenlee_lab.cli import _limit_cfg, main as cli_main
+from chenlee_lab.config import RunConfig, build_initial_data, parse_config
 from chenlee_lab.core import (
     EquationParams,
     Grid,
@@ -31,10 +33,12 @@ from chenlee_lab.decay import (
     yacasi_identity_residual,
 )
 from chenlee_lab.flowderiv import illposed_growth_c2_nd, illposed_growth_c3
-from chenlee_lab.limits import LimitSweepConfig, beta_limit_sweep, eta_limit_sweep
+from chenlee_lab.limits import beta_limit_sweep, eta_limit_sweep
 from chenlee_lab.report import fit_loglog
 from chenlee_lab.solver import SolverConfig, contraction_time, solve_picard, solve_stepper
 from chenlee_lab.spaces import l2_norm, sobolev_norm
+
+CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
 # mass drift of every nonlinear solver run executed by this suite
 # (criterion 6 asserts over all of them)
@@ -54,6 +58,13 @@ def _line(num, name, ok, detail):
 
 def _gaussian(grid, amp, width=1.0):
     return SpectralField.from_function(grid, lambda x: amp * np.exp(-((x / width) ** 2)))
+
+
+def _tuned_sweep(experiment):
+    """The sweep the CLI runs for configs/<experiment>.cfg: its datum, sweep
+    values, equation and solver settings."""
+    cfg = parse_config((CONFIG_DIR / f"{experiment}.cfg").read_text())
+    return _limit_cfg(cfg, ())
 
 
 # ---------------------------------------------------------------------------
@@ -270,13 +281,7 @@ def test_criterion08_c2_slope():
 # ---------------------------------------------------------------------------
 
 def test_criterion09_beta_rate():
-    grid = Grid(16.0 * np.pi, 512)
-    phi = _gaussian(grid, 0.5)
-    cfg = LimitSweepConfig(
-        phi=phi, sweep_values=(0.4, 0.2, 0.1, 0.05),
-        base_params=EquationParams(beta=1.0, eta=1.0), s=0.0,
-        solver=SolverConfig(dt=1e-3, T=1.0, keep_every=20))
-    rep = beta_limit_sweep(cfg, tol=0.15)
+    rep = beta_limit_sweep(_tuned_sweep("beta-limit"), tol=0.15)
     slope = rep.summary["fitted_slope"]
     ok = rep.summary["passed"]
     _line(9, "beta-limit-rate", ok,
@@ -291,15 +296,7 @@ def test_criterion09_beta_rate():
 
 @pytest.fixture(scope="module")
 def eta_sweep_report():
-    grid = Grid(16.0 * np.pi, 512)
-    cfg_data = RunConfig(grid_L=16.0 * np.pi, grid_M=512,
-                         data_normalize_h2=True)
-    phi = build_initial_data(cfg_data)
-    cfg = LimitSweepConfig(
-        phi=phi, sweep_values=(0.2, 0.1, 0.05, 0.025),
-        base_params=EquationParams(beta=1.0, eta=1.0), s=0.0,
-        solver=SolverConfig(dt=1e-3, T=1.0, keep_every=20))
-    return eta_limit_sweep(cfg, tol=0.1)
+    return eta_limit_sweep(_tuned_sweep("eta-limit"), tol=0.1)
 
 
 def test_criterion10_horizon_and_envelope(eta_sweep_report):

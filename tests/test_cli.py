@@ -107,12 +107,14 @@ def test_each_key_is_its_fields_name():
 
 
 # sha256 (first 16 hex digits) of each tuned config's sorted config_echo, as
-# recorded when every key was still declared in a separate key table
+# recorded when every key was still declared in a separate key table; those
+# of beta-limit, contraction and eta-limit again when their time steps were
+# set to the coarsest the resolution ladder (scripts/ladder.py) keeps
 TUNED_ECHO_DIGESTS = {
-    "beta-limit": "b2ba9326b0cf39d5",
-    "contraction": "145d90131d032b84",
+    "beta-limit": "7b8838501ce67617",
+    "contraction": "8417d4137842207b",
     "decay": "0e50bd5458a07de2",
-    "eta-limit": "d5edee8bd5b4ef60",
+    "eta-limit": "31a72c55cf379654",
     "illposed-c2nd": "880d00466ec3c6f1",
     "illposed-c3": "e4af87e8df1f0c99",
     "smoothing": "ee1ad70a4f8e868e",
@@ -306,6 +308,18 @@ def _load_script(name):
 
 
 RUN_ALL = _load_script("run_all_experiments")
+LADDER = _load_script("ladder")
+
+
+@pytest.mark.parametrize("experiment", LADDER.STEPPED)
+def test_tuned_config_steps_a_whole_number_of_steps(experiment):
+    # the dt a run echoes is the dt it steps with: T is a whole number of
+    # time steps and of kept intervals, where SolverConfig.n_steps would
+    # round T / dt and step at T / n_steps instead
+    cfg = parse_config((RUN_ALL.CONFIG_DIR / f"{experiment}.cfg").read_text())
+    for count in (cfg.solver_T / cfg.solver_dt,
+                  cfg.solver_T / (cfg.solver_dt * cfg.solver_keep_every)):
+        assert abs(count - round(count)) <= 1e-9, count
 
 
 @pytest.mark.parametrize("experiment, expected", list(RUN_ALL.EXPECTED.items()))

@@ -10,8 +10,12 @@ same answers": `check.csv_deviation` with `check.RTOL` and the floors of
 import importlib.util
 import json
 import pathlib
+from dataclasses import replace
 
 import pytest
+
+from chenlee_lab.cli import run_experiment
+from chenlee_lab.config import parse_config
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 SEED = 1  # the battery's configs use Gaussian data, so only picard reads it
@@ -38,6 +42,23 @@ def test_battery_csvs_match_the_reference(experiment, tmp_path):
     assert len(results) == len(list(ref_dir.glob("*.csv"))) > 0
     for name, _, deviation in results:
         assert deviation <= check.RTOL, f"{name} deviates by {deviation:.3e}"
+
+
+@pytest.mark.parametrize("experiment", ["beta-limit", "eta-limit", "contraction"])
+def test_retuned_time_step_agrees_with_half_of_it(experiment, tmp_path):
+    # the configs whose dt is the coarsest the resolution ladder keeps
+    # (scripts/ladder.py): at --quick scale, dt and dt/2 (keep_every x 2, so
+    # the kept times match) give CSVs a tenth of the benchmark's tolerance apart
+    cfg = parse_config((ROOT / "configs" / f"{experiment}.cfg").read_text())
+    half = replace(cfg, solver_dt=cfg.solver_dt / 2,
+                   solver_keep_every=2 * cfg.solver_keep_every)
+    for name, run_cfg in (("dt", cfg), ("half", half)):
+        rc = run_experiment(run_cfg, str(tmp_path / name), quick=True)
+        assert rc == workloads.EXPECTED_EXIT[experiment]
+    results = check.compare_csvs(tmp_path / "dt", tmp_path / "half")
+    assert results
+    for name, _, deviation in results:
+        assert deviation <= check.RTOL / 10, f"{name} deviates by {deviation:.3e}"
 
 
 @pytest.mark.filterwarnings("ignore::chenlee_lab.core.AliasingBudgetWarning")

@@ -9,10 +9,8 @@ Two independent routes to u(t) = S(t) phi - int_0^t S(t-t') [u u_x](t') dt':
 * `solve_stepper` is an integrating-factor RK4 production stepper (exact
   linear multiplier, classical RK4 on the transformed nonlinearity, and
   S(t) phi unstepped for a linear run); `solve_stepper_stack` steps
-  several parameter sets from one datum as stacks of spectra, one per CPU
-  of the affinity mask in forked processes, which is how the
-  singular-limit sweeps run.  Every row is bitwise its serial run, so
-  results do not depend on the core count.
+  several parameter sets from one datum as one stack of spectra, which is
+  how the singular-limit sweeps run.  Every row is bitwise its run alone.
 
 They agree within combined tolerance, which is the discrete uniqueness
 check used throughout the experiment suite.
@@ -20,11 +18,7 @@ check used throughout the experiment suite.
 from __future__ import annotations
 
 import functools
-import os
-import pickle
 import sys
-import threading
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,9 +50,6 @@ class SolverBlowupError(RuntimeError):
     def __init__(self, t_blowup, message=None):
         self.t_blowup = t_blowup
         super().__init__(message or f"solution blew up near t={t_blowup:.6g}")
-
-    def __reduce__(self):
-        return type(self), (self.t_blowup, str(self))
 
 
 class PicardError(RuntimeError):
@@ -402,17 +393,9 @@ def solve_stepper_stack(phi: SpectralField, params_list, config: SolverConfig) -
     The members are all nonlinear or all linear (else ValueError), and
     every member's CFL check runs first.  Linear members are S(t) phi,
     phi-hat times `semigroup_stack` at the kept times.  Nonlinear ones are
-    stepped as contiguous sub-stacks of (b, M) spectra whose sizes differ
-    by at most one, one per CPU of the affinity mask, at most one per
-    member: the first here, each later one in a forked child.  Row b of any
-    stack is bitwise the run with params_list[b] alone, so the result does
-    not depend on how many processes ran; `info["processes"]` records it.
-    A stack of one member, a one-CPU mask, a platform without `os.fork` or
-    a live second Python thread (forking a threaded process is unsafe)
-    gives one sub-stack, stepped here.  A blow-up raises the error a serial
-    run would: the earliest time, a non-finite state before the amplitude
-    cap, the lowest row.  A child's warnings are issued again here once it
-    is done, in sub-stack order."""
+    stepped together as one (B, M) stack of spectra, whose row b is bitwise
+    the run with params_list[b] alone.  A blow-up raises at the earliest
+    step any member fails, a non-finite state before the amplitude cap."""
     grid = phi.grid
     B = len(params_list)
     kinds = {p.nonlinear for p in params_list}
@@ -428,12 +411,7 @@ def solve_stepper_stack(phi: SpectralField, params_list, config: SolverConfig) -
         E1 = np.array([semigroup_multiplier(grid, dt, p) for p in params_list])
         E2 = np.array([semigroup_multiplier(grid, 0.5 * dt, p) for p in params_list])
         c = np.repeat(phi.coeffs[None, :], B, axis=0)
-        n_proc = _process_count(B)
-        bounds = [i * B // n_proc for i in range(n_proc + 1)]
-        steps = [functools.partial(_if_rk4, grid, c[lo:hi], E1[lo:hi], E2[lo:hi],
-                                   n_steps, dt, kept_steps)
-                 for lo, hi in zip(bounds, bounds[1:])]
-        members = [block for kept in _run_split(steps) for block in kept]
+        members = list(_if_rk4(grid, c, E1, E2, n_steps, dt, kept_steps))
         method, rhs_evals = "if_rk4", 4 * n_steps
     else:  # S(t) phi: semigroup_apply's product, in place in each member's stack
         with np.errstate(over="ignore", invalid="ignore"):  # a blow-up, raised below
@@ -444,21 +422,11 @@ def solve_stepper_stack(phi: SpectralField, params_list, config: SolverConfig) -
                     raise SolverBlowupError(t) if t else ValueError("non-finite datum")
                 if np.abs(values_stack(grid, rows)).max() > _AMPLITUDE_CAP:
                     raise SolverBlowupError(t, _CAP_MESSAGE)
-        method, n_proc, rhs_evals = "semigroup", 1, 0
+        method, rhs_evals = "semigroup", 0
     return [Trajectory.from_stack(grid, times, block, params,
                                   info={"method": method, "dt": dt, "n_steps": n_steps,
-                                        "sweep_size": B, "processes": n_proc,
-                                        "rhs_evals": rhs_evals})
+                                        "sweep_size": B, "rhs_evals": rhs_evals})
             for block, params in zip(members, params_list)]
-
-
-def _process_count(B: int) -> int:
-    """Sub-stacks for a B-member stack: one per CPU this process may run on,
-    at most B; one where forking is unavailable or unsafe."""
-    if (B < 2 or not hasattr(os, "fork") or not hasattr(os, "sched_getaffinity")
-            or threading.active_count() > 1):
-        return 1
-    return min(B, len(os.sched_getaffinity(0)))
 
 
 # a kept state whose largest |u(x)| exceeds the cap is a blow-up
@@ -527,84 +495,3 @@ def _if_rk4(grid: Grid, c: np.ndarray, E1: np.ndarray, E2: np.ndarray,
             j += 1
     return kept
 
-
-def _run_split(steps: list) -> list:
-    """Results of the calls `steps`: the first runs here, each later one in
-    a forked child that sends back its result or exception, and the warnings
-    it raised, pickled through a pipe.  The children's warnings are issued
-    again here in order.  Raises the first exception other than a blow-up,
-    else the blow-up a serial run would have raised first; a child that
-    dies without a result raises RuntimeError.  Every child is reaped."""
-    children = []  # (pid, read end of its pipe)
-    try:
-        for step in steps[1:]:
-            r, w = os.pipe()
-            try:
-                pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-                raise
-            if pid == 0:
-                os.close(r)
-                _child(step, w)
-            os.close(w)
-            children.append((pid, r))
-        try:
-            outcomes = [steps[0]()]
-        except SolverBlowupError as exc:
-            outcomes = [exc]
-        payloads = []
-        for _, r in children:
-            with open(r, "rb", closefd=False) as fh:
-                payloads.append(fh.read())
-    except BaseException:
-        import signal  # only here, to keep it off the library's import path
-
-        for pid, _ in children:
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        for pid, r in children:
-            os.close(r)
-            os.waitpid(pid, 0)
-
-    for (pid, _), payload in zip(children, payloads):
-        try:
-            outcome, messages = pickle.loads(payload)
-        except (EOFError, pickle.UnpicklingError):
-            raise RuntimeError(
-                f"stepping process {pid} exited without a result") from None
-        for message in messages:
-            warnings.warn(message)
-        outcomes.append(outcome)
-    failures = [x for x in outcomes if isinstance(x, BaseException)]
-    for exc in failures:
-        if not isinstance(exc, SolverBlowupError):
-            raise exc
-    if failures:  # t_blowup is the step times dt; ties keep the lowest rows
-        raise min(failures, key=lambda e: (e.t_blowup, str(e) == _CAP_MESSAGE))
-    return outcomes
-
-
-def _child(step, w: int):
-    """Run `step` in a forked child and write (its result or exception, the
-    warnings it raised) pickled to the pipe end `w`; never returns."""
-    status = 1
-    try:
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            try:
-                outcome = step()
-            except BaseException as exc:  # sent to the parent, which raises it
-                outcome = exc
-        try:
-            payload = pickle.dumps((outcome, [m.message for m in caught]),
-                                   protocol=pickle.HIGHEST_PROTOCOL)
-        except Exception as exc:
-            payload = pickle.dumps((RuntimeError(f"cannot send the result: {exc!r}"), []))
-        with open(w, "wb") as fh:
-            fh.write(payload)
-        status = 0
-    finally:
-        os._exit(status)

@@ -144,36 +144,41 @@ def test_simpson_is_scipy_bitwise():
             assert _simpson(y, x) == simpson(y, x=x), (N, x)
 
 
-def _loaded_by_cli_import(prefix):
-    """Modules under `prefix` that a fresh `import chenlee_lab.cli` loads."""
+@pytest.fixture(scope="module")
+def cli_import_modules():
+    """The modules a fresh `import chenlee_lab.cli` loads, from one
+    interpreter for every import-hygiene test."""
     root = pathlib.Path(__file__).resolve().parents[1]
     env = {**os.environ, "PYTHONPATH": str(root / "src")}
-    code = ("import sys, chenlee_lab.cli; "
-            f"print(sorted(m for m in sys.modules if m.startswith({prefix!r})))")
+    code = "import sys, chenlee_lab.cli; print(*sys.modules)"
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60, check=True)
-    return proc.stdout.strip()
+    return proc.stdout.split()
 
 
-def test_import_leaves_scipy_out():
-    assert _loaded_by_cli_import("scipy") == "[]"
+def _loaded_under(modules, prefix):
+    return sorted(m for m in modules if m.startswith(prefix))
+
+
+def test_import_leaves_scipy_out(cli_import_modules):
+    assert _loaded_under(cli_import_modules, "scipy") == []
 
 
 @pytest.mark.parametrize("prefix", ["multiprocessing", "concurrent"])
-def test_import_leaves_process_pools_out(prefix):
-    # the stepper forks with os.fork alone; pickle and threading come with numpy
-    assert _loaded_by_cli_import(prefix) == "[]"
+def test_import_leaves_process_pools_out(cli_import_modules, prefix):
+    # the library starts no process, so no pool module loads
+    assert _loaded_under(cli_import_modules, prefix) == []
 
 
-def test_import_leaves_numpy_fft_out():
+def test_import_leaves_numpy_fft_out(cli_import_modules):
     # numpy.fft loads lazily: the first Grid loads it, and core.py reaches
     # the pocketfft gufuncs through it at call time, so importing the
     # package costs no FFT module
-    assert _loaded_by_cli_import("numpy.fft") == "[]"
+    assert _loaded_under(cli_import_modules, "numpy.fft") == []
 
 
-def test_import_leaves_numpy_polynomial_out():
-    assert _loaded_by_cli_import("numpy.polynomial") == "[]"
+def test_import_leaves_numpy_polynomial_out(cli_import_modules):
+    assert _loaded_under(cli_import_modules, "numpy.polynomial") == []
 
 
 def test_picard_run_leaves_numpy_polynomial_out(tmp_path):

@@ -322,6 +322,26 @@ def test_tuned_config_steps_a_whole_number_of_steps(experiment):
         assert abs(count - round(count)) <= 1e-9, count
 
 
+@pytest.mark.parametrize("fine, box, expected", [
+    (4.13e-9, 0.0, "converged"),  # the stepper's largest gated move under fine
+    (LADDER.BOUND, LADDER.BOUND, "converged"),
+    (1.70e-4, 0.0, "dt-dependent"),  # the same move with an IF-Euler update
+    (4.13e-9, 2e-6, "box-dependent"),
+], ids=["if_rk4", "at_bound", "if_euler", "box"])
+def test_ladder_labels_a_move_against_its_bound(fine, box, expected):
+    assert LADDER.BOUND == 1e-6
+    assert LADDER.label(fine, box) == expected
+
+
+def test_ladder_counts_a_lost_figure_as_a_mismatch():
+    # a figure the rung did not write, or wrote over other rows, fails the gate
+    tuned = ["1.0", "2.0"]
+    assert LADDER.change(tuned, tuned, "decay.csv", "mass_drift") == 0.0
+    for cells in (None, ["1.0"]):
+        moved = LADDER.change(cells, tuned, "decay.csv", "mass_drift")
+        assert moved == LADDER.check.MISMATCH_DEV > LADDER.BOUND
+
+
 @pytest.mark.parametrize("experiment, expected", list(RUN_ALL.EXPECTED.items()))
 def test_every_tuned_config_passes_under_quick(experiment, expected, tmp_path):
     # each tuned config scaled by --quick exits with its documented code, as

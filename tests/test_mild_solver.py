@@ -1,6 +1,9 @@
 """Mild-solution solvers: contraction construction, Duhamel quadrature,
 Picard iteration and the integrating-factor stepper."""
 import dataclasses
+import os
+import subprocess
+import threading
 import tracemalloc
 import warnings
 import weakref
@@ -504,17 +507,51 @@ def test_stack_raises_the_earliest_members_blowup(keep_every):
     assert stacked.value.t_blowup == runaway_alone.value.t_blowup < slower_alone.value.t_blowup
 
 
-def test_stack_rejects_a_non_finite_datum():
-    # a NaN anywhere but the Nyquist slot, which the stepper zeroes
+@pytest.mark.parametrize("members", [STACK[:3], LINEAR_STACK[:3]],
+                         ids=["nonlinear", "linear"])
+def test_stack_rejects_a_non_finite_datum(members):
+    # a NaN anywhere but the Nyquist slot
     c = _gaussian(0.5).coeffs.copy()
     c[3] = np.nan
-    cfg = SolverConfig(dt=1e-3, T=0.01)
-    for members in (STACK[:3], LINEAR_STACK[:3]):
-        with pytest.raises(ValueError, match="non-finite"):
-            solve_stepper_stack(SpectralField(GRID, c, check=False), members, cfg)
-    c[3], c[GRID.nyquist] = 0.0, np.nan
-    traj = solve_stepper(SpectralField(GRID, c, check=False), PARAMS, cfg)
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_stepper_stack(SpectralField(GRID, c, check=False), members,
+                            SolverConfig(dt=1e-3, T=0.01))
+
+
+def test_stepper_zeroes_a_non_finite_nyquist_slot():
+    c = _gaussian(0.5).coeffs.copy()
+    c[GRID.nyquist] = np.nan
+    traj = solve_stepper(SpectralField(GRID, c, check=False), PARAMS,
+                         SolverConfig(dt=1e-3, T=0.01))
     assert np.isfinite(traj.coeffs.view(np.float64)).all()
+
+
+@pytest.mark.parametrize("members", [STACK, LINEAR_STACK], ids=["nonlinear", "linear"])
+def test_stack_steps_in_the_calling_process(monkeypatch, members):
+    # the whole stack steps here: no process is forked or spawned and no
+    # thread is started
+    def refuse(*args, **kwargs):
+        pytest.fail("the stack started a process or a thread")
+
+    for module, name in ((os, "fork"), (os, "posix_spawn"), (subprocess, "Popen"),
+                         (threading.Thread, "start")):
+        monkeypatch.setattr(module, name, refuse)
+    threads = threading.active_count()
+    trajs = solve_stepper_stack(_gaussian(0.5), members, SolverConfig(dt=1e-3, T=0.02,
+                                                                      keep_every=10))
+    assert [traj.params for traj in trajs] == members
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("members", [STACK, LINEAR_STACK], ids=["nonlinear", "linear"])
+def test_stack_leaves_the_datum_alone(members):
+    # the stepper overwrites its own copy of the datum, and the linear
+    # product is formed in each member's multiplier stack, never in phi
+    phi = _gaussian(0.5)
+    before = phi.coeffs.copy()
+    trajs = solve_stepper_stack(phi, members, SolverConfig(dt=1e-3, T=0.02, keep_every=10))
+    assert np.array_equal(phi.coeffs.view(np.uint64), before.view(np.uint64))
+    assert all(np.array_equal(traj.states[0].coeffs, before) for traj in trajs)
 
 
 def test_mass_conserved_exactly():

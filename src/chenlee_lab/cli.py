@@ -37,7 +37,6 @@ from .report import ExperimentReport, FitError, fit_loglog
 from .solver import (
     CflError,
     PicardError,
-    QuadratureConvergenceError,
     SolverBlowupError,
     contraction_time,
     solve_picard,
@@ -45,8 +44,7 @@ from .solver import (
 )
 from .spaces import l2_norm, sobolev_norm, sobolev_norm_stack
 
-NUMERICAL_ERRORS = (SolverBlowupError, PicardError, QuadratureConvergenceError,
-                    FloatingPointError)
+NUMERICAL_ERRORS = (SolverBlowupError, PicardError)
 
 
 def _apply_quick(cfg: RunConfig) -> RunConfig:

@@ -51,6 +51,9 @@ class SolverBlowupError(RuntimeError):
         self.t_blowup = t_blowup
         super().__init__(message or f"solution blew up near t={t_blowup:.6g}")
 
+    def __reduce__(self):  # args holds the message alone, not t_blowup
+        return type(self), (self.t_blowup, str(self))
+
 
 class PicardError(RuntimeError):
     pass

@@ -28,7 +28,7 @@ from chenlee_lab.core import (
     semigroup_apply,
 )
 from chenlee_lab.decay import (
-    listo_functional,
+    decay_report,
     weighted_energy_rate,
     yacasi_identity_residual,
 )
@@ -358,8 +358,12 @@ def test_criterion11_moment_identities():
         phi_m = SpectralField.single_mode(g4, mode, 0.2)
         traj_m = solve_stepper(phi_m, lin, SolverConfig(dt=1e-3, T=1.0, keep_every=2))
         e0 = l2_norm(phi_m) ** 2
+        rep = decay_report(traj_m)  # its listo column, read at stored times
+        times, listo = rep.column("t"), rep.column("listo")
         for t in (0.25, 0.5, 1.0):
-            val = listo_functional(traj_m, t)
+            k = int(np.argmin(np.abs(times - t)))
+            assert abs(times[k] - t) <= 1e-12
+            val = listo[k]
             ref = (e0 * t * t / 2.0 if alpha == 0.0
                    else e0 * (np.exp(alpha * t) - 1.0 - alpha * t) / alpha ** 2)
             listo_err = max(listo_err, abs(val - ref) / ref)

@@ -2,6 +2,7 @@
 Picard iteration and the integrating-factor stepper."""
 import dataclasses
 import os
+import pickle
 import subprocess
 import threading
 import tracemalloc
@@ -505,6 +506,18 @@ def test_stack_raises_the_earliest_members_blowup(keep_every):
         solve_stepper(_gaussian(0.5), slower, cfg)
     assert str(stacked.value) == str(runaway_alone.value)
     assert stacked.value.t_blowup == runaway_alone.value.t_blowup < slower_alone.value.t_blowup
+
+
+@pytest.mark.parametrize("args", [(0.5,), (0.5, "amplitude cap at t=0.5")],
+                         ids=["default_message", "message"])
+def test_blowup_error_survives_pickling(args):
+    # as a process pool sends it back: t_blowup and the message both come
+    # through, whichever form raised it
+    exc = SolverBlowupError(*args)
+    back = pickle.loads(pickle.dumps(exc))
+    assert type(back) is SolverBlowupError
+    assert back.t_blowup == 0.5
+    assert str(back) == str(exc)
 
 
 @pytest.mark.parametrize("members", [STACK[:3], LINEAR_STACK[:3]],

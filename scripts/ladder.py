@@ -13,7 +13,9 @@ A change is perfbench/check.py's cell deviation |a - b| / max(|b|,
 ATOL / RTOL), with the floors of `check.ATOL`, of the rung's cell from the
 tuned run's cell, the largest over a column's rows; a flag that flips
 counts as `check.MISMATCH_DEV`.  A rung that wrote no CSV (exit 2 where the
-CFL guard refuses it) shows its exit code in place of a change.  The
+CFL guard refuses it, or where its dt leaves T a step count that is not
+whole, as 2dt does for an odd count) shows its exit code in place of a
+change.  The
 figures are the CSVs' columns and their summary keys, which are the
 figures of the verdict lines.  Each figure is marked "converged" when it
 moves by at most BOUND (1e-6) under "fine" and under "box",

@@ -51,14 +51,21 @@ def _apply_quick(cfg: RunConfig) -> RunConfig:
     """A copy of `cfg` scaled down ~4x for CI (`cfg` is left as it is): the
     grid shrinks to a quarter but not below M = 256 (a smaller grid keeps its
     size), except for smoothing, whose t -> 0 asymptotics need the full band,
-    and decay, whose Yacasi residual needs M = 1024 (2e-5 at 256, tol 1e-8)."""
+    and decay, whose Yacasi residual needs M = 1024 (2e-5 at 256, tol 1e-8).
+    The shortened T keeps a whole number of steps (see `_whole_step`)."""
     M = cfg.grid_M
     if cfg.experiment not in ("smoothing", "decay"):
         M = min(M, max(256, M // 4))
-    quick = replace(cfg, grid_M=M,
-                    solver_T=max(cfg.solver_T / 4.0, 10.0 * cfg.solver_dt),
-                    illposed_N=tuple(cfg.illposed_N[:4]))
-    return quick
+    T = max(cfg.solver_T / 4.0, 10.0 * cfg.solver_dt)
+    return replace(cfg, grid_M=M, solver_T=T, solver_dt=_whole_step(T, cfg.solver_dt),
+                   illposed_N=tuple(cfg.illposed_N[:4]))
+
+
+def _whole_step(T: float, dt: float) -> float:
+    """T / round(T / dt), the step nearest dt that divides T, where T / dt
+    is a step count that `SolverConfig` holds; else dt, which it refuses."""
+    steps = T / dt if dt > 0 else 0.0
+    return T / round(steps) if 1 <= steps <= sys.maxsize else dt
 
 
 # ---------------------------------------------------------------------------
@@ -117,7 +124,7 @@ def _run_contraction(cfg: RunConfig):
     params = cfg.equation_params()
     T = min(contraction_time(l2_norm(phi), 0.0, C_CONTRACTION), cfg.solver_T)
     try:
-        scfg = replace(cfg.solver_config(), T=T)
+        scfg = replace(cfg.solver_config(), T=T, dt=_whole_step(T, cfg.solver_dt))
     except ValueError as exc:  # T underflows to 0, or is shorter than dt
         raise ConfigError(f"the datum's contraction horizon T = {T:.3g} is refused ({exc}); "
                           f"lower data.amplitude or grid.L, or solver.dt where T > 0") from None

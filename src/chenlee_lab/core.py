@@ -278,28 +278,24 @@ def semigroup_stack(grid: Grid, times, params: EquationParams) -> np.ndarray:
     return E
 
 
-_KEYWORDS = object()  # parts a memo key's arguments from its keyword items
-
-
 def grid_memo(maxsize: int):
     """Memoize `build(grid, ...)` on `grid` itself, keyed by the other
-    arguments, so each table lives and dies with the grid it was built for.
-    A hit returns the stored value, shared; past `maxsize` entries of one
-    builder on one grid, its least recently used one goes.  A miss calls
-    the memo's `__wrapped__`, looked up then, which builds without storing.
-    Nothing stored may refer to its grid, or only the cycle collector could
-    free the pair."""
+    arguments, all positional, so each table lives and dies with the grid
+    it was built for.  A hit returns the stored value, shared; past
+    `maxsize` entries of one builder on one grid, its least recently used
+    one goes.  A miss calls the memo's `__wrapped__`, looked up then, which
+    builds without storing.  Nothing stored may refer to its grid, or only
+    the cycle collector could free the pair."""
     def decorate(build):
         @functools.wraps(build)
-        def memo(grid: Grid, *args, **kwargs):
-            key = (*args, _KEYWORDS, *kwargs.items()) if kwargs else args
+        def memo(grid: Grid, *args):
             table = grid._memo.setdefault(build, {})
-            value = table.pop(key, None)
+            value = table.pop(args, None)
             if value is None:
-                value = memo.__wrapped__(grid, *args, **kwargs)
+                value = memo.__wrapped__(grid, *args)
                 if len(table) >= maxsize:
                     del table[next(iter(table))]
-            table[key] = value  # (again) the most recently used
+            table[args] = value  # (again) the most recently used
             return value
         return memo
     return decorate
@@ -411,32 +407,35 @@ def _energy_sums(k: int) -> np.ndarray:
 
 
 class PaddedBuffer:
-    """The kernel's workspace: `flat`, a C-contiguous complex128 (..., 3M/2)
-    array, in which the pocketfft gufuncs behind `np.fft` transform in
-    place (see `_ifft`), with its views in the block layout of
-    `nonlinear_stack`, made once: `retained`, blocks 0 and 2, and `middle`,
-    block 1, as (..., 2, M/2) and (..., M/2) arrays.  `power` is the float
-    view the aliasing check sums, as (..., 3k, c) chunks of c = min(M,
-    4096) floats, k = M/c per third, and `sums` the table that adds their
-    energies (see `_energy_sums`): OpenBLAS runs a ddot over more than
-    10,000 floats on its thread pool, and no ddot here is that long.
+    """The kernel's workspace on `grid` for (*lead, M) stacks: `flat`, a new
+    C-contiguous complex128 (*lead, 3M/2) array, in which the pocketfft
+    gufuncs behind `np.fft` transform in place (see `_ifft`), with its views
+    in the block layout of `nonlinear_stack`, made once: `retained`, blocks
+    0 and 2, and `middle`, block 1, as (..., 2, M/2) and (..., M/2) arrays.
+    `power` is the float view the aliasing check sums, as (..., 3k, c)
+    chunks of c = min(M, 4096) floats, k = M/c per third, and `sums` the
+    table that adds their energies (see `_energy_sums`): OpenBLAS runs a
+    ddot over more than 10,000 floats on its thread pool, and no ddot here
+    is that long.
 
-    A stepper's workspace (`stepper_workspace`) holds all an IF-RK4 run
-    knows of storage.  The stack's state is in the block layout as (-1)^k
-    c, and a stage written into `retained` is where the kernel reads it;
-    negation commutes exactly with the kernel and with each operation of a
-    step, up to the sign of an exact zero."""
+    A stepper's workspace, on (b,) stacks, holds all an IF-RK4 run knows
+    of storage.  The stack's state is in the block layout as (-1)^k c, and
+    a stage written into `retained` is where the kernel reads it; negation
+    commutes exactly with the kernel and with each operation of a step, up
+    to the sign of an exact zero."""
 
     __slots__ = ("flat", "retained", "middle", "power", "sums", "grid")
 
-    def __init__(self, flat: np.ndarray):
-        n = flat.shape[-1] // 3
-        thirds = flat.reshape(flat.shape[:-1] + (3, n))
+    def __init__(self, grid: Grid, lead: tuple):
+        n = grid.nyquist
+        flat = np.empty((*lead, 3 * n), dtype=np.complex128)
+        thirds = flat.reshape((*lead, 3, n))
+        self.grid = grid
         self.flat = flat
         self.retained = thirds[..., ::2, :]
         self.middle = thirds[..., 1, :]
         c = min(2 * n, 4096)
-        self.power = flat.view(np.float64).reshape(flat.shape[:-1] + (6 * n // c, c))
+        self.power = flat.view(np.float64).reshape((*lead, 6 * n // c, c))
         self.sums = _energy_sums(2 * n // c)
 
     def load(self, stack: np.ndarray, *multipliers: np.ndarray) -> tuple:
@@ -461,13 +460,6 @@ class PaddedBuffer:
     def store(state: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The state as (b, M) spectra, written into `out` and returned."""
         return phase_flip(state.reshape(out.shape), out=out)
-
-
-def stepper_workspace(grid: Grid, b: int) -> PaddedBuffer:
-    """The workspace of an IF-RK4 run over (b, M) stacks; see `PaddedBuffer`."""
-    pad = PaddedBuffer(np.empty((b, 3 * grid.nyquist), dtype=np.complex128))
-    pad.grid = grid
-    return pad
 
 
 def nonlinear_stack(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
@@ -499,7 +491,7 @@ def nonlinear_stack(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """
     lead, half = coeffs.shape[:-1], grid.M // 2
     out = np.empty(lead + (grid.M,), dtype=np.complex128)
-    pad = PaddedBuffer(np.empty(lead + (3 * half,), dtype=np.complex128))
+    pad = PaddedBuffer(grid, lead)
     blocks = out.reshape(lead + (2, half))
     phase_flip(coeffs.reshape(lead + (2, half)), out=pad.retained)
     nonlinear_blocks(grid, pad, blocks)

@@ -26,6 +26,7 @@ import numpy as np
 from .core import (
     EquationParams,
     Grid,
+    PaddedBuffer,
     SpectralField,
     grid_memo,
     hermitian_sums,
@@ -33,7 +34,6 @@ from .core import (
     semigroup_half,
     semigroup_multiplier,
     semigroup_stack,
-    stepper_workspace,
     symbol_q,
     values_stack,
 )
@@ -90,6 +90,9 @@ class SolverConfig:
         if not self.T / self.dt <= sys.maxsize:  # inf too
             raise ValueError(f"T / dt = {self.T / self.dt:.3g} steps is more than a step "
                              f"count can hold ({sys.maxsize}); lower T or raise dt")
+        if abs(self.T / self.dt - self.n_steps) > 1e-9 * self.n_steps:
+            raise ValueError(f"T / dt = {self.T / self.dt:.10g} is not a whole number of "
+                             f"steps; dt = {self.T / self.n_steps!r} takes {self.n_steps}")
         for name in ("picard_max_iters", "keep_every"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
@@ -98,7 +101,7 @@ class SolverConfig:
 
     @property
     def n_steps(self) -> int:
-        return round(self.T / self.dt)  # >= 1, as dt <= T
+        return round(self.T / self.dt)  # >= 1, as dt <= T; T / dt is whole to 1e-9
 
 
 class Trajectory:
@@ -445,10 +448,10 @@ def _if_rk4(grid: Grid, c: np.ndarray, E1: np.ndarray, E2: np.ndarray,
     the spectra kept at the steps `kept_steps`, 0 first.  Raises ValueError
     on a non-finite datum, and SolverBlowupError at the first non-finite
     state or kept state over the amplitude cap.  The loop is the step's
-    algebra alone; the workspace (`core.stepper_workspace`) loads the
-    state, evaluates each stage and stores each kept state back."""
+    algebra alone; the workspace (`core.PaddedBuffer`) loads the state,
+    evaluates each stage and stores each kept state back."""
     kept = np.empty((len(c), len(kept_steps), c.shape[1]), dtype=np.complex128)
-    pad = stepper_workspace(grid, len(c))
+    pad = PaddedBuffer(grid, (len(c),))
     c, E1, E2 = pad.load(c, E1, E2)
     pad.store(c, kept[:, 0])
     j = 1  # the next row of kept

@@ -313,9 +313,8 @@ LADDER = _load_script("ladder")
 
 @pytest.mark.parametrize("experiment", LADDER.STEPPED)
 def test_tuned_config_steps_a_whole_number_of_steps(experiment):
-    # the dt a run echoes is the dt it steps with: T is a whole number of
-    # time steps and of kept intervals, where SolverConfig.n_steps would
-    # round T / dt and step at T / n_steps instead
+    # T is a whole number of time steps, as SolverConfig requires of every
+    # config, and of kept intervals
     cfg = parse_config((RUN_ALL.CONFIG_DIR / f"{experiment}.cfg").read_text())
     for count in (cfg.solver_T / cfg.solver_dt,
                   cfg.solver_T / (cfg.solver_dt * cfg.solver_keep_every)):

@@ -41,6 +41,8 @@ BAD_CONFIGS = {
     "smoothing-times-reversed": ("smoothing", "smoothing.t_min", "smoothing.t_min = 1e300"),
     "smoothing-t-max-negative": ("smoothing", "smoothing.t_max", "smoothing.t_max = -1e300"),
     "illposed-amplitude-overflows": ("illposed-c3", "illposed.s", "illposed.s = -1e300"),
+    # 312.5 steps: the stepper took 312 of 0.25/312 while the run echoed 8e-4
+    "solver-steps-not-whole": ("solve", "solver.dt", "solver.T = 0.25\nsolver.dt = 8e-4"),
 }
 
 

@@ -1,5 +1,5 @@
-"""Moment traces, the first-moment identity, the time-smoothed L^2
-functional, and the weighted-energy balance."""
+"""The decay table's moments, the first-moment identity, the time-smoothed
+L^2 functional, and the weighted-energy balance."""
 import os
 import pathlib
 import subprocess
@@ -10,17 +10,19 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
 
-from chenlee_lab.core import EquationParams, Grid, SpectralField
-from chenlee_lab.decay import (
-    MomentTrace,
-    _simpson,
-    decay_report,
-    moment_trace,
-    weighted_energy_rate,
-    yacasi_identity_residual,
+from chenlee_lab.core import (
+    TWO_PI_SQRT,
+    EquationParams,
+    Grid,
+    SpectralField,
+    from_values_stack,
+    row_blocks,
+    values_stack,
+    x_derivative_stack,
 )
+from chenlee_lab.decay import _simpson, decay_report, weighted_energy_rate
 from chenlee_lab.solver import SolverConfig, Trajectory, solve_stepper
-from chenlee_lab.spaces import l2_norm
+from chenlee_lab.spaces import l2_norm, sobolev_norm_stack
 
 GRID = Grid(32.0 * np.pi, 1024)
 PARAMS = EquationParams(beta=1.0, eta=1.0)
@@ -35,18 +37,70 @@ def _static(phi):
 
 
 # ---------------------------------------------------------------------------
-# moment trace
+# moments
 # ---------------------------------------------------------------------------
+
+_MOMENT_COLUMNS = ("re_mass", "im_mass", "re_dmass", "l2sq", "w1", "w2", "w3")
+
+
+def _yacasi(traj):
+    return decay_report(traj).summary["yacasi_residual"]
+
+
+def _frozen_moments(traj):
+    """The decay table's columns after t, its Yacasi residual and the
+    complex first moment `dmass`, by the arithmetic of three passes as they
+    ran before `decay_report` read each state once: a pass for the moments,
+    one per row for listo, and a pass of its own for the first-moment
+    identity."""
+    g = traj.grid
+
+    def moments(c):
+        u = values_stack(g, c)
+        w1, w2, w3 = (np.sqrt(np.sum((g.x ** r * u) ** 2, axis=-1) * g.dx) for r in (1, 2, 3))
+        return (c[:, 0], -1j / TWO_PI_SQRT * np.sum(g.x * u, axis=-1) * g.dx,
+                sobolev_norm_stack(g, c, 0.0) ** 2, w1, w2, w3)
+
+    def residuals(c):
+        w = x_derivative_stack(g, from_values_stack(g, values_stack(g, c) ** 2))
+        moment = np.sum(g.x * values_stack(g, w), axis=-1) * g.dx
+        return np.abs(moment + sobolev_norm_stack(g, c, 0.0) ** 2) / TWO_PI_SQRT
+
+    mass, dmass, l2sq, w1, w2, w3 = row_blocks(moments, traj.coeffs)
+    times = traj.times
+    listo = [_simpson((t - times[:i + 1]) * l2sq[:i + 1], times[:i + 1]) if i >= 2 else 0.0
+             for i, t in enumerate(times)]
+    frozen = dict(zip(_MOMENT_COLUMNS, (mass.real, mass.imag, dmass.real, l2sq, w1, w2, w3)))
+    frozen.update(listo=np.array(listo), dmass=dmass,
+                  yacasi_residual=float(row_blocks(residuals, traj.coeffs).max()))
+    return frozen
+
+
+def test_decay_report_is_the_frozen_passes_bitwise():
+    # six states at M = 1024: a full row block of four and a partial one
+    traj = _decay_traj(1e-3, 40)
+    frozen = _frozen_moments(traj)
+    rep = decay_report(traj)
+    for name in rep.columns[1:]:
+        assert rep.column(name).tobytes() == frozen[name].tobytes(), name
+    assert rep.summary["yacasi_residual"] == frozen["yacasi_residual"]
+
 
 def test_moment_trace_gaussian_oracle():
     a = 0.3
-    tr = moment_trace(_static(_gaussian(a)))
+    traj = _static(_gaussian(a))
+    rep = decay_report(traj)
+    mass = complex(rep.column("re_mass")[0], rep.column("im_mass")[0])
     # u_hat(0) = a (2 pi)^{-1/2} int e^{-x^2} dx = a / sqrt(2)
-    assert tr.mass[0] == pytest.approx(a / np.sqrt(2.0), rel=1e-12)
-    assert abs(tr.dmass[0]) <= 1e-12  # even data: first moment vanishes
+    assert mass == pytest.approx(a / np.sqrt(2.0), rel=1e-12)
+    # even data: the first moment vanishes.  It is imaginary, and the table
+    # keeps only its real part, so the frozen passes, which are the table's
+    # arithmetic bitwise, give the whole of it
+    assert abs(rep.column("re_dmass")[0]) <= 1e-12
+    assert abs(_frozen_moments(traj)["dmass"][0]) <= 1e-12
     w1_sq, _ = quad(lambda x: x * x * (a * np.exp(-x * x)) ** 2, -np.inf, np.inf)
-    assert tr.w1[0] == pytest.approx(np.sqrt(w1_sq), rel=1e-10)
-    assert tr.mass_drift == 0.0
+    assert rep.column("w1")[0] == pytest.approx(np.sqrt(w1_sq), rel=1e-10)
+    assert rep.summary["mass_drift"] == 0.0
 
 
 def test_diagnostics_do_not_depend_on_the_row_blocks():
@@ -54,27 +108,12 @@ def test_diagnostics_do_not_depend_on_the_row_blocks():
     # so these six states make a full block and a partial one); each row
     # has the bits of its state alone, a block of one row
     traj = _decay_traj(1e-3, 40)
-    trace = moment_trace(traj)
+    rep = decay_report(traj)
     for k, u in enumerate(traj.states):
-        alone = moment_trace(_static(u))
-        for name in ("mass", "dmass", "l2sq", "w1", "w2", "w3"):
-            assert getattr(alone, name).tobytes() == getattr(trace, name)[k:k + 1].tobytes()
-    assert yacasi_identity_residual(traj) == max(
-        yacasi_identity_residual(_static(u)) for u in traj.states)
-
-
-def test_moment_trace_validation():
-    t = np.array([0.0, 1.0])
-    ones = np.ones(2)
-    # a column of a trajectory's stack is a strided array, and is accepted
-    column = np.ones((2, 4), complex)[:, 0]
-    assert MomentTrace(t, column, column, ones, ones, ones, ones).mass_drift == 0.0
-    with pytest.raises(ValueError):
-        MomentTrace(t, np.array([1.0, np.nan * 1j]), column, ones, ones, ones, ones)
-    with pytest.raises(ValueError):
-        MomentTrace(t, np.ones(3, complex), ones.astype(complex), ones, ones, ones, ones)
-    with pytest.raises(ValueError):
-        MomentTrace(t, ones.astype(complex), ones.astype(complex), -ones, ones, ones, ones)
+        alone = decay_report(_static(u))
+        for name in _MOMENT_COLUMNS:
+            assert alone.column(name).tobytes() == rep.column(name)[k:k + 1].tobytes()
+    assert _yacasi(traj) == max(_yacasi(_static(u)) for u in traj.states)
 
 
 # ---------------------------------------------------------------------------
@@ -82,13 +121,13 @@ def test_moment_trace_validation():
 # ---------------------------------------------------------------------------
 
 def test_yacasi_static_machine_precision():
-    assert yacasi_identity_residual(_static(_gaussian(0.4))) <= 1e-12
+    assert _yacasi(_static(_gaussian(0.4))) <= 1e-12
 
 
 def test_yacasi_along_trajectory():
     traj = solve_stepper(_gaussian(0.1), PARAMS,
                          SolverConfig(dt=1e-3, T=0.2, keep_every=50))
-    assert yacasi_identity_residual(traj) <= 1e-8
+    assert _yacasi(traj) <= 1e-8
 
 
 # ---------------------------------------------------------------------------

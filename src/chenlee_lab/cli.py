@@ -29,7 +29,7 @@ from .config import (
     parse_config,
     validate,
 )
-from .core import LOG_FLOAT_MAX, row_blocks, semigroup_apply
+from .core import LOG_FLOAT_MAX, semigroup_apply
 from .decay import decay_report, mass_drift, weighted_energy_rate
 from .flowderiv import illposed_growth_c2_nd, illposed_growth_c3
 from .limits import LimitSweepConfig, beta_limit_sweep, eta_limit_sweep
@@ -41,6 +41,7 @@ from .solver import (
     contraction_time,
     solve_picard,
     solve_stepper,
+    stepper_blocks,
 )
 from .spaces import l2_norm, sobolev_norm, sobolev_norm_stack
 
@@ -73,15 +74,18 @@ def _whole_step(T: float, dt: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _run_solve(cfg: RunConfig):
+    """The run's norms and zero mode, reduced from each block of its
+    `stepper_blocks` stream as it comes: the run is never held whole."""
     phi = build_initial_data(cfg)
-    traj = solve_stepper(phi, cfg.equation_params(), cfg.solver_config())
     rep = ExperimentReport("trajectory",
                            ["t", "l2", "hs", "re_uhat0", "im_uhat0"])
-    l2, hs = row_blocks(lambda c: (sobolev_norm_stack(traj.grid, c, 0.0),
-                                   sobolev_norm_stack(traj.grid, c, cfg.sweep_s)), traj.coeffs)
-    mass = traj.coeffs[:, 0]
-    for row in zip(traj.times, l2, hs, mass.real, mass.imag):
-        rep.add_row(*row)
+    mass = []
+    for times, (block,) in stepper_blocks(phi, [cfg.equation_params()], cfg.solver_config()):
+        l2 = sobolev_norm_stack(phi.grid, block, 0.0)
+        hs = sobolev_norm_stack(phi.grid, block, cfg.sweep_s)
+        mass.extend(block[:, 0])
+        for row in zip(times, l2, hs, block[:, 0].real, block[:, 0].imag):
+            rep.add_row(*row)
     drift = mass_drift(mass)
     rep.summary.update({
         "mass_drift": drift,

@@ -120,6 +120,11 @@ def decay_report(traj: Trajectory) -> ExperimentReport:
     frequency-derivative of the nonlinearity's transform at 0 is the L^2
     energy over sqrt(2 pi).  The residual, over sqrt(2 pi), is pure
     quadrature/boundary error.
+
+    The `re_dmass` column is identically zero: it is the real part of the
+    first moment, which is purely imaginary for a real u.  It stays, so
+    that `decay.csv` keeps its bytes, until the benchmark's reference
+    CSVs are re-recorded.
     """
     g = traj.grid
     times = traj.times

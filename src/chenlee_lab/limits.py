@@ -12,9 +12,9 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .core import EquationParams, SpectralField, nonlinear_term, row_blocks, x_derivative
+from .core import EquationParams, SpectralField, nonlinear_term, x_derivative
 from .report import ExperimentReport, fit_loglog
-from .solver import SolverConfig, solve_stepper_stack
+from .solver import SolverConfig, stepper_blocks
 from .spaces import hs_inner, sobolev_norm, sobolev_norm_stack
 
 
@@ -37,13 +37,20 @@ class LimitSweepConfig:
         check_sweep_values(self.sweep_values)
 
 
-def _sup_diff(traj_a, traj_b, s: float) -> float:
-    if traj_a.times.size != traj_b.times.size or np.max(
-            np.abs(traj_a.times - traj_b.times)) > 1e-10:
-        raise ValueError("trajectories sampled at different times")
-    grid = traj_a.grid
-    return float(row_blocks(lambda a, b: sobolev_norm_stack(grid, a - b, s),
-                            traj_a.coeffs, traj_b.coeffs).max())
+def _sup_diffs(cfg: LimitSweepConfig, members, pairs, each_block=None) -> list:
+    """sup_t ||u_a(t) - u_b(t)||_{H^s}, s = cfg.s, for each member index pair
+    (a, b) of `pairs`, the `members` parameter sets stepped from cfg.phi as
+    one stack: running maxima over the per-row norms of each block of its
+    `stepper_blocks` stream, so the stack's run is never held whole.
+    `each_block(times, block)` sees every block too."""
+    sups = [0.0] * len(pairs)
+    for times, block in stepper_blocks(cfg.phi, members, cfg.solver):
+        for i, (a, b) in enumerate(pairs):
+            norms = sobolev_norm_stack(cfg.phi.grid, block[a] - block[b], cfg.s)
+            sups[i] = max(sups[i], float(norms.max()))
+        if each_block is not None:
+            each_block(times, block)
+    return sups
 
 
 def beta_limit_sweep(cfg: LimitSweepConfig, tol: float) -> ExperimentReport:
@@ -52,9 +59,8 @@ def beta_limit_sweep(cfg: LimitSweepConfig, tol: float) -> ExperimentReport:
     report = ExperimentReport("beta_limit", ["value", "sup_error", "fitted_slope",
                                             "target_slope", "pass"])
     betas = [0.0] + [float(beta) for beta in cfg.sweep_values]
-    ref, *trajs = solve_stepper_stack(
-        cfg.phi, [replace(cfg.base_params, beta=beta) for beta in betas], cfg.solver)
-    errors = [_sup_diff(traj, ref, cfg.s) for traj in trajs]
+    errors = _sup_diffs(cfg, [replace(cfg.base_params, beta=beta) for beta in betas],
+                        [(i, 0) for i in range(1, len(betas))])
     slope, _ = fit_loglog(np.asarray(cfg.sweep_values), np.asarray(errors))
     passed = abs(slope - 1.0) <= tol
     # monotone in beta with 5% solver-noise slack
@@ -73,13 +79,20 @@ def eta_limit_sweep(cfg: LimitSweepConfig, tol: float) -> ExperimentReport:
     envelope at s=2."""
     report = ExperimentReport("eta_limit", ["value", "sup_error", "cauchy_diff",
                                            "fitted_slope", "target_slope", "pass"])
-    # the eta = 0 reference plus every distinct eta of values and values/2
+    # the eta = 0 reference, member 0, plus every distinct eta of values and values/2
     etas = list(dict.fromkeys(float(eta) for v in cfg.sweep_values for eta in (v, v / 2.0)))
-    ref, *runs = solve_stepper_stack(
-        cfg.phi, [replace(cfg.base_params, eta=eta) for eta in [0.0] + etas], cfg.solver)
-    trajs = dict(zip(etas, runs))
-    sup_errors = [_sup_diff(trajs[eta], ref, cfg.s) for eta in cfg.sweep_values]
-    cauchy = [_sup_diff(trajs[eta], trajs[eta / 2.0], cfg.s) for eta in cfg.sweep_values]
+    member = {eta: i for i, eta in enumerate(etas, 1)}
+    times, h2 = [], []  # every run's H^2 norms but the reference's, for the envelope
+
+    def keep_h2(block_times, block):
+        times.extend(block_times)
+        h2.append(sobolev_norm_stack(cfg.phi.grid, block[1:], 2.0))
+
+    sups = _sup_diffs(cfg, [replace(cfg.base_params, eta=eta) for eta in [0.0] + etas],
+                      [(member[eta], 0) for eta in cfg.sweep_values]
+                      + [(member[eta], member[eta / 2.0]) for eta in cfg.sweep_values],
+                      keep_h2)
+    sup_errors, cauchy = sups[:len(cfg.sweep_values)], sups[len(cfg.sweep_values):]
 
     vals = np.asarray(cfg.sweep_values, dtype=float)
     slope, _ = fit_loglog(vals, np.asarray(cauchy))
@@ -90,12 +103,10 @@ def eta_limit_sweep(cfg: LimitSweepConfig, tol: float) -> ExperimentReport:
     phi_norm = sobolev_norm(cfg.phi, 2.0)
     C_s = calibrated_cs(cfg.phi.grid, s=2.0)
     t_blow = existence_time_limit(phi_norm, C_s)
-    inside = ref.times < 0.999 * t_blow  # every run shares these times
-    bound = np.array([rho_bound(t, phi_norm, C_s) for t in ref.times[inside]]) + 1e-9
-    envelope_ok = True
-    for traj in trajs.values():
-        norms = row_blocks(lambda c: sobolev_norm_stack(cfg.phi.grid, c, 2.0), traj.coeffs)
-        envelope_ok = envelope_ok and not (norms[inside] > bound).any()
+    kept_times = np.array(times)
+    inside = kept_times < 0.999 * t_blow
+    bound = np.array([rho_bound(t, phi_norm, C_s) for t in kept_times[inside]]) + 1e-9
+    envelope_ok = not (np.concatenate(h2, axis=1)[:, inside] > bound).any()
     for eta, e, c in zip(cfg.sweep_values, sup_errors, cauchy):
         report.add_row(float(eta), e, c, slope, 0.5, passed)
     report.summary.update({

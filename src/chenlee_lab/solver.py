@@ -11,6 +11,8 @@ Two independent routes to u(t) = S(t) phi - int_0^t S(t-t') [u u_x](t') dt':
   S(t) phi unstepped for a linear run); `solve_stepper_stack` steps
   several parameter sets from one datum as one stack of spectra, which is
   how the singular-limit sweeps run.  Every row is bitwise its run alone.
+  It collects `stepper_blocks`, the stream of kept states in row blocks,
+  which the CLI's `solve` and the sweeps reduce block by block instead.
 
 They agree within combined tolerance, which is the discrete uniqueness
 check used throughout the experiment suite.
@@ -394,45 +396,73 @@ def solve_stepper(phi: SpectralField, params: EquationParams,
 
 def solve_stepper_stack(phi: SpectralField, params_list, config: SolverConfig) -> list:
     """`solve_stepper` for each parameter set of `params_list` from the same
-    datum; returns one Trajectory per member, in order.
-
-    The members are all nonlinear or all linear (else ValueError), and
-    every member's CFL check runs first.  Linear members are S(t) phi,
-    phi-hat times `semigroup_stack` at the kept times.  Nonlinear ones are
-    stepped together as one (B, M) stack of spectra, whose row b is bitwise
-    the run with params_list[b] alone.  A blow-up raises at the earliest
-    step any member fails, a non-finite state before the amplitude cap."""
+    datum; returns one Trajectory per member, in order: the collected
+    `stepper_blocks` stream, each member's (K, M) slice of one (B, K, M)
+    array, with the stream's checks and errors."""
     grid = phi.grid
     B = len(params_list)
+    kept = np.empty((B, len(_kept_steps(config)), grid.M), dtype=np.complex128)
+    times = []
+    for block_times, block in stepper_blocks(phi, params_list, config):
+        kept[:, len(times):len(times) + len(block_times)] = block
+        times += block_times
+    n_steps = config.n_steps
+    nonlinear = params_list[0].nonlinear  # the stream refused a mixed stack
+    return [Trajectory.from_stack(grid, times, coeffs, params,
+                                  info={"method": "if_rk4" if nonlinear else "semigroup",
+                                        "dt": config.T / n_steps, "n_steps": n_steps,
+                                        "sweep_size": B,
+                                        "rhs_evals": 4 * n_steps if nonlinear else 0})
+            for coeffs, params in zip(kept, params_list)]
+
+
+def _kept_steps(config: SolverConfig) -> list:
+    """Every `keep_every`-th step from 0, and the last: the steps kept."""
+    return [*range(0, config.n_steps, config.keep_every), config.n_steps]
+
+
+def stepper_blocks(phi: SpectralField, params_list, config: SolverConfig):
+    """The kept states of `solve_stepper_stack` as a stream: yields
+    (times, block) in time order, `block` a new (B, k, M) array of every
+    member's spectra at the k kept `times` (a list), k at most
+    max(1, 4096 // M), the bound of `core.row_blocks`.  A caller that
+    reduces each block as it comes never holds the (B, K, M) run.
+
+    Before the first block, the members are checked all nonlinear or all
+    linear (else ValueError), and every member's CFL check runs.  Linear
+    members are S(t) phi, phi-hat times `semigroup_stack` at the block's
+    times.  Nonlinear ones are stepped together as one (B, M) stack of
+    spectra, whose row b is bitwise the run with params_list[b] alone, and
+    a block is handed over before the step after its last kept state.  A
+    blow-up raises at the earliest step any member fails, a non-finite
+    state before the amplitude cap, so no block holds a time at or past it."""
+    grid = phi.grid
     kinds = {p.nonlinear for p in params_list}
     if len(kinds) > 1:
         raise ValueError("a stack's members must be all nonlinear or all linear")
     for params in params_list:
         _check_cfl(grid, config.dt, params)
-    n_steps = config.n_steps
-    dt = config.T / n_steps
-    kept_steps = [*range(0, n_steps, config.keep_every), n_steps]
-    times = [n * dt for n in kept_steps]
+    kept_steps = _kept_steps(config)
+    dt = config.T / config.n_steps
+    rows = max(1, 4096 // grid.M)
+    chunks = [[n * dt for n in kept_steps[j:j + rows]] for j in range(0, len(kept_steps), rows)]
     if True in kinds:
         E1 = np.array([semigroup_multiplier(grid, dt, p) for p in params_list])
         E2 = np.array([semigroup_multiplier(grid, 0.5 * dt, p) for p in params_list])
-        c = np.repeat(phi.coeffs[None, :], B, axis=0)
-        members = list(_if_rk4(grid, c, E1, E2, n_steps, dt, kept_steps))
-        method, rhs_evals = "if_rk4", 4 * n_steps
-    else:  # S(t) phi: semigroup_apply's product, in place in each member's stack
-        with np.errstate(over="ignore", invalid="ignore"):  # a blow-up, raised below
-            members = [semigroup_stack(grid, times, p) for p in params_list]
-            for t, *rows in zip(times, *members):  # checked as _if_rk4 checks a kept step
-                rows = np.array([np.multiply(phi.coeffs, row, out=row) for row in rows])
-                if not np.isfinite(rows.view(np.float64)).all():  # at t = 0, S(0) phi = phi
-                    raise SolverBlowupError(t) if t else ValueError("non-finite datum")
-                if np.abs(values_stack(grid, rows)).max() > _AMPLITUDE_CAP:
-                    raise SolverBlowupError(t, _CAP_MESSAGE)
-        method, rhs_evals = "semigroup", 0
-    return [Trajectory.from_stack(grid, times, block, params,
-                                  info={"method": method, "dt": dt, "n_steps": n_steps,
-                                        "sweep_size": B, "rhs_evals": rhs_evals})
-            for block, params in zip(members, params_list)]
+        c = np.repeat(phi.coeffs[None, :], len(params_list), axis=0)
+        yield from zip(chunks, _if_rk4(grid, c, E1, E2, dt, kept_steps, rows))
+    else:  # S(t) phi: semigroup_apply's product, in place in each block
+        for times in chunks:
+            with np.errstate(over="ignore", invalid="ignore"):  # a blow-up, raised below
+                block = np.array([semigroup_stack(grid, times, p) for p in params_list])
+                # checked at each time as _if_rk4 checks a kept step; S(0) phi = phi
+                for t, states in zip(times, block.swapaxes(0, 1)):
+                    np.multiply(phi.coeffs, states, out=states)
+                    if not np.isfinite(states.view(np.float64)).all():
+                        raise SolverBlowupError(t) if t else ValueError("non-finite datum")
+                    if np.abs(values_stack(grid, states)).max() > _AMPLITUDE_CAP:
+                        raise SolverBlowupError(t, _CAP_MESSAGE)
+            yield times, block  # outside errstate, which the caller would inherit
 
 
 # a kept state whose largest |u(x)| exceeds the cap is a blow-up
@@ -441,20 +471,23 @@ _CAP_MESSAGE = "amplitude cap exceeded"
 
 
 def _if_rk4(grid: Grid, c: np.ndarray, E1: np.ndarray, E2: np.ndarray,
-            n_steps: int, dt: float, kept_steps: list):
-    """Step the (b, M) datum stack `c` through `n_steps` IF-RK4 steps of
-    size `dt` with multipliers E1 = e^{dt L}, E2 = e^{dt L / 2} per row.
-    `c` holds the state and is overwritten.  Returns a (b, K, M) array of
-    the spectra kept at the steps `kept_steps`, 0 first.  Raises ValueError
-    on a non-finite datum, and SolverBlowupError at the first non-finite
-    state or kept state over the amplitude cap.  The loop is the step's
-    algebra alone; the workspace (`core.PaddedBuffer`) loads the state,
-    evaluates each stage and stores each kept state back."""
-    kept = np.empty((len(c), len(kept_steps), c.shape[1]), dtype=np.complex128)
-    pad = PaddedBuffer(grid, (len(c),))
+            dt: float, kept_steps: list, rows: int):
+    """Step the (b, M) datum stack `c` through IF-RK4 steps of size `dt`
+    up to the last of `kept_steps` (0 first), with multipliers
+    E1 = e^{dt L}, E2 = e^{dt L / 2} per row.  `c` holds the state and is
+    overwritten.  Yields the spectra kept at `kept_steps` as new (b, k, M)
+    blocks of `rows` kept states (the last block the rest), each before the
+    step after its last state.  Raises ValueError on a non-finite datum,
+    and SolverBlowupError at the first non-finite state or kept state over
+    the amplitude cap.  The loop is the step's algebra alone; the
+    workspace (`core.PaddedBuffer`) loads the state, evaluates each stage
+    and stores each kept state back."""
+    (B, M), K = c.shape, len(kept_steps)
+    pad = PaddedBuffer(grid, (B,))
     c, E1, E2 = pad.load(c, E1, E2)
-    pad.store(c, kept[:, 0])
-    j = 1  # the next row of kept
+    block = np.empty((B, min(rows, K), M), dtype=np.complex128)
+    pad.store(c, block[:, 0])
+    i, j = 1, 1  # the next row of block, and the next kept step
     E2x2 = 2.0 * E2
     # one workspace for the whole run: the four stages and three temporaries
     k1, k2, k3, k4, E1c, w, v = (np.empty_like(c) for _ in range(7))
@@ -471,7 +504,11 @@ def _if_rk4(grid: Grid, c: np.ndarray, E1: np.ndarray, E2: np.ndarray,
     #   c <- E1*c + (E1*k1 + 2*E2*(k2 + k3) + k4)/6,
     # formed in place with each complex product's operands in that order
     # (see nonlinear_stack on why the order is part of the result).
-    for n in range(1, n_steps + 1):
+    for n in range(1, kept_steps[-1] + 1):
+        if i == rows:  # a full block
+            yield block
+            block = np.empty((B, min(rows, K - j), M), dtype=np.complex128)
+            i = 0
         np.multiply(E1, c, out=E1c)
         pad.evaluate(c, k1, neg_dt)
         np.multiply(half, k1, out=w)
@@ -495,9 +532,9 @@ def _if_rk4(grid: Grid, c: np.ndarray, E1: np.ndarray, E2: np.ndarray,
         if not np.isfinite(c.view(np.float64)).all():
             raise SolverBlowupError(n * dt)
         if n == kept_steps[j]:
-            row = pad.store(c, kept[:, j])
+            row = pad.store(c, block[:, i])
             if np.abs(values_stack(grid, row)).max() > _AMPLITUDE_CAP:
                 raise SolverBlowupError(n * dt, _CAP_MESSAGE)
-            j += 1
-    return kept
+            i, j = i + 1, j + 1
+    yield block
 

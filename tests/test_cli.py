@@ -6,6 +6,7 @@ import importlib.util
 import json
 import os
 import pathlib
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -264,6 +265,27 @@ def test_cli_linear_solve_is_the_semigroup(tmp_path):
         format_value(l2_norm(semigroup_apply(phi, t, params))) for t in times]
     too_large = _write(tmp_path, text.replace("solver.dt = 1e-3", "solver.dt = 0.05"), "cfl.cfg")
     assert main(["solve", "--config", too_large, "--out", str(tmp_path / "c")]) == 2
+
+
+def test_cli_solve_never_holds_its_trajectory(tmp_path):
+    # a solve reduces each block of kept states to its CSV rows as it is
+    # stepped: keeping all 501 states of M = 1024 (keep_every = 1), the
+    # run's traced peak stays below the one (K, M) array that holding them
+    # would take
+    text = ("experiment = solve\ngrid.L = 50.26548245743669\ngrid.M = 1024\n"
+            "data.amplitude = 0.5\nsolver.dt = 8e-4\nsolver.T = 0.4\n"
+            "solver.keep_every = 1\n")
+    cfg, out = _write(tmp_path, text), tmp_path / "o"
+    stack_bytes = np.empty((501, 1024), dtype=np.complex128).nbytes
+    tracemalloc.start()
+    try:
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lines = (out / "trajectory.csv").read_text().splitlines()
+    assert lines.index("") == 1 + 501  # the header and one row per kept state
+    assert peak < stack_bytes
 
 
 @pytest.mark.filterwarnings("ignore")  # the run is meant to blow up noisily

@@ -574,6 +574,57 @@ def test_mass_conserved_exactly():
 
 
 # ---------------------------------------------------------------------------
+# the stream of kept states
+# ---------------------------------------------------------------------------
+
+GRID_1024 = Grid(32.0 * np.pi, 1024)  # 4 kept states a block, same xi_max as GRID
+
+
+@pytest.mark.parametrize("grid", [GRID, GRID_1024], ids=["M256", "M1024"])
+@pytest.mark.parametrize("members", [STACK, LINEAR_STACK], ids=["nonlinear", "linear"])
+def test_stepper_blocks_concatenate_to_the_collected_stack(grid, members):
+    # every block holds at most max(1, 4096 // M) kept times, whole blocks
+    # but the last, and the blocks, joined in time, are the collected
+    # trajectories' arrays and times, bitwise
+    phi = _gaussian(0.5, grid)
+    cfg = SolverConfig(dt=1e-3, T=0.05, keep_every=1)
+    blocks = list(solver.stepper_blocks(phi, members, cfg))
+    rows = 4096 // grid.M
+    assert [len(times) for times, _ in blocks] == [rows] * (51 // rows) + [51 % rows]
+    assert all(block.shape == (len(members), len(times), grid.M) for times, block in blocks)
+    joined = np.concatenate([block for _, block in blocks], axis=1)
+    times = [t for block_times, _ in blocks for t in block_times]
+    for traj, coeffs in zip(solve_stepper_stack(phi, members, cfg), joined, strict=True):
+        assert traj.times.tolist() == times
+        assert np.array_equal(traj.coeffs.view(np.uint64), coeffs.view(np.uint64))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to inf
+@pytest.mark.parametrize("members, keep_every, message", [
+    ([PARAMS, EquationParams(beta=1.0, eta=3000.0)], 1, "amplitude cap"),
+    ([PARAMS, EquationParams(beta=1.0, eta=4000.0)], 3, "blew up"),
+    ([LINEAR, EquationParams(beta=1.0, eta=4000.0, nonlinear=False)], 1, "amplitude cap"),
+], ids=["amplitude_cap", "non_finite", "linear"])
+def test_stepper_blocks_stop_at_the_blowup(members, keep_every, message):
+    # a member that blows up stops the stream with the collected run's
+    # error, at its step and t_blowup: every block whose kept times all come
+    # before it has been handed over, and none holds a time at or past it
+    phi = _gaussian(0.5, GRID_1024)
+    cfg = SolverConfig(dt=1e-3, T=1.0, keep_every=keep_every)
+    with pytest.raises(SolverBlowupError, match=message) as collected:
+        solve_stepper_stack(phi, members, cfg)
+    t_blowup = collected.value.t_blowup
+    seen = []
+    with pytest.raises(SolverBlowupError) as streamed:
+        for times, _ in solver.stepper_blocks(phi, members, cfg):
+            seen += times
+    assert streamed.value.t_blowup == t_blowup and str(streamed.value) == str(collected.value)
+    dt = cfg.T / cfg.n_steps
+    before = [n * dt for n in range(0, cfg.n_steps, keep_every) if n * dt < t_blowup]
+    assert seen == before[:len(before) - len(before) % 4] and len(seen) >= 4
+
+
+# ---------------------------------------------------------------------------
 # Duhamel quadrature
 # ---------------------------------------------------------------------------
 

@@ -29,8 +29,8 @@ from .config import (
     parse_config,
     validate,
 )
-from .core import LOG_FLOAT_MAX, semigroup_apply
-from .decay import decay_report, mass_drift, weighted_energy_rate
+from .core import LOG_FLOAT_MAX, SpectralField, semigroup_apply
+from .decay import decay_report, mass_drift
 from .flowderiv import illposed_growth_c2_nd, illposed_growth_c3
 from .limits import LimitSweepConfig, beta_limit_sweep, eta_limit_sweep
 from .report import ExperimentReport, FitError, fit_loglog
@@ -40,7 +40,6 @@ from .solver import (
     SolverBlowupError,
     contraction_time,
     solve_picard,
-    solve_stepper,
     stepper_blocks,
 )
 from .spaces import l2_norm, sobolev_norm, sobolev_norm_stack
@@ -124,6 +123,8 @@ def _run_smoothing(cfg: RunConfig):
 
 
 def _run_contraction(cfg: RunConfig):
+    """Picard's final state against the stepper's, whose stream is read
+    for its last kept state alone."""
     phi = build_initial_data(cfg)
     params = cfg.equation_params()
     T = min(contraction_time(l2_norm(phi), 0.0, C_CONTRACTION), cfg.solver_T)
@@ -133,8 +134,9 @@ def _run_contraction(cfg: RunConfig):
         raise ConfigError(f"the datum's contraction horizon T = {T:.3g} is refused ({exc}); "
                           f"lower data.amplitude or grid.L, or solver.dt where T > 0") from None
     traj_p = solve_picard(phi, params, scfg, s=0.0)
-    traj_s = solve_stepper(phi, params, scfg)
-    agreement = l2_norm(traj_p.final_state() - traj_s.final_state())
+    for _, (block,) in stepper_blocks(phi, [params], scfg):
+        last = block[-1]
+    agreement = l2_norm(traj_p.final_state() - SpectralField(phi.grid, last, check=False))
     ratios = traj_p.info["ratios"]
     worst = max(ratios) if ratios else 0.0
     rep = ExperimentReport("contraction",
@@ -181,10 +183,11 @@ def _run_eta_limit(cfg: RunConfig):
 
 
 def _run_decay(cfg: RunConfig):
-    phi = build_initial_data(cfg)
-    traj = solve_stepper(phi, cfg.equation_params(), cfg.solver_config())
-    rep = decay_report(traj)
-    energy = weighted_energy_rate(traj)
+    """Both decay tables, reduced in one pass over the run's
+    `stepper_blocks` stream as it comes: the run is never held whole."""
+    phi, params = build_initial_data(cfg), cfg.equation_params()
+    blocks = stepper_blocks(phi, [params], cfg.solver_config())
+    rep, energy = decay_report(phi.grid, params, ((t, b) for t, (b,) in blocks))
     ok = (rep.summary["mass_drift"] <= cfg.check_mass_tolerance
           and rep.summary["yacasi_residual"] <= cfg.check_yacasi_tolerance
           and energy.summary["max_residual"] <= cfg.check_energy_residual_tolerance)

@@ -157,13 +157,25 @@ def validate(cfg: RunConfig):
                           f"got {cfg.experiment!r}")
     solver = _owned("solver", cfg.solver_config)
     kept = -(-solver.n_steps // solver.keep_every) + 1  # as the stepper keeps
-    kept_bytes = 16.0 * kept * cfg.grid_M  # complex128 spectra
+    if cfg.experiment == "decay" and kept < 3:  # before any grid is built
+        raise ConfigError(f"decay's centered differences need at least 3 kept states, but "
+                          f"solver.T = {cfg.solver_T} with solver.dt = {cfg.solver_dt} and "
+                          f"solver.keep_every = {cfg.solver_keep_every} keeps {kept}; lower "
+                          f"solver.keep_every or raise solver.T")
+    # a stepped run reduces each block of kept states as it comes, so what it holds is
+    # its grid's workspace and, per kept state, its report rows and per-row floats.
+    # Per kept state, decay's two tables hold 1,271 bytes at one state a block, the most
+    # (tracemalloc, M = 4096, 201 against 1,201 kept states; decay 755 at M = 256, solve
+    # 300, eta-limit 339).  Per grid point, contraction holds 3,723 bytes, the most: the
+    # Picard route's node operators (tracemalloc, M = 8192 against 32,768, 21 kept
+    # states; eta-limit 1,792, beta-limit 1,496, decay 421, solve 333)
+    run_bytes = 1280.0 * kept + 3800.0 * cfg.grid_M
     memory = _physical_memory()
-    if kept_bytes > memory:  # before a Grid allocates grid.M points
-        raise ConfigError(f"a trajectory would keep {kept} states of grid.M = {cfg.grid_M} "
-                          f"({kept_bytes / 2**30:.3g} GiB), more than the {memory / 2**30:.3g} "
-                          f"GiB of physical memory; raise solver.keep_every or solver.dt, or "
-                          f"lower solver.T or grid.M")
+    if run_bytes > memory:  # before a Grid allocates grid.M points
+        raise ConfigError(f"a run would keep {kept} states on grid.M = {cfg.grid_M} points "
+                          f"({run_bytes / 2**30:.3g} GiB of report rows and workspace), more "
+                          f"than the {memory / 2**30:.3g} GiB of physical memory; raise "
+                          f"solver.keep_every or solver.dt, or lower solver.T or grid.M")
     grid = _owned("grid", lambda: Grid(cfg.grid_L, cfg.grid_M))
     _owned("eq", cfg.equation_params)
     if cfg.data_kind not in DATA_KINDS:

@@ -380,21 +380,6 @@ def from_values_stack(grid: Grid, values: np.ndarray) -> np.ndarray:
     return c
 
 
-def row_blocks(fn, *stacks):
-    """`fn` over consecutive row blocks of the (K, M) `stacks` (the same
-    rows of each), its per-row results (an array or a tuple of arrays)
-    joined along the first axis.  A block holds at most 4096 entries, so
-    the temporaries of `fn` do not grow with K (whole-stack ones cost up to
-    4 MB of peak memory on a run's trajectories); row-wise work gives the
-    same bits in any block."""
-    K, M = stacks[0].shape
-    rows = max(1, 4096 // M)
-    parts = [fn(*(s[i:i + rows] for s in stacks)) for i in range(0, K, rows)]
-    if isinstance(parts[0], tuple):
-        return tuple(np.concatenate(p) for p in zip(*parts))
-    return np.concatenate(parts)
-
-
 @functools.lru_cache(maxsize=None)
 def _energy_sums(k: int) -> np.ndarray:
     """Row 0 adds the 3k chunk energies of a padded spectrum, the total;

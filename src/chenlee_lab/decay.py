@@ -1,11 +1,12 @@
 """Moment and weighted-energy diagnostics behind the unique-continuation
 mechanism.
 
-Tracked along a trajectory: the conserved zero mode u_hat(t, 0), the first
-moment d/dxi u_hat(t, 0) = -i (2 pi)^{-1/2} int x u dx, the identity
-relating the moment of d/dx(u^2) to the L^2 norm, the time-smoothed L^2
-functional int_0^t (t - tau) ||u(tau)||^2 dtau, and the exact energy
-balance for ||x u||_{L^2}.
+Tracked in one pass over a run's stream of kept states: the conserved
+zero mode u_hat(t, 0), the first moment d/dxi u_hat(t, 0) =
+-i (2 pi)^{-1/2} int x u dx, the identity relating the moment of
+d/dx(u^2) to the L^2 norm, the time-smoothed L^2 functional
+int_0^t (t - tau) ||u(tau)||^2 dtau, and the exact energy balance for
+||x u||_{L^2}.
 """
 from __future__ import annotations
 
@@ -13,15 +14,15 @@ import numpy as np
 
 from .core import (
     TWO_PI_SQRT,
+    EquationParams,
+    Grid,
     from_values_stack,
     hilbert_stack,
     nonlinear_stack,
-    row_blocks,
     values_stack,
     x_derivative_stack,
 )
 from .report import ExperimentReport
-from .solver import Trajectory
 from .spaces import sobolev_norm_stack
 
 
@@ -60,35 +61,20 @@ def _simpson(y: np.ndarray, x: np.ndarray) -> float:
     return float((result + (alpha * y[-1] + beta * y[-2] - eta * y[-3]))[0])
 
 
-def weighted_energy_rate(traj: Trajectory) -> ExperimentReport:
+def weighted_energy_rate(times, xu_sq, rhs, l2sq) -> ExperimentReport:
     """Exact balance for the first weighted energy:
 
         (1/2) d/dt ||x u||^2 = -(x u, x u u_x) - beta (x u, x H u_xx)
                                - eta (x u, x H u_x) + eta (x u, x u_xx),
 
-    left side by centered finite differences of the stored trace, right
-    side by spectral evaluation of the four pairings.  Residual is the
-    O(dt^2) differencing error.
+    from `decay_report`'s per-row floats at the kept `times`: ||x u||^2
+    (`xu_sq`), the right side by spectral evaluation of the four pairings
+    (`rhs`) and ||u||^2 (`l2sq`).  The left side is centered finite
+    differences of the `xu_sq` trace; the residual is the O(dt^2)
+    differencing error.  ValueError with fewer than 3 kept states.
     """
-    p = traj.params
-    g = traj.grid
-    times = traj.times
-    if times.size < 3:
+    if len(times) < 3:
         raise ValueError("need at least 3 stored states")
-    x = g.x
-
-    def energies(c):  # ||x u||^2, the right side and ||u||^2 of each row
-        xu = x * values_stack(g, c)
-        terms = -x * values_stack(g, nonlinear_stack(g, c))
-        u_xx = x_derivative_stack(g, c, 2)
-        terms -= p.beta * x * values_stack(g, hilbert_stack(g, u_xx))
-        terms -= p.eta * x * values_stack(g, hilbert_stack(g, x_derivative_stack(g, c)))
-        terms += p.eta * x * values_stack(g, u_xx)
-        return (np.sum(xu * xu, axis=-1) * g.dx, np.sum(xu * terms, axis=-1) * g.dx,
-                sobolev_norm_stack(g, c, 0.0) ** 2)
-
-    xu_sq, rhs, l2sq = row_blocks(energies, traj.coeffs)
-
     lhs = np.gradient(0.5 * xu_sq, times, edge_order=2)
     resid = np.abs(lhs[1:-1] - rhs[1:-1])  # interior: centered differences
 
@@ -109,10 +95,15 @@ def weighted_energy_rate(traj: Trajectory) -> ExperimentReport:
     return report
 
 
-def decay_report(traj: Trajectory) -> ExperimentReport:
-    """Per-time moment/energy table (the decay experiment's CSV), from one
-    pass over the kept states, with the worst residual of the first-moment
-    identity in the summary:
+def decay_report(grid: Grid, params: EquationParams, blocks) -> list:
+    """The decay experiment's two tables, `decay` and `weighted_energy_rate`,
+    from one pass over `blocks`, the kept states as (times, (k, M) block)
+    pairs in time order from t = 0 (`solver.stepper_blocks`' blocks of one
+    run): each block is transformed once, reduced to the per-row floats of
+    both tables and dropped, so the run is never held whole.
+
+    The decay table is the per-time moments and energies, with the worst
+    residual of the first-moment identity in the summary:
 
         int x d/dx(u^2) dx = -||u(t)||_{L^2}^2
 
@@ -126,21 +117,30 @@ def decay_report(traj: Trajectory) -> ExperimentReport:
     that `decay.csv` keeps its bytes, until the benchmark's reference
     CSVs are re-recorded.
     """
-    g = traj.grid
-    times = traj.times
-
-    def moments(c):
-        # u_hat(t, 0), the first moment -i (2 pi)^{-1/2} int x u dx, ||u||^2,
-        # ||x^r u||_{L^2} and the identity's residual, by rectangle-rule quadrature
+    g, p, x = grid, params, grid.x
+    times, parts = [], []
+    for block_times, c in blocks:
+        # u_hat(t, 0) (copied, so that the block is not kept), the first
+        # moment -i (2 pi)^{-1/2} int x u dx, ||u||^2, ||x^r u||_{L^2} and the
+        # identity's residual, by rectangle-rule quadrature
         u = values_stack(g, c)
         l2sq = sobolev_norm_stack(g, c, 0.0) ** 2
         w1, w2, w3 = (np.sqrt(np.sum((g.x ** r * u) ** 2, axis=-1) * g.dx) for r in (1, 2, 3))
         w = x_derivative_stack(g, from_values_stack(g, u ** 2))
         moment = np.sum(g.x * values_stack(g, w), axis=-1) * g.dx
-        return (c[:, 0], -1j / TWO_PI_SQRT * np.sum(g.x * u, axis=-1) * g.dx, l2sq,
-                w1, w2, w3, np.abs(moment + l2sq) / TWO_PI_SQRT)
-
-    mass, dmass, l2sq, w1, w2, w3, yacasi = row_blocks(moments, traj.coeffs)
+        # ||x u||^2 and the weighted-energy balance's right side
+        xu = x * u
+        terms = -x * values_stack(g, nonlinear_stack(g, c))
+        u_xx = x_derivative_stack(g, c, 2)
+        terms -= p.beta * x * values_stack(g, hilbert_stack(g, u_xx))
+        terms -= p.eta * x * values_stack(g, hilbert_stack(g, x_derivative_stack(g, c)))
+        terms += p.eta * x * values_stack(g, u_xx)
+        times.extend(block_times)
+        parts.append((c[:, 0].copy(), -1j / TWO_PI_SQRT * np.sum(g.x * u, axis=-1) * g.dx,
+                      l2sq, w1, w2, w3, np.abs(moment + l2sq) / TWO_PI_SQRT,
+                      np.sum(xu * xu, axis=-1) * g.dx, np.sum(xu * terms, axis=-1) * g.dx))
+    mass, dmass, l2sq, w1, w2, w3, yacasi, xu_sq, rhs = map(np.concatenate, zip(*parts))
+    times = np.array(times, dtype=float)
     report = ExperimentReport(
         "decay",
         ["t", "re_mass", "im_mass", "re_dmass", "l2sq", "w1", "w2", "w3", "listo"],
@@ -153,4 +153,4 @@ def decay_report(traj: Trajectory) -> ExperimentReport:
                        l2sq[i], w1[i], w2[i], w3[i], listo)
     report.summary["mass_drift"] = mass_drift(mass)
     report.summary["yacasi_residual"] = float(yacasi.max())
-    return report
+    return [report, weighted_energy_rate(times, xu_sq, rhs, l2sq)]

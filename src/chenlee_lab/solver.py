@@ -6,13 +6,15 @@ Two independent routes to u(t) = S(t) phi - int_0^t S(t-t') [u u_x](t') dt':
   (the contraction-mapping construction, valid for small data / short T)
   with the map the node set's Duhamel operator array (`_node_operators`),
   whose row at a node is every Duhamel integral taken there;
-* `solve_stepper` is an integrating-factor RK4 production stepper (exact
+* `stepper_blocks` is an integrating-factor RK4 production stepper (exact
   linear multiplier, classical RK4 on the transformed nonlinearity, and
-  S(t) phi unstepped for a linear run); `solve_stepper_stack` steps
-  several parameter sets from one datum as one stack of spectra, which is
-  how the singular-limit sweeps run.  Every row is bitwise its run alone.
-  It collects `stepper_blocks`, the stream of kept states in row blocks,
-  which the CLI's `solve` and the sweeps reduce block by block instead.
+  S(t) phi unstepped for a linear run) that streams its kept states in
+  row blocks; it steps several parameter sets from one datum as one stack
+  of spectra, which is how the singular-limit sweeps run, and every row
+  is bitwise its run alone.  Every stepped experiment reduces the stream
+  block by block, so none holds its run.  `solve_stepper` collects the
+  stream of one parameter set into a Trajectory; nothing in the library
+  calls it.
 
 They agree within combined tolerance, which is the discrete uniqueness
 check used throughout the experiment suite.
@@ -388,45 +390,30 @@ def _check_cfl(grid: Grid, dt: float, params: EquationParams):
 
 def solve_stepper(phi: SpectralField, params: EquationParams,
                   config: SolverConfig) -> Trajectory:
-    """Integrating-factor RK4: exact multiplier on the linear symbol, RK4
-    on the transformed nonlinearity, 4th order in dt.  A linear run is
-    S(t) phi at the kept times, bitwise `semigroup_apply`."""
-    return solve_stepper_stack(phi, [params], config)[0]
-
-
-def solve_stepper_stack(phi: SpectralField, params_list, config: SolverConfig) -> list:
-    """`solve_stepper` for each parameter set of `params_list` from the same
-    datum; returns one Trajectory per member, in order: the collected
-    `stepper_blocks` stream, each member's (K, M) slice of one (B, K, M)
-    array, with the stream's checks and errors."""
-    grid = phi.grid
-    B = len(params_list)
-    kept = np.empty((B, len(_kept_steps(config)), grid.M), dtype=np.complex128)
-    times = []
-    for block_times, block in stepper_blocks(phi, params_list, config):
-        kept[:, len(times):len(times) + len(block_times)] = block
+    """The `stepper_blocks` stream of `params` alone, collected into one
+    Trajectory, with the stream's checks and errors.  A linear run is
+    S(t) phi at the kept times, bitwise `semigroup_apply`.  Nothing in the
+    library calls it: the benchmark's tracer times and counts it by name,
+    and it goes once the tracer skips a name that is absent."""
+    times, blocks = [], []
+    for block_times, (block,) in stepper_blocks(phi, [params], config):
         times += block_times
+        blocks.append(block)
     n_steps = config.n_steps
-    nonlinear = params_list[0].nonlinear  # the stream refused a mixed stack
-    return [Trajectory.from_stack(grid, times, coeffs, params,
-                                  info={"method": "if_rk4" if nonlinear else "semigroup",
-                                        "dt": config.T / n_steps, "n_steps": n_steps,
-                                        "sweep_size": B,
-                                        "rhs_evals": 4 * n_steps if nonlinear else 0})
-            for coeffs, params in zip(kept, params_list)]
-
-
-def _kept_steps(config: SolverConfig) -> list:
-    """Every `keep_every`-th step from 0, and the last: the steps kept."""
-    return [*range(0, config.n_steps, config.keep_every), config.n_steps]
+    return Trajectory.from_stack(phi.grid, times, np.concatenate(blocks), params,
+                                 info={"method": "if_rk4" if params.nonlinear else "semigroup",
+                                       "dt": config.T / n_steps, "n_steps": n_steps,
+                                       "sweep_size": 1,
+                                       "rhs_evals": 4 * n_steps if params.nonlinear else 0})
 
 
 def stepper_blocks(phi: SpectralField, params_list, config: SolverConfig):
-    """The kept states of `solve_stepper_stack` as a stream: yields
-    (times, block) in time order, `block` a new (B, k, M) array of every
-    member's spectra at the k kept `times` (a list), k at most
-    max(1, 4096 // M), the bound of `core.row_blocks`.  A caller that
-    reduces each block as it comes never holds the (B, K, M) run.
+    """The IF-RK4 runs from `phi` of every parameter set of `params_list`,
+    kept at every `keep_every`-th step from 0 and the last, as a stream:
+    yields (times, block) in time order, `block` a new (B, k, M) array of
+    every member's spectra at the k kept `times` (a list), k at most
+    max(1, 4096 // M).  A caller that reduces each block as it comes never
+    holds the (B, K, M) run.
 
     Before the first block, the members are checked all nonlinear or all
     linear (else ValueError), and every member's CFL check runs.  Linear
@@ -442,7 +429,7 @@ def stepper_blocks(phi: SpectralField, params_list, config: SolverConfig):
         raise ValueError("a stack's members must be all nonlinear or all linear")
     for params in params_list:
         _check_cfl(grid, config.dt, params)
-    kept_steps = _kept_steps(config)
+    kept_steps = [*range(0, config.n_steps, config.keep_every), config.n_steps]
     dt = config.T / config.n_steps
     rows = max(1, 4096 // grid.M)
     chunks = [[n * dt for n in kept_steps[j:j + rows]] for j in range(0, len(kept_steps), rows)]

@@ -27,12 +27,12 @@ from chenlee_lab.core import (
     random_real_field,
     semigroup_apply,
 )
-from chenlee_lab.decay import decay_report, weighted_energy_rate
 from chenlee_lab.flowderiv import illposed_growth_c2_nd, illposed_growth_c3
 from chenlee_lab.limits import beta_limit_sweep, eta_limit_sweep
 from chenlee_lab.report import fit_loglog
 from chenlee_lab.solver import SolverConfig, contraction_time, solve_picard, solve_stepper
 from chenlee_lab.spaces import l2_norm, sobolev_norm
+from conftest import decay_tables
 
 CONFIG_DIR = pathlib.Path(__file__).resolve().parents[1] / "configs"
 
@@ -343,7 +343,8 @@ def test_criterion11_moment_identities():
     params = EquationParams(beta=1.0, eta=1.0)
     traj = solve_stepper(phi, params, SolverConfig(dt=5e-4, T=0.3, keep_every=8))
     _mass_drift(traj)
-    yac = decay_report(traj).summary["yacasi_residual"]
+    table, fine = decay_tables(traj)  # fine: (c)'s energy table at half the spacing
+    yac = table.summary["yacasi_residual"]
 
     # (b) time-smoothed functional: closed forms on single-mode linear runs
     g4 = Grid(4.0 * np.pi, 64)
@@ -354,7 +355,7 @@ def test_criterion11_moment_identities():
         phi_m = SpectralField.single_mode(g4, mode, 0.2)
         traj_m = solve_stepper(phi_m, lin, SolverConfig(dt=1e-3, T=1.0, keep_every=2))
         e0 = l2_norm(phi_m) ** 2
-        rep = decay_report(traj_m)  # its listo column, read at stored times
+        rep, _ = decay_tables(traj_m)  # its listo column, read at stored times
         times, listo = rep.column("t"), rep.column("listo")
         for t in (0.25, 0.5, 1.0):
             k = int(np.argmin(np.abs(times - t)))
@@ -367,9 +368,8 @@ def test_criterion11_moment_identities():
 
     # (c) weighted-energy balance: residual small and second order in the
     # stored sampling interval (compared at common times)
-    coarse = weighted_energy_rate(solve_stepper(
+    _, coarse = decay_tables(solve_stepper(
         phi, params, SolverConfig(dt=1e-3, T=0.3, keep_every=8)))
-    fine = weighted_energy_rate(traj)  # same run as (a): half the spacing
     resid = coarse.summary["max_residual"]
     tc, rc = coarse.column("t"), coarse.column("residual")
     tf, rf = fine.column("t"), fine.column("residual")

@@ -288,6 +288,28 @@ def test_cli_solve_never_holds_its_trajectory(tmp_path):
     assert peak < stack_bytes
 
 
+@pytest.mark.parametrize("experiment, kept", [("decay", 601), ("contraction", 501)])
+def test_cli_decay_and_contraction_never_hold_their_runs(experiment, kept, tmp_path):
+    # decay reduces each block of kept states to both tables' rows as it is
+    # stepped, and contraction keeps the last state alone: with every state
+    # kept (keep_every = 1), each tuned run's traced peak stays below the
+    # one (K, M) array that holding its stepper run would take
+    root = pathlib.Path(__file__).resolve().parents[1]
+    text = (root / "configs" / f"{experiment}.cfg").read_text() + "solver.keep_every = 1\n"
+    path, out = _write(tmp_path, text), tmp_path / "o"
+    stack_bytes = np.empty((kept, parse_config(text).grid_M), dtype=np.complex128).nbytes
+    tracemalloc.start()
+    try:
+        assert main([experiment, "--config", path, "--out", str(out)]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    if experiment == "decay":
+        lines = (out / "decay.csv").read_text().splitlines()
+        assert lines.index("") == 1 + kept  # the header and one row per kept state
+    assert peak < stack_bytes
+
+
 @pytest.mark.filterwarnings("ignore")  # the run is meant to blow up noisily
 def test_cli_numerical_failure_exit_3(tmp_path, capsys):
     cfg = _write(tmp_path, "experiment = solve\ngrid.L = 100.53096491487338\n"

@@ -130,14 +130,38 @@ def test_unrepresentable_step_count_is_a_config_error(line):
 
 
 def test_kept_states_beyond_physical_memory_are_a_config_error(monkeypatch):
-    # the default run keeps 251 states (1 s in steps of 2e-4, every 20th
-    # and the last) of 4096 complex128 modes: 16,449,536 bytes
-    kept_bytes = 251 * 4096 * 16
-    monkeypatch.setattr(config, "_physical_memory", lambda: float(kept_bytes))
-    validate(config.RunConfig())
-    monkeypatch.setattr(config, "_physical_memory", lambda: float(kept_bytes - 1))
-    with pytest.raises(ConfigError, match=r"keep 251 states of grid\.M = 4096.*solver\.keep_every"):
-        validate(config.RunConfig())
+    # a streamed run holds 1280 bytes of report rows per kept state and 3800
+    # bytes of workspace per grid point: the default run keeps 251 states (1 s
+    # in steps of 2e-4, every 20th and the last) on 4096 points, and every
+    # step kept, 5001
+    for cfg, kept in ((config.RunConfig(), 251), (config.RunConfig(solver_keep_every=1), 5001)):
+        run_bytes = kept * 1280 + 4096 * 3800
+        monkeypatch.setattr(config, "_physical_memory", lambda: float(run_bytes))
+        validate(cfg)
+        monkeypatch.setattr(config, "_physical_memory", lambda: float(run_bytes - 1))
+        with pytest.raises(ConfigError, match=rf"keep {kept} states on grid\.M = 4096 points"
+                                              rf".*solver\.keep_every"):
+            validate(cfg)
+
+
+def test_decay_with_fewer_than_3_kept_states_exits_2(tmp_path, capsys, monkeypatch):
+    # 2 steps of 1e-3, every 8th kept, keep the datum and u(T): too few for
+    # the weighted energy's centered differences, refused before any grid
+    # is built rather than raised from the energy table (exit 1)
+    path = tmp_path / "short.cfg"
+    path.write_text((CONFIGS / "decay.cfg").read_text()
+                    + "solver.T = 0.002\nsolver.dt = 0.001\nsolver.keep_every = 8\n")
+    monkeypatch.setattr(config, "Grid", None)
+    assert main(["decay", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "keeps 2" in err
+    assert "solver.keep_every" in err and "solver.T" in err
+    assert not (tmp_path / "out").exists()
+    # three kept states run, and pass
+    path.write_text((CONFIGS / "decay.cfg").read_text()
+                    + "solver.T = 0.002\nsolver.dt = 0.001\nsolver.keep_every = 1\n")
+    monkeypatch.undo()
+    assert main(["decay", "--config", str(path), "--out", str(tmp_path / "out")]) == 0
 
 
 @pytest.mark.parametrize("experiment, lines, M", [
@@ -167,9 +191,11 @@ def test_growth_sweep_beyond_physical_memory_exits_2(experiment, lines, M, tmp_p
 
 def test_growth_sweep_memory_counts_every_grid(monkeypatch):
     # the tuned c3 sweep's five grids of 1024 points hold 112 bytes per
-    # point at most: refused only below that (a short solver.T keeps the
-    # unused trajectory estimate below it)
-    cfg = parse_config((CONFIGS / "illposed-c3.cfg").read_text() + "solver.T = 0.01\n")
+    # point at most: refused only below that (a short solver.T and a small
+    # grid.M keep the stepped-run estimate, which the sweep does not use,
+    # below it)
+    cfg = parse_config((CONFIGS / "illposed-c3.cfg").read_text()
+                       + "solver.T = 0.01\ngrid.M = 64\n")
     held = 112 * 5 * 1024
     monkeypatch.setattr(config, "_physical_memory", lambda: float(held))
     validate(cfg)
@@ -179,7 +205,7 @@ def test_growth_sweep_memory_counts_every_grid(monkeypatch):
 
 
 def test_kept_states_are_checked_against_this_machines_memory():
-    # 5001 states of 2^30 modes are 80 TiB; validate allocates none of it
+    # a run on 2^30 points holds about 3.7 TiB; validate allocates none of it
     with pytest.raises(ConfigError, match="physical memory"):
         parse_config("grid.M = 1073741824\nsolver.keep_every = 1\n")
 

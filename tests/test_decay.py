@@ -1,5 +1,6 @@
 """The decay table's moments, the first-moment identity, the time-smoothed
 L^2 functional, and the weighted-energy balance."""
+import math
 import os
 import pathlib
 import subprocess
@@ -10,19 +11,22 @@ import numpy as np
 import pytest
 from scipy.integrate import quad, simpson
 
+from chenlee_lab.config import build_initial_data, parse_config
 from chenlee_lab.core import (
     TWO_PI_SQRT,
     EquationParams,
     Grid,
     SpectralField,
     from_values_stack,
-    row_blocks,
+    hilbert_stack,
+    nonlinear_stack,
     values_stack,
     x_derivative_stack,
 )
-from chenlee_lab.decay import _simpson, decay_report, weighted_energy_rate
-from chenlee_lab.solver import SolverConfig, Trajectory, solve_stepper
+from chenlee_lab.decay import _simpson, decay_report
+from chenlee_lab.solver import SolverConfig, Trajectory, solve_stepper, stepper_blocks
 from chenlee_lab.spaces import l2_norm, sobolev_norm_stack
+from conftest import decay_tables
 
 GRID = Grid(32.0 * np.pi, 1024)
 PARAMS = EquationParams(beta=1.0, eta=1.0)
@@ -33,7 +37,14 @@ def _gaussian(amp, grid=GRID):
 
 
 def _static(phi):
-    return Trajectory(np.array([0.0]), [phi], PARAMS)
+    """`phi` kept three times, the fewest states the energy table takes."""
+    return Trajectory(np.array([0.0, 1.0, 2.0]), [phi] * 3, PARAMS)
+
+
+def _stream_tables(grid, phi, params, config):
+    """`decay_report` on the `stepper_blocks` stream of one run, as the CLI reads it."""
+    blocks = stepper_blocks(phi, [params], config)
+    return decay_report(grid, params, ((t, b) for t, (b,) in blocks))
 
 
 # ---------------------------------------------------------------------------
@@ -44,16 +55,17 @@ _MOMENT_COLUMNS = ("re_mass", "im_mass", "re_dmass", "l2sq", "w1", "w2", "w3")
 
 
 def _yacasi(traj):
-    return decay_report(traj).summary["yacasi_residual"]
+    return decay_tables(traj)[0].summary["yacasi_residual"]
 
 
 def _frozen_moments(traj):
-    """The decay table's columns after t, its Yacasi residual and the
-    complex first moment `dmass`, by the arithmetic of three passes as they
-    ran before `decay_report` read each state once: a pass for the moments,
-    one per row for listo, and a pass of its own for the first-moment
-    identity."""
-    g = traj.grid
+    """The decay table's columns after t, its Yacasi residual, the complex
+    first moment `dmass` and the energy table's lhs and rhs, by the
+    arithmetic of four passes over the held run as they ran before
+    `decay_report` read each state once: a pass for the moments, one per
+    row for listo, a pass of its own for the first-moment identity and one
+    for the weighted energy."""
+    g, p, x = traj.grid, traj.params, traj.grid.x
 
     def moments(c):
         u = values_stack(g, c)
@@ -66,30 +78,61 @@ def _frozen_moments(traj):
         moment = np.sum(g.x * values_stack(g, w), axis=-1) * g.dx
         return np.abs(moment + sobolev_norm_stack(g, c, 0.0) ** 2) / TWO_PI_SQRT
 
-    mass, dmass, l2sq, w1, w2, w3 = row_blocks(moments, traj.coeffs)
+    def energies(c):
+        xu = x * values_stack(g, c)
+        terms = -x * values_stack(g, nonlinear_stack(g, c))
+        u_xx = x_derivative_stack(g, c, 2)
+        terms -= p.beta * x * values_stack(g, hilbert_stack(g, u_xx))
+        terms -= p.eta * x * values_stack(g, hilbert_stack(g, x_derivative_stack(g, c)))
+        terms += p.eta * x * values_stack(g, u_xx)
+        return np.sum(xu * xu, axis=-1) * g.dx, np.sum(xu * terms, axis=-1) * g.dx
+
+    mass, dmass, l2sq, w1, w2, w3 = moments(traj.coeffs)
+    xu_sq, rhs = energies(traj.coeffs)
     times = traj.times
     listo = [_simpson((t - times[:i + 1]) * l2sq[:i + 1], times[:i + 1]) if i >= 2 else 0.0
              for i, t in enumerate(times)]
     frozen = dict(zip(_MOMENT_COLUMNS, (mass.real, mass.imag, dmass.real, l2sq, w1, w2, w3)))
     frozen.update(listo=np.array(listo), dmass=dmass,
-                  yacasi_residual=float(row_blocks(residuals, traj.coeffs).max()))
+                  yacasi_residual=float(residuals(traj.coeffs).max()),
+                  lhs=np.gradient(0.5 * xu_sq, times, edge_order=2)[1:-1], rhs=rhs[1:-1])
     return frozen
 
 
 def test_decay_report_is_the_frozen_passes_bitwise():
-    # six states at M = 1024: a full row block of four and a partial one
-    traj = _decay_traj(1e-3, 40)
-    frozen = _frozen_moments(traj)
-    rep = decay_report(traj)
+    # six states at M = 1024, streamed as a full block of four and a partial
+    # one, against the passes over the whole held run
+    config = SolverConfig(dt=1e-3, T=0.2, keep_every=40)
+    frozen = _frozen_moments(solve_stepper(_gaussian(0.1), PARAMS, config))
+    rep, energy = _stream_tables(GRID, _gaussian(0.1), PARAMS, config)
     for name in rep.columns[1:]:
         assert rep.column(name).tobytes() == frozen[name].tobytes(), name
     assert rep.summary["yacasi_residual"] == frozen["yacasi_residual"]
+    for name in ("lhs", "rhs"):
+        assert energy.column(name).tobytes() == frozen[name].tobytes(), name
+
+
+def test_weighted_norms_of_the_decay_datum_closed_form():
+    # the tuned decay run's datum 0.1 e^{-x^2} on its box of 32 pi, at t = 0:
+    # ||x^r u||^2 = 0.01 int x^{2r} e^{-2x^2} dx = 0.01 Gamma(r + 1/2) / 2^{r + 1/2}
+    # and ||u||^2 = 0.01 sqrt(pi / 2); each w_r is at its own power of x
+    cfg = parse_config((pathlib.Path(__file__).resolve().parents[1] / "configs"
+                        / "decay.cfg").read_text())
+    phi = build_initial_data(cfg)
+    config = SolverConfig(dt=cfg.solver_dt, T=2.0 * cfg.solver_dt)  # 3 kept states
+    rep, _ = _stream_tables(phi.grid, phi, cfg.equation_params(), config)
+    row = dict(zip(rep.columns, rep.rows[0]))
+    assert row["t"] == 0.0
+    for r in (1, 2, 3):
+        exact = math.sqrt(0.01 * math.gamma(r + 0.5) / 2.0 ** (r + 0.5))
+        assert row[f"w{r}"] == pytest.approx(exact, rel=1e-12, abs=0.0), r
+    assert row["l2sq"] == pytest.approx(0.01 * math.sqrt(math.pi / 2.0), rel=1e-12, abs=0.0)
 
 
 def test_moment_trace_gaussian_oracle():
     a = 0.3
     traj = _static(_gaussian(a))
-    rep = decay_report(traj)
+    rep, _ = decay_tables(traj)
     mass = complex(rep.column("re_mass")[0], rep.column("im_mass")[0])
     # u_hat(0) = a (2 pi)^{-1/2} int e^{-x^2} dx = a / sqrt(2)
     assert mass == pytest.approx(a / np.sqrt(2.0), rel=1e-12)
@@ -104,16 +147,18 @@ def test_moment_trace_gaussian_oracle():
 
 
 def test_diagnostics_do_not_depend_on_the_row_blocks():
-    # a trajectory's diagnostics run over blocks of rows (four at M = 1024,
-    # so these six states make a full block and a partial one); each row
-    # has the bits of its state alone, a block of one row
-    traj = _decay_traj(1e-3, 40)
-    rep = decay_report(traj)
-    for k, u in enumerate(traj.states):
-        alone = decay_report(_static(u))
-        for name in _MOMENT_COLUMNS:
-            assert alone.column(name).tobytes() == rep.column(name)[k:k + 1].tobytes()
-    assert _yacasi(traj) == max(_yacasi(_static(u)) for u in traj.states)
+    # the stream's blocks (four states at M = 1024, so these six make a full
+    # block and a partial one) give the bits of one block of every state and
+    # of blocks of one state each
+    config = SolverConfig(dt=1e-3, T=0.2, keep_every=40)
+    streamed = _stream_tables(GRID, _gaussian(0.1), PARAMS, config)
+    traj = solve_stepper(_gaussian(0.1), PARAMS, config)
+    whole = decay_tables(traj)
+    single = decay_report(GRID, PARAMS, (([t], c[None]) for t, c in zip(traj.times, traj.coeffs)))
+    for tables in (whole, single):
+        for rep, ref in zip(tables, streamed):
+            assert np.array(rep.rows).tobytes() == np.array(ref.rows).tobytes(), rep.name
+            assert rep.summary == ref.summary
 
 
 # ---------------------------------------------------------------------------
@@ -135,8 +180,8 @@ def test_yacasi_along_trajectory():
 # ---------------------------------------------------------------------------
 
 def _listo_at(traj, ts):
-    """decay_report's listo entries at the stored times `ts`."""
-    rep = decay_report(traj)
+    """The decay table's listo entries at the stored times `ts`."""
+    rep, _ = decay_tables(traj)
     times = rep.column("t")
     rows = [int(np.argmin(np.abs(times - t))) for t in ts]
     assert np.abs(times[rows] - ts).max() <= 1e-12  # each t is a stored time
@@ -271,14 +316,14 @@ def _decay_traj(dt, keep_every):
 
 
 def test_weighted_energy_residual_small():
-    rep = weighted_energy_rate(_decay_traj(5e-4, 8))
+    _, rep = decay_tables(_decay_traj(5e-4, 8))
     assert rep.summary["max_residual"] <= 1e-5
     assert rep.summary["gronwall_C"] > 0
 
 
 def test_weighted_energy_second_order():
-    coarse = weighted_energy_rate(_decay_traj(1e-3, 8))     # store spacing 8e-3
-    fine = weighted_energy_rate(_decay_traj(5e-4, 8))       # store spacing 4e-3
+    _, coarse = decay_tables(_decay_traj(1e-3, 8))     # store spacing 8e-3
+    _, fine = decay_tables(_decay_traj(5e-4, 8))       # store spacing 4e-3
     tc = coarse.column("t")
     res_c = coarse.column("residual")
     tf = fine.column("t")
@@ -293,8 +338,8 @@ def test_weighted_energy_second_order():
 def test_weighted_energy_needs_samples():
     traj = solve_stepper(_gaussian(0.1), PARAMS,
                          SolverConfig(dt=1e-3, T=0.1, keep_every=100))
-    with pytest.raises(ValueError):
-        weighted_energy_rate(traj)
+    with pytest.raises(ValueError, match="at least 3 stored states"):
+        decay_tables(traj)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +347,7 @@ def test_weighted_energy_needs_samples():
 # ---------------------------------------------------------------------------
 
 def test_decay_report_structure():
-    rep = decay_report(_decay_traj(1e-3, 40))
+    rep, _ = decay_tables(_decay_traj(1e-3, 40))
     assert rep.columns == ["t", "re_mass", "im_mass", "re_dmass", "l2sq",
                            "w1", "w2", "w3", "listo"]
     assert len(rep.rows) == 6

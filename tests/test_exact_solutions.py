@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from chenlee_lab.core import EquationParams, Grid, SpectralField
-from chenlee_lab.solver import SolverConfig, solve_stepper, solve_stepper_stack
+from chenlee_lab.solver import SolverConfig, solve_stepper
+from conftest import solve_stepper_stack
 
 EPS = np.finfo(float).eps
 BETA = 1.0

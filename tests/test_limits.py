@@ -25,8 +25,9 @@ from chenlee_lab.limits import (
     kato_quadratic_form,
     rho_bound,
 )
-from chenlee_lab.solver import SolverConfig, solve_stepper, solve_stepper_stack
+from chenlee_lab.solver import SolverConfig, solve_stepper
 from chenlee_lab.spaces import l2_norm, sobolev_norm, sobolev_norm_stack
+from conftest import solve_stepper_stack
 
 GRID = Grid(4.0 * np.pi, 64)
 

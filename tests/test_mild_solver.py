@@ -1,7 +1,9 @@
 """Mild-solution solvers: contraction construction, Duhamel quadrature,
 Picard iteration and the integrating-factor stepper."""
+import ast
 import dataclasses
 import os
+import pathlib
 import pickle
 import subprocess
 import threading
@@ -43,9 +45,9 @@ from chenlee_lab.solver import (
     g_exponent,
     solve_picard,
     solve_stepper,
-    solve_stepper_stack,
 )
 from chenlee_lab.spaces import l2_norm, sobolev_norm, sobolev_norm_stack
+from conftest import solve_stepper_stack
 
 GRID = Grid(8.0 * np.pi, 256)
 PARAMS = EquationParams(beta=1.0, eta=1.0)
@@ -229,6 +231,28 @@ STACK = [PARAMS, EquationParams(beta=0.25, eta=1.0), EquationParams(beta=1.0, et
          EquationParams(beta=0.0, eta=0.0)]
 LINEAR_STACK = [dataclasses.replace(p, nonlinear=False) for p in STACK]
 LINEAR = LINEAR_STACK[0]
+
+
+def test_the_library_reads_the_stepper_as_a_stream():
+    # every stepped experiment reduces stepper_blocks as it comes: the one
+    # collector, solve_stepper, is defined in solver.py and used nowhere in
+    # the library, and the collecting stack path and its helpers are gone
+    src = pathlib.Path(__file__).resolve().parents[1] / "src" / "chenlee_lab"
+    gone = ("solve_stepper_stack", "_kept_steps", "row_blocks")
+    defined, used = [], []
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text()
+        assert not [name for name in gone if name in text], path.name
+        for node in ast.walk(ast.parse(text)):
+            if isinstance(node, ast.FunctionDef) and node.name == "solve_stepper":
+                defined.append(path.name)
+            name = (node.id if isinstance(node, ast.Name) else
+                    node.attr if isinstance(node, ast.Attribute) else
+                    node.name if isinstance(node, ast.alias) else None)
+            if name == "solve_stepper":
+                used.append(path.name)
+    assert defined == ["solver.py"]
+    assert used == []
 
 
 def test_stack_members_equal_separate_runs():

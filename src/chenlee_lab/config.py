@@ -168,14 +168,19 @@ def validate(cfg: RunConfig):
     # (tracemalloc, M = 4096, 201 against 1,201 kept states; decay 755 at M = 256, solve
     # 300, eta-limit 339).  Per grid point, contraction holds 3,723 bytes, the most: the
     # Picard route's node operators (tracemalloc, M = 8192 against 32,768, 21 kept
-    # states; eta-limit 1,792, beta-limit 1,496, decay 421, solve 333)
-    run_bytes = 1280.0 * kept + 3800.0 * cfg.grid_M
+    # states; eta-limit 1,792, beta-limit 1,496, decay 421, solve 333).  Unstepped runs hold
+    # per point: smoothing 256 bytes, a growth sweep 40, the Grid below (M = 2^16 vs 2^18)
     memory = _physical_memory()
+    if cfg.experiment in ("smoothing", "illposed-c3", "illposed-c2nd"):
+        run_bytes = (256.0 if cfg.experiment == "smoothing" else 40.0) * cfg.grid_M
+        held, advice = f"on grid.M = {cfg.grid_M} points would hold", "lower grid.M"
+    else:
+        run_bytes = 1280.0 * kept + 3800.0 * cfg.grid_M
+        held = f"would keep {kept} states on grid.M = {cfg.grid_M} points, holding"
+        advice = "raise solver.keep_every or solver.dt, or lower solver.T or grid.M"
     if run_bytes > memory:  # before a Grid allocates grid.M points
-        raise ConfigError(f"a run would keep {kept} states on grid.M = {cfg.grid_M} points "
-                          f"({run_bytes / 2**30:.3g} GiB of report rows and workspace), more "
-                          f"than the {memory / 2**30:.3g} GiB of physical memory; raise "
-                          f"solver.keep_every or solver.dt, or lower solver.T or grid.M")
+        raise ConfigError(f"a run {held} {run_bytes / 2**30:.3g} GiB, more than the "
+                          f"{memory / 2**30:.3g} GiB of physical memory; {advice}")
     grid = _owned("grid", lambda: Grid(cfg.grid_L, cfg.grid_M))
     _owned("eq", cfg.equation_params)
     if cfg.data_kind not in DATA_KINDS:

@@ -27,7 +27,8 @@ DEALIAS_BUDGET = 1e-6  # see nonlinear_stack
 class AliasingBudgetWarning(UserWarning):
     """Raised when the quadratic product carries too much energy in the
     modes that the 2/3-rule truncation discards; `fraction` is the worst
-    row's share of that energy (the text names only the budget)."""
+    share of that energy among the products judged at once (the text names
+    only the budget)."""
 
 
 @dataclass(frozen=True)
@@ -434,11 +435,15 @@ class PaddedBuffer:
         phase_flip(stack, out=stack)  # in place, so no copy adds to peak memory
         return tuple(a.reshape(len(a), 2, self.grid.nyquist) for a in (stack,) + multipliers)
 
-    def evaluate(self, src: np.ndarray, out: np.ndarray, scale: np.ndarray):
-        """out <- scale * (-1)^k (u u_x)^ at the stage `src`."""
+    def energy_rows(self, n: int) -> np.ndarray:
+        """n new (*lead, 3k) rows for chunk energies (see `nonlinear_blocks`)."""
+        return np.empty((n,) + self.power.shape[:-1])
+
+    def evaluate(self, src: np.ndarray, out: np.ndarray, scale: np.ndarray, energies):
+        """out <- scale * (-1)^k (u u_x)^ at the stage `src`, its energies into `energies`."""
         if src is not self.retained:
             np.copyto(self.retained, src)
-        nonlinear_blocks(self.grid, self, out)
+        nonlinear_blocks(self.grid, self, out, energies)
         np.multiply(out, scale, out=out)
 
     @staticmethod
@@ -459,13 +464,13 @@ def nonlinear_stack(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     text names only the budget, so Python's once-per-location filter folds
     the repeats of a run.
 
-    Three steps: `phase_flip` writes the stack into the retained blocks of
+    Four steps: `phase_flip` writes the stack into the retained blocks of
     a new (..., 3M/2) padded buffer (see `PaddedBuffer`), the phase-free
     kernel `nonlinear_blocks` writes the flipped product into the result,
-    and `phase_flip` turns the result back in place.  The result is that of
-    the plain form `(s2*phase * fft(v * v)) * 0.5j*xi` with
-    `v = s1 * ifft(pad(u) * phase)`,
-    bitwise up to the sign of an exact zero: rounding is symmetric, so a
+    `aliasing_verdict` judges it, and `phase_flip` turns it back in place.
+    The result is that of the plain form `(s2*phase * fft(v * v)) * 0.5j*xi`
+    with `v = s1 * ifft(pad(u) * phase)`, bitwise up to the sign of an
+    exact zero: rounding is symmetric, so a
     product with the sign, alone or folded into a scale, is the exact
     negation a flip writes, and the kernel runs the plain form's other
     operations in the same order, each operand on the same side.  Keep
@@ -477,23 +482,25 @@ def nonlinear_stack(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     lead, half = coeffs.shape[:-1], grid.M // 2
     out = np.empty(lead + (grid.M,), dtype=np.complex128)
     pad = PaddedBuffer(grid, lead)
+    energies = pad.energy_rows(1)
     blocks = out.reshape(lead + (2, half))
     phase_flip(coeffs.reshape(lead + (2, half)), out=pad.retained)
-    nonlinear_blocks(grid, pad, blocks)
+    nonlinear_blocks(grid, pad, blocks, energies[0])
+    aliasing_verdict(pad, energies)
     phase_flip(blocks, out=blocks)
     return out
 
 
-def nonlinear_blocks(grid: Grid, pad: PaddedBuffer, out: np.ndarray) -> np.ndarray:
+def nonlinear_blocks(grid: Grid, pad: PaddedBuffer, out: np.ndarray, energies) -> np.ndarray:
     """The kernel of `nonlinear_stack`, in phase-free coordinates and the
     block layout: the spectra c~ = (-1)^k c of a stack, already written into
     `pad.retained`, give the spectra (-1)^k (u u_x)^ in `out`, a complex128
     (..., 2, M/2) array for the same leading shape, which is returned.
     `pad`'s contents on return are scratch.  The transform pair runs in
     place in `pad.flat`, by the pocketfft gufuncs behind `np.fft` (see
-    `_ifft`).  The aliasing check is that of
-    `nonlinear_stack`; its warning is attributed to the first caller outside
-    this module."""
+    `_ifft`).  It judges nothing: each product's chunk energies go into
+    `energies`, a row of `pad.energy_rows`, for the caller's
+    `aliasing_verdict`, after one product or several."""
     work = pad.flat
     pad.middle.fill(0.0)
     # physical samples on the fine grid; transform pair normalized as in
@@ -502,30 +509,33 @@ def nonlinear_blocks(grid: Grid, pad: PaddedBuffer, out: np.ndarray) -> np.ndarr
     np.multiply(grid._pad_scale, work, out=work)
     np.multiply(work, work, out=work)
     _fft(work, out=work)
-
-    # energies of the unscaled spectrum; the scale cancels in their ratio.
-    # A ddot per chunk, then the total and the tail as two more ddots:
-    # cheaper than two reductions, and a matmul would be a gemv, whose BLAS
-    # work buffer adds 0.28 MB to the peak RSS
-    chunks = np.vecdot(pad.power, pad.power)
-    sums = np.vecdot(chunks[..., None, :], pad.sums)
-    total, tail = sums[..., 0], sums[..., 1]
-    over = tail > DEALIAS_BUDGET * total
-    if np.count_nonzero(over):
-        worst = np.max(tail[over] / total[over])
-        warning = AliasingBudgetWarning(
-            f"quadratic product carries more than its budget {DEALIAS_BUDGET:.1e} "
-            f"of its energy in truncated modes")
-        warning.fraction = float(worst)
-        frame, level = sys._getframe(1), 2  # this function's caller...
-        while frame.f_globals is globals():  # ...past nonlinear_stack/_term
-            frame, level = frame.f_back, level + 1
-        warnings.warn(warning, stacklevel=level)
+    # energies of the unscaled spectrum (the scale cancels), a ddot per chunk
+    np.vecdot(pad.power, pad.power, out=energies)
 
     np.multiply(grid._fwd_scale, pad.retained, out=out)
     np.multiply(out, grid._half_ixi, out=out)  # (1/2) d/dx; annihilates the mean exactly
     out[..., 1, 0] = 0.0  # Nyquist
     return out
+
+
+def aliasing_verdict(pad: PaddedBuffer, energies: np.ndarray):
+    """One AliasingBudgetWarning (`.fraction` the worst), attributed to the first
+    caller outside this module, where any product's tail (middle third) exceeds
+    `DEALIAS_BUDGET` times its total, from chunk energies `nonlinear_blocks` wrote."""
+    # the total and the tail as two ddots: cheaper than two reductions, and a
+    # matmul would be a gemv, whose BLAS work buffer adds 0.28 MB to peak RSS
+    sums = np.vecdot(energies[..., None, :], pad.sums)
+    total, tail = sums[..., 0], sums[..., 1]
+    over = tail > DEALIAS_BUDGET * total
+    if np.count_nonzero(over):
+        warning = AliasingBudgetWarning(
+            f"quadratic product carries more than its budget {DEALIAS_BUDGET:.1e} "
+            f"of its energy in truncated modes")
+        warning.fraction = float(np.max(tail[over] / total[over]))
+        frame, level = sys._getframe(1), 2  # this function's caller...
+        while frame.f_globals is globals():  # ...past nonlinear_stack/_term
+            frame, level = frame.f_back, level + 1
+        warnings.warn(warning, stacklevel=level)
 
 
 def nonlinear_term(u: SpectralField) -> SpectralField:

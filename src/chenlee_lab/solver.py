@@ -22,6 +22,7 @@ check used throughout the experiment suite.
 from __future__ import annotations
 
 import functools
+import itertools
 import sys
 from dataclasses import dataclass
 
@@ -32,6 +33,7 @@ from .core import (
     Grid,
     PaddedBuffer,
     SpectralField,
+    aliasing_verdict,
     grid_memo,
     hermitian_sums,
     nonlinear_stack,
@@ -412,8 +414,8 @@ def stepper_blocks(phi: SpectralField, params_list, config: SolverConfig):
     kept at every `keep_every`-th step from 0 and the last, as a stream:
     yields (times, block) in time order, `block` a new (B, k, M) array of
     every member's spectra at the k kept `times` (a list), k at most
-    max(1, 4096 // M).  A caller that reduces each block as it comes never
-    holds the (B, K, M) run.
+    max(1, 4096 // M), its times n * dt formed as it is filled.  A caller
+    that reduces each block as it comes never holds the (B, K, M) run.
 
     Before the first block, the members are checked all nonlinear or all
     linear (else ValueError), and every member's CFL check runs.  Linear
@@ -429,26 +431,27 @@ def stepper_blocks(phi: SpectralField, params_list, config: SolverConfig):
         raise ValueError("a stack's members must be all nonlinear or all linear")
     for params in params_list:
         _check_cfl(grid, config.dt, params)
-    kept_steps = [*range(0, config.n_steps, config.keep_every), config.n_steps]
-    dt = config.T / config.n_steps
-    rows = max(1, 4096 // grid.M)
-    chunks = [[n * dt for n in kept_steps[j:j + rows]] for j in range(0, len(kept_steps), rows)]
+    n_steps, every, rows = config.n_steps, config.keep_every, max(1, 4096 // grid.M)
+    dt = config.T / n_steps
     if True in kinds:
         E1 = np.array([semigroup_multiplier(grid, dt, p) for p in params_list])
         E2 = np.array([semigroup_multiplier(grid, 0.5 * dt, p) for p in params_list])
         c = np.repeat(phi.coeffs[None, :], len(params_list), axis=0)
-        yield from zip(chunks, _if_rk4(grid, c, E1, E2, dt, kept_steps, rows))
+        yield from _if_rk4(grid, c, E1, E2, dt, n_steps, every, rows)
     else:  # S(t) phi: semigroup_apply's product, in place in each block
-        for times in chunks:
+        kept = (min(n, n_steps) for n in range(0, n_steps + every, every))  # n_steps last
+        while times := [n * dt for n in itertools.islice(kept, rows)]:
             with np.errstate(over="ignore", invalid="ignore"):  # a blow-up, raised below
                 block = np.array([semigroup_stack(grid, times, p) for p in params_list])
-                # checked at each time as _if_rk4 checks a kept step; S(0) phi = phi
-                for t, states in zip(times, block.swapaxes(0, 1)):
-                    np.multiply(phi.coeffs, states, out=states)
-                    if not np.isfinite(states.view(np.float64)).all():
-                        raise SolverBlowupError(t) if t else ValueError("non-finite datum")
-                    if np.abs(values_stack(grid, states)).max() > _AMPLITUDE_CAP:
-                        raise SolverBlowupError(t, _CAP_MESSAGE)
+                np.multiply(phi.coeffs, block, out=block)
+                # judged at each time as _if_rk4 judges a kept step; S(0) phi = phi
+                finite = np.isfinite(block.view(np.float64)).all(axis=(0, 2))
+                capped = np.abs(values_stack(grid, block)).max(axis=(0, 2)) > _AMPLITUDE_CAP
+            for t, ok, over in zip(times, finite, capped):
+                if not ok:
+                    raise SolverBlowupError(t) if t else ValueError("non-finite datum")
+                if over:
+                    raise SolverBlowupError(t, _CAP_MESSAGE)
             yield times, block  # outside errstate, which the caller would inherit
 
 
@@ -458,26 +461,26 @@ _CAP_MESSAGE = "amplitude cap exceeded"
 
 
 def _if_rk4(grid: Grid, c: np.ndarray, E1: np.ndarray, E2: np.ndarray,
-            dt: float, kept_steps: list, rows: int):
-    """Step the (b, M) datum stack `c` through IF-RK4 steps of size `dt`
-    up to the last of `kept_steps` (0 first), with multipliers
-    E1 = e^{dt L}, E2 = e^{dt L / 2} per row.  `c` holds the state and is
-    overwritten.  Yields the spectra kept at `kept_steps` as new (b, k, M)
-    blocks of `rows` kept states (the last block the rest), each before the
-    step after its last state.  Raises ValueError on a non-finite datum,
-    and SolverBlowupError at the first non-finite state or kept state over
-    the amplitude cap.  The loop is the step's algebra alone; the
-    workspace (`core.PaddedBuffer`) loads the state, evaluates each stage
-    and stores each kept state back."""
-    (B, M), K = c.shape, len(kept_steps)
+            dt: float, n_steps: int, every: int, rows: int):
+    """Step the (b, M) datum stack `c`, overwritten, through `n_steps` IF-RK4
+    steps of size `dt` with multipliers E1 = e^{dt L}, E2 = e^{dt L / 2} per
+    row.  Yields (times, block) of the states kept at step 0, each `every`-th
+    and the last, in new (b, k, M) blocks of `rows` (the last the rest), each
+    before the step after its last state.  Raises ValueError on a non-finite
+    datum, SolverBlowupError at the first non-finite state or kept state over
+    the amplitude cap.  The loop is the step's algebra and one aliasing verdict
+    a step, on its four stages; the workspace (`core.PaddedBuffer`) loads the
+    state, evaluates each stage and stores each kept state back."""
+    (B, M), K = c.shape, -(-n_steps // every) + 1  # K kept states in all
     pad = PaddedBuffer(grid, (B,))
     c, E1, E2 = pad.load(c, E1, E2)
     block = np.empty((B, min(rows, K), M), dtype=np.complex128)
     pad.store(c, block[:, 0])
-    i, j = 1, 1  # the next row of block, and the next kept step
+    times, kept = [0.0], 1  # the block's times, and the states kept so far
     E2x2 = 2.0 * E2
-    # one workspace for the whole run: the four stages and three temporaries
+    # one workspace for the whole run: the four stages, their energies, three temporaries
     k1, k2, k3, k4, E1c, w, v = (np.empty_like(c) for _ in range(7))
+    e1, e2, e3, e4 = energies = pad.energy_rows(4)
     stage = pad.retained  # where the kernel reads a stage
     # the step's scalars as 0-d complex arrays: numpy casts a float to the
     # same complex value for every product with a spectrum (same bits), and
@@ -491,24 +494,25 @@ def _if_rk4(grid: Grid, c: np.ndarray, E1: np.ndarray, E2: np.ndarray,
     #   c <- E1*c + (E1*k1 + 2*E2*(k2 + k3) + k4)/6,
     # formed in place with each complex product's operands in that order
     # (see nonlinear_stack on why the order is part of the result).
-    for n in range(1, kept_steps[-1] + 1):
-        if i == rows:  # a full block
-            yield block
-            block = np.empty((B, min(rows, K - j), M), dtype=np.complex128)
-            i = 0
+    for n in range(1, n_steps + 1):
+        if len(times) == rows:  # a full block
+            yield times, block
+            block = np.empty((B, min(rows, K - kept), M), dtype=np.complex128)
+            times = []
         np.multiply(E1, c, out=E1c)
-        pad.evaluate(c, k1, neg_dt)
+        pad.evaluate(c, k1, neg_dt, e1)
         np.multiply(half, k1, out=w)
         np.add(c, w, out=w)
         np.multiply(E2, w, out=stage)
-        pad.evaluate(stage, k2, neg_dt)
+        pad.evaluate(stage, k2, neg_dt, e2)
         np.multiply(E2, c, out=w)
         np.multiply(half, k2, out=v)
         np.add(w, v, out=stage)
-        pad.evaluate(stage, k3, neg_dt)
+        pad.evaluate(stage, k3, neg_dt, e3)
         np.multiply(E2, k3, out=w)
         np.add(E1c, w, out=stage)
-        pad.evaluate(stage, k4, neg_dt)
+        pad.evaluate(stage, k4, neg_dt, e4)
+        aliasing_verdict(pad, energies)
         np.multiply(E1, k1, out=k1)
         np.add(k2, k3, out=k2)
         np.multiply(E2x2, k2, out=k2)
@@ -518,10 +522,11 @@ def _if_rk4(grid: Grid, c: np.ndarray, E1: np.ndarray, E2: np.ndarray,
         np.add(E1c, k1, out=c)
         if not np.isfinite(c.view(np.float64)).all():
             raise SolverBlowupError(n * dt)
-        if n == kept_steps[j]:
-            row = pad.store(c, block[:, i])
+        if n % every == 0 or n == n_steps:
+            row = pad.store(c, block[:, len(times)])
             if np.abs(values_stack(grid, row)).max() > _AMPLITUDE_CAP:
                 raise SolverBlowupError(n * dt, _CAP_MESSAGE)
-            i, j = i + 1, j + 1
-    yield block
+            times.append(n * dt)
+            kept += 1
+    yield times, block
 

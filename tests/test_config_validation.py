@@ -1,5 +1,6 @@
 """Out-of-range sweep and solver inputs are config errors: the CLI exits 2
 with a message naming the key, before any experiment runs."""
+import dataclasses
 import json
 import pathlib
 import re
@@ -191,17 +192,35 @@ def test_growth_sweep_beyond_physical_memory_exits_2(experiment, lines, M, tmp_p
 
 def test_growth_sweep_memory_counts_every_grid(monkeypatch):
     # the tuned c3 sweep's five grids of 1024 points hold 112 bytes per
-    # point at most: refused only below that (a short solver.T and a small
-    # grid.M keep the stepped-run estimate, which the sweep does not use,
-    # below it)
-    cfg = parse_config((CONFIGS / "illposed-c3.cfg").read_text()
-                       + "solver.T = 0.01\ngrid.M = 64\n")
+    # point at most: refused only below that
+    cfg = parse_config((CONFIGS / "illposed-c3.cfg").read_text())
     held = 112 * 5 * 1024
     monkeypatch.setattr(config, "_physical_memory", lambda: float(held))
     validate(cfg)
     monkeypatch.setattr(config, "_physical_memory", lambda: float(held - 1))
     with pytest.raises(ConfigError, match="up to M = 1024 points"):
         validate(cfg)
+
+
+@pytest.mark.parametrize("experiment, per_point", [
+    ("smoothing", 256), ("illposed-c3", 40), ("illposed-c2nd", 40)])
+def test_runs_that_keep_no_state_are_charged_their_grid_alone(experiment, per_point,
+                                                             monkeypatch):
+    # solver.* would keep 1e9 states, which only a stepped run holds: these
+    # runs are charged their bytes per grid.M point alone, and refused only
+    # below them, where solve, with the same keys, is refused on its states
+    cfg = parse_config((CONFIGS / f"{experiment}.cfg").read_text() + "grid.M = 1048576\n"
+                       "solver.T = 1e6\nsolver.dt = 1e-3\nsolver.keep_every = 1\n")
+    need = per_point * 1048576
+    monkeypatch.setattr(config, "_physical_memory", lambda: float(need))
+    validate(cfg)
+    monkeypatch.setattr(config, "_physical_memory", lambda: float(need - 1))
+    with pytest.raises(ConfigError, match=r"on grid\.M = 1048576 points would hold .* "
+                                          r"physical memory; lower grid\.M$"):
+        validate(cfg)
+    monkeypatch.setattr(config, "_physical_memory", lambda: 2.0 ** 40)
+    with pytest.raises(ConfigError, match="keep 1000000001 states on grid"):
+        validate(dataclasses.replace(cfg, experiment="solve"))
 
 
 def test_kept_states_are_checked_against_this_machines_memory():

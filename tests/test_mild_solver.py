@@ -512,6 +512,79 @@ def test_stack_warns_when_one_member_exceeds_aliasing_budget():
     assert [w.message.fraction for w in stacked] == [w.message.fraction for w in alone]
 
 
+def _frozen_stage_check(pad):
+    """The aliasing check as the kernel ran it on each stage before the
+    stepper judged a step at once, on the padded product the kernel leaves
+    in `pad`: the worst tail fraction over the budget of the stage's rows,
+    or None where no row exceeds it."""
+    chunks = np.vecdot(pad.power, pad.power)
+    sums = np.vecdot(chunks[..., None, :], pad.sums)
+    total, tail = sums[..., 0], sums[..., 1]
+    over = tail > 1e-6 * total
+    return float(np.max(tail[over] / total[over])) if np.count_nonzero(over) else None
+
+
+def test_stepper_warns_once_per_offending_step(monkeypatch):
+    # the Burgers member steepens past the budget from about step 530 of
+    # 600, and the resolved member never does: under an "always" filter a
+    # step warns once where any of its 4 stages x 2 rows is over, with the
+    # worst of their frozen per-stage fractions, bitwise, attributed to the
+    # stepper's line in solver.py
+    stages = []
+
+    def spy(grid, pad, out, energies):
+        result = kernel(grid, pad, out, energies)
+        stages.append(_frozen_stage_check(pad))
+        return result
+
+    kernel = core.nonlinear_blocks
+    monkeypatch.setattr(core, "nonlinear_blocks", spy)
+    cfg = SolverConfig(dt=1e-3, T=0.6, keep_every=1000)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", AliasingBudgetWarning)
+        solve_stepper_stack(_gaussian(1.0), [PARAMS, EquationParams(beta=0.0, eta=0.0)], cfg)
+    steps = [stages[i:i + 4] for i in range(0, len(stages), 4)]
+    assert len(steps) == cfg.n_steps and len(stages) == 4 * cfg.n_steps
+    expected = [max(f for f in step if f is not None) for step in steps if any(step)]
+    assert 0 < len(expected) < cfg.n_steps // 2
+    assert any(None in step for step in steps if any(step))  # an onset step
+    assert [w.category for w in caught] == [AliasingBudgetWarning] * len(expected)
+    assert [w.message.fraction.hex() for w in caught] == [f.hex() for f in expected]
+    assert {w.filename for w in caught} == {solver.__file__}
+
+
+@pytest.mark.filterwarnings("ignore::chenlee_lab.core.AliasingBudgetWarning")
+def test_the_verdict_runs_once_per_step_and_once_per_stack_call(monkeypatch):
+    # the stepper judges its four stages at once, every step; every other
+    # route judges each nonlinear_stack call once, whatever its rows
+    calls = []
+
+    def counting(pad, energies):
+        calls.append(energies.shape)
+        return verdict(pad, energies)
+
+    verdict = core.aliasing_verdict
+    for module in (core, solver):
+        monkeypatch.setattr(module, "aliasing_verdict", counting)
+    cfg = SolverConfig(dt=1e-3, T=0.037, keep_every=10)
+    solve_stepper_stack(_gaussian(0.5), STACK, cfg)
+    assert cfg.n_steps == 37 and calls == [(4, len(STACK), 3)] * 37
+    calls.clear()
+    solve_stepper_stack(_gaussian(0.5), LINEAR_STACK, cfg)
+    assert calls == []
+    stack = np.array([_gaussian(a).coeffs for a in (0.1, 0.5, 1.0, 2.0, 4.0, 8.0)])
+    nonlinear_stack(GRID, stack)
+    nonlinear_stack(GRID, stack.reshape(2, 3, -1))
+    nonlinear_term(_gaussian(0.5))
+    assert calls == [(1, 6, 3), (1, 2, 3, 3), (1, 3)]
+    calls.clear()
+    stack_calls = []
+    monkeypatch.setattr(solver, "nonlinear_stack",
+                        lambda *a: stack_calls.append(a) or nonlinear_stack(*a))
+    solve_picard(_gaussian(0.1), PARAMS, SolverConfig(dt=1e-3, T=0.1))
+    assert len(calls) == len(stack_calls) > 0
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to inf
 @pytest.mark.parametrize("keep_every", [10, 10 ** 6], ids=["amplitude_cap", "non_finite"])
 def test_stack_raises_the_earliest_members_blowup(keep_every):
@@ -621,6 +694,58 @@ def test_stepper_blocks_concatenate_to_the_collected_stack(grid, members):
     for traj, coeffs in zip(solve_stepper_stack(phi, members, cfg), joined, strict=True):
         assert traj.times.tolist() == times
         assert np.array_equal(traj.coeffs.view(np.uint64), coeffs.view(np.uint64))
+
+
+def _frozen_block_times(config, M):
+    """The blocks' times as the stream planned them before it built its
+    schedule as it went: every kept step and every block's time list, up
+    front."""
+    kept_steps = [*range(0, config.n_steps, config.keep_every), config.n_steps]
+    dt = config.T / config.n_steps
+    rows = max(1, 4096 // M)
+    return [[n * dt for n in kept_steps[j:j + rows]] for j in range(0, len(kept_steps), rows)]
+
+
+_SCHEDULES = [(7, 10), (7, 3), (8, 4), (7, 1)]
+
+
+@pytest.mark.filterwarnings("ignore::chenlee_lab.core.AliasingBudgetWarning")  # M = 8
+@pytest.mark.parametrize("M, steps, keep_every", [
+    *[(M, *case) for M in (1024, 2048, 4096) for case in _SCHEDULES],
+    *[(8, *case) for case in _SCHEDULES + [(1100, 1), (1100, 7), (1100, 2000)]]])
+@pytest.mark.parametrize("members", [STACK[:2], LINEAR_STACK[:2]], ids=["nonlinear", "linear"])
+def test_stepper_block_times_are_the_frozen_schedule(members, M, steps, keep_every):
+    # keep_every past the last step, a last step off the keep multiples and
+    # on them, every step kept, at 4, 2, 1 and 512 kept states a block: the
+    # same times, bitwise, in the same blocks
+    grid = Grid(8.0 * np.pi * max(1, M / 256), M)  # dt = 1e-3 keeps the CFL bound
+    cfg = SolverConfig(dt=1e-3, T=steps * 1e-3, keep_every=keep_every)
+    blocks = list(solver.stepper_blocks(_gaussian(0.1, grid), members, cfg))
+    assert [times for times, _ in blocks] == _frozen_block_times(cfg, M)
+    assert [block.shape for _, block in blocks] == [(2, len(times), M) for times, _ in blocks]
+
+
+def test_stream_holds_no_bytes_per_kept_state():
+    # a dispersive linear member at M = 8 keeps 512 states a block; the
+    # stream's tracemalloc peak over 100,001 kept states is within 1 byte
+    # per extra kept state of its peak over 10,001 (the up-front schedule
+    # held about 161 bytes per kept state for the whole run)
+    grid = Grid(8.0 * np.pi, 8)
+    phi = _gaussian(0.1, grid)
+    member = EquationParams(beta=1.0, eta=0.0, nonlinear=False)
+
+    def peak(kept):
+        cfg = SolverConfig(dt=1e-3, T=(kept - 1) * 1e-3)
+        tracemalloc.start()
+        try:
+            for times, block in solver.stepper_blocks(phi, [member], cfg):
+                del times, block
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = peak(10_001), peak(100_001)
+    assert large - small < 90_000, (small, large)
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # overflow on the way to inf

@@ -33,6 +33,9 @@ check = _load("check")
 workloads = _load("workloads")
 
 
+# no tuned config trips the aliasing budget: one that drifts into
+# under-resolution fails here
+@pytest.mark.filterwarnings("error::chenlee_lab.core.AliasingBudgetWarning")
 @pytest.mark.parametrize("experiment", list(workloads.EXPECTED_EXIT))
 def test_battery_csvs_match_the_reference(experiment, tmp_path):
     ops = dict(workloads.prepare("battery", SEED, ROOT, tmp_path))

@@ -17,6 +17,7 @@ from chenlee_lab.core import (
     Grid,
     PaddedBuffer,
     SpectralField,
+    aliasing_verdict,
     from_values_stack,
     hilbert_stack,
     linear_symbol,
@@ -567,9 +568,10 @@ def test_nonlinear_stack_workspace_equals_allocating_call_bitwise(M, shape):
     pad = PaddedBuffer(grid, shape)
     pad.flat.fill(np.nan)
     out = np.empty(shape + (2, M // 2), dtype=np.complex128)
+    energies = pad.energy_rows(1)
     for _ in range(2):
         phase_flip(coeffs.reshape(shape + (2, M // 2)), out=pad.retained)
-        phase_flip(nonlinear_blocks(grid, pad, out), out=out)
+        phase_flip(nonlinear_blocks(grid, pad, out, energies[0]), out=out)
         assert np.array_equal(out.reshape(ref.shape).view(np.uint64), ref.view(np.uint64))
 
 
@@ -600,7 +602,7 @@ def test_nonlinear_blocks_is_the_phase_free_kernel_bitwise(M):
     pad.flat.fill(np.nan)
     pad.retained[...] = phase_flip(coeffs).reshape(3, 2, M // 2)
     out = np.empty((3, 2, M // 2), dtype=np.complex128)
-    assert nonlinear_blocks(grid, pad, out) is out
+    assert nonlinear_blocks(grid, pad, out, pad.energy_rows(1)[0]) is out
     got = phase_flip(out.reshape(3, M))
     assert np.array_equal(got.view(np.uint64), nonlinear_stack(grid, coeffs).view(np.uint64))
 
@@ -628,16 +630,20 @@ def test_aliasing_warning_on_rough_data():
 
 def test_aliasing_warning_is_attributed_to_the_public_callers_line():
     # each public entry's warning names the line that called it, however
-    # deep in core.py the kernel that raises it sits
+    # deep in core.py the verdict that raises it sits; the kernel alone
+    # judges nothing
     rough = random_real_field(GRID, np.random.default_rng(6))
     pad = PaddedBuffer(GRID, ())
     out = np.empty((2, GRID.M // 2), dtype=np.complex128)
+    energies = pad.energy_rows(1)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", AliasingBudgetWarning)
         nonlinear_term(rough)
         nonlinear_stack(GRID, rough.coeffs)
         phase_flip(rough.coeffs.reshape(2, -1), out=pad.retained)
-        nonlinear_blocks(GRID, pad, out)
+        nonlinear_blocks(GRID, pad, out, energies[0])
+        assert len(caught) == 2
+        aliasing_verdict(pad, energies)
     assert [w.category for w in caught] == [AliasingBudgetWarning] * 3
     assert [w.filename for w in caught] == [__file__] * 3
     assert len({w.lineno for w in caught}) == 3

@@ -155,8 +155,7 @@ def validate(cfg: RunConfig):
     if cfg.experiment not in EXPERIMENTS:
         raise ConfigError(f"experiment must be one of {', '.join(EXPERIMENTS)}; "
                           f"got {cfg.experiment!r}")
-    solver = _owned("solver", cfg.solver_config)
-    kept = -(-solver.n_steps // solver.keep_every) + 1  # as the stepper keeps
+    kept = _owned("solver", cfg.solver_config).n_kept
     if cfg.experiment == "decay" and kept < 3:  # before any grid is built
         raise ConfigError(f"decay's centered differences need at least 3 kept states, but "
                           f"solver.T = {cfg.solver_T} with solver.dt = {cfg.solver_dt} and "
@@ -164,9 +163,9 @@ def validate(cfg: RunConfig):
                           f"solver.keep_every or raise solver.T")
     # a stepped run reduces each block of kept states as it comes, so what it holds is
     # its grid's workspace and, per kept state, its report rows and per-row floats.
-    # Per kept state, decay's two tables hold 1,271 bytes at one state a block, the most
-    # (tracemalloc, M = 4096, 201 against 1,201 kept states; decay 755 at M = 256, solve
-    # 300, eta-limit 339).  Per grid point, contraction holds 3,723 bytes, the most: the
+    # Per kept state, decay's two tables hold 771 bytes, the most (tracemalloc, every
+    # state kept, 201 against 1,201 kept states: decay 771 at M = 256, 620 at M = 4096;
+    # solve 300, eta-limit 339).  Per grid point, contraction holds 3,723 bytes, the most: the
     # Picard route's node operators (tracemalloc, M = 8192 against 32,768, 21 kept
     # states; eta-limit 1,792, beta-limit 1,496, decay 421, solve 333).  Unstepped runs hold
     # per point: smoothing 256 bytes, a growth sweep 40, the Grid below (M = 2^16 vs 2^18)

@@ -178,12 +178,6 @@ class SpectralField:
         c[grid.mode_index(-n)] += np.conj(w)
         return cls(grid, c, check=False)
 
-    # -- basic queries -------------------------------------------------
-    def values(self) -> np.ndarray:
-        """Inverse transform to physical samples (real part; solver states
-        are Hermitian-symmetric)."""
-        return values_stack(self.grid, self.coeffs)
-
     # -- arithmetic (coefficient-wise, same grid) ----------------------
     def __sub__(self, other):
         if isinstance(other, SpectralField):

@@ -118,11 +118,10 @@ def decay_report(grid: Grid, params: EquationParams, blocks) -> list:
     CSVs are re-recorded.
     """
     g, p, x = grid, params, grid.x
-    times, parts = [], []
+    times, columns = [], [[] for _ in range(9)]
     for block_times, c in blocks:
-        # u_hat(t, 0) (copied, so that the block is not kept), the first
-        # moment -i (2 pi)^{-1/2} int x u dx, ||u||^2, ||x^r u||_{L^2} and the
-        # identity's residual, by rectangle-rule quadrature
+        # u_hat(t, 0), the first moment -i (2 pi)^{-1/2} int x u dx, ||u||^2,
+        # ||x^r u||_{L^2} and the identity's residual, by rectangle-rule quadrature
         u = values_stack(g, c)
         l2sq = sobolev_norm_stack(g, c, 0.0) ** 2
         w1, w2, w3 = (np.sqrt(np.sum((g.x ** r * u) ** 2, axis=-1) * g.dx) for r in (1, 2, 3))
@@ -136,10 +135,12 @@ def decay_report(grid: Grid, params: EquationParams, blocks) -> list:
         terms -= p.eta * x * values_stack(g, hilbert_stack(g, x_derivative_stack(g, c)))
         terms += p.eta * x * values_stack(g, u_xx)
         times.extend(block_times)
-        parts.append((c[:, 0].copy(), -1j / TWO_PI_SQRT * np.sum(g.x * u, axis=-1) * g.dx,
-                      l2sq, w1, w2, w3, np.abs(moment + l2sq) / TWO_PI_SQRT,
-                      np.sum(xu * xu, axis=-1) * g.dx, np.sum(xu * terms, axis=-1) * g.dx))
-    mass, dmass, l2sq, w1, w2, w3, yacasi, xu_sq, rhs = map(np.concatenate, zip(*parts))
+        for column, values in zip(columns, (
+                c[:, 0], -1j / TWO_PI_SQRT * np.sum(g.x * u, axis=-1) * g.dx,
+                l2sq, w1, w2, w3, np.abs(moment + l2sq) / TWO_PI_SQRT,
+                np.sum(xu * xu, axis=-1) * g.dx, np.sum(xu * terms, axis=-1) * g.dx)):
+            column.extend(values.tolist())
+    mass, dmass, l2sq, w1, w2, w3, yacasi, xu_sq, rhs = map(np.array, columns)
     times = np.array(times, dtype=float)
     report = ExperimentReport(
         "decay",

@@ -109,6 +109,10 @@ class SolverConfig:
     def n_steps(self) -> int:
         return round(self.T / self.dt)  # >= 1, as dt <= T; T / dt is whole to 1e-9
 
+    @property
+    def n_kept(self) -> int:
+        return -(-self.n_steps // self.keep_every) + 1  # step 0, each keep_every-th, the last
+
 
 class Trajectory:
     """A solution sampled at increasing `times` from t = 0: one read-only
@@ -437,7 +441,7 @@ def stepper_blocks(phi: SpectralField, params_list, config: SolverConfig):
         E1 = np.array([semigroup_multiplier(grid, dt, p) for p in params_list])
         E2 = np.array([semigroup_multiplier(grid, 0.5 * dt, p) for p in params_list])
         c = np.repeat(phi.coeffs[None, :], len(params_list), axis=0)
-        yield from _if_rk4(grid, c, E1, E2, dt, n_steps, every, rows)
+        yield from _if_rk4(grid, c, E1, E2, config, rows)
     else:  # S(t) phi: semigroup_apply's product, in place in each block
         kept = (min(n, n_steps) for n in range(0, n_steps + every, every))  # n_steps last
         while times := [n * dt for n in itertools.islice(kept, rows)]:
@@ -461,17 +465,18 @@ _CAP_MESSAGE = "amplitude cap exceeded"
 
 
 def _if_rk4(grid: Grid, c: np.ndarray, E1: np.ndarray, E2: np.ndarray,
-            dt: float, n_steps: int, every: int, rows: int):
-    """Step the (b, M) datum stack `c`, overwritten, through `n_steps` IF-RK4
-    steps of size `dt` with multipliers E1 = e^{dt L}, E2 = e^{dt L / 2} per
-    row.  Yields (times, block) of the states kept at step 0, each `every`-th
-    and the last, in new (b, k, M) blocks of `rows` (the last the rest), each
-    before the step after its last state.  Raises ValueError on a non-finite
+            config: SolverConfig, rows: int):
+    """Step the (b, M) datum stack `c`, overwritten, through `config`'s IF-RK4
+    steps of size dt with multipliers E1 = e^{dt L}, E2 = e^{dt L / 2} per
+    row.  Yields (times, block) of the `config.n_kept` states kept, in new
+    (b, k, M) blocks of `rows` (the last the rest), each before the step
+    after its last state.  Raises ValueError on a non-finite
     datum, SolverBlowupError at the first non-finite state or kept state over
     the amplitude cap.  The loop is the step's algebra and one aliasing verdict
     a step, on its four stages; the workspace (`core.PaddedBuffer`) loads the
     state, evaluates each stage and stores each kept state back."""
-    (B, M), K = c.shape, -(-n_steps // every) + 1  # K kept states in all
+    (B, M), K = c.shape, config.n_kept
+    n_steps, every, dt = config.n_steps, config.keep_every, config.T / config.n_steps
     pad = PaddedBuffer(grid, (B,))
     c, E1, E2 = pad.load(c, E1, E2)
     block = np.empty((B, min(rows, K), M), dtype=np.complex128)

@@ -11,7 +11,7 @@ import warnings
 
 import numpy as np
 
-from .core import Grid, SpectralField, grid_memo
+from .core import Grid, SpectralField, grid_memo, values_stack
 
 
 class BoundaryMassWarning(UserWarning):
@@ -69,7 +69,7 @@ def weighted_l2_norm(f: SpectralField, r: int, boundary_guard: float = 0.01) -> 
     if r < 0:
         raise ValueError(f"weight order must be >= 0, got {r}")
     g = f.grid
-    u = f.values()
+    u = values_stack(g, f.coeffs)
     w = (1.0 + g.x * g.x) ** r * u * u
     total = np.sum(w) * g.dx
     edge = np.sum(w[np.abs(g.x) > 0.9 * g.L]) * g.dx

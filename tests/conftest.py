@@ -16,8 +16,7 @@ def solve_stepper_stack(phi, params_list, config) -> list:
     tests hold the runs to compare them whole."""
     grid = phi.grid
     B = len(params_list)
-    kept = np.empty((B, len(range(0, config.n_steps, config.keep_every)) + 1, grid.M),
-                    dtype=np.complex128)
+    kept = np.empty((B, config.n_kept, grid.M), dtype=np.complex128)
     times = []
     for block_times, block in stepper_blocks(phi, params_list, config):
         kept[:, len(times):len(times) + len(block_times)] = block

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import tracemalloc
 import types
 
 import numpy as np
@@ -159,6 +160,25 @@ def test_diagnostics_do_not_depend_on_the_row_blocks():
         for rep, ref in zip(tables, streamed):
             assert np.array(rep.rows).tobytes() == np.array(ref.rows).tobytes(), rep.name
             assert rep.summary == ref.summary
+
+
+def test_decay_holds_less_per_kept_state_than_the_memory_guard_charges():
+    # one state a block, the most bytes per kept state: the reducer's traced
+    # peak grows by less than the 1,280 bytes a kept state that
+    # config.validate charges a stepped run (it grew by about 1,940 while
+    # each block appended nine small arrays)
+    grid = Grid(8.0 * np.pi, 64)
+    block = SpectralField.from_function(grid, lambda x: 0.1 * np.exp(-x * x / 16.0)).coeffs[None]
+
+    def peak(kept):
+        tracemalloc.start()
+        try:
+            decay_report(grid, PARAMS, (([n * 1e-3], block) for n in range(kept)))
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    assert (peak(301) - peak(51)) / 250 < 1280
 
 
 # ---------------------------------------------------------------------------

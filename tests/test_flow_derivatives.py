@@ -1,12 +1,14 @@
 """Resonance functions, Duhamel kernels, band data, and the closed-form
 Picard terms cross-checked against the independent time-quadrature route."""
+import cmath
 import functools
 import pathlib
 import weakref
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from chenlee_lab import flowderiv
 from chenlee_lab.config import parse_config
@@ -30,8 +32,8 @@ from chenlee_lab.flowderiv import (
     kern,
     kern_diff,
     lambda_nd,
-    make_sigma,
     second_term,
+    sigma,
     third_term,
 )
 from chenlee_lab.solver import (
@@ -54,28 +56,25 @@ finite_xi = st.floats(-50.0, 50.0, allow_nan=False)
 # ---------------------------------------------------------------------------
 
 def test_sigma_closed_form():
-    sigma = make_sigma(EquationParams(beta=2.0, eta=3.0))
     xi, xi1 = 3.0, 1.0
     q = lambda z: 2.0 * z * abs(z)
     p = lambda z: 3.0 * (z * z - abs(z))
     expected = 1j * (q(xi1) + q(xi - xi1) - q(xi)) - (p(xi1) + p(xi - xi1) - p(xi))
-    assert complex(sigma(xi, xi1)) == pytest.approx(expected)
+    assert complex(sigma(xi, xi1, EquationParams(beta=2.0, eta=3.0))) == pytest.approx(expected)
 
 
 @settings(max_examples=50, deadline=None)
 @given(finite_xi, finite_xi)
 def test_sigma_pair_symmetry(xi, xi1):
-    sigma = make_sigma(PARAMS)
-    a = complex(sigma(xi, xi1))
-    b = complex(sigma(xi, xi - xi1))
+    a = complex(sigma(xi, xi1, PARAMS))
+    b = complex(sigma(xi, xi - xi1, PARAMS))
     assert a == pytest.approx(b, rel=1e-12, abs=1e-9)
 
 
 def test_sigma_vanishes_on_trivial_pair():
-    sigma = make_sigma(PARAMS)
     for xi in (-2.0, 0.5, 7.0):
-        assert complex(sigma(xi, 0.0)) == 0.0
-        assert complex(sigma(xi, xi)) == 0.0
+        assert complex(sigma(xi, 0.0, PARAMS)) == 0.0
+        assert complex(sigma(xi, xi, PARAMS)) == 0.0
 
 
 def test_lambda_nd_real_and_closed_form():
@@ -94,17 +93,85 @@ def test_lambda_nd_real_and_closed_form():
 def test_kern_generic_and_origin():
     z, t = 2.0 + 1.0j, 0.3
     assert kern(z, t) == pytest.approx((np.exp(z * t) - 1.0) / z, rel=1e-14)
-    assert kern(0.0, t) == pytest.approx(t)  # series branch limit
+    assert kern(0.0, t) == pytest.approx(t)  # phi1(0) = 1
 
 
-def test_kern_series_continuity():
-    # the series branch (|z| < 1e-8) joins the direct formula smoothly
-    t = 0.7
-    below = kern(5e-9 + 5e-9j, t)
-    above = kern(2e-8 + 2e-8j, t)
-    assert abs(below - t) <= 1e-7
-    assert abs(above - t) <= 1e-7
-    assert abs(below - above) <= 1e-7
+@mpmath.workdps(50)
+def _mp_kern(z, t):
+    """K(z, t) = (e^{zt} - 1)/z at 50 digits; t at z = 0."""
+    z, t = mpmath.mpc(z), mpmath.mpf(t)
+    return t if z == 0 else mpmath.expm1(z * t) / z
+
+
+@mpmath.workdps(50)
+def _mp_kern_diff(a, b, t):
+    """(K(a, t) - K(b, t))/(a - b) at 50 digits; where a = b, the closed-form
+    dK/dz = (t z e^{zt} - (e^{zt} - 1))/z^2, t^2/2 at z = 0."""
+    a, b, t = mpmath.mpc(a), mpmath.mpc(b), mpmath.mpf(t)
+    if a != b:
+        return (_mp_kern(a, t) - _mp_kern(b, t)) / (a - b)
+    return t * t / 2 if a == 0 else (t * a * mpmath.exp(a * t) - mpmath.expm1(a * t)) / a ** 2
+
+
+@mpmath.workdps(50)
+def _rel_error(got, ref) -> float:
+    return float(abs(mpmath.mpc(complex(got)) - ref) / abs(ref))
+
+
+@st.composite
+def _kernel_arg(draw):
+    """(z, t): t log-uniform from 1e-6 to 10, and |z t| from 1e-12 to 3e2,
+    in any direction."""
+    t = 10.0 ** draw(st.floats(-6.0, 1.0))
+    r = 10.0 ** draw(st.floats(-12.0, np.log10(3e2)))
+    return r * cmath.exp(1j * draw(st.floats(0.0, 2.0 * np.pi))) / t, t
+
+
+@st.composite
+def _kernel_pair(draw):
+    """(a, b, t): b at a relative distance |a - b|/|a| from a of 0
+    (coalescence) or log-uniform from 1e-16 to 1, or drawn as a is; in
+    either order."""
+    a, t = draw(_kernel_arg())
+    if draw(st.booleans()):
+        gap = draw(st.one_of(st.just(0.0), st.floats(-16.0, 0.0).map(lambda e: 10.0 ** e)))
+        b = a * (1.0 + gap * cmath.exp(1j * draw(st.floats(0.0, 2.0 * np.pi))))
+    else:
+        b = draw(_kernel_arg().map(lambda zt: zt[0] * zt[1] / t))
+    return (a, b, t) if draw(st.booleans()) else (b, a, t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(_kernel_arg())
+@example((1e-7, 1e-3))
+@example((1.0, 1e-9))
+def test_kern_matches_mpmath(zt):
+    z, t = zt
+    assert _rel_error(kern(z, t), _mp_kern(z, t)) <= 1e-12
+
+
+@settings(max_examples=200, deadline=None)
+@given(_kernel_pair())
+@example((1e-7, 1e-7, 1e-3))
+@example((1000.0 + 1e-6, 1000.0, 1e-3))
+@example((0.1, 100.0, 1.0))  # the smaller first: the pair is ordered
+def test_kern_diff_matches_mpmath(abt):
+    a, b, t = abt
+    assert _rel_error(kern_diff(a, b, t), _mp_kern_diff(a, b, t)) <= 1e-12
+
+
+def test_kern_diff_at_the_seam():
+    # |at| = 1/2 from below (the series) and above (the Leibniz rule), with
+    # the other point coalescent, near, halfway, opposite, rotated and at 0
+    for r in (0.5 - 1e-12, np.nextafter(0.5, 0.0), 0.5, np.nextafter(0.5, 1.0), 0.5 + 1e-12):
+        for angle in np.linspace(0.0, 2.0 * np.pi, 8, endpoint=False):
+            x = r * cmath.exp(1j * angle)
+            for y in (x, 0.99 * x, 0.5 * x, -x, 1j * x, 0.0):
+                for t in (1.0, 1e-3):
+                    a, b = x / t, y / t
+                    ref = _mp_kern_diff(a, b, t)
+                    assert _rel_error(kern_diff(a, b, t), ref) <= 1e-12, (r, angle, y, t)
+                    assert _rel_error(kern_diff(b, a, t), ref) <= 1e-12, (r, angle, y, t)
 
 
 def test_kern_diff_divided_difference():

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from chenlee_lab.core import Grid, SpectralField, random_real_field
+from chenlee_lab.core import Grid, SpectralField, random_real_field, values_stack
 from chenlee_lab import spaces
 from chenlee_lab.spaces import (
     BoundaryMassWarning,
@@ -28,7 +28,7 @@ def _rand_field(seed, grid=GRID):
 
 def test_l2_norm_matches_physical():
     u = _rand_field(0)
-    phys = np.sqrt(np.sum(u.values() ** 2) * GRID.dx)
+    phys = np.sqrt(np.sum(values_stack(GRID, u.coeffs) ** 2) * GRID.dx)
     assert l2_norm(u) == pytest.approx(phys, rel=1e-12)
 
 

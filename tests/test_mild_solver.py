@@ -717,11 +717,12 @@ _SCHEDULES = [(7, 10), (7, 3), (8, 4), (7, 1)]
 def test_stepper_block_times_are_the_frozen_schedule(members, M, steps, keep_every):
     # keep_every past the last step, a last step off the keep multiples and
     # on them, every step kept, at 4, 2, 1 and 512 kept states a block: the
-    # same times, bitwise, in the same blocks
+    # same times, bitwise, in the same blocks, n_kept of them
     grid = Grid(8.0 * np.pi * max(1, M / 256), M)  # dt = 1e-3 keeps the CFL bound
     cfg = SolverConfig(dt=1e-3, T=steps * 1e-3, keep_every=keep_every)
     blocks = list(solver.stepper_blocks(_gaussian(0.1, grid), members, cfg))
     assert [times for times, _ in blocks] == _frozen_block_times(cfg, M)
+    assert sum(len(times) for times, _ in blocks) == cfg.n_kept
     assert [block.shape for _, block in blocks] == [(2, len(times), M) for times, _ in blocks]
 
 

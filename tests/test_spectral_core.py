@@ -77,7 +77,7 @@ def test_grid_derived_quantities():
 
 def test_roundtrip_smooth_function():
     f = SpectralField.from_function(GRID, lambda x: np.exp(-x * x) * np.cos(x))
-    vals = f.values()
+    vals = values_stack(GRID, f.coeffs)
     ref = np.exp(-GRID.x ** 2) * np.cos(GRID.x)
     assert np.abs(vals - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -85,7 +85,7 @@ def test_roundtrip_smooth_function():
 def test_plancherel_exact():
     u = _rand_field(0)
     lhs = np.sum(np.abs(u.coeffs) ** 2) * GRID.dxi
-    rhs = np.sum(u.values() ** 2) * GRID.dx
+    rhs = np.sum(values_stack(GRID, u.coeffs) ** 2) * GRID.dx
     assert lhs == pytest.approx(rhs, rel=1e-12)
 
 
@@ -98,7 +98,7 @@ def test_continuum_normalization_gaussian():
 def test_single_mode_values():
     f = SpectralField.single_mode(GRID, 5, 0.7)
     xi5 = 5 * np.pi / GRID.L
-    assert np.abs(f.values() - 0.7 * np.cos(xi5 * GRID.x)).max() <= 1e-12
+    assert np.abs(values_stack(GRID, f.coeffs) - 0.7 * np.cos(xi5 * GRID.x)).max() <= 1e-12
 
 
 def test_nyquist_zeroed():
@@ -193,7 +193,7 @@ def test_single_mode_rejects_nyquist_and_above():
         with pytest.raises(ValueError, match="Nyquist"):
             SpectralField.single_mode(GRID, n)
     top = SpectralField.single_mode(GRID, -(GRID.M // 2 - 1), 0.5)
-    assert np.abs(top.values() - 0.5 * np.cos(GRID.xi_max * GRID.x)).max() <= 1e-12
+    assert np.abs(values_stack(GRID, top.coeffs) - 0.5 * np.cos(GRID.xi_max * GRID.x)).max() <= 1e-12
 
 
 def _same_but_zero_signs(x, y):
@@ -239,7 +239,7 @@ def test_transform_pair_equals_frozen_table_form(M, data):
         field = SpectralField.single_mode(grid, n, 0.7)
     assert _same_but_zero_signs(SpectralField.from_values(grid, samples).coeffs,
                                 _frozen_from_values(grid, samples))
-    assert np.array_equal(field.values().view(np.uint64),
+    assert np.array_equal(values_stack(grid, field.coeffs).view(np.uint64),
                           _frozen_values(grid, field.coeffs).view(np.uint64))
 
 
@@ -339,9 +339,9 @@ def test_x_derivative_sin():
     xi3 = 3 * np.pi / GRID.L
     s = SpectralField.from_function(GRID, lambda x: np.sin(xi3 * x))
     d = x_derivative(s)
-    assert np.abs(d.values() - xi3 * np.cos(xi3 * GRID.x)).max() <= 1e-12
+    assert np.abs(values_stack(GRID, d.coeffs) - xi3 * np.cos(xi3 * GRID.x)).max() <= 1e-12
     d2 = x_derivative(s, order=2)
-    assert np.abs(d2.values() + xi3 ** 2 * np.sin(xi3 * GRID.x)).max() <= 1e-11
+    assert np.abs(values_stack(GRID, d2.coeffs) + xi3 ** 2 * np.sin(xi3 * GRID.x)).max() <= 1e-11
 
 
 # ---------------------------------------------------------------------------
@@ -436,7 +436,7 @@ def test_nonlinear_term_cosine_oracle():
     u = SpectralField.from_function(GRID, lambda x: np.cos(a * x))
     w = nonlinear_term(u)
     ref = -(a / 2.0) * np.sin(2 * a * GRID.x)
-    assert np.abs(w.values() - ref).max() <= 1e-12
+    assert np.abs(values_stack(GRID, w.coeffs) - ref).max() <= 1e-12
 
 
 @pytest.mark.filterwarnings("ignore::chenlee_lab.core.AliasingBudgetWarning")
@@ -614,7 +614,7 @@ def test_values_stack_rows_equal_values_bitwise(M):
     fields = [random_real_field(grid, rng, spectral_decay=d) for d in (0.0, 1.0, 2.0, 3.0)]
     stack = values_stack(grid, np.array([u.coeffs for u in fields]))
     assert np.array_equal(stack.view(np.uint64),
-                          np.array([u.values() for u in fields]).view(np.uint64))
+                          np.array([values_stack(grid, u.coeffs) for u in fields]).view(np.uint64))
     # and the forward transform: a stack's rows are the rows' transforms
     back = from_values_stack(grid, stack)
     assert np.array_equal(back.view(np.uint64), np.array(
@@ -666,7 +666,8 @@ def test_random_field_seeded_and_hermitian():
     b = _rand_field(11)
     assert np.array_equal(a.coeffs, b.coeffs)
     assert _is_hermitian(a.coeffs)
-    assert np.abs(a.values().imag if np.iscomplexobj(a.values()) else 0.0) == 0.0
+    u = values_stack(a.grid, a.coeffs)
+    assert np.abs(u.imag if np.iscomplexobj(u) else 0.0) == 0.0
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ from .spaces import sobolev_norm
 # m = _TERMS on add at most 4.6e-17, 1.5e-16 of it: below machine epsilon.
 # Above the seam the Leibniz rule's division by |x| > 1/2 costs a few bits.
 _SEAM, _TERMS = 0.5, 14
+_EPS = np.finfo(np.float64).eps
 
 
 # ---------------------------------------------------------------------------
@@ -61,9 +62,11 @@ def lambda_nd(xi, xi1, eta: float):
 
 
 def _phi1(w):
-    """phi1(w) = (e^w - 1)/w, and 1 at w = 0, as a complex array."""
+    """phi1(w) = (e^w - 1)/w, as a complex array.  Where |w| <= eps it is
+    1 + w/2, exact to |w|^2/6: complex division by a subnormal w overflows."""
     w = np.asarray(w, dtype=np.complex128)
-    return np.divide(np.expm1(w), w, out=np.ones_like(w), where=w != 0)
+    return np.divide(np.expm1(w), w, out=np.asarray(1.0 + 0.5 * w),
+                     where=np.abs(w) > _EPS)
 
 
 def kern(z, t: float):

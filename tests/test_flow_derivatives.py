@@ -155,6 +155,7 @@ def test_kern_matches_mpmath(zt):
 @example((1e-7, 1e-7, 1e-3))
 @example((1000.0 + 1e-6, 1000.0, 1e-3))
 @example((0.1, 100.0, 1.0))  # the smaller first: the pair is ordered
+@example((1.0, 1.0 + 5e-324j, 1.0))  # a subnormal gap: phi1 must not divide by it
 def test_kern_diff_matches_mpmath(abt):
     a, b, t = abt
     assert _rel_error(kern_diff(a, b, t), _mp_kern_diff(a, b, t)) <= 1e-12

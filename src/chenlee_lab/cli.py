@@ -4,8 +4,9 @@
 
 Writes CSV reports plus a run manifest into the output directory, prints
 one PASS/FAIL line per experiment, and exits 0 on pass, 1 on experiment
-failure, 2 on usage/config errors, 3 on numerical failure.  The
-CHENLEE_LAB_OUT environment variable overrides --out.
+failure, 2 on usage/config errors, 3 on numerical failure.  Each
+verdict's pass band is a constant of the module that judges with it
+(below; `limits.SLOPE_TOLERANCE`, `flowderiv.SLOPE_TOLERANCE`), not a key.
 """
 from __future__ import annotations
 
@@ -45,6 +46,13 @@ from .solver import (
 from .spaces import l2_norm, sobolev_norm, sobolev_norm_stack
 
 NUMERICAL_ERRORS = (SolverBlowupError, PicardError)
+
+# verdict thresholds: mass drift (solve, decay), the Yacasi and weighted-energy
+# residuals (decay), the largest Picard ratio, the Picard residual and the
+# Picard-vs-stepper agreement (contraction), and smoothing's slope, relative to -lambda/2
+MASS_TOLERANCE, YACASI_TOLERANCE, ENERGY_RESIDUAL_TOLERANCE = 1e-10, 1e-8, 1e-5
+CONTRACTION_RATIO_MAX, CONTRACTION_RESIDUAL_MAX, AGREEMENT_TOLERANCE = 0.75, 1e-10, 1e-6
+SMOOTHING_TOLERANCE = 0.10
 
 
 def _apply_quick(cfg: RunConfig) -> RunConfig:
@@ -88,8 +96,8 @@ def _run_solve(cfg: RunConfig):
     drift = mass_drift(mass)
     rep.summary.update({
         "mass_drift": drift,
-        "mass_tolerance": cfg.check_mass_tolerance,
-        "passed": drift <= cfg.check_mass_tolerance,
+        "mass_tolerance": MASS_TOLERANCE,
+        "passed": drift <= MASS_TOLERANCE,
     })
     return [rep]
 
@@ -114,7 +122,7 @@ def _run_smoothing(cfg: RunConfig):
         norms = [sobolev_norm(semigroup_apply(phi, t, params), lam) for t in ts]
         slope, _ = fit_loglog(ts, norms)
         target = -lam / 2.0
-        ok = abs(slope - target) <= cfg.smoothing_tolerance * abs(target)
+        ok = abs(slope - target) <= SMOOTHING_TOLERANCE * abs(target)
         ok_all = ok_all and ok
         rep.add_row(lam, slope, target, ok)
         rep.summary[f"slope_lambda_{lam:g}"] = slope
@@ -144,25 +152,21 @@ def _run_contraction(cfg: RunConfig):
     rep.add_row(T, len(traj_p.info["diffs"]), worst, traj_p.info["residual"],
                 agreement)
     rep.summary.update({
-        "passed": (worst <= cfg.check_contraction_ratio_max
-                   and traj_p.info["residual"] <= cfg.check_contraction_residual_max
-                   and agreement <= cfg.check_agreement_tolerance),
+        "passed": (worst <= CONTRACTION_RATIO_MAX
+                   and traj_p.info["residual"] <= CONTRACTION_RESIDUAL_MAX
+                   and agreement <= AGREEMENT_TOLERANCE),
     })
     return [rep]
 
 
 def _run_illposed_c3(cfg: RunConfig):
-    rep = illposed_growth_c3(cfg.illposed_s, cfg.illposed_epsilon,
-                             cfg.illposed_N, cfg.equation_params(),
-                             tol=cfg.illposed_tolerance)
-    return [rep]
+    return [illposed_growth_c3(cfg.illposed_s, cfg.illposed_epsilon, cfg.illposed_N,
+                               cfg.equation_params())]
 
 
 def _run_illposed_c2nd(cfg: RunConfig):
-    rep = illposed_growth_c2_nd(cfg.illposed_s, cfg.illposed_epsilon,
-                                cfg.illposed_N, cfg.eq_eta,
-                                tol=cfg.illposed_tolerance)
-    return [rep]
+    return [illposed_growth_c2_nd(cfg.illposed_s, cfg.illposed_epsilon, cfg.illposed_N,
+                                  cfg.eq_eta)]
 
 
 def _limit_cfg(cfg: RunConfig, defaults):
@@ -173,13 +177,11 @@ def _limit_cfg(cfg: RunConfig, defaults):
 
 
 def _run_beta_limit(cfg: RunConfig):
-    return [beta_limit_sweep(_limit_cfg(cfg, (0.4, 0.2, 0.1, 0.05)),
-                             tol=cfg.sweep_tolerance)]
+    return [beta_limit_sweep(_limit_cfg(cfg, (0.4, 0.2, 0.1, 0.05)))]
 
 
 def _run_eta_limit(cfg: RunConfig):
-    return [eta_limit_sweep(_limit_cfg(cfg, (0.2, 0.1, 0.05, 0.025)),
-                            tol=cfg.sweep_tolerance)]
+    return [eta_limit_sweep(_limit_cfg(cfg, (0.2, 0.1, 0.05, 0.025)))]
 
 
 def _run_decay(cfg: RunConfig):
@@ -188,9 +190,9 @@ def _run_decay(cfg: RunConfig):
     phi, params = build_initial_data(cfg), cfg.equation_params()
     blocks = stepper_blocks(phi, [params], cfg.solver_config())
     rep, energy = decay_report(phi.grid, params, ((t, b) for t, (b,) in blocks))
-    ok = (rep.summary["mass_drift"] <= cfg.check_mass_tolerance
-          and rep.summary["yacasi_residual"] <= cfg.check_yacasi_tolerance
-          and energy.summary["max_residual"] <= cfg.check_energy_residual_tolerance)
+    ok = (rep.summary["mass_drift"] <= MASS_TOLERANCE
+          and rep.summary["yacasi_residual"] <= YACASI_TOLERANCE
+          and energy.summary["max_residual"] <= ENERGY_RESIDUAL_TOLERANCE)
     rep.summary["passed"] = ok
     energy.summary["passed"] = ok
     return [rep, energy]
@@ -277,7 +279,7 @@ def build_parser():
     parser.add_argument("--quick", action="store_true",
                         help="scale the experiment down ~4x for CI")
     parser.add_argument("--out", default="out", metavar="DIR",
-                        help="output directory (CHENLEE_LAB_OUT overrides)")
+                        help="output directory")
     return parser
 
 
@@ -307,8 +309,7 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    out_dir = os.environ.get("CHENLEE_LAB_OUT") or args.out
-    return run_experiment(cfg, out_dir, quick=args.quick)
+    return run_experiment(cfg, args.out, quick=args.quick)
 
 
 if __name__ == "__main__":

@@ -57,21 +57,11 @@ class RunConfig:
     smoothing_lambdas: tuple = (0.5, 1.0, 2.0)
     smoothing_t_min: float = 1e-4
     smoothing_t_max: float = 1e-2
-    smoothing_tolerance: float = 0.10  # relative deviation from -lambda/2
     illposed_s: float = -0.8
     illposed_epsilon: float = 0.1
     illposed_N: tuple = (64.0, 128.0, 256.0, 512.0, 1024.0)
-    illposed_tolerance: float = 0.15
     sweep_values: tuple = ()
     sweep_s: float = 0.0
-    sweep_tolerance: float = 0.15
-    # verdict thresholds
-    check_mass_tolerance: float = 1e-10
-    check_yacasi_tolerance: float = 1e-8
-    check_energy_residual_tolerance: float = 1e-5
-    check_contraction_ratio_max: float = 0.75
-    check_contraction_residual_max: float = 1e-10
-    check_agreement_tolerance: float = 1e-6
 
     def equation_params(self):
         return EquationParams(beta=self.eq_beta, eta=self.eq_eta,

@@ -233,10 +233,6 @@ def x_derivative_stack(grid: Grid, coeffs: np.ndarray, order: int = 1) -> np.nda
     return c
 
 
-def x_derivative(f: SpectralField, order: int = 1) -> SpectralField:
-    return SpectralField(f.grid, x_derivative_stack(f.grid, f.coeffs, order), check=False)
-
-
 def semigroup_half(grid: Grid, times, params: EquationParams) -> np.ndarray:
     """E(xi, t) on the non-negative modes 0..M/2-1 for each t of the 1-d
     `times`, as a (len(times), M/2) array: the half of a real field's

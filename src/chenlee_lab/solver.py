@@ -418,7 +418,7 @@ def stepper_blocks(phi: SpectralField, params_list, config: SolverConfig):
     kept at every `keep_every`-th step from 0 and the last, as a stream:
     yields (times, block) in time order, `block` a new (B, k, M) array of
     every member's spectra at the k kept `times` (a list), k at most
-    max(1, 4096 // M), its times n * dt formed as it is filled.  A caller
+    max(1, 4096 // M), its times n * dt at its kept step numbers n.  A caller
     that reduces each block as it comes never holds the (B, K, M) run.
 
     Before the first block, the members are checked all nonlinear or all
@@ -437,14 +437,16 @@ def stepper_blocks(phi: SpectralField, params_list, config: SolverConfig):
         _check_cfl(grid, config.dt, params)
     n_steps, every, rows = config.n_steps, config.keep_every, max(1, 4096 // grid.M)
     dt = config.T / n_steps
+    kept = (min(n, n_steps) for n in range(0, n_steps + every, every))  # n_steps last
+    schedule = iter(lambda: list(itertools.islice(kept, rows)), [])  # each block's steps
     if True in kinds:
         E1 = np.array([semigroup_multiplier(grid, dt, p) for p in params_list])
         E2 = np.array([semigroup_multiplier(grid, 0.5 * dt, p) for p in params_list])
         c = np.repeat(phi.coeffs[None, :], len(params_list), axis=0)
-        yield from _if_rk4(grid, c, E1, E2, config, rows)
+        yield from _if_rk4(grid, c, E1, E2, dt, schedule)
     else:  # S(t) phi: semigroup_apply's product, in place in each block
-        kept = (min(n, n_steps) for n in range(0, n_steps + every, every))  # n_steps last
-        while times := [n * dt for n in itertools.islice(kept, rows)]:
+        for steps in schedule:
+            times = [n * dt for n in steps]
             with np.errstate(over="ignore", invalid="ignore"):  # a blow-up, raised below
                 block = np.array([semigroup_stack(grid, times, p) for p in params_list])
                 np.multiply(phi.coeffs, block, out=block)
@@ -464,24 +466,20 @@ _AMPLITUDE_CAP = 1e6
 _CAP_MESSAGE = "amplitude cap exceeded"
 
 
-def _if_rk4(grid: Grid, c: np.ndarray, E1: np.ndarray, E2: np.ndarray,
-            config: SolverConfig, rows: int):
-    """Step the (b, M) datum stack `c`, overwritten, through `config`'s IF-RK4
-    steps of size dt with multipliers E1 = e^{dt L}, E2 = e^{dt L / 2} per
-    row.  Yields (times, block) of the `config.n_kept` states kept, in new
-    (b, k, M) blocks of `rows` (the last the rest), each before the step
-    after its last state.  Raises ValueError on a non-finite
+def _if_rk4(grid: Grid, c: np.ndarray, E1: np.ndarray, E2: np.ndarray, dt: float,
+            schedule):
+    """Step the (b, M) datum stack `c`, overwritten, by IF-RK4 steps of size
+    dt with multipliers E1 = e^{dt L}, E2 = e^{dt L / 2} per row.  For each
+    list of step numbers of `schedule` (increasing from 0) yields (times,
+    block): a new (b, k, M) block of the states at those k steps, each before
+    the step after its last state.  Raises ValueError on a non-finite
     datum, SolverBlowupError at the first non-finite state or kept state over
     the amplitude cap.  The loop is the step's algebra and one aliasing verdict
     a step, on its four stages; the workspace (`core.PaddedBuffer`) loads the
     state, evaluates each stage and stores each kept state back."""
-    (B, M), K = c.shape, config.n_kept
-    n_steps, every, dt = config.n_steps, config.keep_every, config.T / config.n_steps
+    (B, M), n = c.shape, 0  # n: the steps taken
     pad = PaddedBuffer(grid, (B,))
     c, E1, E2 = pad.load(c, E1, E2)
-    block = np.empty((B, min(rows, K), M), dtype=np.complex128)
-    pad.store(c, block[:, 0])
-    times, kept = [0.0], 1  # the block's times, and the states kept so far
     E2x2 = 2.0 * E2
     # one workspace for the whole run: the four stages, their energies, three temporaries
     k1, k2, k3, k4, E1c, w, v = (np.empty_like(c) for _ in range(7))
@@ -499,39 +497,35 @@ def _if_rk4(grid: Grid, c: np.ndarray, E1: np.ndarray, E2: np.ndarray,
     #   c <- E1*c + (E1*k1 + 2*E2*(k2 + k3) + k4)/6,
     # formed in place with each complex product's operands in that order
     # (see nonlinear_stack on why the order is part of the result).
-    for n in range(1, n_steps + 1):
-        if len(times) == rows:  # a full block
-            yield times, block
-            block = np.empty((B, min(rows, K - kept), M), dtype=np.complex128)
-            times = []
-        np.multiply(E1, c, out=E1c)
-        pad.evaluate(c, k1, neg_dt, e1)
-        np.multiply(half, k1, out=w)
-        np.add(c, w, out=w)
-        np.multiply(E2, w, out=stage)
-        pad.evaluate(stage, k2, neg_dt, e2)
-        np.multiply(E2, c, out=w)
-        np.multiply(half, k2, out=v)
-        np.add(w, v, out=stage)
-        pad.evaluate(stage, k3, neg_dt, e3)
-        np.multiply(E2, k3, out=w)
-        np.add(E1c, w, out=stage)
-        pad.evaluate(stage, k4, neg_dt, e4)
-        aliasing_verdict(pad, energies)
-        np.multiply(E1, k1, out=k1)
-        np.add(k2, k3, out=k2)
-        np.multiply(E2x2, k2, out=k2)
-        np.add(k1, k2, out=k1)
-        np.add(k1, k4, out=k1)
-        np.divide(k1, six, out=k1)
-        np.add(E1c, k1, out=c)
-        if not np.isfinite(c.view(np.float64)).all():
-            raise SolverBlowupError(n * dt)
-        if n % every == 0 or n == n_steps:
-            row = pad.store(c, block[:, len(times)])
-            if np.abs(values_stack(grid, row)).max() > _AMPLITUDE_CAP:
+    for steps in schedule:
+        block = np.empty((B, len(steps), M), dtype=np.complex128)
+        for i, kept in enumerate(steps):
+            for n in range(n + 1, kept + 1):
+                np.multiply(E1, c, out=E1c)
+                pad.evaluate(c, k1, neg_dt, e1)
+                np.multiply(half, k1, out=w)
+                np.add(c, w, out=w)
+                np.multiply(E2, w, out=stage)
+                pad.evaluate(stage, k2, neg_dt, e2)
+                np.multiply(E2, c, out=w)
+                np.multiply(half, k2, out=v)
+                np.add(w, v, out=stage)
+                pad.evaluate(stage, k3, neg_dt, e3)
+                np.multiply(E2, k3, out=w)
+                np.add(E1c, w, out=stage)
+                pad.evaluate(stage, k4, neg_dt, e4)
+                aliasing_verdict(pad, energies)
+                np.multiply(E1, k1, out=k1)
+                np.add(k2, k3, out=k2)
+                np.multiply(E2x2, k2, out=k2)
+                np.add(k1, k2, out=k1)
+                np.add(k1, k4, out=k1)
+                np.divide(k1, six, out=k1)
+                np.add(E1c, k1, out=c)
+                if not np.isfinite(c.view(np.float64)).all():
+                    raise SolverBlowupError(n * dt)
+            row = pad.store(c, block[:, i])
+            if n and np.abs(values_stack(grid, row)).max() > _AMPLITUDE_CAP:  # n = 0: the datum
                 raise SolverBlowupError(n * dt, _CAP_MESSAGE)
-            times.append(n * dt)
-            kept += 1
-    yield times, block
+        yield [m * dt for m in steps], block
 

@@ -246,9 +246,9 @@ ILLPOSED_PARAMS = EquationParams(beta=0.25, eta=0.25)
 
 
 def test_criterion07_c3_slope():
-    rep = illposed_growth_c3(-0.8, 0.1, N_SWEEP, ILLPOSED_PARAMS, tol=0.15)
+    rep = illposed_growth_c3(-0.8, 0.1, N_SWEEP, ILLPOSED_PARAMS)
     slope = rep.summary["fitted_slope"]
-    rep_wp = illposed_growth_c3(-0.3, 0.1, N_SWEEP, ILLPOSED_PARAMS, tol=np.inf)
+    rep_wp = illposed_growth_c3(-0.3, 0.1, N_SWEEP, ILLPOSED_PARAMS)
     slope_wp = rep_wp.summary["fitted_slope"]
     ok = rep.summary["passed"] and slope_wp <= 0.0
     _line(7, "illposed-c3-slope", ok,
@@ -262,7 +262,7 @@ def test_criterion07_c3_slope():
 # ---------------------------------------------------------------------------
 
 def test_criterion08_c2_slope():
-    rep = illposed_growth_c2_nd(-0.8, 0.05, N_SWEEP, eta=0.1, tol=0.15)
+    rep = illposed_growth_c2_nd(-0.8, 0.05, N_SWEEP, eta=0.1)
     slope = rep.summary["fitted_slope"]
     floor = rep.summary["dissipative_floor_min"]
     ok = rep.summary["passed"] and floor > 0.0
@@ -277,7 +277,7 @@ def test_criterion08_c2_slope():
 # ---------------------------------------------------------------------------
 
 def test_criterion09_beta_rate():
-    rep = beta_limit_sweep(_tuned_sweep("beta-limit"), tol=0.15)
+    rep = beta_limit_sweep(_tuned_sweep("beta-limit"))
     slope = rep.summary["fitted_slope"]
     ok = rep.summary["passed"]
     _line(9, "beta-limit-rate", ok,
@@ -292,7 +292,7 @@ def test_criterion09_beta_rate():
 
 @pytest.fixture(scope="module")
 def eta_sweep_report():
-    return eta_limit_sweep(_tuned_sweep("eta-limit"), tol=0.1)
+    return eta_limit_sweep(_tuned_sweep("eta-limit"))
 
 
 def test_criterion10_horizon_and_envelope(eta_sweep_report):

@@ -1,10 +1,9 @@
 """Config parsing, initial-data construction, and the CLI contract:
-exit codes, output files, determinism, and the output-dir override."""
+exit codes, output files and determinism."""
 import dataclasses
 import hashlib
 import importlib.util
 import json
-import os
 import pathlib
 import tracemalloc
 import weakref
@@ -12,7 +11,7 @@ import weakref
 import numpy as np
 import pytest
 
-from chenlee_lab import config
+from chenlee_lab import cli, config, flowderiv, limits
 from chenlee_lab.cli import _apply_quick, build_parser, main, run_experiment
 from chenlee_lab.config import (
     ConfigError,
@@ -123,11 +122,36 @@ TUNED_ECHO_DIGESTS = {
 }
 
 
+# the verdict thresholds that were keys, each with the module constant that
+# replaced it: folded back into an echo, they give the digests above
+REMOVED_THRESHOLDS = {
+    "check.mass_tolerance": cli.MASS_TOLERANCE,
+    "check.yacasi_tolerance": cli.YACASI_TOLERANCE,
+    "check.energy_residual_tolerance": cli.ENERGY_RESIDUAL_TOLERANCE,
+    "check.contraction_ratio_max": cli.CONTRACTION_RATIO_MAX,
+    "check.contraction_residual_max": cli.CONTRACTION_RESIDUAL_MAX,
+    "check.agreement_tolerance": cli.AGREEMENT_TOLERANCE,
+    "smoothing.tolerance": cli.SMOOTHING_TOLERANCE,
+    "illposed.tolerance": flowderiv.SLOPE_TOLERANCE,
+    "sweep.tolerance": limits.SLOPE_TOLERANCE,
+}
+
+
 @pytest.mark.parametrize("experiment", list(TUNED_ECHO_DIGESTS))
 def test_tuned_config_echo_is_unchanged(experiment):
     echo = config_echo(parse_config((RUN_ALL.CONFIG_DIR / f"{experiment}.cfg").read_text()))
+    echo.update(REMOVED_THRESHOLDS)
     digest = hashlib.sha256(json.dumps(echo, sort_keys=True).encode()).hexdigest()
     assert digest[:16] == TUNED_ECHO_DIGESTS[experiment]
+
+
+@pytest.mark.parametrize("key", list(REMOVED_THRESHOLDS))
+def test_a_removed_threshold_key_is_refused(key, tmp_path, capsys):
+    # even at its constant, the value two tuned configs once set
+    path = _write(tmp_path, f"grid.M = 256\n{key} = {REMOVED_THRESHOLDS[key]}\n")
+    assert main(["solve", "--config", path, "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"config error: line 2: unknown key {key!r}\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_readme_lists_every_key():
@@ -198,15 +222,6 @@ def test_cli_determinism(tmp_path):
     b = (outs[1] / "smoothing.csv").read_bytes()
     assert a == b
     assert b"\r\n" in a  # fixed line terminator
-
-
-def test_cli_env_override(tmp_path, monkeypatch):
-    cfg = _write(tmp_path, SMOOTHING_CFG)
-    env_out = tmp_path / "env_out"
-    monkeypatch.setenv("CHENLEE_LAB_OUT", str(env_out))
-    assert main(["smoothing", "--config", cfg, "--out", str(tmp_path / "ignored")]) == 0
-    assert (env_out / "manifest.json").exists()
-    assert not (tmp_path / "ignored").exists()
 
 
 def test_cli_usage_errors(tmp_path, capsys):

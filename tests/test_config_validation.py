@@ -239,25 +239,26 @@ def test_datum_without_an_h2_norm_is_a_config_error(text):
         build_initial_data(cfg)
 
 
-# one small solve per exit code, each with one +-1e300 edit
+# one run per exit code: a small solve as it is (0) or with one 1e300 edit,
+# and the tuned eta-limit under --quick, whose rate clause fails by design (1)
 _SMALL = "grid.L = 25.132741228718345\ngrid.M = 256\nsolver.T = 0.01\n"
 _EXIT_CODES = {
-    "passes": (0, "check.mass_tolerance = 1e300"),
-    "fails-its-check": (1, "check.mass_tolerance = -1e300"),
-    "step-count": (2, "solver.T = 1e300"),
-    "non-finite-datum": (2, "grid.L = 1e300\ndata.kind = random"),
-    "blows-up": (3, "data.amplitude = 1e300"),
+    "passes": (0, ["solve"], _SMALL),
+    "fails-its-check": (1, ["eta-limit", "--quick"], (CONFIGS / "eta-limit.cfg").read_text()),
+    "step-count": (2, ["solve"], _SMALL + "solver.T = 1e300"),
+    "non-finite-datum": (2, ["solve"], _SMALL + "grid.L = 1e300\ndata.kind = random"),
+    "blows-up": (3, ["solve"], _SMALL + "data.amplitude = 1e300"),
 }
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the blow-up and the datum overflow
 @pytest.mark.parametrize("case", list(_EXIT_CODES))
-def test_cli_exit_code_at_huge_values(case, tmp_path, capsys):
-    code, text = _EXIT_CODES[case]
+def test_cli_exit_codes(case, tmp_path, capsys):
+    code, args, text = _EXIT_CODES[case]
     path = tmp_path / "run.cfg"
-    path.write_text(_SMALL + text + "\n")
+    path.write_text(text + "\n")
     out = tmp_path / "out"
-    assert main(["solve", "--config", str(path), "--out", str(out)]) == code
+    assert main([*args, "--config", str(path), "--out", str(out)]) == code
     err = capsys.readouterr().err
     if code == 2:
         assert err.startswith("config error:")
@@ -311,10 +312,10 @@ OWNED_RULES = {
                                lambda: IllposedData(N=16.0, epsilon=0.1, gamma=1.6, s=-0.8)),
     "illposed-N-at-least-4": ("illposed.N = 64, 128, 256", "illposed.N",
                               lambda: illposed_growth_c3(-0.8, 0.1, (64.0, 128.0, 256.0),
-                                                         EquationParams(), tol=0.15)),
+                                                         EquationParams())),
     "illposed-N-increasing": ("illposed.N = 64, 128, 128, 256", "illposed.N",
                               lambda: illposed_growth_c2_nd(-0.8, 0.1, (64.0, 128.0, 128.0, 256.0),
-                                                            eta=1.0, tol=0.15)),
+                                                            eta=1.0)),
     "sweep-values": ("sweep.values = 0.1, 0.2, 0.3, 0.4", "sweep.values",
                      lambda: LimitSweepConfig(phi=SpectralField.zero(Grid(*_DEFAULT_GRID)),
                                               sweep_values=(0.1, 0.2, 0.3, 0.4),

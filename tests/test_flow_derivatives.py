@@ -464,7 +464,7 @@ def test_stepper_taylor_coefficients_are_the_picard_terms():
 
 def test_growth_sweep_report_structure():
     rep = illposed_growth_c3(-0.8, 0.2, [32, 64, 128, 256],
-                             EquationParams(beta=0.25, eta=0.25), tol=0.15)
+                             EquationParams(beta=0.25, eta=0.25))
     assert rep.columns == ["N", "gamma", "t_N", "norm", "target_exponent", "fitted_slope"]
     assert len(rep.rows) == 4
     assert {"fitted_slope", "target_slope", "passed"} <= set(rep.summary)
@@ -483,8 +483,7 @@ def test_growth_sweep_frees_each_grid_on_return(monkeypatch, refcounting_only):
         return grid
 
     monkeypatch.setattr(flowderiv, "illposed_grid", tracking)
-    illposed_growth_c3(-0.8, 0.2, [32, 64, 128, 256], EquationParams(beta=0.25, eta=0.25),
-                       tol=0.15)
+    illposed_growth_c3(-0.8, 0.2, [32, 64, 128, 256], EquationParams(beta=0.25, eta=0.25))
     assert len(refs) == 4 and [ref() for ref in refs] == [None] * 4
 
 
@@ -499,7 +498,7 @@ def _c3_excess(eta, epsilon):
     0.01, s = -0.8, minus the target -2s - 1 - 2 eps (read-only, as the
     cache shares it)."""
     N = 64.0 * 2.0 ** np.arange(9)
-    rep = illposed_growth_c3(-0.8, epsilon, N, EquationParams(beta=0.01, eta=eta), tol=np.inf)
+    rep = illposed_growth_c3(-0.8, epsilon, N, EquationParams(beta=0.01, eta=eta))
     local = np.diff(np.log(rep.column("norm").astype(float))) / np.diff(np.log(N))
     excess = local - rep.summary["target_slope"]
     excess.flags.writeable = False
@@ -529,6 +528,6 @@ def test_c3_slope_excess_is_linear_in_eta(epsilon):
 
 def test_growth_sweep_input_validation():
     with pytest.raises(ValueError):
-        illposed_growth_c3(-0.8, 0.1, [64, 128], PARAMS, tol=0.15)  # too few N
+        illposed_growth_c3(-0.8, 0.1, [64, 128], PARAMS)  # too few N
     with pytest.raises(ValueError):
-        illposed_growth_c2_nd(-0.8, 0.05, [256, 128, 64, 32], 1.0, tol=0.15)  # not increasing
+        illposed_growth_c2_nd(-0.8, 0.05, [256, 128, 64, 32], 1.0)  # not increasing

@@ -59,7 +59,7 @@ def test_beta_sweep_linear_closed_form():
     solver = SolverConfig(dt=2e-3, T=0.5, keep_every=50)
     cfg = LimitSweepConfig(phi=phi, sweep_values=(0.4, 0.2, 0.1, 0.05),
                            base_params=base, s=0.0, solver=solver)
-    rep = beta_limit_sweep(cfg, tol=0.15)
+    rep = beta_limit_sweep(cfg)
     phi_norm = sobolev_norm(phi, 0.0)
     times = np.arange(0, 6) * 0.1
     p = eta * (xi * xi - xi)
@@ -78,7 +78,7 @@ def test_eta_sweep_summary_structure():
     solver = SolverConfig(dt=2e-3, T=0.25, keep_every=25)
     cfg = LimitSweepConfig(phi=phi, sweep_values=(0.2, 0.1, 0.05, 0.025),
                            base_params=base, s=0.0, solver=solver)
-    rep = eta_limit_sweep(cfg, tol=0.1)
+    rep = eta_limit_sweep(cfg)
     assert {"fitted_slope", "fitted_slope_sup_vs_ref", "rho_envelope_ok",
             "C_s", "passed"} <= set(rep.summary)
     assert rep.summary["rho_envelope_ok"] is True
@@ -100,7 +100,7 @@ def _assert_eta_rows_equal_serial_runs(s):
     values = (0.3, 0.2, 0.1, 0.05)
     cfg = LimitSweepConfig(phi=phi, sweep_values=values, base_params=base,
                            s=s, solver=solver)
-    rep = eta_limit_sweep(cfg, tol=0.1)
+    rep = eta_limit_sweep(cfg)
 
     def run(eta):
         return solve_stepper(phi, EquationParams(beta=1.0, eta=eta), solver)
@@ -199,7 +199,7 @@ def test_band_cut_rough_datum_has_the_sqrt_eta_cauchy_rate():
                                solver=SolverConfig(dt=5e-5, T=0.05, keep_every=10))
         with warnings.catch_warnings():
             warnings.simplefilter("error", AliasingBudgetWarning)
-            rep = eta_limit_sweep(cfg, tol=0.1)
+            rep = eta_limit_sweep(cfg)
         cauchy = rep.column("cauchy_diff").astype(float)
         slopes[nonlinear] = np.log2(cauchy[:-1] / cauchy[1:])
         assert abs(rep.summary["fitted_slope"] - 0.5) <= 0.1
@@ -339,7 +339,7 @@ def test_beta_sweep_never_holds_its_stack():
     stack_bytes = np.empty((5, 401, grid.M), dtype=np.complex128).nbytes
     tracemalloc.start()
     try:
-        rep = beta_limit_sweep(cfg, tol=0.15)
+        rep = beta_limit_sweep(cfg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

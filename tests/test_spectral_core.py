@@ -32,7 +32,7 @@ from chenlee_lab.core import (
     symbol_p,
     symbol_q,
     values_stack,
-    x_derivative,
+    x_derivative_stack,
 )
 
 GRID = Grid(8.0 * np.pi, 256)
@@ -338,10 +338,10 @@ def test_hilbert_squared_is_minus_identity(seed):
 def test_x_derivative_sin():
     xi3 = 3 * np.pi / GRID.L
     s = SpectralField.from_function(GRID, lambda x: np.sin(xi3 * x))
-    d = x_derivative(s)
-    assert np.abs(values_stack(GRID, d.coeffs) - xi3 * np.cos(xi3 * GRID.x)).max() <= 1e-12
-    d2 = x_derivative(s, order=2)
-    assert np.abs(values_stack(GRID, d2.coeffs) + xi3 ** 2 * np.sin(xi3 * GRID.x)).max() <= 1e-11
+    d = x_derivative_stack(GRID, s.coeffs)
+    assert np.abs(values_stack(GRID, d) - xi3 * np.cos(xi3 * GRID.x)).max() <= 1e-12
+    d2 = x_derivative_stack(GRID, s.coeffs, order=2)
+    assert np.abs(values_stack(GRID, d2) + xi3 ** 2 * np.sin(xi3 * GRID.x)).max() <= 1e-11
 
 
 # ---------------------------------------------------------------------------

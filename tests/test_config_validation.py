@@ -122,6 +122,32 @@ def test_huge_value_builds_a_finite_datum_or_is_a_config_error(key, big):
         assert np.isfinite(phi.coeffs.view(np.float64)).all(), path.name
 
 
+# the verdict thresholds that were float keys until each became a module
+# constant beside its verdict
+_REMOVED_THRESHOLD_KEYS = [
+    "check.mass_tolerance", "check.yacasi_tolerance", "check.energy_residual_tolerance",
+    "check.contraction_ratio_max", "check.contraction_residual_max",
+    "check.agreement_tolerance", "smoothing.tolerance", "illposed.tolerance",
+    "sweep.tolerance",
+]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf", "1e300", "-1e300"])
+@pytest.mark.parametrize("key", _REMOVED_THRESHOLD_KEYS)
+def test_a_removed_threshold_key_is_unknown_at_any_value(key, value):
+    # the non-finite and huge values the float keys are checked at: a removed
+    # key is refused by its name before its value is read, so a NaN is not
+    # "bad value" but "unknown key", on the line that names it, in every
+    # tuned config
+    assert key not in config._FIELDS
+    for path in sorted(CONFIGS.glob("*.cfg")):
+        text = path.read_text().rstrip("\n") + "\n"
+        line = text.count("\n") + 1
+        with pytest.raises(ConfigError) as exc:
+            parse_config(f"{text}{key} = {value}\n")
+        assert str(exc.value) == f"line {line}: unknown key {key!r}", path.name
+
+
 @pytest.mark.parametrize("line", ["solver.T = 1e300", "solver.dt = 1e-300"])
 def test_unrepresentable_step_count_is_a_config_error(line):
     # T/dt = 5e303 and 1e300 steps: the stepper's list of kept steps

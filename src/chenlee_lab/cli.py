@@ -82,14 +82,16 @@ def _whole_step(T: float, dt: float) -> float:
 
 def _run_solve(cfg: RunConfig):
     """The run's norms and zero mode, reduced from each block of its
-    `stepper_blocks` stream as it comes: the run is never held whole."""
+    `stepper_blocks` stream as it comes: the run is never held whole.
+    `hs` is the H^s norm at s = `sweep.s`; at its default 0 it is the `l2`
+    column itself, not the same norm taken twice."""
     phi = build_initial_data(cfg)
     rep = ExperimentReport("trajectory",
                            ["t", "l2", "hs", "re_uhat0", "im_uhat0"])
     mass = []
     for times, (block,) in stepper_blocks(phi, [cfg.equation_params()], cfg.solver_config()):
         l2 = sobolev_norm_stack(phi.grid, block, 0.0)
-        hs = sobolev_norm_stack(phi.grid, block, cfg.sweep_s)
+        hs = sobolev_norm_stack(phi.grid, block, cfg.sweep_s) if cfg.sweep_s else l2
         mass.extend(block[:, 0])
         for row in zip(times, l2, hs, block[:, 0].real, block[:, 0].imag):
             rep.add_row(*row)

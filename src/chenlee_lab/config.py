@@ -152,13 +152,15 @@ def validate(cfg: RunConfig):
                           f"solver.keep_every = {cfg.solver_keep_every} keeps {kept}; lower "
                           f"solver.keep_every or raise solver.T")
     # a stepped run reduces each block of kept states as it comes, so what it holds is
-    # its grid's workspace and, per kept state, its report rows and per-row floats.
-    # Per kept state, decay's two tables hold 771 bytes, the most (tracemalloc, every
-    # state kept, 201 against 1,201 kept states: decay 771 at M = 256, 620 at M = 4096;
-    # solve 300, eta-limit 339).  Per grid point, contraction holds 3,723 bytes, the most: the
-    # Picard route's node operators (tracemalloc, M = 8192 against 32,768, 21 kept
-    # states; eta-limit 1,792, beta-limit 1,496, decay 421, solve 333).  Unstepped runs hold
-    # per point: smoothing 256 bytes, a growth sweep 40, the Grid below (M = 2^16 vs 2^18)
+    # its grid's workspace and, per kept state, its report rows and per-row values.
+    # Per kept state, decay's two tables hold 409 bytes, the most (tracemalloc, every
+    # state kept, 201 against 1,201 kept states, grid.L scaled with M from the tuned
+    # config: decay 409 at M = 256, 173 at M = 4096; solve 264 and 169, eta-limit 81
+    # and 210, beta-limit none).  Per grid point, contraction holds 3,723 bytes, the
+    # most: the Picard route's node operators (M = 8192 against 32,768, 21 kept
+    # states; eta-limit 1,275, beta-limit 1,064, decay 364, solve 254).  Unstepped runs
+    # hold per point: smoothing 256 bytes, a growth sweep 40, the Grid below (M = 2^16
+    # vs 2^18)
     memory = _physical_memory()
     if cfg.experiment in ("smoothing", "illposed-c3", "illposed-c2nd"):
         run_bytes = (256.0 if cfg.experiment == "smoothing" else 40.0) * cfg.grid_M

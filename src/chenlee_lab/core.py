@@ -351,12 +351,19 @@ def _fft(a: np.ndarray, out: np.ndarray) -> np.ndarray:
 def values_stack(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     """Physical samples of a (..., M) stack of spectra, row by row (real
     part; solver states are Hermitian-symmetric).  The inverse transform
-    runs in place in the flipped copy, by the pocketfft gufunc behind
-    `np.fft.ifft` (see `_ifft`)."""
+    runs in place in the flipped copy (see `_samples`)."""
     u = phase_flip(coeffs)
-    _ifft(u, out=u)
-    np.multiply(grid.M * (grid.dxi / TWO_PI_SQRT), u, out=u)
-    return u.real
+    return _samples(grid, u, out=u).real
+
+
+def _samples(grid: Grid, flipped: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The complex samples of the (..., M) stack `flipped`, spectra times
+    (-1)^k, into `out` (which may be `flipped`), returned: the inverse
+    transform by the pocketfft gufunc behind `np.fft.ifft` (see `_ifft`),
+    then its scale."""
+    _ifft(flipped, out=out)
+    np.multiply(grid.M * (grid.dxi / TWO_PI_SQRT), out, out=out)
+    return out
 
 
 def from_values_stack(grid: Grid, values: np.ndarray) -> np.ndarray:
@@ -398,7 +405,8 @@ class PaddedBuffer:
     of storage.  The stack's state is in the block layout as (-1)^k c, and
     a stage written into `retained` is where the kernel reads it; negation
     commutes exactly with the kernel and with each operation of a step, up
-    to the sign of an exact zero."""
+    to the sign of an exact zero.  `peak` reads a kept state's largest
+    |u(x)| from that layout, so the amplitude check needs no copy."""
 
     __slots__ = ("flat", "retained", "middle", "power", "sums", "grid")
 
@@ -440,6 +448,16 @@ class PaddedBuffer:
     def store(state: np.ndarray, out: np.ndarray) -> np.ndarray:
         """The state as (b, M) spectra, written into `out` and returned."""
         return phase_flip(state.reshape(out.shape), out=out)
+
+    def peak(self, state: np.ndarray, scratch: np.ndarray) -> float:
+        """The largest |u(x)| over the stack's state, bitwise that of
+        `values_stack` on the spectra `store` writes, with no array made:
+        the state is already flipped, so its inverse transform runs out of
+        place into `scratch`, a free stack of the state's shape, whose
+        contents on return are scratch."""
+        shape = state.shape[:-2] + (self.grid.M,)
+        u = _samples(self.grid, state.reshape(shape), out=scratch.reshape(shape)).real
+        return float(np.abs(u, out=u).max())
 
 
 def nonlinear_stack(grid: Grid, coeffs: np.ndarray) -> np.ndarray:

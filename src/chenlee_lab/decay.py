@@ -67,7 +67,7 @@ def weighted_energy_rate(times, xu_sq, rhs, l2sq) -> ExperimentReport:
         (1/2) d/dt ||x u||^2 = -(x u, x u u_x) - beta (x u, x H u_xx)
                                - eta (x u, x H u_x) + eta (x u, x u_xx),
 
-    from `decay_report`'s per-row floats at the kept `times`: ||x u||^2
+    from `decay_report`'s per-row values at the kept `times`: ||x u||^2
     (`xu_sq`), the right side by spectral evaluation of the four pairings
     (`rhs`) and ||u||^2 (`l2sq`).  The left side is centered finite
     differences of the `xu_sq` trace; the residual is the O(dt^2)
@@ -95,12 +95,23 @@ def weighted_energy_rate(times, xu_sq, rhs, l2sq) -> ExperimentReport:
     return report
 
 
+def _room(columns: np.ndarray, n: int) -> np.ndarray:
+    """`columns`, or a copy of it twice as wide, or wider, where it has
+    fewer than `n` entries a row."""
+    if n <= columns.shape[1]:
+        return columns
+    wider = np.empty((len(columns), max(n, 2 * columns.shape[1])), dtype=columns.dtype)
+    wider[:, :columns.shape[1]] = columns
+    return wider
+
+
 def decay_report(grid: Grid, params: EquationParams, blocks) -> list:
     """The decay experiment's two tables, `decay` and `weighted_energy_rate`,
     from one pass over `blocks`, the kept states as (times, (k, M) block)
     pairs in time order from t = 0 (`solver.stepper_blocks`' blocks of one
-    run): each block is transformed once, reduced to the per-row floats of
-    both tables and dropped, so the run is never held whole.
+    run): each block is transformed once, reduced to the per-row values of
+    both tables, kept in arrays grown by doubling, and dropped, so the run
+    is never held whole.
 
     The decay table is the per-time moments and energies, with the worst
     residual of the first-moment identity in the summary:
@@ -118,7 +129,9 @@ def decay_report(grid: Grid, params: EquationParams, blocks) -> list:
     CSVs are re-recorded.
     """
     g, p, x = grid, params, grid.x
-    times, columns = [], [[] for _ in range(9)]
+    # the per-row values, column by column, in arrays grown by doubling: the
+    # zero mode and first moment complex, the times and the rest real
+    n, cplx, real = 0, np.empty((2, 16), dtype=np.complex128), np.empty((8, 16))
     for block_times, c in blocks:
         # u_hat(t, 0), the first moment -i (2 pi)^{-1/2} int x u dx, ||u||^2,
         # ||x^r u||_{L^2} and the identity's residual, by rectangle-rule quadrature
@@ -134,14 +147,14 @@ def decay_report(grid: Grid, params: EquationParams, blocks) -> list:
         terms -= p.beta * x * values_stack(g, hilbert_stack(g, u_xx))
         terms -= p.eta * x * values_stack(g, hilbert_stack(g, x_derivative_stack(g, c)))
         terms += p.eta * x * values_stack(g, u_xx)
-        times.extend(block_times)
-        for column, values in zip(columns, (
-                c[:, 0], -1j / TWO_PI_SQRT * np.sum(g.x * u, axis=-1) * g.dx,
-                l2sq, w1, w2, w3, np.abs(moment + l2sq) / TWO_PI_SQRT,
-                np.sum(xu * xu, axis=-1) * g.dx, np.sum(xu * terms, axis=-1) * g.dx)):
-            column.extend(values.tolist())
-    mass, dmass, l2sq, w1, w2, w3, yacasi, xu_sq, rhs = map(np.array, columns)
-    times = np.array(times, dtype=float)
+        rows = slice(n, n + len(block_times))
+        n = rows.stop
+        cplx, real = _room(cplx, n), _room(real, n)
+        cplx[:, rows] = c[:, 0], -1j / TWO_PI_SQRT * np.sum(g.x * u, axis=-1) * g.dx
+        real[:, rows] = (block_times, l2sq, w1, w2, w3, np.abs(moment + l2sq) / TWO_PI_SQRT,
+                         np.sum(xu * xu, axis=-1) * g.dx, np.sum(xu * terms, axis=-1) * g.dx)
+    mass, dmass = cplx[:, :n]
+    times, l2sq, w1, w2, w3, yacasi, xu_sq, rhs = real[:, :n]
     report = ExperimentReport(
         "decay",
         ["t", "re_mass", "im_mass", "re_dmass", "l2sq", "w1", "w2", "w3", "listo"],

@@ -38,7 +38,6 @@ from .core import (
     hermitian_sums,
     nonlinear_stack,
     semigroup_half,
-    semigroup_multiplier,
     semigroup_stack,
     symbol_q,
     values_stack,
@@ -426,7 +425,10 @@ def stepper_blocks(phi: SpectralField, params_list, config: SolverConfig):
     members are S(t) phi, phi-hat times `semigroup_stack` at the block's
     times.  Nonlinear ones are stepped together as one (B, M) stack of
     spectra, whose row b is bitwise the run with params_list[b] alone, and
-    a block is handed over before the step after its last kept state.  A
+    a block is handed over before the step after its last kept state.  Their
+    multipliers E1 = e^{dt L} and E2 = e^{dt L / 2} are each member's row of
+    `semigroup_stack`, which is `semigroup_multiplier`'s bits without its
+    memo copy, so the run holds one copy of each.  A
     blow-up raises at the earliest step any member fails, a non-finite
     state before the amplitude cap, so no block holds a time at or past it."""
     grid = phi.grid
@@ -440,8 +442,8 @@ def stepper_blocks(phi: SpectralField, params_list, config: SolverConfig):
     kept = (min(n, n_steps) for n in range(0, n_steps + every, every))  # n_steps last
     schedule = iter(lambda: list(itertools.islice(kept, rows)), [])  # each block's steps
     if True in kinds:
-        E1 = np.array([semigroup_multiplier(grid, dt, p) for p in params_list])
-        E2 = np.array([semigroup_multiplier(grid, 0.5 * dt, p) for p in params_list])
+        E1, E2 = (np.concatenate([semigroup_stack(grid, (h,), p) for p in params_list])
+                  for h in (dt, 0.5 * dt))
         c = np.repeat(phi.coeffs[None, :], len(params_list), axis=0)
         yield from _if_rk4(grid, c, E1, E2, dt, schedule)
     else:  # S(t) phi: semigroup_apply's product, in place in each block
@@ -476,13 +478,15 @@ def _if_rk4(grid: Grid, c: np.ndarray, E1: np.ndarray, E2: np.ndarray, dt: float
     datum, SolverBlowupError at the first non-finite state or kept state over
     the amplitude cap.  The loop is the step's algebra and one aliasing verdict
     a step, on its four stages; the workspace (`core.PaddedBuffer`) loads the
-    state, evaluates each stage and stores each kept state back."""
+    state, evaluates each stage, stores each kept state back and finds its
+    largest |u(x)| for the cap in a free scratch stack, of the five."""
     (B, M), n = c.shape, 0  # n: the steps taken
     pad = PaddedBuffer(grid, (B,))
     c, E1, E2 = pad.load(c, E1, E2)
     E2x2 = 2.0 * E2
-    # one workspace for the whole run: the four stages, their energies, three temporaries
-    k1, k2, k3, k4, E1c, w, v = (np.empty_like(c) for _ in range(7))
+    # one workspace for the whole run: three stages, the fourth written over
+    # k2 once the update has taken it in, E1*c, one temporary, the energies
+    k1, k2, k3, E1c, w = (np.empty_like(c) for _ in range(5))
     e1, e2, e3, e4 = energies = pad.energy_rows(4)
     stage = pad.retained  # where the kernel reads a stage
     # the step's scalars as 0-d complex arrays: numpy casts a float to the
@@ -496,7 +500,11 @@ def _if_rk4(grid: Grid, c: np.ndarray, E1: np.ndarray, E2: np.ndarray, dt: float
     #   k4 = dt*f(E1*c + E2*k3),
     #   c <- E1*c + (E1*k1 + 2*E2*(k2 + k3) + k4)/6,
     # formed in place with each complex product's operands in that order
-    # (see nonlinear_stack on why the order is part of the result).
+    # (see nonlinear_stack on why the order is part of the result).  Stage 3
+    # takes 0.5*k2 in k3, which it then overwrites, and E1*k1 + 2*E2*(k2 + k3)
+    # is formed in k1 before stage 4, which writes k4 into k2: five scratch
+    # stacks.  The stage is strided in the padded buffer, where numpy buffers
+    # a ufunc, so one product a stage is written there, and no more.
     for steps in schedule:
         block = np.empty((B, len(steps), M), dtype=np.complex128)
         for i, kept in enumerate(steps):
@@ -508,24 +516,23 @@ def _if_rk4(grid: Grid, c: np.ndarray, E1: np.ndarray, E2: np.ndarray, dt: float
                 np.multiply(E2, w, out=stage)
                 pad.evaluate(stage, k2, neg_dt, e2)
                 np.multiply(E2, c, out=w)
-                np.multiply(half, k2, out=v)
-                np.add(w, v, out=stage)
+                np.multiply(half, k2, out=k3)
+                np.add(w, k3, out=stage)
                 pad.evaluate(stage, k3, neg_dt, e3)
-                np.multiply(E2, k3, out=w)
-                np.add(E1c, w, out=stage)
-                pad.evaluate(stage, k4, neg_dt, e4)
-                aliasing_verdict(pad, energies)
                 np.multiply(E1, k1, out=k1)
                 np.add(k2, k3, out=k2)
                 np.multiply(E2x2, k2, out=k2)
                 np.add(k1, k2, out=k1)
-                np.add(k1, k4, out=k1)
+                np.multiply(E2, k3, out=w)
+                np.add(E1c, w, out=stage)
+                pad.evaluate(stage, k2, neg_dt, e4)
+                aliasing_verdict(pad, energies)
+                np.add(k1, k2, out=k1)
                 np.divide(k1, six, out=k1)
                 np.add(E1c, k1, out=c)
                 if not np.isfinite(c.view(np.float64)).all():
                     raise SolverBlowupError(n * dt)
-            row = pad.store(c, block[:, i])
-            if n and np.abs(values_stack(grid, row)).max() > _AMPLITUDE_CAP:  # n = 0: the datum
+            pad.store(c, block[:, i])
+            if n and pad.peak(c, w) > _AMPLITUDE_CAP:  # n = 0: the datum
                 raise SolverBlowupError(n * dt, _CAP_MESSAGE)
         yield [m * dt for m in steps], block
-

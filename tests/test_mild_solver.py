@@ -449,10 +449,11 @@ def test_stepper_runs_on_two_grids_share_no_buffer():
 
 def test_stack_cfl_checks_every_member_before_stepping(monkeypatch):
     calls = []
-    # the stepper's kernel runs through core's workspace, and a linear
-    # stack's states are its multipliers times the datum
+    # the stepper's kernel runs through core's workspace, and every stack
+    # takes its multipliers from semigroup_stack (a linear one's states are
+    # them times the datum)
     for module, name in ((solver, "nonlinear_stack"), (core, "nonlinear_blocks"),
-                         (solver, "semigroup_multiplier"), (solver, "semigroup_stack")):
+                         (solver, "semigroup_stack")):
         monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a))
     # dt * max|q| = 0.01 * 0.1 * 16^2 = 0.256 for the first, 2.56 for the last
     members = [EquationParams(beta=0.1, eta=1.0), PARAMS]
@@ -724,6 +725,32 @@ def test_stepper_block_times_are_the_frozen_schedule(members, M, steps, keep_eve
     assert [times for times, _ in blocks] == _frozen_block_times(cfg, M)
     assert sum(len(times) for times, _ in blocks) == cfg.n_kept
     assert [block.shape for _, block in blocks] == [(2, len(times), M) for times, _ in blocks]
+
+
+def test_stepper_working_set_per_grid_point():
+    # a one-member nonlinear run holds, per grid point, 12.5 complex stacks
+    # of 16 bytes: the state, E1, E2 and 2*E2, five scratch stacks, the
+    # padded buffer (1.5), the block being filled and the one handed over;
+    # and for a moment the finiteness check's mask (1/8).  Its traced peak,
+    # differenced between two grids of one row a block, must stay below 13
+    # stacks (208 bytes a point), so memoized copies of the multipliers, a
+    # sixth or seventh scratch stack, or the amplitude check's flip copy or
+    # |u| array (half a stack) fail it.  Each half of a stage has at least
+    # 8192 points on both grids, so numpy's buffer for a ufunc on the
+    # strided stage (8192 elements) has the same size on both
+    def peak(M):
+        grid = Grid(8.0 * np.pi * M / 256, M)  # dt = 1e-3 keeps the CFL bound
+        phi = _gaussian(0.1, grid)
+        tracemalloc.start()
+        try:
+            for times, block in solver.stepper_blocks(phi, [PARAMS], SolverConfig(dt=1e-3, T=4e-3)):
+                assert block.shape == (1, 1, M)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    per_point = (peak(32768) - peak(16384)) / 16384
+    assert per_point < 13 * 16, per_point
 
 
 def test_stream_holds_no_bytes_per_kept_state():

@@ -2,6 +2,7 @@
 and the dealiased quadratic nonlinearity."""
 import ast
 import pathlib
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -184,6 +185,40 @@ def test_stepper_workspace_round_trip_is_exact():
     assert np.array_equal(out.view(np.uint64), expected.view(np.uint64))
     with pytest.raises(ValueError, match="non-finite"):
         pad.load(np.full_like(stack, np.nan))
+
+
+@pytest.mark.parametrize("M", [8, 512, 4096])
+@pytest.mark.parametrize("B", [1, 3])
+def test_workspace_peak_is_the_stored_rows_largest_sample(B, M):
+    # the amplitude check's |u| maximum from the flipped state, transformed
+    # out of place into a scratch stack, is values_stack's on the stored
+    # rows, bitwise; the state is left as it was, and the call makes no
+    # array (one 4096-point float row is 32 KiB).  Row 0 is a Gaussian dip,
+    # whose largest |u| is at a negative sample; the others are a real field
+    # and a spectrum with no symmetry, whose samples' imaginary parts both
+    # drop
+    grid = Grid(8.0 * np.pi * max(1, M / 256), M)
+    rng = np.random.default_rng(M + B)
+    dip = from_values_stack(grid, -2.0 * np.exp(-grid.x ** 2) + 0.5 * np.exp(-(grid.x - 3.0) ** 2))
+    rows = [dip, random_real_field(grid, rng).coeffs,
+            rng.standard_normal(M) + 1j * rng.standard_normal(M)][:B]
+    u = values_stack(grid, rows[0])
+    assert u[np.argmax(np.abs(u))] < 0.0
+    pad = PaddedBuffer(grid, (B,))
+    (state,) = pad.load(np.array(rows))
+    before = state.copy()
+    stored = pad.store(state, np.empty((B, M), dtype=np.complex128))
+    expected = float(np.abs(values_stack(grid, stored)).max())
+    scratch = np.full_like(state, np.nan)
+    tracemalloc.start()
+    try:
+        peak = pad.peak(state, scratch)
+        traced = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak.hex() == expected.hex()
+    assert np.array_equal(state.view(np.uint64), before.view(np.uint64))
+    assert traced < 8192
 
 
 def test_single_mode_rejects_nyquist_and_above():

@@ -6,21 +6,24 @@ column and verdict figure from the tuned run at each rung.
     tuned   the config of configs/<experiment>.cfg as it is
     fine    2M, dt/4 and keep_every x 4, so the kept times match
     box     2L and 2M: the same dx and dt on a box twice as long
-    coarse  2dt and keep_every / 2: the CFL guard refuses it where the tuned
-            dt is the coarsest step the guard admits
+    coarse  2dt and keep_every / 2, formed only where keep_every is even, so
+            the kept times match: the step guard refuses it where 2dt puts
+            the populated band's linear phase past 1
 
 A change is perfbench/check.py's cell deviation |a - b| / max(|b|,
 ATOL / RTOL), with the floors of `check.ATOL`, of the rung's cell from the
 tuned run's cell, the largest over a column's rows; a flag that flips
 counts as `check.MISMATCH_DEV`.  A rung that wrote no CSV (exit 2 where the
-CFL guard refuses it, or where its dt leaves T a step count that is not
+step guard refuses it, or where its dt leaves T a step count that is not
 whole, as 2dt does for an odd count) shows its exit code in place of a
-change.  The
+change, and a coarse rung not formed shows "odd keep_every".  The
 figures are the CSVs' columns and their summary keys, which are the
-figures of the verdict lines.  Each figure is marked "converged" when it
-moves by at most BOUND (1e-6) under "fine" and under "box",
-"box-dependent" when it moves more under "box", and "dt-dependent" when
-it moves more under "fine" alone.
+figures of the verdict lines.  Each experiment's report opens with the
+step guard's figure at its solver.dt: the largest member dt * |q| on the
+band the run populates (`solver.populated_phase`), against 1.  Each
+figure is marked "converged" when it moves by at most BOUND (1e-6) under
+"fine" and under "box", "box-dependent" when it moves more under "box",
+and "dt-dependent" when it moves more under "fine" alone.
 
 The script exits 1 when a figure of GATED moves under "fine" by more than
 BOUND, or names no figure of the tuned run, and 0 otherwise.  It costs
@@ -39,7 +42,8 @@ import tempfile
 from dataclasses import replace
 
 from chenlee_lab.cli import run_experiment
-from chenlee_lab.config import parse_config
+from chenlee_lab.config import build_initial_data, parse_config
+from chenlee_lab.solver import populated_phase
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 CONFIG_DIR = ROOT / "configs"
@@ -85,8 +89,21 @@ RUNGS = {
                               solver_keep_every=4 * c.solver_keep_every),
     "box": lambda c: replace(c, grid_L=2 * c.grid_L, grid_M=2 * c.grid_M),
     "coarse": lambda c: replace(c, solver_dt=2 * c.solver_dt,
-                                solver_keep_every=max(1, c.solver_keep_every // 2)),
+                                solver_keep_every=c.solver_keep_every // 2)
+    if c.solver_keep_every % 2 == 0 else None,
 }
+
+
+def guard(cfg):
+    """The step guard's figure at the config's solver.dt: the populated
+    band's largest |xi| and the largest member dt * |q| there.  q depends on
+    beta alone, so beta-limit's members are its sweep's betas and every
+    other experiment's the config's equation."""
+    params = cfg.equation_params()
+    betas = cfg.sweep_values if cfg.experiment == "beta-limit" else (params.beta,)
+    xi, phases = populated_phase(build_initial_data(cfg), cfg.solver_dt,
+                                 [replace(params, beta=beta) for beta in betas])
+    return xi, max(phases)
 
 
 def run(cfg, out_dir):
@@ -133,11 +150,19 @@ def label(fine, box):
 def ladder(experiment, work):
     """Run one experiment's rungs, print its report; returns the failures."""
     cfg = parse_config((CONFIG_DIR / f"{experiment}.cfg").read_text())
-    print(f"{experiment}")
-    codes, tables = {}, {}
+    xi, phase = guard(cfg)
+    print(f"{experiment}  (step guard at dt={cfg.solver_dt:.4g}: dt*|q| = {phase:.3f} "
+          f"of 1, at |xi| = {xi:.4g})")
+    status, tables = {}, {}  # status: what a rung that wrote no CSV shows
     for rung, make in RUNGS.items():
-        codes[rung], line = run(make(cfg), work / experiment / rung)
-        print(f"  {rung:<7} exit {codes[rung]}  {line.splitlines()[-1] if line else ''}")
+        rung_cfg = make(cfg)
+        if rung_cfg is None:
+            status[rung], tables[rung] = "odd keep_every", {}
+            print(f"  {rung:<7} not formed: odd keep_every")
+            continue
+        code, line = run(rung_cfg, work / experiment / rung)
+        status[rung] = f"exit {code}"
+        print(f"  {rung:<7} exit {code}  {line.splitlines()[-1] if line else ''}")
         tables[rung] = figures(work / experiment / rung)  # empty where refused
     tuned = tables.pop("tuned")
     gated = GATED[experiment]
@@ -147,13 +172,13 @@ def ladder(experiment, work):
     unknown = set() if gated is None else gated - {fig for _, fig in tuned}
     failures += [f"{experiment}: gated figure {fig!r} is not in the tuned run's CSVs"
                  for fig in sorted(unknown)]
-    print(f"  {'figure':<40} {'fine':>9} {'box':>9} {'coarse':>9}  label")
+    print(f"  {'figure':<40} {'fine':>9} {'box':>9} {'coarse':>14}  label")
     for (name, fig), cells in tuned.items():
         moved = {rung: change(table.get((name, fig)), cells, name, fig)
                  for rung, table in tables.items()}
         is_gated = gated is None or fig in gated
-        cols = " ".join(f"{format(d, '.2e') if tables[rung] else f'exit {codes[rung]}':>9}"
-                        for rung, d in moved.items())
+        cols = " ".join(f"{format(d, '.2e') if tables[rung] else status[rung]:>{width}}"
+                        for (rung, d), width in zip(moved.items(), (9, 9, 14)))
         print(f"  {name + ' ' + fig:<40} {cols}  {label(moved['fine'], moved['box'])}"
               f"{', gated' if is_gated else ''}")
         if is_gated and moved["fine"] > BOUND:

@@ -460,7 +460,16 @@ class PaddedBuffer:
         return float(np.abs(u, out=u).max())
 
 
-def nonlinear_stack(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
+def values_peak(grid: Grid, coeffs: np.ndarray, scratch: np.ndarray) -> float:
+    """The largest |u(x)| over the (..., M) stack of spectra `coeffs`,
+    bitwise that of `values_stack`, with no array made: the flipped copy
+    and its inverse transform go into `scratch`, a complex stack of the
+    same shape, whose contents on return are scratch."""
+    u = _samples(grid, phase_flip(coeffs, out=scratch), out=scratch).real
+    return float(np.abs(u, out=u).max())
+
+
+def nonlinear_stack(grid: Grid, coeffs: np.ndarray, judge: bool = True) -> np.ndarray:
     """Spectra of u*u_x = (1/2) d/dx (u^2) for a (..., M) stack of spectra u,
     row by row.
 
@@ -470,7 +479,9 @@ def nonlinear_stack(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     `DEALIAS_BUDGET`; exceeding it signals an under-resolved product.  One
     warning per call carries the worst row's fraction as `.fraction`; its
     text names only the budget, so Python's once-per-location filter folds
-    the repeats of a run.
+    the repeats of a run.  With `judge` false there is no verdict: the
+    stepper's step guard reads the datum's product, which its first step
+    judges.
 
     Four steps: `phase_flip` writes the stack into the retained blocks of
     a new (..., 3M/2) padded buffer (see `PaddedBuffer`), the phase-free
@@ -494,7 +505,8 @@ def nonlinear_stack(grid: Grid, coeffs: np.ndarray) -> np.ndarray:
     blocks = out.reshape(lead + (2, half))
     phase_flip(coeffs.reshape(lead + (2, half)), out=pad.retained)
     nonlinear_blocks(grid, pad, blocks, energies[0])
-    aliasing_verdict(pad, energies)
+    if judge:
+        aliasing_verdict(pad, energies)
     phase_flip(blocks, out=blocks)
     return out
 

@@ -5,13 +5,14 @@ import hashlib
 import importlib.util
 import json
 import pathlib
+import re
 import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
 
-from chenlee_lab import cli, config, flowderiv, limits
+from chenlee_lab import cli, config, flowderiv, limits, solver
 from chenlee_lab.cli import _apply_quick, build_parser, main, run_experiment
 from chenlee_lab.config import (
     ConfigError,
@@ -108,17 +109,18 @@ def test_each_key_is_its_fields_name():
 
 # sha256 (first 16 hex digits) of each tuned config's sorted config_echo, as
 # recorded when every key was still declared in a separate key table; those
-# of beta-limit, contraction and eta-limit again when their time steps were
-# set to the coarsest the resolution ladder (scripts/ladder.py) keeps
+# of solve, beta-limit, contraction and eta-limit again when the step guard
+# came to judge only the band a run populates and their steps were coarsened
+# to what it and the output contract's dt-against-dt/2 bound admit
 TUNED_ECHO_DIGESTS = {
-    "beta-limit": "7b8838501ce67617",
-    "contraction": "8417d4137842207b",
+    "beta-limit": "120a223b76e9de4c",
+    "contraction": "ded65911e1fdb72c",
     "decay": "0e50bd5458a07de2",
-    "eta-limit": "31a72c55cf379654",
+    "eta-limit": "365542749f7d0acd",
     "illposed-c2nd": "880d00466ec3c6f1",
     "illposed-c3": "e4af87e8df1f0c99",
     "smoothing": "ee1ad70a4f8e868e",
-    "solve": "39ca81e9ae072124",
+    "solve": "57221b9a6b95dda0",
 }
 
 
@@ -255,10 +257,52 @@ def test_help_names_the_run_config_defaults(capsys):
 
 
 def test_cli_cfl_violation_is_config_error(tmp_path, capsys):
+    # the width-1 Gaussian populates |xi| <= 12.75 on this grid (u u_x's
+    # edge), where dt = 0.05 gives dt * |q| = 8.13: exit 2, and a message
+    # that names dt, the band's |xi|, dt * |q| there and the dt to take
     cfg = _write(tmp_path, "experiment = solve\ngrid.L = 12.566370614359172\n"
                            "grid.M = 1024\nsolver.dt = 0.05\nsolver.T = 0.1\n")
     assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
-    assert "config error" in capsys.readouterr().err
+    assert capsys.readouterr().err == (
+        "config error: dt=5.000e-02 does not resolve the fastest populated linear phase: "
+        "dt*|q| = 8.128 > 1 at |xi| = 12.75, the largest frequency where the datum or its "
+        "nonlinear term exceeds 1e-08 of its peak; lower solver.dt to at most 6.151e-03\n")
+    assert not (tmp_path / "o").exists()
+
+
+def test_cli_refuses_a_rough_datum(tmp_path, capsys):
+    # the planted rough datum through the CLI: data.kind = random, whose
+    # |phi_hat| ~ |xi|^-2 stays far above 1e-8 of its peak up to xi_max,
+    # populates every mode, so at dt * max|q| = 4 over the grid it is refused
+    L, M = 8.0 * np.pi, 256
+    dt = 4.0 / Grid.xi_max_of(L, M) ** 2
+    cfg = _write(tmp_path, f"experiment = solve\ngrid.L = {L!r}\ngrid.M = {M}\n"
+                           f"data.kind = random\nsolver.dt = {dt!r}\nsolver.T = {10 * dt!r}\n")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path / "o")]) == 2
+    assert "dt*|q| = 4.000 > 1 at |xi| = 15.88," in capsys.readouterr().err
+
+
+def test_cli_refuses_a_step_that_moves_a_gated_figure(tmp_path, monkeypatch):
+    # the planted under-resolved step: the tuned beta-limit config at
+    # dt = 0.25, every step kept, is refused with exit 2 (dt * |q| = 16.6
+    # on the populated band).  With the guard taken out it runs, and its
+    # gated sup_error moves from the tuned run by 2.0e-6 by the resolution
+    # ladder's cell formula, past the ladder's BOUND
+    text = (RUN_ALL.CONFIG_DIR / "beta-limit.cfg").read_text()
+    coarse = re.sub(r"^solver\.dt = .*$", "solver.dt = 0.25", text, flags=re.M)
+    coarse = re.sub(r"^solver\.keep_every = .*$", "solver.keep_every = 1", coarse, flags=re.M)
+    assert main(["beta-limit", "--config", _write(tmp_path, coarse),
+                 "--out", str(tmp_path / "refused")]) == 2
+    assert not (tmp_path / "refused").exists()
+    monkeypatch.setattr(solver, "_check_step", lambda *args: None)
+    tables = {}
+    for name, run_text in (("tuned", text), ("coarse", coarse)):
+        assert LADDER.run(parse_config(run_text), tmp_path / name)[0] == 0
+        tables[name] = LADDER.figures(tmp_path / name)
+    gated = LADDER.GATED["beta-limit"]
+    moved = max(LADDER.change(tables["coarse"].get(key), cells, *key)
+                for key, cells in tables["tuned"].items() if key[1] in gated)
+    assert moved > LADDER.BOUND, moved
 
 
 def test_cli_linear_solve_is_the_semigroup(tmp_path):
@@ -400,6 +444,15 @@ def test_ladder_counts_a_lost_figure_as_a_mismatch():
     for cells in (None, ["1.0"]):
         moved = LADDER.change(cells, tuned, "decay.csv", "mass_drift")
         assert moved == LADDER.check.MISMATCH_DEV > LADDER.BOUND
+
+
+def test_ladder_forms_the_coarse_rung_only_where_kept_times_match():
+    # 2dt keeps the tuned run's kept times only where keep_every halves
+    cfg = RunConfig(solver_dt=1e-3, solver_keep_every=8)
+    coarse = LADDER.RUNGS["coarse"](cfg)
+    assert (coarse.solver_dt, coarse.solver_keep_every) == (2e-3, 4)
+    for odd in (1, 3, 5):
+        assert LADDER.RUNGS["coarse"](dataclasses.replace(cfg, solver_keep_every=odd)) is None
 
 
 @pytest.mark.parametrize("experiment, expected", list(RUN_ALL.EXPECTED.items()))

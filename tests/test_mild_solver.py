@@ -158,9 +158,25 @@ def test_contraction_time_monotone_in_norm():
 # stepper
 # ---------------------------------------------------------------------------
 
-def test_cfl_rejection():
-    with pytest.raises(CflError):
-        solve_stepper(_gaussian(0.1), PARAMS, SolverConfig(dt=0.1, T=1.0))
+GRID_512 = Grid(8.0 * np.pi, 512)  # xi_max = 31.875
+
+
+def test_step_guard_refuses_a_rough_datum():
+    # the planted case: random_real_field without decay populates every
+    # mode, so at dt * max|q| = 4 over the grid the guard refuses, naming
+    # dt, the populated band's largest |xi| (the grid's xi_max) and
+    # dt * |q| there; the Gaussian's band ends at |xi| = 12.875, where the
+    # same dt gives 0.65, and it steps
+    dt = 4.0 / GRID_512.xi_max ** 2
+    cfg = SolverConfig(dt=dt, T=10 * dt)
+    rough = random_real_field(GRID_512, np.random.default_rng(0), spectral_decay=0.0)
+    for params in (PARAMS, dataclasses.replace(PARAMS, nonlinear=False)):
+        with pytest.raises(CflError, match=r"dt=3\.937e-03 .* dt\*\|q\| = 4\.000 > 1 "
+                                           r"at \|xi\| = 31\.88,"):
+            solve_stepper(rough, params, cfg)
+    assert solver.populated_phase(_gaussian(0.1, GRID_512), dt, [PARAMS]) == (
+        12.875, [pytest.approx(0.6526, abs=1e-4)])
+    solve_stepper(_gaussian(0.1, GRID_512), PARAMS, cfg)
 
 
 def _is_semigroup_run(phi, traj):
@@ -281,7 +297,8 @@ def test_stack_members_equal_separate_runs():
 
 def test_mixed_stack_raises_before_stepping(monkeypatch):
     # a stack is all nonlinear or all linear; a mixed one is refused before
-    # any CFL check (the linear member's dt * max|q| = 2.56 > 1) or step
+    # the step guard, whose kernel call on the datum would show in `calls`
+    # (it would refuse the second member: dt * |q| = 1.66 > 1), or any step
     calls = []
     for module, kernel in ((solver, "nonlinear_stack"), (core, "nonlinear_blocks")):
         monkeypatch.setattr(module, kernel, lambda *a, **k: calls.append(a))
@@ -447,19 +464,23 @@ def test_stepper_runs_on_two_grids_share_no_buffer():
         assert np.array_equal(got.view(np.uint64), np.array(kept)[:, 0].view(np.uint64))
 
 
-def test_stack_cfl_checks_every_member_before_stepping(monkeypatch):
+def test_stack_step_guard_judges_every_member_before_stepping(monkeypatch):
     calls = []
-    # the stepper's kernel runs through core's workspace, and every stack
-    # takes its multipliers from semigroup_stack (a linear one's states are
-    # them times the datum)
-    for module, name in ((solver, "nonlinear_stack"), (core, "nonlinear_blocks"),
-                         (solver, "semigroup_stack")):
-        monkeypatch.setattr(module, name, lambda *a, **k: calls.append(a))
-    # dt * max|q| = 0.01 * 0.1 * 16^2 = 0.256 for the first, 2.56 for the last
+    # every stack takes its multipliers from semigroup_stack (a linear one's
+    # states are them times the datum), and a nonlinear one steps in _if_rk4
+    for name in ("semigroup_stack", "_if_rk4"):
+        monkeypatch.setattr(solver, name, lambda *a, **k: calls.append(a))
+    # the Gaussian's populated band ends at |xi| = 12.875, u u_x's edge, for
+    # a nonlinear stack, and at 8.5, the datum's, for a linear one; at
+    # dt = 0.02 the first member's dt * |q| there is 0.33 or 0.14, and the
+    # last member's ten times that, so the guard judges past the first
     members = [EquationParams(beta=0.1, eta=1.0), PARAMS]
-    for stack in (members, [dataclasses.replace(p, nonlinear=False) for p in members]):
-        with pytest.raises(CflError):
-            solve_stepper_stack(_gaussian(0.1), stack, SolverConfig(dt=1e-2, T=1.0))
+    for stack, message in (
+            (members, r"dt\*\|q\| = 3\.315 > 1 at \|xi\| = 12\.88,"),
+            ([dataclasses.replace(p, nonlinear=False) for p in members],
+             r"dt\*\|q\| = 1\.445 > 1 at \|xi\| = 8\.5,")):
+        with pytest.raises(CflError, match=message):
+            solve_stepper_stack(_gaussian(0.1), stack, SolverConfig(dt=2e-2, T=1.0))
     assert calls == []
 
 
@@ -544,6 +565,10 @@ def test_stepper_warns_once_per_offending_step(monkeypatch):
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always", AliasingBudgetWarning)
         solve_stepper_stack(_gaussian(1.0), [PARAMS, EquationParams(beta=0.0, eta=0.0)], cfg)
+    # the first kernel call is the step guard's, on the datum, which no
+    # verdict judges (the first step's first stage is the same product)
+    guard, *stages = stages
+    assert guard == stages[0]
     steps = [stages[i:i + 4] for i in range(0, len(stages), 4)]
     assert len(steps) == cfg.n_steps and len(stages) == 4 * cfg.n_steps
     expected = [max(f for f in step if f is not None) for step in steps if any(step)]
@@ -719,7 +744,7 @@ def test_stepper_block_times_are_the_frozen_schedule(members, M, steps, keep_eve
     # keep_every past the last step, a last step off the keep multiples and
     # on them, every step kept, at 4, 2, 1 and 512 kept states a block: the
     # same times, bitwise, in the same blocks, n_kept of them
-    grid = Grid(8.0 * np.pi * max(1, M / 256), M)  # dt = 1e-3 keeps the CFL bound
+    grid = Grid(8.0 * np.pi * max(1, M / 256), M)  # the step guard admits dt = 1e-3
     cfg = SolverConfig(dt=1e-3, T=steps * 1e-3, keep_every=keep_every)
     blocks = list(solver.stepper_blocks(_gaussian(0.1, grid), members, cfg))
     assert [times for times, _ in blocks] == _frozen_block_times(cfg, M)
@@ -739,7 +764,7 @@ def test_stepper_working_set_per_grid_point():
     # 8192 points on both grids, so numpy's buffer for a ufunc on the
     # strided stage (8192 elements) has the same size on both
     def peak(M):
-        grid = Grid(8.0 * np.pi * M / 256, M)  # dt = 1e-3 keeps the CFL bound
+        grid = Grid(8.0 * np.pi * M / 256, M)  # the step guard admits dt = 1e-3
         phi = _gaussian(0.1, grid)
         tracemalloc.start()
         try:
@@ -751,6 +776,30 @@ def test_stepper_working_set_per_grid_point():
 
     per_point = (peak(32768) - peak(16384)) / 16384
     assert per_point < 13 * 16, per_point
+
+
+def test_linear_stream_working_set_per_kept_value():
+    # a linear stack holds, per member and kept value, the block handed
+    # over, the block being filled, and the amplitude check's scratch stack
+    # of one time: 2.25 complex stacks of 16 bytes at 4 kept states a block.
+    # Differenced over member counts, its traced peak must stay below 2.5,
+    # so a block built from a list of member stacks (3), or the check's
+    # flip copy of the block and |u| array (3.5), fail it
+    grid = Grid(32.0 * np.pi, 1024)
+    phi = _gaussian(0.1, grid)
+
+    def peak(B):
+        members = [EquationParams(beta=1.0, eta=1.0 + b, nonlinear=False) for b in range(B)]
+        tracemalloc.start()
+        try:
+            for times, block in solver.stepper_blocks(phi, members, SolverConfig(dt=1e-3, T=8e-3)):
+                assert block.shape == (B, len(times), grid.M)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    per_value = (peak(6) - peak(2)) / (4 * 4 * grid.M)
+    assert per_value < 2.5 * 16, per_value
 
 
 def test_stream_holds_no_bytes_per_kept_state():
